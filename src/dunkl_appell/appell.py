@@ -68,7 +68,7 @@ class AppellFamily:
     q_i defined for every i.
     """
 
-    __slots__ = ("ctx", "Q", "positivity", "Q_at_1", "truncated")
+    __slots__ = ("ctx", "Q", "positivity", "Q_at_1", "truncated", "_functionals")
 
     def __init__(self, ctx: DunklContext, Q: PowerSeries, truncated: bool = False):
         if ctx.mu < 0.0:
@@ -88,6 +88,8 @@ class AppellFamily:
         self.Q = Q
         self.Q_at_1 = q1
         self.truncated = truncated
+        # The engine's Q-functionals, filled on first use; Q never changes.
+        self._functionals = None
         if all(c >= 0.0 for c in Q.coeffs):
             self.positivity = POSITIVE_BY_COEFFICIENTS
         else:

@@ -30,7 +30,7 @@ from typing import List, Optional, Sequence, Tuple
 from .appell import AppellFamily
 from .bounds import VerifyParams, verify
 from .dunkl import DunklContext
-from .engine import OperatorSpec, apply, central_moments, moments_closed
+from .engine import OperatorSpec, apply, central_moments
 from .errors import ConfigurationError, DunklApproxError
 from .functions import lookup
 from .series import PowerSeries, exp_series
@@ -203,8 +203,8 @@ def _mode_moments(cfg: RunConfig) -> Tuple[List[dict], int]:
     def one(nx):
         n, x = nx
         spec = OperatorSpec(family=family, n=n, tol=cfg.tol, cap=cfg.cap)
-        _, m1, _ = moments_closed(spec, x)
         cm = central_moments(spec, x)
+        m1 = x + cm.omega1  # the closed-form first raw moment, bit for bit
         return _row(
             x=x, n=n, Kf=m1, f=x, abs_err=abs(m1 - x),
             omega1=cm.omega1, omega2=cm.omega2,

@@ -17,6 +17,12 @@ terms are generated by the ratio recurrence
     term(i+1) = term(i) * x / (i+1 + 2*mu*theta(i+1)),
 
 which never materializes gamma_mu itself.
+
+The ratio rho(y) = e_mu(-y)/e_mu(y) that the moment formulas consume has its
+own routes (see ``dunkl_exp_neg_ratio``): exp(-2y) at mu = 0, a series of
+positive terms below a crossover, and a large-argument Bessel expansion
+above it.  For mu >= 0 no route subtracts quantities much larger than rho,
+so rho keeps its relative accuracy for every y.
 """
 
 from __future__ import annotations
@@ -30,6 +36,17 @@ from .errors import DomainError, RangeError
 # Terms of e_mu decay superexponentially once the index passes |x|; this cap
 # is far beyond any stopping point reachable within double range.
 _MAX_EXP_TERMS = 20_000
+
+# rho switches from the positive series to the large-argument expansion at
+# y = max(RATIO_CROSSOVER, mu**2).  From there on the expansion's terms shrink
+# from the first one down to a smallest term of order exp(-2y) < 2e-35, and
+# the part of I_nu the expansion leaves out is of that order too.
+RATIO_CROSSOVER = 40.0
+
+_EPS = 2.220446049250313e-16
+# Scale applied to the positive series' sums when they grow large; they only
+# enter through their quotient.
+_RESCALE = 1e280
 
 
 def theta(i: int) -> int:
@@ -156,9 +173,9 @@ def dunkl_exp(ctx: DunklContext, x: float, tol: float = 1e-15) -> ExpEvaluation:
     relative accuracy to cancellation (absolute error on the order of
     machine epsilon times exp(|x|)), while the reciprocal stays correct to
     a few ulps.  No such identity exists for mu != 0, where the alternating
-    sum is used and the same absolute-error behavior applies; the quantity
-    the moment formulas consume is the ratio e_mu(-y)/e_mu(y), whose
-    absolute error stays at machine-epsilon level either way.
+    sum is used and the same absolute-error behavior applies.  The ratio
+    e_mu(-y)/e_mu(y) does not go through this function: see
+    ``dunkl_exp_neg_ratio``.
     """
     if not math.isfinite(x):
         raise DomainError(f"e_mu argument must be finite, got {x}")
@@ -177,19 +194,95 @@ def dunkl_exp(ctx: DunklContext, x: float, tol: float = 1e-15) -> ExpEvaluation:
     return _sum_series(ctx.mu, x, tol)
 
 
-def dunkl_exp_neg_ratio(ctx: DunklContext, y: float, tol: float = 1e-15) -> float:
-    """The ratio e_mu(-y)/e_mu(y) for y >= 0.
+def _ratio_series(mu: float, y: float, tol: float) -> float:
+    """rho as a quotient of two confluent hypergeometric series.
 
-    Computed as the quotient of two series evaluations; the result lies in
-    [-1, 1] up to rounding because the numerator's terms are dominated in
-    absolute value by the denominator's.  Carries absolute error of order
-    machine epsilon for large y (cancellation in the numerator), which is
-    the accuracy the moment formulas require of it.
+    The Kummer form of the Dunkl exponential, e_mu(x) = e^{-x} M(mu+1, 2mu+1, 2x),
+    gives rho = M(mu, 2mu+1, 2y) / M(mu+1, 2mu+1, 2y).  The k-th term of the
+    numerator is the denominator's k-th term times mu/(mu+k), so one
+    recurrence drives both sums, and for mu >= 0 every term is positive.
+
+    The term ratio decreases in k, so once it is below one the remaining
+    tail is bounded by a geometric series; the numerator's tail is a smaller
+    share of its sum than the denominator's, because its weights mu/(mu+k)
+    decrease in k.
     """
-    if y < 0.0:
-        raise DomainError(f"ratio argument must be nonnegative, got {y}")
+    z = 2.0 * y
+    term = num = den = 1.0
+    k = 0
+    while True:
+        ratio = (mu + 1.0 + k) * z / ((2.0 * mu + 1.0 + k) * (k + 1.0))
+        if ratio < 1.0 and term * ratio < tol * (1.0 - ratio) * den:
+            return num / den
+        term *= ratio
+        k += 1
+        den += term
+        num += term * mu / (mu + k)
+        if den > _RESCALE:
+            term /= _RESCALE
+            num /= _RESCALE
+            den /= _RESCALE
+
+
+def _ratio_expansion(mu: float, y: float, tol: float) -> float:
+    """rho from the large-argument expansion of I_{mu-1/2} and I_{mu+1/2}.
+
+    Rosenblum's Bessel form of e_mu gives
+    rho = (I_{mu-1/2}(y) - I_{mu+1/2}(y)) / (I_{mu-1/2}(y) + I_{mu+1/2}(y)).
+    By DLMF 10.40.1 the k-th term of e^{-y} sqrt(2 pi y) I_nu(y) is
+    (-1)^k prod_{j<=k} (4nu^2 - (2j-1)^2) / (k! (8y)^k).  Built from mu, the
+    j-th factor is 4(mu-j)(mu+j-1) for nu = mu-1/2 and 4(mu-j+1)(mu+j) for
+    nu = mu+1/2, so with
+
+        g_k = (-1)^k mu prod_{0<j<k} (mu-j)(mu+j) / (k! (2y)^k)
+
+    the k-th terms (k >= 1) of the two expansions are (mu-k) g_k and
+    (mu+k) g_k, and both 0-th terms are 1.  Their difference -2k g_k and
+    sum 2mu g_k are formed exactly, so the difference of the two Bessel
+    functions never comes from cancellation.  Every g_k carries the factor
+    mu, so small mu keeps its digits.
+
+    Requires y >= max(RATIO_CROSSOVER, mu**2): then the terms decrease from
+    the first one until their size is far below tol.
+    """
+    g = -mu / (2.0 * y)
+    num = -g  # sum of -k g_k
+    den = 1.0 + mu * g  # sum of mu g_k, plus 1
+    k = 1
+    while abs(k * g) > tol * abs(num) or abs(mu * g) > tol * abs(den):
+        g *= (k - mu) * (k + mu) / ((k + 1.0) * 2.0 * y)
+        k += 1
+        num -= k * g
+        den += mu * g
+    return num / den
+
+
+def dunkl_exp_neg_ratio(ctx: DunklContext, y: float, tol: float = 1e-15) -> float:
+    """The ratio rho = e_mu(-y)/e_mu(y) for finite y >= 0.
+
+    Three routes, none of which subtracts large quantities:
+
+    * mu = 0: exp(-2y), which underflows to zero past y of about 372;
+    * y < max(RATIO_CROSSOVER, mu**2): a quotient of two positive series
+      (``_ratio_series``), at most about 160 terms when mu <= 6;
+    * otherwise: the large-argument Bessel expansion
+      (``_ratio_expansion``), 4 to 16 terms, where rho is close to mu/(2y).
+
+    tol is the relative truncation tolerance of either sum (floored at
+    machine epsilon).  For mu >= 0 the result has relative error of a few
+    ulps; past the crossover it also carries an absolute error of order
+    exp(-2y) < 2e-35 from the part of I_nu the expansion leaves out.
+    """
+    if not 0.0 <= y < math.inf:
+        raise DomainError(f"ratio argument must be finite and nonnegative, got {y}")
+    if tol <= 0.0:
+        raise DomainError(f"tolerance must be positive, got {tol}")
     if y == 0.0:
         return 1.0
-    num = dunkl_exp(ctx, -y, tol)
-    den = dunkl_exp(ctx, y, tol)
-    return num.value / den.value
+    mu = ctx.mu
+    if mu == 0.0:
+        return math.exp(-2.0 * y)
+    tol = max(tol, _EPS)
+    if y < max(RATIO_CROSSOVER, mu * mu):
+        return _ratio_series(mu, y, tol)
+    return _ratio_expansion(mu, y, tol)

@@ -8,6 +8,13 @@ forms assembled from ten scalar functionals of the generating series Q
 e_mu(-nx)/e_mu(nx).  Both routes are implemented; they serve as mutual
 oracles, and the two algebraically identical expressions for omega2 are
 checked against each other on every call.
+
+The closed forms cost a bounded amount at every n*x.  The ratio comes from
+``dunkl_exp_neg_ratio``: exp(-2nx) at mu = 0, a positive series below the
+crossover n*x = max(40, mu**2), and a large-argument Bessel expansion above
+it; nothing is flushed to zero.  The Q-functionals are computed once per
+family and kept on it, and one evaluation of the ratio and the functionals
+yields m1, m2, omega1 and omega2 together.
 """
 
 from __future__ import annotations
@@ -19,11 +26,6 @@ from typing import Callable
 from .appell import AppellFamily
 from .dunkl import dunkl_exp_neg_ratio
 from .errors import DomainError, EvaluationError, TranscriptionError
-
-# Past this argument the ratio e_mu(-y)/e_mu(y) is below 1e-300 for every
-# mu >= 0 (it decays like exp(-2y) up to polynomial factors), and the series
-# for e_mu(y) would overflow; flush to zero instead of evaluating.
-_RATIO_FLUSH_ARG = 650.0
 
 
 @dataclass(frozen=True)
@@ -76,18 +78,13 @@ class CentralMoments:
 
 
 def exp_ratio(spec: OperatorSpec, x: float) -> float:
-    """e_mu(-nx)/e_mu(nx) with underflow flushed to zero.
+    """rho = e_mu(-nx)/e_mu(nx), relatively accurate at every n*x.
 
-    The moment formulas multiply this ratio into order-one quantities, so
-    anything below 1e-300 is indistinguishable from zero there.
+    See ``dunkl_exp_neg_ratio`` for the three routes and the crossover.  At
+    mu = 0 rho is exp(-2nx), which underflows to zero past n*x of about 372;
+    for mu > 0 it stays near mu/(2nx) however large n*x grows.
     """
-    y = spec.n * x
-    if y >= _RATIO_FLUSH_ARG:
-        return 0.0
-    rho = dunkl_exp_neg_ratio(spec.family.ctx, y, tol=min(1e-15, spec.tol))
-    if abs(rho) < 1e-300:
-        return 0.0
-    return rho
+    return dunkl_exp_neg_ratio(spec.family.ctx, spec.n * x, tol=min(1e-15, spec.tol))
 
 
 def nodes(spec: OperatorSpec, count: int):
@@ -148,20 +145,32 @@ def q_functionals(family: AppellFamily) -> QFunctionals:
     )
 
 
-def moments_closed(spec: OperatorSpec, x: float):
-    """Closed-form raw moments (m0, m1, m2) of the operator at x.
+def _functionals(family: AppellFamily) -> QFunctionals:
+    """The family's Q-functionals, computed on first use and kept on it.
 
-    m0 is one by construction.  The remaining formulas are written in terms
-    of rho = e_mu(-nx)/e_mu(nx), so only well-conditioned ratios of the
-    exponentials ever appear.
+    Threads that race here compute equal values, so no lock is needed.
+    """
+    F = family._functionals
+    if F is None:
+        F = family._functionals = q_functionals(family)
+    return F
+
+
+def _closed_form(spec: OperatorSpec, x: float):
+    """(m1, m2, omega1, omega2) from one evaluation of rho and the functionals.
+
+    omega2 is computed from its own printed formula and recomputed as
+    m2 - 2*x*m1 + x**2; the two are algebraically identical, so any
+    disagreement beyond rounding indicates a transcription bug and raises.
     """
     if x < 0.0:
         raise DomainError(f"evaluation point must be >= 0, got {x}")
-    F = q_functionals(spec.family)
+    F = _functionals(spec.family)
     n = spec.n
     mu = spec.family.ctx.mu
     rho = exp_ratio(spec, x)
-    m1 = x + ((1.0 - rho) * F.dq1 + rho * F.lq1) / (F.q1 * n)
+    omega1 = ((1.0 - rho) * F.dq1 + rho * F.lq1) / (F.q1 * n)
+    m1 = x + omega1
     m2 = (
         x * x
         + ((2.0 * F.dq1 + F.q1) + 2.0 * mu * F.qm1 * rho) * x / (F.q1 * n)
@@ -171,23 +180,6 @@ def moments_closed(spec: OperatorSpec, x: float):
         / (F.q1 * n * n)
         + (F.llq1 + 2.0 * mu * F.lqm1) / (F.q1 * n * n)
     )
-    return 1.0, m1, m2
-
-
-def central_moments(spec: OperatorSpec, x: float) -> CentralMoments:
-    """Closed-form central moments omega1, omega2 at x.
-
-    omega2 is computed from its own printed formula and recomputed as
-    m2 - 2*x*m1 + x**2; the two are algebraically identical, so any
-    disagreement beyond rounding indicates a transcription bug and raises.
-    """
-    if x < 0.0:
-        raise DomainError(f"evaluation point must be >= 0, got {x}")
-    F = q_functionals(spec.family)
-    n = spec.n
-    mu = spec.family.ctx.mu
-    rho = exp_ratio(spec, x)
-    omega1 = ((1.0 - rho) * F.dq1 + rho * F.lq1) / (F.q1 * n)
     omega2 = (
         (1.0 + 2.0 * rho * (mu * F.qm1 + F.dq1 - F.lq1) / F.q1) * x / n
         + F.lq1 * rho / (F.q1 * n * n)
@@ -196,7 +188,6 @@ def central_moments(spec: OperatorSpec, x: float) -> CentralMoments:
         / (F.q1 * n * n)
         + (F.llq1 + 2.0 * mu * F.lqm1) / (F.q1 * n * n)
     )
-    _, m1, m2 = moments_closed(spec, x)
     combined = m2 - 2.0 * x * m1 + x * x
     # The combination cancels x**2-sized terms, so allow a rounding floor
     # proportional to the quantities that cancel.
@@ -207,10 +198,31 @@ def central_moments(spec: OperatorSpec, x: float) -> CentralMoments:
             f"formula transcription error: omega2 printed form {omega2!r} vs "
             f"moment combination {combined!r} at (n={n}, x={x}, mu={mu})"
         )
+    return m1, m2, omega1, omega2
+
+
+def moments_closed(spec: OperatorSpec, x: float):
+    """Closed-form raw moments (m0, m1, m2) of the operator at x.
+
+    m0 is one by construction.  The remaining formulas are written in terms
+    of rho = e_mu(-nx)/e_mu(nx), so only well-conditioned ratios of the
+    exponentials ever appear.  m1 equals x + omega1 bit for bit.
+    """
+    m1, m2, _, _ = _closed_form(spec, x)
+    return 1.0, m1, m2
+
+
+def central_moments(spec: OperatorSpec, x: float) -> CentralMoments:
+    """Closed-form central moments omega1, omega2 at x.
+
+    omega2 passes the transcription cross-check of ``_closed_form``; a
+    rounding-level negative value is clamped to zero.
+    """
+    _, _, omega1, omega2 = _closed_form(spec, x)
     if omega2 < 0.0:
         if omega2 < -1e-12:
             raise TranscriptionError(
-                f"omega2 = {omega2!r} is materially negative at (n={n}, x={x})"
+                f"omega2 = {omega2!r} is materially negative at (n={spec.n}, x={x})"
             )
         omega2 = 0.0
     return CentralMoments(omega1=omega1, omega2=omega2, source="closed-form")

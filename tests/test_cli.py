@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from dunkl_appell import AppellFamily, DunklContext, OperatorSpec, central_moments, moments_closed
 from dunkl_appell.cli import COLUMNS, emit, grid_points, main
 
 HEADER = "x,n,Kf,f,abs_err,omega1,omega2,bound,margin,theorem"
@@ -77,6 +78,22 @@ class TestMomentsMode:
         rows = parse_csv(out)
         keys = [(int(r["n"]), float(r["x"])) for r in rows]
         assert keys == sorted(keys)
+
+    def test_rows_equal_the_library_bit_for_bit(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "moments", "--mu", "0.5", "--family", "gould-hopper",
+            "--gh-a", "0.5", "--gh-d", "1", "--n", "10,300", "--x-grid", "0:2.4:0.3",
+        )
+        assert code == 0
+        family = AppellFamily.gould_hopper(DunklContext(0.5), 0.5, 1)
+        for row in parse_csv(out):
+            x, spec = float(row["x"]), OperatorSpec(family=family, n=int(row["n"]))
+            _, m1, _ = moments_closed(spec, x)
+            cm = central_moments(spec, x)
+            assert float(row["Kf"]) == m1
+            assert float(row["abs_err"]) == abs(m1 - x)
+            assert float(row["omega1"]) == cm.omega1
+            assert float(row["omega2"]) == cm.omega2
 
 
 class TestEvalMode:

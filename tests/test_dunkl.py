@@ -11,6 +11,7 @@ from dunkl_appell import (
     gamma_mu,
     theta,
 )
+from dunkl_appell.dunkl import RATIO_CROSSOVER
 
 from oracles import emu_brute, gamma_mu_closed_form
 
@@ -172,3 +173,50 @@ class TestNegRatio:
     def test_rejects_negative_argument(self):
         with pytest.raises(DomainError):
             dunkl_exp_neg_ratio(DunklContext(0.5), -1.0)
+
+
+def _bessel_ratio(mu, y):
+    """(I_{mu-1/2}(y) - I_{mu+1/2}(y)) / (I_{mu-1/2}(y) + I_{mu+1/2}(y)) in mpmath.
+
+    The difference cancels about log10(y / mu) <= 12 digits on the grids
+    below; 40 digits leave more than 25.
+    """
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        if y == 0.0:
+            return 1.0
+        if mu == 0.0:
+            return float(mp.exp(-2 * mp.mpf(y)))
+        a = mp.besseli(mp.mpf(mu) - 0.5, y)
+        b = mp.besseli(mp.mpf(mu) + 0.5, y)
+        return float((a - b) / (a + b))
+
+
+class TestNegRatioOracle:
+    # Every route sums positive terms, or terms whose differences are formed
+    # exactly, and stops at relative tolerance 1e-15, so a few ulps of
+    # relative error are expected (1.6e-15 measured).  1e-12 leaves room
+    # for libm differences while still catching the cancellation of the
+    # alternating e_mu series, which costs about 1e-9 at mu = 1e-6, y = 20,
+    # and the old flush of rho to zero.
+    REL = 1e-12
+
+    @pytest.mark.parametrize("mu", [0.0, 1e-6, 0.1, 0.5, 1.0, 1.3, 2.0, 3.0])
+    @pytest.mark.parametrize(
+        "y",
+        [0.0, 1.0, 20.0, RATIO_CROSSOVER - 1.0, RATIO_CROSSOVER + 1.0,
+         651.0, 1e3, 1e4, 1e6],
+    )
+    def test_matches_bessel_form(self, mu, y):
+        ref = _bessel_ratio(mu, y)
+        r = dunkl_exp_neg_ratio(DunklContext(mu), y)
+        assert abs(r - ref) <= self.REL * ref
+
+    @pytest.mark.parametrize("mu", [7.5, 20.0])
+    def test_crossover_moves_to_mu_squared(self, mu):
+        # Below mu**2 the expansion's leading terms grow, so the positive
+        # series runs there, rescaled once its sums pass double range.
+        for y in (RATIO_CROSSOVER + 1.0, mu * mu - 1.0, mu * mu + 1.0, 2000.0):
+            ref = _bessel_ratio(mu, y)
+            r = dunkl_exp_neg_ratio(DunklContext(mu), y)
+            assert abs(r - ref) <= self.REL * ref, y

@@ -14,6 +14,7 @@ from dunkl_appell import (
     moments_closed,
     q_functionals,
 )
+from dunkl_appell import engine
 from dunkl_appell.engine import exp_ratio, nodes
 
 from oracles import emu_brute
@@ -111,6 +112,11 @@ class TestMomentsClosed:
         assert m1 == 1.0
         assert abs(m2 - 1.05) <= 1e-13
 
+    def test_first_raw_moment_is_x_plus_omega1(self):
+        spec = gh_spec(1.3, 0.3, 2, 17)
+        for x in (0.0, 0.4, 3.0, 500.0):
+            assert moments_closed(spec, x)[1] == x + central_moments(spec, x).omega1
+
 
 class TestCentralMoments:
     @pytest.mark.parametrize("mu", [0.0, 0.5])
@@ -153,8 +159,11 @@ class TestCentralMoments:
 
 class TestExpRatio:
     def test_flushes_underflow_to_zero(self):
+        # exp(-1200) underflows; for mu > 0 rho stays near mu / (2nx).
         assert exp_ratio(unit_spec(0.0, 600), 1.0) == 0.0
-        assert exp_ratio(unit_spec(0.5, 1000), 1.0) == 0.0
+        # (I_0(1000) - I_1(1000)) / (I_0(1000) + I_1(1000)), mpmath at 40 digits
+        ref = 2.501251095237174717e-4
+        assert abs(exp_ratio(unit_spec(0.5, 1000), 1.0) - ref) <= 1e-14 * ref
 
     def test_moments_survive_huge_arguments(self):
         spec = unit_spec(0.5, 1000)
@@ -165,6 +174,46 @@ class TestExpRatio:
         spec = unit_spec(0.5, 4)
         ref = emu_brute(0.5, -4.0) / emu_brute(0.5, 4.0)
         assert abs(exp_ratio(spec, 1.0) - ref) <= 1e-12
+
+
+class TestLargeArguments:
+    @pytest.mark.parametrize("n", [640, 660, 700])
+    def test_omega2_continuous_across_old_flush_point(self, n):
+        # Here rho is near mu/(2nx), about 4e-4; taking it as zero moves the
+        # closed-form omega2 off the series route by about 3.8e-4 relative.
+        spec = gh_spec(0.5, 0.5, 1, n)
+        closed = central_moments(spec, 1.0).omega2
+        summed = central_moments_series(spec, 1.0).omega2
+        assert abs(closed - summed) <= 1e-8 * summed
+
+
+class TestEvaluationCounts:
+    @staticmethod
+    def counting(monkeypatch, name):
+        calls = []
+        original = getattr(engine, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(engine, name, counted)
+        return calls
+
+    def test_one_rho_per_central_moments_call(self, monkeypatch):
+        calls = self.counting(monkeypatch, "dunkl_exp_neg_ratio")
+        central_moments(gh_spec(0.5, 0.5, 1, 30), 1.2)
+        assert len(calls) == 1
+
+    def test_functionals_built_once_per_family(self, monkeypatch):
+        calls = self.counting(monkeypatch, "q_functionals")
+        spec = gh_spec(0.5, 0.5, 1, 30)
+        for x in (0.0, 0.5, 1.2):
+            central_moments(spec, x)
+            moments_closed(OperatorSpec(family=spec.family, n=7), x)
+        assert len(calls) == 1
+        central_moments(gh_spec(0.5, 0.5, 1, 30), 1.2)  # a new family
+        assert len(calls) == 2
 
 
 class TestNodes:
