@@ -20,7 +20,6 @@ from .dunkl import (
     ExpEvaluation,
     dunkl_exp,
     dunkl_exp_neg_ratio,
-    gamma_mu,
     theta,
 )
 from .engine import (
@@ -82,7 +81,6 @@ __all__ = [
     "dunkl_exp",
     "dunkl_exp_neg_ratio",
     "exp_series",
-    "gamma_mu",
     "lookup",
     "modulus1",
     "modulus2",

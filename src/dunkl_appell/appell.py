@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Sequence
+from typing import List, Sequence
 
 from .dunkl import DunklContext, dunkl_exp
 from .errors import (
@@ -33,9 +33,6 @@ from .series import PowerSeries
 
 POSITIVE_BY_COEFFICIENTS = "proven-by-coefficients"
 UNVERIFIED = "unverified"
-
-# Test hook: callables invoked with every WeightSequence produced.
-_weight_observers: List[Callable[["WeightSequence"], None]] = []
 
 
 @dataclass(frozen=True)
@@ -185,38 +182,6 @@ class AppellFamily:
             )
         mu = self.ctx.mu
         nx = n * x
-        if nx == 0.0:
-            # Degenerate point: e_mu(0) = 1 and only the j = 0 term of the
-            # convolution survives, so the weights are exactly c_i / Q(1)
-            # and the full mass is emitted with Q's own coefficients.
-            emitted = []
-            for i, c in enumerate(self.Q.coeffs[:cap]):
-                w = c / self.Q_at_1
-                if w < 0.0:
-                    if w < -1e-12:
-                        raise PositivityViolationError(
-                            f"weight {w} at index {i} is materially negative; "
-                            "the generating series is inadmissible",
-                            index=i,
-                            weight=w,
-                        )
-                    w = 0.0
-                emitted.append(w)
-            tail = 1.0 - math.fsum(emitted)
-            if cap < len(self.Q.coeffs) and tail > tol:
-                raise TruncationFailureError(
-                    f"truncation failure: cap {cap} reached with "
-                    f"tail mass {tail:.3e} > tol {tol:.3e} at (n={n}, x={x})",
-                    partial=WeightSequence(
-                        weights=tuple(emitted), tail_mass=tail, n=n, x=x
-                    ),
-                )
-            ws = WeightSequence(
-                weights=tuple(emitted), tail_mass=tail, n=n, x=x
-            )
-            for obs in _weight_observers:
-                obs(ws)
-            return ws
         e_val = dunkl_exp(self.ctx, nx, tol=min(1e-15, tol)).value
         denom = self.Q_at_1 * e_val
         nonzero = [(k, ck) for k, ck in enumerate(self.Q.coeffs) if ck != 0.0]
@@ -258,9 +223,6 @@ class AppellFamily:
                     f"tail mass {tail:.3e} > tol {tol:.3e} at (n={n}, x={x})",
                     partial=partial,
                 )
-        ws = WeightSequence(
+        return WeightSequence(
             weights=tuple(weights), tail_mass=1.0 - cum, n=n, x=x
         )
-        for obs in _weight_observers:
-            obs(ws)
-        return ws

@@ -1,8 +1,9 @@
-"""Experiment command line: operator evaluation, moment tables, convergence
-sweeps, bound verification and randomized self-tests.
+"""Experiment command line: operator evaluation (``eval``), moment tables
+(``moments``), convergence sweeps (``converge``) and bound verification
+(``bounds``).
 
-Every run is deterministic given its flags; ``selftest`` draws its cases
-from an explicit ``--seed``.  Reports share one fixed column schema
+Every run is deterministic given its flags.  Reports share one fixed column
+schema
 
     x,n,Kf,f,abs_err,omega1,omega2,bound,margin,theorem
 
@@ -20,10 +21,7 @@ import csv
 import io
 import json
 import math
-import os
-import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -33,11 +31,10 @@ from .dunkl import DunklContext
 from .engine import OperatorSpec, apply, central_moments
 from .errors import ConfigurationError, DunklApproxError
 from .functions import lookup
-from .series import PowerSeries, exp_series
 
 COLUMNS = ("x", "n", "Kf", "f", "abs_err", "omega1", "omega2", "bound", "margin", "theorem")
 
-_MODES = ("eval", "moments", "converge", "bounds", "selftest")
+_MODES = ("eval", "moments", "converge", "bounds")
 
 
 @dataclass
@@ -63,7 +60,6 @@ class RunConfig:
     interval_end: Optional[float] = None
     grid_step: float = 1e-3
     sabotage_modulus: float = 1.0
-    seed: int = 0
 
     def validate(self):
         if self.mode not in _MODES:
@@ -72,18 +68,22 @@ class RunConfig:
             raise ConfigurationError("--n must list at least one operator scale")
         if any(n < 1 for n in self.n_list):
             raise ConfigurationError(f"--n entries must be >= 1, got {self.n_list}")
+        if self.x is not None and not math.isfinite(self.x):
+            raise ConfigurationError(f"--x must be finite, got {self.x}")
         if self.x_grid is not None:
             start, stop, step = self.x_grid
+            if not all(map(math.isfinite, self.x_grid)):
+                raise ConfigurationError(
+                    f"--x-grid start, stop and step must be finite, got {self.x_grid}"
+                )
             if step <= 0.0:
                 raise ConfigurationError(f"--x-grid step must be positive, got {step}")
             if start > stop:
                 raise ConfigurationError(
                     f"--x-grid start {start} exceeds stop {stop}"
                 )
-        if self.tol <= 0.0:
-            raise ConfigurationError(f"--tol must be positive, got {self.tol}")
-        if self.output not in ("csv", "json"):
-            raise ConfigurationError(f"--format must be csv or json, got {self.output!r}")
+        if not 0.0 < self.tol < math.inf:
+            raise ConfigurationError(f"--tol must be positive and finite, got {self.tol}")
 
 
 def grid_points(start: float, stop: float, step: float) -> List[float]:
@@ -99,29 +99,16 @@ def grid_points(start: float, stop: float, step: float) -> List[float]:
     return out
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("DUNKL_APPROX_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigurationError(
-            f"DUNKL_APPROX_THREADS must be an integer, got {raw!r}"
-        ) from None
-
-
-def _pmap(fn, items):
-    t = _thread_count()
-    if t <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=t) as ex:
-        return list(ex.map(fn, items))
-
-
 # ---------------------------------------------------------------- reports
 
 
 def _row(**kw):
     return {c: kw.get(c) for c in COLUMNS}
+
+
+def _by_n_then_x(row):
+    # --n may list scales in any order; reports are always sorted.
+    return (row["n"], row["x"])
 
 
 def _fmt_cell(v) -> str:
@@ -178,50 +165,48 @@ def _x_values(cfg: RunConfig) -> List[float]:
     raise ConfigurationError("provide --x or --x-grid")
 
 
-def _mode_eval(cfg: RunConfig) -> Tuple[List[dict], int]:
+def _target(cfg: RunConfig):
     if cfg.function is None:
-        raise ConfigurationError("--f is required for eval")
-    entry = lookup(cfg.function)
+        raise ConfigurationError(f"--f is required for {cfg.mode}")
+    return lookup(cfg.function)
+
+
+def _mode_eval(cfg: RunConfig) -> Tuple[List[dict], int]:
+    entry = _target(cfg)
     family = _build_family(cfg)
     xs = _x_values(cfg)
-
-    def one(nx):
-        n, x = nx
+    rows = []
+    for n in cfg.n_list:
         spec = OperatorSpec(family=family, n=n, tol=cfg.tol, cap=cfg.cap)
-        kf = apply(spec, entry.evaluator, x)
-        fx = entry.evaluator(x)
-        return _row(x=x, n=n, Kf=kf, f=fx, abs_err=abs(kf - fx))
-
-    rows = _pmap(one, [(n, x) for n in cfg.n_list for x in xs])
-    return sorted(rows, key=lambda r: (r["n"], r["x"])), 0
+        for x in xs:
+            kf = apply(spec, entry.evaluator, x)
+            fx = entry.evaluator(x)
+            rows.append(_row(x=x, n=n, Kf=kf, f=fx, abs_err=abs(kf - fx)))
+    return sorted(rows, key=_by_n_then_x), 0
 
 
 def _mode_moments(cfg: RunConfig) -> Tuple[List[dict], int]:
     family = _build_family(cfg)
     xs = _x_values(cfg)
-
-    def one(nx):
-        n, x = nx
+    rows = []
+    for n in cfg.n_list:
         spec = OperatorSpec(family=family, n=n, tol=cfg.tol, cap=cfg.cap)
-        cm = central_moments(spec, x)
-        m1 = x + cm.omega1  # the closed-form first raw moment, bit for bit
-        return _row(
-            x=x, n=n, Kf=m1, f=x, abs_err=abs(m1 - x),
-            omega1=cm.omega1, omega2=cm.omega2,
-        )
-
-    rows = _pmap(one, [(n, x) for n in cfg.n_list for x in xs])
-    return sorted(rows, key=lambda r: (r["n"], r["x"])), 0
+        for x in xs:
+            cm = central_moments(spec, x)
+            m1 = x + cm.omega1  # the closed-form first raw moment, bit for bit
+            rows.append(_row(
+                x=x, n=n, Kf=m1, f=x, abs_err=abs(m1 - x),
+                omega1=cm.omega1, omega2=cm.omega2,
+            ))
+    return sorted(rows, key=_by_n_then_x), 0
 
 
 def _mode_converge(cfg: RunConfig) -> Tuple[List[dict], int]:
-    if cfg.function is None:
-        raise ConfigurationError("--f is required for converge")
-    entry = lookup(cfg.function)
+    entry = _target(cfg)
     family = _build_family(cfg)
     xs = _x_values(cfg)
-
-    def one(n):
+    rows = []
+    for n in cfg.n_list:
         spec = OperatorSpec(family=family, n=n, tol=cfg.tol, cap=cfg.cap)
         best = None
         for x in xs:
@@ -231,18 +216,14 @@ def _mode_converge(cfg: RunConfig) -> Tuple[List[dict], int]:
             if best is None or err > best[0]:
                 best = (err, x, kf, fx)
         err, x, kf, fx = best
-        return _row(x=x, n=n, Kf=kf, f=fx, abs_err=err)
-
-    rows = _pmap(one, list(cfg.n_list))
-    return sorted(rows, key=lambda r: (r["n"], r["x"])), 0
+        rows.append(_row(x=x, n=n, Kf=kf, f=fx, abs_err=err))
+    return sorted(rows, key=_by_n_then_x), 0
 
 
 def _mode_bounds(cfg: RunConfig) -> Tuple[List[dict], int]:
     if cfg.theorem is None:
         raise ConfigurationError("--theorem is required for bounds")
-    if cfg.function is None:
-        raise ConfigurationError("--f is required for bounds")
-    entry = lookup(cfg.function)
+    entry = _target(cfg)
     family = _build_family(cfg)
     xs = _x_values(cfg)
     params = VerifyParams(
@@ -252,15 +233,11 @@ def _mode_bounds(cfg: RunConfig) -> Tuple[List[dict], int]:
         grid_step=cfg.grid_step,
         modulus_scale=cfg.sabotage_modulus,
     )
-
-    def one(n):
-        spec = OperatorSpec(family=family, n=n, tol=cfg.tol, cap=cfg.cap)
-        return verify(spec, entry, cfg.theorem, xs, params)
-
-    reports = _pmap(one, list(cfg.n_list))
     rows = []
     violations = 0
-    for rep in reports:
+    for n in cfg.n_list:
+        spec = OperatorSpec(family=family, n=n, tol=cfg.tol, cap=cfg.cap)
+        rep = verify(spec, entry, cfg.theorem, xs, params)
         violations += rep.violations
         print(
             f"# {rep.theorem} {rep.function} n={rep.n}: "
@@ -276,110 +253,11 @@ def _mode_bounds(cfg: RunConfig) -> Tuple[List[dict], int]:
                     bound=p.bound, margin=p.margin, theorem=rep.theorem,
                 )
             )
-    rows.sort(key=lambda r: (r["n"], r["x"]))
+    rows.sort(key=_by_n_then_x)
     return rows, (2 if violations > 0 else 0)
 
 
-# ---------------------------------------------------------------- selftest
-
-
-def _random_series(ctx: DunklContext, rng: random.Random, degree: int) -> PowerSeries:
-    return PowerSeries(
-        ctx, [rng.uniform(-1.0, 1.0) for _ in range(degree + 1)]
-    )
-
-
-def _selftest_product_rule(rng: random.Random, cases: int) -> float:
-    """Dunkl product-rule identity on random polynomial pairs.
-
-    L(A*B) must equal A*LB + reflect(B)*LA + A' * (B - reflect(B))
-    coefficientwise.
-    """
-    worst = 0.0
-    mus = (0.0, 0.5, 1.3)
-    for c in range(cases):
-        ctx = DunklContext(mus[c % len(mus)])
-        A = _random_series(ctx, rng, rng.randint(0, 10))
-        B = _random_series(ctx, rng, rng.randint(0, 10))
-        lhs = A.multiply(B).dunkl_derivative()
-        rhs = (
-            A.multiply(B.dunkl_derivative())
-            + B.reflect().multiply(A.dunkl_derivative())
-            + A.derivative().multiply(B - B.reflect())
-        )
-        m = max(len(lhs.coeffs), len(rhs.coeffs))
-        la = lhs.coeffs + (0.0,) * (m - len(lhs.coeffs))
-        rb = rhs.coeffs + (0.0,) * (m - len(rhs.coeffs))
-        worst = max(worst, max(abs(p - q) for p, q in zip(la, rb)))
-    return worst
-
-
-def _selftest_roundtrip(rng: random.Random, cases: int) -> float:
-    """Generating-series consistency on random admissible families.
-
-    Coefficient i of Q(t) * e_mu(x t) must equal q_i(x) / gamma_mu(i).
-    """
-    worst = 0.0
-    for _ in range(cases):
-        mu = rng.uniform(0.0, 1.5)
-        ctx = DunklContext(mu)
-        while True:
-            coeffs = [rng.uniform(-1.0, 1.0) for _ in range(rng.randint(1, 11))]
-            if abs(coeffs[0]) >= 0.2:
-                Q = PowerSeries(ctx, coeffs)
-                if Q.eval(1.0) > 0.1:
-                    break
-        family = AppellFamily(ctx, Q)
-        x = rng.uniform(0.0, 2.0)
-        depth = Q.degree + 15
-        product = Q.multiply(exp_series(ctx, x, depth))
-        for i in range(depth + 1):
-            qi = family.poly(i)
-            value = sum(c * x**j for j, c in enumerate(qi)) / ctx.gamma(i)
-            worst = max(worst, abs(product.coeffs[i] - value))
-    return worst
-
-
-def _selftest_reflect(rng: random.Random, cases: int) -> float:
-    worst = 0.0
-    for _ in range(cases):
-        ctx = DunklContext(rng.uniform(0.0, 2.0))
-        S = _random_series(ctx, rng, rng.randint(0, 12))
-        if S.reflect().reflect() != S:
-            return math.inf
-        t = rng.uniform(-2.0, 2.0)
-        worst = max(worst, abs(S.reflect().eval(t) - S.eval(-t)))
-    return worst
-
-
-def _mode_selftest(cfg: RunConfig) -> Tuple[List[dict], int]:
-    rng = random.Random(cfg.seed)
-    suites = (
-        ("product-rule", _selftest_product_rule, 100, 1e-11),
-        ("generating-series-roundtrip", _selftest_roundtrip, 20, 1e-10),
-        ("reflection", _selftest_reflect, 50, 1e-12),
-    )
-    failed = 0
-    for name, fn, cases, tol in suites:
-        worst = fn(rng, cases)
-        ok = worst <= tol
-        failed += 0 if ok else 1
-        print(
-            f"selftest {name}: {cases} cases, max error {worst:.3e} "
-            f"(tol {tol:.0e}) {'PASS' if ok else 'FAIL'}"
-        )
-    return [], (1 if failed else 0)
-
-
 # ---------------------------------------------------------------- parsing
-
-
-_DEFAULTS = {f: getattr(RunConfig("eval"), f) for f in (
-    "mu", "family", "gh_a", "gh_d", "gh_cap", "coeffs", "x", "x_grid",
-    "function", "tol", "cap", "output", "out", "theorem", "M", "beta",
-    "interval_end", "grid_step", "sabotage_modulus", "seed",
-)}
-_DEFAULTS["n_list"] = [1]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -411,38 +289,68 @@ def _parse_grid(raw: str) -> Tuple[float, float, float]:
         raise ConfigurationError(f"--x-grid must be start:stop:step, got {raw!r}") from None
 
 
+# (flag, RunConfig field, converter, choices).  A --config file takes the
+# field names as keys and converts its values with the same functions.
+_FLAGS = (
+    ("--mu", "mu", float, None),
+    ("--family", "family", str, ("unit", "gould-hopper", "custom-coeffs")),
+    ("--gh-a", "gh_a", float, None),
+    ("--gh-d", "gh_d", int, None),
+    ("--gh-cap", "gh_cap", int, None),
+    ("--coeffs", "coeffs", _parse_coeffs, None),
+    ("--n", "n_list", _parse_n_list, None),
+    ("--x", "x", float, None),
+    ("--x-grid", "x_grid", _parse_grid, None),
+    ("--f", "function", str, None),
+    ("--tol", "tol", float, None),
+    ("--cap", "cap", int, None),
+    ("--format", "output", str, ("csv", "json")),
+    ("--out", "out", str, None),
+    ("--theorem", "theorem", str, ("T2", "T3", "T4")),
+    ("--M", "M", float, None),
+    ("--beta", "beta", float, None),
+    ("--interval-end", "interval_end", float, None),
+    ("--grid-step", "grid_step", float, None),
+    # Negative-control hook for the verification harness; not in --help.
+    ("--sabotage-modulus", "sabotage_modulus", float, None),
+)
+_FIELDS = {dest: (flag, convert, choices) for flag, dest, convert, choices in _FLAGS}
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="dunkl-appell", description=__doc__)
     sub = parser.add_subparsers(dest="mode")
     for mode in _MODES:
         p = sub.add_parser(mode, argument_default=argparse.SUPPRESS)
         p.add_argument("--config", type=str, help="JSON file with flag defaults")
-        p.add_argument("--mu", type=float)
-        p.add_argument("--family", choices=("unit", "gould-hopper", "custom-coeffs"))
-        p.add_argument("--gh-a", dest="gh_a", type=float)
-        p.add_argument("--gh-d", dest="gh_d", type=int)
-        p.add_argument("--gh-cap", dest="gh_cap", type=int)
-        p.add_argument("--coeffs", type=_parse_coeffs)
-        p.add_argument("--n", dest="n_list", type=_parse_n_list)
-        p.add_argument("--x", type=float)
-        p.add_argument("--x-grid", dest="x_grid", type=_parse_grid)
-        p.add_argument("--f", dest="function", type=str)
-        p.add_argument("--tol", type=float)
-        p.add_argument("--cap", type=int)
-        p.add_argument("--format", dest="output", choices=("csv", "json"))
-        p.add_argument("--out", type=str)
-        p.add_argument("--theorem", choices=("T2", "T3", "T4"))
-        p.add_argument("--M", type=float)
-        p.add_argument("--beta", type=float)
-        p.add_argument("--interval-end", dest="interval_end", type=float)
-        p.add_argument("--grid-step", dest="grid_step", type=float)
-        p.add_argument("--seed", type=int)
-        # Negative-control hook for the verification harness.
-        p.add_argument(
-            "--sabotage-modulus", dest="sabotage_modulus", type=float,
-            help=argparse.SUPPRESS,
-        )
+        for flag, dest, convert, choices in _FLAGS:
+            p.add_argument(
+                flag, dest=dest, type=convert, choices=choices,
+                help=argparse.SUPPRESS if dest == "sabotage_modulus" else None,
+            )
     return parser
+
+
+def _file_value(key: str, value):
+    """Convert a --config value as the text of its flag would be.
+
+    Lists stand for the comma-separated (``x_grid``: colon-separated) flag
+    text.
+    """
+    flag, convert, choices = _FIELDS[key]
+    if isinstance(value, list) and key in ("n_list", "coeffs", "x_grid"):
+        value = (":" if key == "x_grid" else ",").join(str(v) for v in value)
+    try:
+        converted = convert(str(value))
+    except (ValueError, ConfigurationError) as exc:
+        raise ConfigurationError(
+            f"--config key {key!r} ({flag}) has an invalid value {value!r}: {exc}"
+        ) from None
+    if choices is not None and converted not in choices:
+        raise ConfigurationError(
+            f"--config key {key!r} must be one of {', '.join(choices)}, got {value!r}"
+        )
+    return converted
 
 
 def parse_config(argv: Optional[Sequence[str]] = None) -> RunConfig:
@@ -451,7 +359,7 @@ def parse_config(argv: Optional[Sequence[str]] = None) -> RunConfig:
     if mode is None:
         raise ConfigurationError(f"choose a mode: {', '.join(_MODES)}")
     provided = {k: v for k, v in vars(ns).items() if k not in ("mode", "config")}
-    merged = dict(_DEFAULTS)
+    merged = {}
     config_path = getattr(ns, "config", None)
     if config_path:
         try:
@@ -459,20 +367,18 @@ def parse_config(argv: Optional[Sequence[str]] = None) -> RunConfig:
                 file_conf = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigurationError(f"cannot read --config {config_path!r}: {exc}") from None
-        unknown = set(file_conf) - set(_DEFAULTS)
+        if not isinstance(file_conf, dict):
+            raise ConfigurationError(f"--config {config_path!r} must hold a JSON object")
+        unknown = set(file_conf) - set(_FIELDS)
         if unknown:
             raise ConfigurationError(
                 f"unknown keys in --config file: {sorted(unknown)}"
             )
-        if "n_list" in file_conf and isinstance(file_conf["n_list"], str):
-            file_conf["n_list"] = _parse_n_list(file_conf["n_list"])
-        if "x_grid" in file_conf and isinstance(file_conf["x_grid"], str):
-            file_conf["x_grid"] = _parse_grid(file_conf["x_grid"])
-        merged.update(file_conf)
+        # null leaves a field at its default
+        merged.update(
+            (k, _file_value(k, v)) for k, v in file_conf.items() if v is not None
+        )
     merged.update(provided)  # flags win over the config file
-    if merged.get("x_grid") is not None and not isinstance(merged["x_grid"], tuple):
-        merged["x_grid"] = tuple(merged["x_grid"])
-    merged["n_list"] = list(merged["n_list"])
     cfg = RunConfig(mode=mode, **merged)
     cfg.validate()
     return cfg
@@ -485,11 +391,9 @@ def run(cfg: RunConfig) -> int:
         "moments": _mode_moments,
         "converge": _mode_converge,
         "bounds": _mode_bounds,
-        "selftest": _mode_selftest,
     }
     rows, status = dispatch[cfg.mode](cfg)
-    if cfg.mode != "selftest":
-        emit(rows, cfg.output, cfg.out)
+    emit(rows, cfg.output, cfg.out)
     return status
 
 

@@ -28,7 +28,6 @@ so rho keeps its relative accuracy for every y.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 from .errors import DomainError, RangeError
@@ -57,26 +56,23 @@ def theta(i: int) -> int:
 
 
 class DunklContext:
-    """The parameter mu together with a growable cache of gamma_mu values.
+    """The validated parameter mu, and gamma_mu computed from it.
 
     mu must satisfy mu > -1/2 for the recursion factors to stay positive.
     Negative mu (in (-1/2, 0)) is accepted for the scalar primitives and
     flagged via ``negative_mu``; operator construction elsewhere requires
     mu >= 0.
 
-    Cache extension is lock-protected, so contexts may be shared between
-    threads; all reads of already-cached entries are plain list indexing.
+    A context holds nothing but mu, so it may be shared between threads.
     """
 
-    __slots__ = ("mu", "_gamma", "_lock")
+    __slots__ = ("mu",)
 
     def __init__(self, mu: float):
         mu = float(mu)
         if not math.isfinite(mu) or mu <= -0.5:
             raise DomainError(f"mu must be a finite real > -1/2, got {mu}")
         self.mu = mu
-        self._gamma = [1.0]
-        self._lock = threading.Lock()
 
     @property
     def negative_mu(self) -> bool:
@@ -84,32 +80,21 @@ class DunklContext:
         return self.mu < 0.0
 
     def gamma(self, i: int) -> float:
-        """gamma_mu(i) via the product recursion, cached."""
+        """gamma_mu(i) via the product recursion; strictly positive and finite."""
         if i < 0:
             raise DomainError(f"gamma index must be nonnegative, got {i}")
-        g = self._gamma
-        if i < len(g):
-            return g[i]
-        with self._lock:
-            g = self._gamma
-            while len(g) <= i:
-                k = len(g)  # next index to fill
-                nxt = (k + 2.0 * self.mu * (k & 1)) * g[-1]
-                if not math.isfinite(nxt):
-                    raise RangeError(
-                        f"gamma_mu({k}) exceeds double range (mu={self.mu}); "
-                        f"indices up to {len(g) - 1} are representable"
-                    )
-                g.append(nxt)
-        return g[i]
+        g = 1.0
+        for k in range(1, i + 1):
+            g *= k + 2.0 * self.mu * (k & 1)
+            if not math.isfinite(g):
+                raise RangeError(
+                    f"gamma_mu({k}) exceeds double range (mu={self.mu}); "
+                    f"indices up to {k - 1} are representable"
+                )
+        return g
 
     def __repr__(self):
         return f"DunklContext(mu={self.mu!r})"
-
-
-def gamma_mu(ctx: DunklContext, i: int) -> float:
-    """gamma_mu(i) for the context's mu; strictly positive and finite."""
-    return ctx.gamma(i)
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,15 @@ import math
 
 import pytest
 
-from dunkl_appell import AppellFamily, DunklContext, OperatorSpec, central_moments, moments_closed
-from dunkl_appell.cli import COLUMNS, emit, grid_points, main
+from dunkl_appell import (
+    AppellFamily,
+    ConfigurationError,
+    DunklContext,
+    OperatorSpec,
+    central_moments,
+    moments_closed,
+)
+from dunkl_appell.cli import COLUMNS, emit, grid_points, main, parse_config
 
 HEADER = "x,n,Kf,f,abs_err,omega1,omega2,bound,margin,theorem"
 
@@ -207,6 +214,21 @@ class TestErrors:
         assert code == 1
         assert "x-grid" in err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--x-grid", "0:inf:1"),
+        ("--x-grid", "nan:1:0.1"),
+        ("--x-grid", "0:1:inf"),
+        ("--x", "inf"),
+        ("--x", "nan"),
+        ("--tol", "inf"),
+        ("--tol", "nan"),
+    ])
+    def test_non_finite_values_rejected(self, flag, value):
+        # an infinite stop used to make grid_points append forever, and an
+        # infinite tolerance dropped most of the weight mass
+        with pytest.raises(ConfigurationError, match=flag):
+            parse_config(["moments", "--n", "5", flag, value])
+
     def test_bad_flag(self, capsys):
         code, _, err = run_cli(capsys, "moments", "--frobnicate", "1")
         assert code == 1
@@ -247,28 +269,32 @@ class TestConfigFile:
         assert code == 1
         assert "wavelength" in err
 
+    @pytest.mark.parametrize("conf, flags", [
+        ({"n_list": 5}, ["--n", "5"]),
+        ({"tol": "1e-3"}, ["--tol", "1e-3"]),
+        ({"x_grid": [0, 1, 0.5], "coeffs": [1, 0.5]},
+         ["--x-grid", "0:1:0.5", "--coeffs", "1,0.5"]),
+    ])
+    def test_values_convert_like_flags(self, tmp_path, conf, flags):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(conf))
+        assert parse_config(["moments", "--config", str(path)]) == parse_config(
+            ["moments", *flags]
+        )
 
-class TestSelftest:
-    def test_passes_and_is_deterministic(self, capsys):
-        code1, out1, _ = run_cli(capsys, "selftest", "--seed", "7")
-        code2, out2, _ = run_cli(capsys, "selftest", "--seed", "7")
-        assert code1 == code2 == 0
-        assert out1 == out2
-        assert out1.count("PASS") == 3
-
-
-class TestThreads:
-    def test_parallel_rows_match_serial(self, capsys, monkeypatch):
-        args = ["moments", "--mu", "0.5", "--n", "5,10", "--x-grid", "0:1:0.25"]
-        code, serial, _ = run_cli(capsys, *args)
-        assert code == 0
-        monkeypatch.setenv("DUNKL_APPROX_THREADS", "4")
-        code, parallel, _ = run_cli(capsys, *args)
-        assert code == 0
-        assert parallel == serial
-
-    def test_bad_thread_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("DUNKL_APPROX_THREADS", "many")
-        code, _, err = run_cli(capsys, "moments", "--n", "5", "--x", "1")
+    @pytest.mark.parametrize("conf, named", [
+        ({"mu": "abc"}, "'mu'"),
+        ({"n_list": [5, "a"]}, "'n_list'"),
+        ({"gh_d": 1.5}, "'gh_d'"),
+        ({"cap": True}, "'cap'"),
+        ({"tol": [1e-3]}, "'tol'"),
+        ({"x_grid": [0, 1]}, "'x_grid'"),
+        ({"family": "hermite"}, "'family'"),
+        (5, "JSON object"),
+    ])
+    def test_bad_value_is_an_error(self, capsys, tmp_path, conf, named):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(conf))
+        code, _, err = run_cli(capsys, "moments", "--config", str(path), "--x", "1")
         assert code == 1
-        assert "DUNKL_APPROX_THREADS" in err
+        assert err.startswith("error:") and named in err

@@ -8,7 +8,6 @@ from dunkl_appell import (
     RangeError,
     dunkl_exp,
     dunkl_exp_neg_ratio,
-    gamma_mu,
     theta,
 )
 from dunkl_appell.dunkl import RATIO_CROSSOVER
@@ -46,51 +45,42 @@ class TestContext:
 
 
 class TestGamma:
-    def test_concurrent_cache_extension(self):
-        from concurrent.futures import ThreadPoolExecutor
-
-        ctx = DunklContext(0.5)
-        with ThreadPoolExecutor(max_workers=8) as ex:
-            results = list(ex.map(lambda i: gamma_mu(ctx, i), [150] * 64))
-        assert len(set(results)) == 1
-        assert results[0] == gamma_mu(ctx, 150)
-
     def test_factorial_reduction_exact(self):
         ctx = DunklContext(0.0)
         for i in range(21):
-            assert gamma_mu(ctx, i) == float(math.factorial(i))
+            assert ctx.gamma(i) == float(math.factorial(i))
 
     def test_example_values(self):
-        assert gamma_mu(DunklContext(0.0), 4) == 24.0
+        assert DunklContext(0.0).gamma(4) == 24.0
         # closed form gives 2*Gamma(mu+3/2)/Gamma(mu+1/2) = 1 + 2*mu
-        assert gamma_mu(DunklContext(0.5), 1) == 2.0
+        assert DunklContext(0.5).gamma(1) == 2.0
 
     @pytest.mark.parametrize("mu", [0.0, 0.5, 1.7])
     def test_recursion_consistency_and_closed_form(self, mu):
         ctx = DunklContext(mu)
         for i in range(51):
-            g = gamma_mu(ctx, i)
+            g = ctx.gamma(i)
             assert g > 0.0 and math.isfinite(g)
             # same computation path: exact float identity
-            assert gamma_mu(ctx, i + 1) == (i + 1 + 2 * mu * theta(i + 1)) * g
+            assert ctx.gamma(i + 1) == (i + 1 + 2 * mu * theta(i + 1)) * g
             ref = gamma_mu_closed_form(mu, i)
             assert abs(g - ref) <= 1e-12 * ref
 
     def test_negative_mu_stays_positive(self):
         ctx = DunklContext(-0.4)
         for i in range(100):
-            assert gamma_mu(ctx, i) > 0.0
+            assert ctx.gamma(i) > 0.0
 
     def test_overflow_raises_with_index(self):
         ctx = DunklContext(0.0)
         with pytest.raises(RangeError, match="gamma_mu"):
-            gamma_mu(ctx, 400)
-        # the cache below the overflow point is still intact
-        assert gamma_mu(ctx, 20) == float(math.factorial(20))
+            ctx.gamma(400)
+        # the context stays usable below the overflow point
+        assert ctx.gamma(20) == float(math.factorial(20))
 
     def test_rejects_negative_index(self):
         with pytest.raises(DomainError):
-            gamma_mu(DunklContext(0.0), -3)
+            DunklContext(0.0).gamma(-3)
 
 
 class TestDunklExp:
