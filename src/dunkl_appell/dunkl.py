@@ -164,8 +164,8 @@ def dunkl_exp(ctx: DunklContext, x: float, tol: float = 1e-15) -> ExpEvaluation:
     """
     if not math.isfinite(x):
         raise DomainError(f"e_mu argument must be finite, got {x}")
-    if tol <= 0.0:
-        raise DomainError(f"tolerance must be positive, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tolerance must be finite and positive, got {tol}")
     if x == 0.0:
         return ExpEvaluation(value=1.0, terms_used=1, tail_bound=0.0)
     if ctx.mu == 0.0 and x < 0.0:
@@ -260,8 +260,8 @@ def dunkl_exp_neg_ratio(ctx: DunklContext, y: float, tol: float = 1e-15) -> floa
     """
     if not 0.0 <= y < math.inf:
         raise DomainError(f"ratio argument must be finite and nonnegative, got {y}")
-    if tol <= 0.0:
-        raise DomainError(f"tolerance must be positive, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tolerance must be finite and positive, got {tol}")
     if y == 0.0:
         return 1.0
     mu = ctx.mu

@@ -40,8 +40,8 @@ class OperatorSpec:
     def __post_init__(self):
         if self.n < 1:
             raise DomainError(f"operator scale n must be >= 1, got {self.n}")
-        if self.tol <= 0.0:
-            raise DomainError(f"tolerance must be positive, got {self.tol}")
+        if not 0.0 < self.tol < math.inf:
+            raise DomainError(f"tolerance must be finite and positive, got {self.tol}")
 
 
 @dataclass(frozen=True)
@@ -109,7 +109,7 @@ def apply(spec: OperatorSpec, f: Callable[[float], float], x: float) -> float:
     tol = min(tol, spec.tol)
     ws = spec.family.weights(spec.n, x, tol=tol, cap=spec.cap)
     total = 0.0
-    for i, w in enumerate(ws.weights):
+    for i, w in enumerate(ws.weights, ws.start):
         if w == 0.0:
             continue
         node = (i + 2.0 * spec.family.ctx.mu * (i & 1)) / spec.n

@@ -15,7 +15,7 @@ from dunkl_appell import (
 )
 from dunkl_appell.appell import POSITIVE_BY_COEFFICIENTS, UNVERIFIED
 
-from oracles import gamma_mu_closed_form, weight_brute
+from oracles import gamma_mu_closed_form, ln_gamma_mu, weight_brute
 
 
 class TestConstruction:
@@ -173,11 +173,21 @@ class TestWeights:
             assert partial.tail_mass > 1e-12
 
     def test_mass_mode_guard_prevents_early_stop(self):
-        # with a loose tolerance the mass test passes immediately; emission
-        # must still run past the weight peak near index n*x
+        # with a loose tolerance the mass test passes almost at once; the
+        # emitted window must still hold the weight peak near index n*x
         fam = AppellFamily.from_coefficients(DunklContext(0.0), [1.0])
         ws = fam.weights(1, 3.0, tol=0.95)
-        assert len(ws.weights) == 4  # indices 0..3, one past ceil(nx)=3
+        assert ws.start <= 3 < ws.start + len(ws.weights)  # ceil(nx) = 3
+
+    def test_unit_weights_match_poisson_far_from_origin(self):
+        # n*x = 1e4: the window starts far above index 0, and the Poisson
+        # weights come from the log-gamma oracle, not the ratio recurrence
+        nx = 1e4
+        ws = AppellFamily.from_coefficients(DunklContext(0.0), [1.0]).weights(1, nx)
+        assert ws.start > 0
+        for i, w in enumerate(ws.weights, ws.start):
+            ref = math.exp(i * math.log(nx) - nx - ln_gamma_mu(0.0, i))
+            assert abs(w - ref) <= 1e-12
 
     def test_domain_validation(self):
         fam = AppellFamily.from_coefficients(DunklContext(0.0), [1.0])
@@ -185,8 +195,14 @@ class TestWeights:
             fam.weights(0, 1.0)
         with pytest.raises(DomainError):
             fam.weights(1, -1.0)
+        for x in (math.inf, math.nan):
+            with pytest.raises(DomainError):
+                fam.weights(1, x)
+        for tol in (0.0, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                fam.weights(1, 1.0, tol=tol)
         with pytest.raises(DomainError):
-            fam.weights(1, 1.0, tol=0.0)
+            fam.weights(1, 1.0, cap=0)
 
     def test_parallel_generation_matches_serial(self):
         from concurrent.futures import ThreadPoolExecutor

@@ -132,6 +132,15 @@ class TestConvergeMode:
         for a, b in zip(errs, errs[1:]):
             assert abs(b / a - 0.5) <= 0.05  # halving within 10%
 
+    def test_reaches_past_old_overflow_point(self, capsys):
+        # n*x reaches 800; e_mu(n*x) itself would overflow past about 709
+        code, out, _ = run_cli(
+            capsys, "converge", "--mu", "0", "--family", "unit", "--f", "sinx",
+            "--n", "400", "--x-grid", "0:2:0.5",
+        )
+        assert code == 0
+        assert len(parse_csv(out)) == 1
+
 
 class TestBoundsMode:
     def test_all_margins_positive(self, capsys):

@@ -129,8 +129,9 @@ class TestDunklExp:
             dunkl_exp(ctx, float("inf"))
         with pytest.raises(DomainError):
             dunkl_exp(ctx, float("nan"))
-        with pytest.raises(DomainError):
-            dunkl_exp(ctx, 1.0, tol=0.0)
+        for tol in (0.0, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                dunkl_exp(ctx, 1.0, tol=tol)
 
     def test_overflow_raises(self):
         with pytest.raises(RangeError):
@@ -163,6 +164,9 @@ class TestNegRatio:
     def test_rejects_negative_argument(self):
         with pytest.raises(DomainError):
             dunkl_exp_neg_ratio(DunklContext(0.5), -1.0)
+        for tol in (0.0, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                dunkl_exp_neg_ratio(DunklContext(0.5), 5.0, tol=tol)
 
 
 def _bessel_ratio(mu, y):

@@ -4,6 +4,7 @@ import pytest
 
 from dunkl_appell import (
     AppellFamily,
+    DomainError,
     DunklContext,
     EvaluationError,
     OperatorSpec,
@@ -52,6 +53,15 @@ class TestApply:
         spec = unit_spec(0.0, 1)
         with pytest.raises(EvaluationError, match="node"):
             apply(spec, lambda t: float("inf") if t > 0 else 1.0, 1.0)
+
+
+class TestOperatorSpec:
+    @pytest.mark.parametrize(
+        "n, tol", [(0, 1e-12), (1, 0.0), (1, -1e-12), (1, math.inf), (1, math.nan)]
+    )
+    def test_rejects_bad_scale_and_tolerance(self, n, tol):
+        with pytest.raises(DomainError):
+            unit_spec(0.5, n, tol=tol)
 
 
 class TestQFunctionals:
@@ -184,6 +194,22 @@ class TestLargeArguments:
         spec = gh_spec(0.5, 0.5, 1, n)
         closed = central_moments(spec, 1.0).omega2
         summed = central_moments_series(spec, 1.0).omega2
+        assert abs(closed - summed) <= 1e-8 * summed
+
+    @pytest.mark.parametrize("nx", [1e3, 1e4, 1e5, 1e6])
+    @pytest.mark.parametrize("family", ["unit", "gould-hopper"])
+    @pytest.mark.parametrize("mu", [0.0, 0.5, 1.3])
+    def test_weights_past_the_old_overflow_point(self, mu, family, nx):
+        # Each weight window holds about 15 * sqrt(nx) terms, so 1e6 needs
+        # a cap above the default 10,000.
+        if family == "unit":
+            spec = unit_spec(mu, 1000, cap=20_000)
+        else:
+            spec = gh_spec(mu, 0.5, 1, 1000, cap=20_000)
+        x = nx / 1000
+        assert abs(apply(spec, lambda t: 1.0, x) - 1.0) <= 1e-12
+        closed = central_moments(spec, x).omega2
+        summed = central_moments_series(spec, x).omega2
         assert abs(closed - summed) <= 1e-8 * summed
 
 
