@@ -14,6 +14,10 @@ and the operator weight at index i, scale n and point x >= 0 is
 computed here as a convolution of the c_i with u_j = (n*x)**j / gamma_mu(j),
 scaled to 1 at the mode j = floor(n*x).  The sum of the u_j stands in for
 e_mu(n*x), so neither gamma_mu nor e_mu is materialized or can overflow.
+The window of u_j grows outward from the mode until both tail bounds are
+met, about 15*sqrt(n*x) terms at the default tolerance; MAX_WINDOW is the
+only limit on it (Loader 2000 centres Poisson weights at the mode the same
+way).
 """
 
 from __future__ import annotations
@@ -39,14 +43,19 @@ from .series import PowerSeries
 POSITIVE_BY_COEFFICIENTS = "proven-by-coefficients"
 UNVERIFIED = "unverified"
 
+# Terms a weight window may hold.  At about 15*sqrt(n*x) terms it is reached
+# near n*x = 5e9, after about a second of growing the window.
+MAX_WINDOW = 2**20
+
 
 @dataclass(frozen=True)
 class WeightSequence:
-    """Truncated operator weights at one (n, x), with the unassigned mass.
+    """Operator weights at one (n, x) over the window around the mode.
 
     weights[k] sits at index start + k.  The weights of an admissible family
-    are nonnegative and sum to one over all indices; tail_mass is one minus
-    the emitted sum, so the partition of unity holds at truncation level.
+    are nonnegative and normalized by the window's own sum, so they sum to
+    one; tail_mass is one minus their sum, a rounding-level residue.  The
+    exact weights outside the window carry at most tol of the mass.
     """
 
     weights: Sequence[float]
@@ -160,16 +169,15 @@ class AppellFamily:
         n: int,
         x: float,
         tol: float = 1e-12,
-        cap: int = 10_000,
         allow_unverified: bool = False,
     ) -> WeightSequence:
         """Operator weights at (n, x) from a window of u_j around the mode.
 
         Each side of the window stops once u * q / (1 - q) <= (tol/2) * (sum
         so far), q bounding every later ratio on that side: n*x / (j+1) up,
-        (j + 2*mu) / (n*x) down.  A window cut at cap terms adds that bound
-        to its sum.  Leaving more than tol of mass outside the first cap
-        weights raises, carrying the partial sequence.
+        (j + 2*mu) / (n*x) down.  Both bounds are met for every finite n*x;
+        a window that reaches MAX_WINDOW terms first raises
+        TruncationFailureError.
 
         A weight below -1e-12 signals an inadmissible generating series and
         raises; rounding-level negatives above that are clamped to zero.
@@ -180,8 +188,6 @@ class AppellFamily:
             raise DomainError(f"evaluation point must be >= 0 with n*x finite, got {x}")
         if not 0.0 < tol < math.inf:
             raise DomainError(f"mass tolerance must be finite and positive, got {tol}")
-        if cap < 1:
-            raise DomainError(f"weight cap must be >= 1, got {cap}")
         if self.positivity != POSITIVE_BY_COEFFICIENTS and not allow_unverified:
             raise DomainError(
                 "family positivity is unverified; pass allow_unverified=True "
@@ -196,18 +202,28 @@ class AppellFamily:
         lo = hi = math.floor(nx)
         u = deque([1.0])
         total = 1.0
-        while (r_hi := rest(u[-1], nx / (hi + 1))) > tol * total / 2 and len(u) < cap:
+        while (
+            (r_hi := rest(u[-1], nx / (hi + 1))) > tol * total / 2
+            and len(u) < MAX_WINDOW
+        ):
             hi += 1
             u.append(u[-1] * nx / (hi + mu2 * (hi & 1)))
             total += u[-1]
         # q = 0 at index 0, which has no terms below it
-        while (r_lo := rest(u[0], lo and (lo + mu2) / nx)) > tol * total / 2 and len(u) < cap:
+        while (
+            (r_lo := rest(u[0], lo and (lo + mu2) / nx)) > tol * total / 2
+            and len(u) < MAX_WINDOW
+        ):
             u.appendleft(u[0] * (lo + mu2 * (lo & 1)) / nx)
             lo -= 1
             total += u[0]
-        if r_hi + r_lo > tol * total:  # the window stopped at the cap
-            total += r_hi + r_lo
-        w = np.convolve(self.Q.coeffs, u)[:cap] / (self.Q_at_1 * total)
+        if max(r_hi, r_lo) > tol * total / 2:  # only a full window stops short
+            raise TruncationFailureError(
+                f"truncation failure: the weight window reached {MAX_WINDOW} "
+                f"terms before its tail mass fell below tol {tol:.3e} at "
+                f"n*x = {nx:.6g} (n={n}, x={x})"
+            )
+        w = np.convolve(self.Q.coeffs, u) / (self.Q_at_1 * total)
         i = int(np.argmin(w))
         if w[i] < -1e-12:
             raise PositivityViolationError(
@@ -217,11 +233,4 @@ class AppellFamily:
                 weight=float(w[i]),
             )
         weights = tuple(np.maximum(w, 0.0).tolist())
-        ws = WeightSequence(weights, 1.0 - math.fsum(weights), n, x, start=lo)
-        if ws.tail_mass > tol:
-            raise TruncationFailureError(
-                f"truncation failure: cap {cap} reached with tail mass "
-                f"{ws.tail_mass:.3e} > tol {tol:.3e} at (n={n}, x={x})",
-                partial=ws,
-            )
-        return ws
+        return WeightSequence(weights, 1.0 - math.fsum(weights), n, x, start=lo)

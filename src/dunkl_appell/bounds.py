@@ -231,15 +231,13 @@ class BoundReport:
 
 @dataclass(frozen=True)
 class VerifyParams:
-    """Knobs for a verification run; unset fields fall back to registry
-    metadata or to the documented window/step defaults."""
+    """Inputs for a verification run.  An unset Hoelder pair (M, beta)
+    falls back to registry metadata; a pair must be given whole."""
 
     M: Optional[float] = None
     beta: Optional[float] = None
     interval_end: Optional[float] = None
-    window: Optional[Tuple[float, float]] = None
     grid_step: float = 1e-3
-    modulus_scale: float = 1.0  # negative-control hook: scales the modulus
 
 
 def _default_window(grid: Sequence[float], n: int) -> Tuple[float, float]:
@@ -272,9 +270,8 @@ def verify(
             modulus_source=ANALYTIC,
             points=[],
         )
-    scale = params.modulus_scale
     f = entry.evaluator
-    window = params.window or _default_window(grid, spec.n)
+    window = _default_window(grid, spec.n)
     source = ANALYTIC
 
     if theorem == "T2":
@@ -285,19 +282,18 @@ def verify(
             source = GRID_ESTIMATE
             step = min(params.grid_step, delta / 8.0)
             w_at_delta = modulus1(f, delta, window, step).value
-        w_at_delta *= scale
     elif theorem == "T3":
-        holder = (
-            (params.M, params.beta)
-            if params.M is not None and params.beta is not None
-            else entry.holder
-        )
+        if (params.M is None) != (params.beta is None):
+            raise ConfigurationError(
+                f"the Hoelder bound needs both M and beta, got M={params.M}, "
+                f"beta={params.beta}"
+            )
+        holder = (params.M, params.beta) if params.M is not None else entry.holder
         if holder is None:
             raise ConfigurationError(
                 f"function {entry.name!r} has no Hoelder pair and none was given"
             )
         M, beta = holder
-        M *= scale
         if not (0.0 < beta <= 1.0):
             raise DomainError(f"Hoelder exponent must lie in (0, 1], got {beta}")
     else:  # T4
@@ -314,11 +310,7 @@ def verify(
                 f"grid extends past interval_end={a}; the bound only holds on [0, a]"
             )
         if entry.analytic_modulus2 is not None:
-            w2_exact = entry.analytic_modulus2
-
-            def w2_provider(s: float) -> float:
-                return scale * w2_exact(s)
-
+            w2_provider = entry.analytic_modulus2
         else:
             source = GRID_ESTIMATE
 
@@ -326,7 +318,7 @@ def verify(
                 # Bump tiny scales to the resolvable floor; this can only
                 # enlarge the estimate (monotone in s), never fake a failure.
                 s_eff = max(s, 8.0 * params.grid_step)
-                return scale * modulus2(f, s_eff, window, params.grid_step).value
+                return modulus2(f, s_eff, window, params.grid_step).value
 
     points = []
     for x in grid:

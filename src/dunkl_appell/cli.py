@@ -51,7 +51,6 @@ class RunConfig:
     x_grid: Optional[Tuple[float, float, float]] = None
     function: Optional[str] = None
     tol: float = 1e-12
-    cap: int = 10_000
     output: str = "csv"
     out: Optional[str] = None
     theorem: Optional[str] = None
@@ -59,7 +58,6 @@ class RunConfig:
     beta: Optional[float] = None
     interval_end: Optional[float] = None
     grid_step: float = 1e-3
-    sabotage_modulus: float = 1.0
 
     def validate(self):
         if self.mode not in _MODES:
@@ -177,7 +175,7 @@ def _mode_eval(cfg: RunConfig) -> Tuple[List[dict], int]:
     xs = _x_values(cfg)
     rows = []
     for n in cfg.n_list:
-        spec = OperatorSpec(family=family, n=n, tol=cfg.tol, cap=cfg.cap)
+        spec = OperatorSpec(family=family, n=n, tol=cfg.tol)
         for x in xs:
             kf = apply(spec, entry.evaluator, x)
             fx = entry.evaluator(x)
@@ -190,7 +188,7 @@ def _mode_moments(cfg: RunConfig) -> Tuple[List[dict], int]:
     xs = _x_values(cfg)
     rows = []
     for n in cfg.n_list:
-        spec = OperatorSpec(family=family, n=n, tol=cfg.tol, cap=cfg.cap)
+        spec = OperatorSpec(family=family, n=n, tol=cfg.tol)
         for x in xs:
             cm = central_moments(spec, x)
             m1 = x + cm.omega1  # the closed-form first raw moment, bit for bit
@@ -207,7 +205,7 @@ def _mode_converge(cfg: RunConfig) -> Tuple[List[dict], int]:
     xs = _x_values(cfg)
     rows = []
     for n in cfg.n_list:
-        spec = OperatorSpec(family=family, n=n, tol=cfg.tol, cap=cfg.cap)
+        spec = OperatorSpec(family=family, n=n, tol=cfg.tol)
         best = None
         for x in xs:
             kf = apply(spec, entry.evaluator, x)
@@ -231,12 +229,11 @@ def _mode_bounds(cfg: RunConfig) -> Tuple[List[dict], int]:
         beta=cfg.beta,
         interval_end=cfg.interval_end,
         grid_step=cfg.grid_step,
-        modulus_scale=cfg.sabotage_modulus,
     )
     rows = []
     violations = 0
     for n in cfg.n_list:
-        spec = OperatorSpec(family=family, n=n, tol=cfg.tol, cap=cfg.cap)
+        spec = OperatorSpec(family=family, n=n, tol=cfg.tol)
         rep = verify(spec, entry, cfg.theorem, xs, params)
         violations += rep.violations
         print(
@@ -303,7 +300,6 @@ _FLAGS = (
     ("--x-grid", "x_grid", _parse_grid, None),
     ("--f", "function", str, None),
     ("--tol", "tol", float, None),
-    ("--cap", "cap", int, None),
     ("--format", "output", str, ("csv", "json")),
     ("--out", "out", str, None),
     ("--theorem", "theorem", str, ("T2", "T3", "T4")),
@@ -311,8 +307,6 @@ _FLAGS = (
     ("--beta", "beta", float, None),
     ("--interval-end", "interval_end", float, None),
     ("--grid-step", "grid_step", float, None),
-    # Negative-control hook for the verification harness; not in --help.
-    ("--sabotage-modulus", "sabotage_modulus", float, None),
 )
 _FIELDS = {dest: (flag, convert, choices) for flag, dest, convert, choices in _FLAGS}
 
@@ -324,10 +318,7 @@ def _build_parser() -> _Parser:
         p = sub.add_parser(mode, argument_default=argparse.SUPPRESS)
         p.add_argument("--config", type=str, help="JSON file with flag defaults")
         for flag, dest, convert, choices in _FLAGS:
-            p.add_argument(
-                flag, dest=dest, type=convert, choices=choices,
-                help=argparse.SUPPRESS if dest == "sabotage_modulus" else None,
-            )
+            p.add_argument(flag, dest=dest, type=convert, choices=choices)
     return parser
 
 

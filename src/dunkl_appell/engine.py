@@ -30,12 +30,11 @@ from .errors import DomainError, EvaluationError, TranscriptionError
 
 @dataclass(frozen=True)
 class OperatorSpec:
-    """A family plus the scale n and the weight-truncation policy."""
+    """A family plus the scale n and the weights' mass tolerance."""
 
     family: AppellFamily
     n: int
     tol: float = 1e-12
-    cap: int = 10_000
 
     def __post_init__(self):
         if self.n < 1:
@@ -107,7 +106,7 @@ def apply(spec: OperatorSpec, f: Callable[[float], float], x: float) -> float:
     node_cut = x + (8.0 * math.sqrt(n * x + 1.0) + 40.0) / n
     tol = max(spec.tol / (1.0 + node_cut * node_cut), 5e-14)
     tol = min(tol, spec.tol)
-    ws = spec.family.weights(spec.n, x, tol=tol, cap=spec.cap)
+    ws = spec.family.weights(spec.n, x, tol=tol)
     total = 0.0
     for i, w in enumerate(ws.weights, ws.start):
         if w == 0.0:

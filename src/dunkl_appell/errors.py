@@ -31,11 +31,7 @@ class PositivityViolationError(DunklApproxError, ArithmeticError):
 
 
 class TruncationFailureError(DunklApproxError, ArithmeticError):
-    """Weight emission hit its cap before capturing the requested mass."""
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
+    """A weight window reached its term limit with its tail bound unmet."""
 
 
 class TranscriptionError(DunklApproxError):

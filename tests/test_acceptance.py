@@ -29,6 +29,7 @@ from dunkl_appell import (
 from dunkl_appell.cli import main as cli_main
 from dunkl_appell.engine import exp_ratio
 
+from conftest import shrink_sinx_modulus
 from oracles import emu_brute, gamma_mu_closed_form, grid
 
 RECORDED = []
@@ -207,7 +208,7 @@ def test_c7_convergence():
 
 
 @criterion("C8", "quantitative bounds hold, negative control fails")
-def test_c8_bound_verification(capsys):
+def test_c8_bound_verification(capsys, monkeypatch):
     xs = grid(0.0, 2.0, 0.1)
     for n in (10, 40, 160):
         assert verify(unit_spec(0.5, n), lookup("sinx"), "T2", xs).violations == 0
@@ -217,13 +218,12 @@ def test_c8_bound_verification(capsys):
                       VerifyParams(interval_end=2.0)).violations == 0
     # negative control: a deliberately shrunken modulus must produce
     # violations both in the library and through the CLI exit code
-    sab = verify(unit_spec(0.5, 10), lookup("sinx"), "T2", xs,
-                 VerifyParams(modulus_scale=0.05))
+    shrink_sinx_modulus(monkeypatch)
+    sab = verify(unit_spec(0.5, 10), lookup("sinx"), "T2", xs)
     assert sab.violations > 0
     code = cli_main([
         "bounds", "--theorem", "T2", "--f", "sinx", "--mu", "0.5",
         "--family", "unit", "--n", "10", "--x-grid", "0:2:0.1",
-        "--sabotage-modulus", "0.05",
     ])
     capsys.readouterr()  # swallow the CLI report
     assert code == 2

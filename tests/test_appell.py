@@ -13,6 +13,7 @@ from dunkl_appell import (
     TruncationFailureError,
     exp_series,
 )
+from dunkl_appell import appell
 from dunkl_appell.appell import POSITIVE_BY_COEFFICIENTS, UNVERIFIED
 
 from oracles import gamma_mu_closed_form, ln_gamma_mu, weight_brute
@@ -158,19 +159,12 @@ class TestWeights:
             fam.weights(1, 0.1, allow_unverified=True)
         assert exc_info.value.index is not None
 
-    def test_truncation_failure_carries_partial(self):
-        cases = (
-            (AppellFamily.from_coefficients(DunklContext(0.0), [1.0]), 2.0),
-            # at x = 0 the weights are c_i / Q(1); three of them leave mass out
-            (AppellFamily.gould_hopper(DunklContext(0.5), 0.5, 1, degree_cap=48), 0.0),
-        )
-        for fam, x in cases:
-            with pytest.raises(TruncationFailureError) as exc_info:
-                fam.weights(1, x, tol=1e-12, cap=3)
-            partial = exc_info.value.partial
-            assert partial is not None
-            assert len(partial.weights) == 3
-            assert partial.tail_mass > 1e-12
+    def test_full_window_raises_naming_nx(self, monkeypatch):
+        # the mass at n*x = 2 needs far more than three terms of the window
+        monkeypatch.setattr(appell, "MAX_WINDOW", 3)
+        fam = AppellFamily.gould_hopper(DunklContext(0.5), 0.5, 1, degree_cap=48)
+        with pytest.raises(TruncationFailureError, match=r"n\*x = 2\b"):
+            fam.weights(1, 2.0, tol=1e-12)
 
     def test_mass_mode_guard_prevents_early_stop(self):
         # with a loose tolerance the mass test passes almost at once; the
@@ -201,8 +195,6 @@ class TestWeights:
         for tol in (0.0, math.inf, math.nan):
             with pytest.raises(DomainError):
                 fam.weights(1, 1.0, tol=tol)
-        with pytest.raises(DomainError):
-            fam.weights(1, 1.0, cap=0)
 
     def test_parallel_generation_matches_serial(self):
         from concurrent.futures import ThreadPoolExecutor

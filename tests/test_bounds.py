@@ -21,6 +21,7 @@ from dunkl_appell import (
 from dunkl_appell.bounds import ANALYTIC, GRID_ESTIMATE
 from dunkl_appell.functions import lookup
 
+from conftest import shrink_sinx_modulus
 from oracles import grid
 
 
@@ -209,14 +210,9 @@ class TestVerify:
         )
         assert rep.passed
 
-    def test_negative_control_produces_violations(self):
-        rep = verify(
-            unit_spec(0.5, 10),
-            lookup("sinx"),
-            "T2",
-            self.XS,
-            VerifyParams(modulus_scale=0.05),
-        )
+    def test_negative_control_produces_violations(self, monkeypatch):
+        shrink_sinx_modulus(monkeypatch)
+        rep = verify(unit_spec(0.5, 10), lookup("sinx"), "T2", self.XS)
         assert not rep.passed
         assert rep.violations > 0
         assert rep.min_margin < -1e-9
@@ -229,6 +225,12 @@ class TestVerify:
     def test_missing_hoelder_metadata(self):
         with pytest.raises(ConfigurationError):
             verify(unit_spec(0.0, 10), lookup("square"), "T3", self.XS)
+
+    @pytest.mark.parametrize("params", [VerifyParams(M=0.001), VerifyParams(beta=1.0)])
+    def test_lone_hoelder_value_is_rejected(self, params):
+        # half a pair must not fall back silently to the registry's pair
+        with pytest.raises(ConfigurationError, match="both M and beta"):
+            verify(unit_spec(0.5, 10), lookup("sinx"), "T3", self.XS, params)
 
     def test_unbounded_function_rejected_for_second_modulus(self):
         with pytest.raises(ConfigurationError, match="unbounded"):

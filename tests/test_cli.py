@@ -13,7 +13,10 @@ from dunkl_appell import (
     central_moments,
     moments_closed,
 )
+from dunkl_appell import appell
 from dunkl_appell.cli import COLUMNS, emit, grid_points, main, parse_config
+
+from conftest import shrink_sinx_modulus
 
 HEADER = "x,n,Kf,f,abs_err,omega1,omega2,bound,margin,theorem"
 
@@ -156,14 +159,24 @@ class TestBoundsMode:
         assert all(r["theorem"] == "T2" for r in rows)
         assert "violations 0" in err
 
-    def test_sabotaged_modulus_exits_two(self, capsys):
+    def test_sabotaged_modulus_exits_two(self, capsys, monkeypatch):
+        shrink_sinx_modulus(monkeypatch)
         code, out, err = run_cli(
             capsys, "bounds", "--theorem", "T2", "--f", "sinx", "--mu", "0.5",
             "--family", "unit", "--n", "10", "--x-grid", "0:2:0.1",
-            "--sabotage-modulus", "0.05",
         )
         assert code == 2
         assert any(float(r["margin"]) < -1e-9 for r in parse_csv(out))
+
+    @pytest.mark.parametrize("given", [["--M", "0.001"], ["--beta", "1"]])
+    def test_lone_hoelder_value_is_an_error(self, capsys, given):
+        # half a pair must not fall back silently to the registry's M = 1
+        code, _, err = run_cli(
+            capsys, "bounds", "--theorem", "T3", "--f", "sinx", "--mu", "0.5",
+            "--n", "10", "--x-grid", "0:1:0.5", *given,
+        )
+        assert code == 1
+        assert "both M and beta" in err
 
     def test_second_modulus_needs_interval_end(self, capsys):
         code, _, err = run_cli(
@@ -250,12 +263,21 @@ class TestErrors:
         code, _, err = run_cli(capsys, "moments", "--mu", "-0.2", "--n", "5", "--x", "1")
         assert code == 1
 
-    def test_truncation_failure_is_numeric_error(self, capsys):
-        code, _, err = run_cli(
-            capsys, "eval", "--f", "sinx", "--n", "5", "--x", "2", "--cap", "3"
-        )
+    def test_full_weight_window_is_numeric_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(appell, "MAX_WINDOW", 3)
+        code, _, err = run_cli(capsys, "eval", "--f", "sinx", "--n", "5", "--x", "2")
         assert code == 1
         assert "truncation" in err.lower()
+
+    def test_tolerance_below_rounding_level(self, capsys):
+        # the window meets a 1e-17 tail bound in about 30 terms; the emitted
+        # sum then differs from one by more than 1e-17 only through rounding
+        argv = ("eval", "--f", "sinx", "--n", "5", "--x", "1")
+        code, out, _ = run_cli(capsys, *argv, "--tol", "1e-17")
+        assert code == 0
+        _, ref, _ = run_cli(capsys, *argv)
+        tight, default = parse_csv(out)[0], parse_csv(ref)[0]
+        assert abs(float(tight["Kf"]) - float(default["Kf"])) <= 1e-13
 
 
 class TestConfigFile:
@@ -295,7 +317,7 @@ class TestConfigFile:
         ({"mu": "abc"}, "'mu'"),
         ({"n_list": [5, "a"]}, "'n_list'"),
         ({"gh_d": 1.5}, "'gh_d'"),
-        ({"cap": True}, "'cap'"),
+        ({"gh_cap": True}, "'gh_cap'"),
         ({"tol": [1e-3]}, "'tol'"),
         ({"x_grid": [0, 1]}, "'x_grid'"),
         ({"family": "hermite"}, "'family'"),
