@@ -14,8 +14,11 @@ and the operator weight at index i, scale n and point x >= 0 is
 computed here as a convolution of the c_i with u_j = (n*x)**j / gamma_mu(j),
 scaled to 1 at the mode j = floor(n*x).  The sum of the u_j stands in for
 e_mu(n*x), so neither gamma_mu nor e_mu is materialized or can overflow.
-The window of u_j grows outward from the mode until both tail bounds are
-met, about 15*sqrt(n*x) terms at the default tolerance; MAX_WINDOW is the
+The window of u_j grows outward from the mode, the upper side first, in
+blocks of about 8*sqrt(n*x) + 40 terms: a cumulative product of the term
+ratios gives a block's terms, a cumulative sum its running totals, and the
+first term that meets the side's tail bound ends the side.  The window
+holds about 15*sqrt(n*x) terms at the default tolerance; MAX_WINDOW is the
 only limit on it (Loader 2000 centres Poisson weights at the mode the same
 way).
 """
@@ -23,7 +26,6 @@ way).
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import List, Sequence
 
@@ -52,17 +54,21 @@ MAX_WINDOW = 2**20
 class WeightSequence:
     """Operator weights at one (n, x) over the window around the mode.
 
-    weights[k] sits at index start + k.  The weights of an admissible family
-    are nonnegative and normalized by the window's own sum, so they sum to
-    one; tail_mass is one minus their sum, a rounding-level residue.  The
-    exact weights outside the window carry at most tol of the mass.
+    weights is a read-only float array; weights[k] sits at index start + k.
+    The weights of an admissible family are nonnegative and normalized by
+    the window's own sum, so they sum to one; tail_mass, computed on access,
+    is one minus their sum, a rounding-level residue.  The exact weights
+    outside the window carry at most tol of the mass.
     """
 
-    weights: Sequence[float]
-    tail_mass: float
+    weights: np.ndarray
     n: int
     x: float
     start: int = 0
+
+    @property
+    def tail_mass(self) -> float:
+        return 1.0 - math.fsum(self.weights.tolist())
 
 
 class AppellFamily:
@@ -173,11 +179,13 @@ class AppellFamily:
     ) -> WeightSequence:
         """Operator weights at (n, x) from a window of u_j around the mode.
 
-        Each side of the window stops once u * q / (1 - q) <= (tol/2) * (sum
-        so far), q bounding every later ratio on that side: n*x / (j+1) up,
-        (j + 2*mu) / (n*x) down.  Both bounds are met for every finite n*x;
-        a window that reaches MAX_WINDOW terms first raises
-        TruncationFailureError.
+        Each side of the window stops at its first term with u * q / (1 - q)
+        <= (tol/2) * (sum so far), q bounding every later ratio on that side:
+        n*x / (j+1) up, (j + 2*mu) / (n*x) down.  A side grows in blocks,
+        and each block tests all its terms at once, so the window is the one
+        that growing it term by term would give.  Both bounds are met for
+        every finite n*x; a window that reaches MAX_WINDOW terms (read at
+        call time) first raises TruncationFailureError.
 
         A weight below -1e-12 signals an inadmissible generating series and
         raises; rounding-level negatives above that are clamped to zero.
@@ -195,36 +203,48 @@ class AppellFamily:
             )
         mu2 = 2.0 * self.ctx.mu
         nx = n * x
-
-        def rest(t, q):  # bound on the terms past t if every later ratio is <= q
-            return t * q / (1.0 - q) if q < 1.0 else math.inf
-
-        lo = hi = math.floor(nx)
-        u = deque([1.0])
-        total = 1.0
-        while (
-            (r_hi := rest(u[-1], nx / (hi + 1))) > tol * total / 2
-            and len(u) < MAX_WINDOW
-        ):
-            hi += 1
-            u.append(u[-1] * nx / (hi + mu2 * (hi & 1)))
-            total += u[-1]
-        # q = 0 at index 0, which has no terms below it
-        while (
-            (r_lo := rest(u[0], lo and (lo + mu2) / nx)) > tol * total / 2
-            and len(u) < MAX_WINDOW
-        ):
-            u.appendleft(u[0] * (lo + mu2 * (lo & 1)) / nx)
-            lo -= 1
-            total += u[0]
-        if max(r_hi, r_lo) > tol * total / 2:  # only a full window stops short
+        mode = math.floor(nx)
+        half = tol / 2
+        # At apply's tolerances a side ends within about 7.5*sqrt(n*x) terms
+        # of the mode, so one block per side is the common case.
+        block = int(8.0 * math.sqrt(nx)) + 40
+        total, size, sides = 1.0, 1, []
+        for up in (True, False):
+            blocks = []
+            t, j = 1.0, mode  # the side's outermost term and its index
+            # q = 0 at index 0, which has no terms below it
+            r = _rest(t, nx / (mode + 1) if up else mode and (mode + mu2) / nx)
+            while r > half * total and size < MAX_WINDOW:
+                m = min(block, MAX_WINDOW - size)
+                if not up:
+                    m = min(m, j)  # no index below 0
+                ratio, q = _step_ratios(nx, mu2, j, m, up)
+                ratio[0] *= t
+                u = np.multiply.accumulate(ratio)
+                running = np.add.accumulate(np.concatenate(((total,), u)))[1:]
+                rest = np.full(m, math.inf)
+                np.divide(u * q, 1.0 - q, out=rest, where=q < 1.0)
+                ends = rest <= half * running
+                k = int(ends.argmax())  # the first term that ends the side, if any
+                if not ends[k]:
+                    k = m - 1
+                blocks.append(u[: k + 1])
+                t, total, r = float(u[k]), float(running[k]), float(rest[k])
+                j += k + 1 if up else -(k + 1)
+                size += k + 1
+            sides.append((blocks, r))
+        (up_blocks, r_hi), (down_blocks, r_lo) = sides
+        if max(r_hi, r_lo) > half * total:  # only a full window stops short
             raise TruncationFailureError(
                 f"truncation failure: the weight window reached {MAX_WINDOW} "
                 f"terms before its tail mass fell below tol {tol:.3e} at "
                 f"n*x = {nx:.6g} (n={n}, x={x})"
             )
+        lo = mode - sum(len(b) for b in down_blocks)
+        down = [b[::-1] for b in reversed(down_blocks)]
+        u = np.concatenate(down + [(1.0,)] + up_blocks)
         w = np.convolve(self.Q.coeffs, u) / (self.Q_at_1 * total)
-        i = int(np.argmin(w))
+        i = int(w.argmin())
         if w[i] < -1e-12:
             raise PositivityViolationError(
                 f"weight {w[i]} at index {lo + i} is materially negative; "
@@ -232,5 +252,33 @@ class AppellFamily:
                 index=lo + i,
                 weight=float(w[i]),
             )
-        weights = tuple(np.maximum(w, 0.0).tolist())
-        return WeightSequence(weights, 1.0 - math.fsum(weights), n, x, start=lo)
+        np.maximum(w, 0.0, out=w)
+        w.flags.writeable = False
+        return WeightSequence(w, n, x, start=lo)
+
+
+def _rest(t, q):
+    """Bound on the terms past t if every later ratio is <= q."""
+    return t * q / (1.0 - q) if q < 1.0 else math.inf
+
+
+def _step_ratios(nx, mu2, j, m, up):
+    """Ratios and tail ratios q for the m indices past j on one side.
+
+    With d(i) = i + 2*mu*theta(i), the term at a new index i is the term
+    before it times n*x / d(i) going up and times d(i+1) / (n*x) going down.
+    Its q bounds every later ratio: n*x / (i+1) up, (i + 2*mu) / (n*x) down,
+    and 0 at index 0, which has no terms below it.
+    """
+    # Float indices, exact below 2**53, so that a window near an n*x past
+    # the int64 range still grows to MAX_WINDOW and fails as any other.
+    if up:
+        a = j + np.arange(1.0, m + 2.0)  # the new indices, then one past them
+        d = a[:-1] + mu2 * (a[:-1] % 2.0)
+        return nx / d, nx / a[1:]
+    a = j - np.arange(0.0, m + 1.0)  # the new indices plus one, then the last new one
+    d = a[:-1] + mu2 * (a[:-1] % 2.0)
+    q = (a[1:] + mu2) / nx
+    if a[-1] == 0.0:
+        q[-1] = 0.0
+    return d / nx, q

@@ -232,7 +232,8 @@ class BoundReport:
 @dataclass(frozen=True)
 class VerifyParams:
     """Inputs for a verification run.  An unset Hoelder pair (M, beta)
-    falls back to registry metadata; a pair must be given whole."""
+    falls back to registry metadata; a pair must be given whole.  M and beta
+    belong to T3 and interval_end to T4; any other theorem rejects them."""
 
     M: Optional[float] = None
     beta: Optional[float] = None
@@ -262,6 +263,16 @@ def verify(
     """
     if theorem not in ("T2", "T3", "T4"):
         raise ConfigurationError(f"unknown theorem {theorem!r}; expected T2, T3 or T4")
+    foreign = [
+        name
+        for name, owner in (("M", "T3"), ("beta", "T3"), ("interval_end", "T4"))
+        if getattr(params, name) is not None and owner != theorem
+    ]
+    if foreign:
+        raise ConfigurationError(
+            f"theorem {theorem} takes no {' or '.join(foreign)}; M and beta "
+            "belong to T3, interval_end to T4"
+        )
     if len(grid) == 0:
         return BoundReport(
             theorem=theorem,

@@ -23,6 +23,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .appell import AppellFamily
 from .dunkl import dunkl_exp_neg_ratio
 from .errors import DomainError, EvaluationError, TranscriptionError
@@ -86,15 +88,18 @@ def exp_ratio(spec: OperatorSpec, x: float) -> float:
     return dunkl_exp_neg_ratio(spec.family.ctx, spec.n * x, tol=min(1e-15, spec.tol))
 
 
-def nodes(spec: OperatorSpec, count: int):
-    """The first ``count`` evaluation nodes (i + 2*mu*theta(i))/n."""
-    mu = spec.family.ctx.mu
-    n = spec.n
-    return [(i + 2.0 * mu * (i & 1)) / n for i in range(count)]
+def nodes(spec: OperatorSpec, count: int, start: int = 0) -> np.ndarray:
+    """The evaluation nodes (i + 2*mu*theta(i))/n for i = start .. start+count-1."""
+    i = np.arange(start, start + count)
+    return (i + 2.0 * spec.family.ctx.mu * (i & 1)) / spec.n
 
 
 def apply(spec: OperatorSpec, f: Callable[[float], float], x: float) -> float:
     """Evaluate the operator on f at x by weighted summation.
+
+    f is called once per node of nonzero weight, in index order, and the sum
+    is one dot product.  A non-finite value of f raises EvaluationError
+    naming the first such node in index order.
 
     The weight emission's mass tolerance only bounds the zeroth-moment
     truncation error; for growing targets like t or t**2 the omitted tail
@@ -107,17 +112,17 @@ def apply(spec: OperatorSpec, f: Callable[[float], float], x: float) -> float:
     tol = max(spec.tol / (1.0 + node_cut * node_cut), 5e-14)
     tol = min(tol, spec.tol)
     ws = spec.family.weights(spec.n, x, tol=tol)
-    total = 0.0
-    for i, w in enumerate(ws.weights, ws.start):
-        if w == 0.0:
-            continue
-        node = (i + 2.0 * spec.family.ctx.mu * (i & 1)) / spec.n
-        fv = f(node)
-        if not math.isfinite(fv):
+    keep = ws.weights.nonzero()[0]  # f is never evaluated where the weight is zero
+    at = nodes(spec, len(ws.weights), ws.start)[keep]
+    fv = np.fromiter(map(f, at.tolist()), float, len(at))
+    total = float(ws.weights[keep] @ fv)
+    if not math.isfinite(total):  # a finite sum means every value was finite
+        bad = np.isfinite(fv).argmin()
+        if not math.isfinite(fv[bad]):
             raise EvaluationError(
-                f"target function returned non-finite value {fv} at node {node}"
+                f"target function returned non-finite value {fv[bad]} at node "
+                f"{at[bad]}"
             )
-        total += w * fv
     return total
 
 

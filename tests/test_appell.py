@@ -1,5 +1,7 @@
 import math
+import random
 
+import numpy as np
 import pytest
 
 from dunkl_appell import (
@@ -16,7 +18,13 @@ from dunkl_appell import (
 from dunkl_appell import appell
 from dunkl_appell.appell import POSITIVE_BY_COEFFICIENTS, UNVERIFIED
 
-from oracles import gamma_mu_closed_form, ln_gamma_mu, weight_brute
+from oracles import (
+    gamma_mu_closed_form,
+    ln_gamma_mu,
+    poisson_weight,
+    weight_brute,
+    window_loop,
+)
 
 
 class TestConstruction:
@@ -205,8 +213,76 @@ class TestWeights:
         with ThreadPoolExecutor(max_workers=6) as ex:
             parallel = list(ex.map(lambda j: fam.weights(*j, tol=1e-12), jobs))
         for a, b in zip(serial, parallel):
-            assert a.weights == b.weights and a.tail_mass == b.tail_mass
+            assert np.array_equal(a.weights, b.weights) and a.tail_mass == b.tail_mass
 
+
+class TestBlockWindow:
+    """The block-grown window against the term-by-term loop it replaced."""
+
+    @staticmethod
+    def family(mu, shape):
+        ctx = DunklContext(mu)
+        if shape == "unit":
+            return AppellFamily.from_coefficients(ctx, [1.0])
+        a, d = shape
+        return AppellFamily.gould_hopper(ctx, a, d, degree_cap=48)
+
+    def test_matches_term_by_term_loop(self):
+        # Same stop rule, so the same window; the terms differ only in
+        # rounding (u * (nx/d) against (u * nx)/d), which stays below
+        # 1e-13 of the peak weight here (2.6e-15 measured).  Tolerances down
+        # to 1e-40 make some sides take several blocks, and mu = 3 puts
+        # q >= 1 on the first terms below the mode.
+        rng = random.Random(11)
+        for _ in range(150):
+            mu = rng.choice((0.0, 0.05, 0.5, 1.3, 3.0))
+            fam = self.family(mu, rng.choice(("unit", (0.5, 1), (1.0, 2))))
+            n = rng.randint(1, 500)
+            x = 10.0 ** rng.uniform(-3.0, 4.0) / n if rng.random() > 0.05 else 0.0
+            tol = 10.0 ** rng.uniform(-40.0, -2.0)
+            ws = fam.weights(n, x, tol=tol)
+            lo, u, total = window_loop(mu, n * x, tol)
+            ref = np.convolve(fam.Q.coeffs, u) / (fam.Q_at_1 * total)
+            assert ws.start == lo
+            assert len(ws.weights) == len(ref)
+            assert np.max(np.abs(ws.weights - ref)) <= 1e-13 * ref.max()
+
+    @pytest.mark.parametrize("nx", [1e6, 1e8])
+    def test_unit_weights_match_poisson_at_large_nx(self, nx):
+        # 151,583 terms at nx = 1e8; every 300th index and both ends are
+        # checked against the 40-digit oracle (3e-18 off measured).
+        pytest.importorskip("mpmath")
+        ws = AppellFamily.from_coefficients(DunklContext(0.0), [1.0]).weights(
+            1000, nx / 1000, tol=5e-14
+        )
+        w = ws.weights
+        ks = list(range(0, len(w), 300)) + [len(w) - 1]
+        for k in ks:
+            assert abs(w[k] - poisson_weight(nx, ws.start + k)) <= 1e-12
+
+    def test_window_cap_counts_every_term(self, monkeypatch):
+        fam = self.family(0.5, "unit")  # one weight per term of the window
+        full = fam.weights(1, 2000.0, tol=1e-12)
+        monkeypatch.setattr(appell, "MAX_WINDOW", len(full.weights))
+        assert np.array_equal(fam.weights(1, 2000.0, tol=1e-12).weights, full.weights)
+        monkeypatch.setattr(appell, "MAX_WINDOW", len(full.weights) - 1)
+        with pytest.raises(TruncationFailureError, match=r"n\*x = 2000\b"):
+            fam.weights(1, 2000.0, tol=1e-12)
+
+    def test_window_past_the_int64_range_fails_as_truncation(self, monkeypatch):
+        # Indices near 1e300 have no int64 form; the window must still fill
+        # MAX_WINDOW and raise, as at any n*x it cannot reach.
+        monkeypatch.setattr(appell, "MAX_WINDOW", 1000)
+        fam = self.family(0.5, "unit")
+        with pytest.raises(TruncationFailureError, match=r"n\*x = 1e\+300\b"):
+            fam.weights(1, 1e300)
+
+    def test_weights_are_a_read_only_float_array(self):
+        ws = self.family(0.5, (0.5, 1)).weights(10, 1.0)
+        assert isinstance(ws.weights, np.ndarray) and ws.weights.dtype == np.float64
+        with pytest.raises(ValueError):
+            ws.weights[0] = 1.0
+        assert ws.tail_mass == 1.0 - math.fsum(ws.weights.tolist())
 
 class TestReductionChain:
     def test_gh_zero_equals_unit_weights(self):
@@ -215,7 +291,7 @@ class TestReductionChain:
         unit = AppellFamily.from_coefficients(ctx, [1.0])
         w1 = gh.weights(5, 1.2, tol=1e-12)
         w2 = unit.weights(5, 1.2, tol=1e-12)
-        assert w1.weights == w2.weights
+        assert np.array_equal(w1.weights, w2.weights)
 
     def test_unit_weights_match_dunkl_szasz_form(self):
         # weight_i = (nx)^i / (gamma_mu(i) * e_mu(nx))

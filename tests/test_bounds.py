@@ -232,6 +232,33 @@ class TestVerify:
         with pytest.raises(ConfigurationError, match="both M and beta"):
             verify(unit_spec(0.5, 10), lookup("sinx"), "T3", self.XS, params)
 
+    @pytest.mark.parametrize(
+        "theorem, params, named",
+        [
+            ("T2", VerifyParams(M=0.001), "M"),
+            ("T2", VerifyParams(beta=1.0), "beta"),
+            ("T2", VerifyParams(interval_end=2.0), "interval_end"),
+            ("T2", VerifyParams(M=0.001, interval_end=0.1), "M or interval_end"),
+            ("T3", VerifyParams(M=1.0, beta=1.0, interval_end=2.0), "interval_end"),
+            ("T4", VerifyParams(M=1.0, interval_end=2.0), "M"),
+            ("T4", VerifyParams(beta=1.0, interval_end=2.0), "beta"),
+        ],
+    )
+    def test_another_theorems_input_is_rejected(self, theorem, params, named):
+        with pytest.raises(ConfigurationError, match=f"{theorem} takes no {named};"):
+            verify(unit_spec(0.5, 10), lookup("cosx"), theorem, self.XS, params)
+
+    @pytest.mark.parametrize(
+        "theorem, params",
+        [
+            ("T2", VerifyParams(grid_step=1e-3)),
+            ("T3", VerifyParams(grid_step=1e-3)),
+            ("T4", VerifyParams(interval_end=2.0, grid_step=1e-3)),
+        ],
+    )
+    def test_grid_step_is_legal_for_every_theorem(self, theorem, params):
+        assert verify(unit_spec(0.5, 10), lookup("cosx"), theorem, self.XS, params).passed
+
     def test_unbounded_function_rejected_for_second_modulus(self):
         with pytest.raises(ConfigurationError, match="unbounded"):
             verify(

@@ -178,6 +178,16 @@ class TestBoundsMode:
         assert code == 1
         assert "both M and beta" in err
 
+    def test_another_theorems_input_is_an_error(self, capsys):
+        # --M belongs to T3 and --interval-end to T4; T2 must not ignore them
+        code, out, err = run_cli(
+            capsys, "bounds", "--theorem", "T2", "--f", "sinx", "--mu", "0.5",
+            "--n", "10", "--x-grid", "0:1:0.5", "--M", "0.001",
+            "--interval-end", "0.1",
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: theorem T2 takes no M or interval_end")
+
     def test_second_modulus_needs_interval_end(self, capsys):
         code, _, err = run_cli(
             capsys, "bounds", "--theorem", "T4", "--f", "cosx",

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from dunkl_appell import (
@@ -53,6 +54,32 @@ class TestApply:
         spec = unit_spec(0.0, 1)
         with pytest.raises(EvaluationError, match="node"):
             apply(spec, lambda t: float("inf") if t > 0 else 1.0, 1.0)
+
+    def test_error_names_first_non_finite_node_in_index_order(self):
+        # mu = 0.7, n = 1: index 3 sits at node 4.4 and index 4 at node 4.0,
+        # so the first bad node in index order is not the smallest one.
+        spec = unit_spec(0.7, 1)
+        first = nodes(spec, 4)[3]
+        f = lambda t: math.inf if t > 4.2 else (math.nan if t > 3.9 else 1.0)
+        with pytest.raises(EvaluationError, match=rf"value inf at node {first}$"):
+            apply(spec, f, 1.0)
+
+    def test_zero_weight_node_never_evaluated(self):
+        # At x = 0 the weights are Q's coefficients, and exp(t**2/2) has none
+        # at odd powers, so the odd nodes carry zero weight.
+        spec = gh_spec(0.5, 0.5, 1, 3)
+        ws = spec.family.weights(3, 0.0)
+        seen = []
+        apply(spec, lambda t: seen.append(t) or 1.0, 0.0)
+        wanted = nodes(spec, len(ws.weights), ws.start)[ws.weights > 0.0]
+        assert 0.0 in ws.weights
+        assert seen == wanted.tolist()
+
+    @pytest.mark.parametrize("mu", [0.5, 1.3])
+    @pytest.mark.parametrize("family", ["unit", "gould-hopper"])
+    def test_partition_of_unity_at_nx_1e8(self, mu, family):
+        spec = unit_spec(mu, 1000) if family == "unit" else gh_spec(mu, 0.5, 1, 1000)
+        assert abs(apply(spec, lambda t: 1.0, 1e5) - 1.0) <= 1e-12
 
 
 class TestOperatorSpec:
@@ -248,6 +275,10 @@ class TestNodes:
         spec = unit_spec(mu, 7)
         ns = nodes(spec, 60)
         assert all(b > a for a, b in zip(ns, ns[1:]))
+
+    def test_start_index_selects_a_slice(self):
+        spec = unit_spec(0.7, 7)
+        assert np.array_equal(nodes(spec, 5, 10), nodes(spec, 15)[10:])
 
     def test_interleaving_breaks_at_half(self):
         # for mu >= 1/2 the odd nodes overtake the next even ones, so the
