@@ -38,6 +38,7 @@ from .errors import (
     NormalizationError,
     NotAppellGeneratorError,
     PositivityViolationError,
+    RangeError,
     TruncationFailureError,
 )
 from .series import PowerSeries
@@ -48,6 +49,10 @@ UNVERIFIED = "unverified"
 # Terms a weight window may hold.  At about 15*sqrt(n*x) terms it is reached
 # near n*x = 5e9, after about a second of growing the window.
 MAX_WINDOW = 2**20
+
+# Half an ulp of 1: a Gould-Hopper generator stops once the index-weighted
+# rest of its series is below this fraction of the sum so far.
+_HALF_ULP = 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -121,32 +126,42 @@ class AppellFamily:
         return cls(ctx, PowerSeries(ctx, c))
 
     @classmethod
-    def gould_hopper(
-        cls, ctx: DunklContext, a: float, d: int, degree_cap: int = 48
-    ) -> "AppellFamily":
-        """Family with generator exp(a * t**(d+1)), truncated at degree_cap.
+    def gould_hopper(cls, ctx: DunklContext, a: float, d: int) -> "AppellFamily":
+        """Family with generator exp(a * t**(d+1)), cut where its tail rounds away.
 
         Nonzero coefficients sit at multiples of d+1 with values a**k / k!.
-        a = 0 collapses to the constant generator (the plain Dunkl-Szasz
-        weights); a > 0 keeps every coefficient nonnegative, so positivity
+        They are appended until the rest of the series at t = 1, bounded by
+        term * q / (1 - q) with q = a/(k+1) < 1 the largest later ratio and
+        weighted by the square of the next nonzero index, is below half an
+        ulp of the running sum.  The weight covers the second-order
+        Q-functionals, which put a factor of about i**2 on coefficient i, so
+        all ten are exact to rounding at the scale of Q(1).  The stored
+        degree follows from a and d (32 at a = 0.5, d = 1; 260 at a = 50).
+        An a for which exp(a) overflows raises RangeError.  a = 0 gives the
+        constant generator (the plain Dunkl-Szasz weights), exact and not
+        truncated; a > 0 keeps every coefficient nonnegative, so positivity
         is proven by inspection.
         """
-        if a < 0.0:
-            raise DomainError(f"exponent coefficient must be >= 0, got {a}")
+        if not 0.0 <= a < math.inf:
+            raise DomainError(
+                f"exponent coefficient must be finite and >= 0, got {a}"
+            )
         if d < 1:
             raise DomainError(f"exponent gap must be a positive integer, got {d}")
-        if degree_cap < 1:
-            raise DomainError(f"degree cap must be positive, got {degree_cap}")
-        if a == 0.0:
-            return cls(ctx, PowerSeries(ctx, (1.0,)))
-        coeffs = [0.0] * (degree_cap + 1)
-        k = 0
-        term = 1.0
-        while k * (d + 1) <= degree_cap:
-            coeffs[k * (d + 1)] = term
-            k += 1
-            term *= a / k
-        return cls(ctx, PowerSeries(ctx, coeffs), truncated=True)
+        terms, total = [1.0], 1.0  # a**k / k! for k = 0, 1, ...
+        q = a  # the next term's ratio to the last, a / (k+1)
+        while _rest(terms[-1], q) * (len(terms) * (d + 1)) ** 2 > _HALF_ULP * total:
+            terms.append(terms[-1] * q)
+            total += terms[-1]
+            if total == math.inf:
+                raise RangeError(
+                    f"Gould-Hopper generator exp({a} t^{d + 1}) leaves double "
+                    "range at t = 1"
+                )
+            q = a / len(terms)
+        coeffs = [0.0] * ((len(terms) - 1) * (d + 1) + 1)
+        coeffs[:: d + 1] = terms
+        return cls(ctx, PowerSeries(ctx, coeffs), truncated=a > 0.0)
 
     def poly(self, i: int) -> List[float]:
         """Coefficients of q_i in powers of x (length i+1).

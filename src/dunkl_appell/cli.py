@@ -44,7 +44,6 @@ class RunConfig:
     family: str = "unit"
     gh_a: float = 0.5
     gh_d: int = 1
-    gh_cap: int = 48
     coeffs: Optional[List[float]] = None
     n_list: List[int] = field(default_factory=lambda: [1])
     x: Optional[float] = None
@@ -145,7 +144,7 @@ def _build_family(cfg: RunConfig) -> AppellFamily:
     if cfg.family == "unit":
         return AppellFamily.from_coefficients(ctx, [1.0])
     if cfg.family == "gould-hopper":
-        return AppellFamily.gould_hopper(ctx, cfg.gh_a, cfg.gh_d, cfg.gh_cap)
+        return AppellFamily.gould_hopper(ctx, cfg.gh_a, cfg.gh_d)
     if cfg.family == "custom-coeffs":
         if not cfg.coeffs:
             raise ConfigurationError("--family custom-coeffs requires --coeffs")
@@ -293,7 +292,6 @@ _FLAGS = (
     ("--family", "family", str, ("unit", "gould-hopper", "custom-coeffs")),
     ("--gh-a", "gh_a", float, None),
     ("--gh-d", "gh_d", int, None),
-    ("--gh-cap", "gh_cap", int, None),
     ("--coeffs", "coeffs", _parse_coeffs, None),
     ("--n", "n_list", _parse_n_list, None),
     ("--x", "x", float, None),

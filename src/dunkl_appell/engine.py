@@ -12,9 +12,11 @@ checked against each other on every call.
 The closed forms cost a bounded amount at every n*x.  The ratio comes from
 ``dunkl_exp_neg_ratio``: exp(-2nx) at mu = 0, a positive series below the
 crossover n*x = max(40, mu**2), and a large-argument Bessel expansion above
-it; nothing is flushed to zero.  The Q-functionals are computed once per
-family and kept on it, and one evaluation of the ratio and the functionals
-yields m1, m2, omega1 and omega2 together.
+it; nothing is flushed to zero.  The Q-functionals come from one pass over
+Q's coefficients, each a fixed linear form in them, with no intermediate
+series; they are computed once per family and kept on it, and one
+evaluation of the ratio and the functionals yields m1, m2, omega1 and
+omega2 together.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 
 from .appell import AppellFamily
 from .dunkl import dunkl_exp_neg_ratio
-from .errors import DomainError, EvaluationError, TranscriptionError
+from .errors import DomainError, EvaluationError, RangeError, TranscriptionError
 
 
 @dataclass(frozen=True)
@@ -127,26 +129,56 @@ def apply(spec: OperatorSpec, f: Callable[[float], float], x: float) -> float:
 
 
 def q_functionals(family: AppellFamily) -> QFunctionals:
-    """All ten Q-functionals, composed from generic series transforms.
+    """All ten Q-functionals in one pass over Q's coefficients.
 
-    No per-family hand formulas: one code path serves every generator, and
-    hand-derived specializations live only in tests.
+    Each functional is a fixed linear form in the coefficients c_i.  With
+    d(i) = i + 2*mu*theta(i), the factor the Dunkl operator puts on t**i:
+
+        Q(-1)     = sum (-1)**i c_i            Q''(1)   = sum i (i-1) c_i
+        Q'(+-1)   = sum i (+-1)**(i-1) c_i     (LQ)'(1) = sum (i-1) d(i) c_i
+        (LQ)(+-1) = sum d(i) (+-1)**(i-1) c_i  (LQ')(1) = sum i d(i-1) c_i
+                                               (LLQ)(1) = sum d(i) d(i-1) c_i
+
+    Every product is formed in the order ``PowerSeries.derivative`` and
+    ``dunkl_derivative`` form their coefficients, and the sums run from the
+    top coefficient down as Horner's scheme at +-1 does, so the values equal
+    the transforms' composition while no intermediate series is built.  Zero
+    coefficients are skipped.  q1 is ``family.Q_at_1``, the normalizer the
+    weights use.  One code path serves every generator; hand-derived
+    specializations live only in tests.
     """
-    Q = family.Q
-    dQ = Q.derivative()
-    lQ = Q.dunkl_derivative()
-    return QFunctionals(
-        q1=family.Q_at_1,
-        qm1=Q.eval(-1.0),
-        dq1=dQ.eval(1.0),
-        dqm1=dQ.eval(-1.0),
-        ddq1=dQ.derivative().eval(1.0),
-        lq1=lQ.eval(1.0),
-        lqm1=lQ.eval(-1.0),
-        dlq1=lQ.derivative().eval(1.0),
-        ldq1=dQ.dunkl_derivative().eval(1.0),
-        llq1=lQ.dunkl_derivative().eval(1.0),
-    )
+    mu2 = 2.0 * family.ctx.mu
+    qm1 = dq1 = dqm1 = ddq1 = lq1 = lqm1 = dlq1 = ldq1 = llq1 = 0.0
+    coeffs = family.Q.coeffs
+    for i, c in zip(range(len(coeffs) - 1, -1, -1), reversed(coeffs)):
+        if c == 0.0:
+            continue
+        ic = i * c
+        if i & 1:  # (-1)**i = -1, d(i) = i + 2 mu, d(i-1) = i - 1
+            dc = (i + mu2) * c
+            below = i - 1.0
+            qm1 -= c
+            dqm1 += ic
+            lqm1 += dc
+        else:  # (-1)**i = 1, d(i) = i, d(i-1) = i - 1 + 2 mu
+            dc = ic
+            below = i - 1 + mu2
+            qm1 += c
+            dqm1 -= ic
+            lqm1 -= dc
+        dq1 += ic
+        ddq1 += (i - 1) * ic
+        lq1 += dc
+        dlq1 += (i - 1) * dc
+        ldq1 += below * ic
+        llq1 += below * dc
+    values = (qm1, dq1, dqm1, ddq1, lq1, lqm1, dlq1, ldq1, llq1)
+    if not all(map(math.isfinite, values)):
+        raise RangeError(
+            f"a Q-functional left double range (degree {len(coeffs) - 1}, "
+            f"mu={family.ctx.mu})"
+        )
+    return QFunctionals(family.Q_at_1, *values)
 
 
 def _functionals(family: AppellFamily) -> QFunctionals:

@@ -3,8 +3,10 @@
 Nothing here shares a computation path with the package: the generalized
 factorial goes through log-gamma closed forms, the exponential through
 log-space brute-force partial sums, family polynomials through the
-explicit binomial-style expansion, and the weight window through the
-term-by-term loop the package's block growth replaced.
+explicit binomial-style expansion, the weight window through the
+term-by-term loop the package's block growth replaced, and the Gould-Hopper
+Q-functionals through closed forms of exp(a t**(d+1)) and the difference
+form of the Dunkl operator.
 """
 
 import math
@@ -121,3 +123,49 @@ def window_loop(mu: float, nx: float, tol: float):
         lo -= 1
         total += t
     return lo, down[::-1] + up, total
+
+
+def gould_hopper_functionals(mu: float, a: float, d: int) -> dict:
+    """The ten Q-functionals of g(t) = exp(a t**(d+1)) in closed form.
+
+    Built from g, g' and g'' at +-1 and the difference form of the Dunkl
+    operator, Lg(t) = g'(t) + mu (g(t) - g(-t)) / t, at 50 digits; the keys
+    are the ``QFunctionals`` field names.  With h = Lg:
+
+        h(+-1)   = g'(+-1) + mu (g(1) - g(-1))
+        h'(1)    = g''(1) + mu (g'(1) + g'(-1) - g(1) + g(-1))
+        (Lg')(1) = g''(1) + mu (g'(1) - g'(-1))
+        (Lh)(1)  = h'(1) + mu (h(1) - h(-1))
+    """
+    import mpmath as mp
+
+    with mp.workdps(50):
+        p = d + 1
+        mu, a = mp.mpf(mu), mp.mpf(a)
+
+        def g(s):
+            return mp.exp(a * s**p)
+
+        def g1(s):
+            return a * p * s ** (p - 1) * g(s)
+
+        def g2(s):
+            return (a * p * (p - 1) * s ** (p - 2) + (a * p * s ** (p - 1)) ** 2) * g(s)
+
+        odd_part = g(1) - g(-1)
+        lq1 = g1(1) + mu * odd_part
+        lqm1 = g1(-1) + mu * odd_part
+        dlq1 = g2(1) + mu * (g1(1) + g1(-1) - odd_part)
+        values = {
+            "q1": g(1),
+            "qm1": g(-1),
+            "dq1": g1(1),
+            "dqm1": g1(-1),
+            "ddq1": g2(1),
+            "lq1": lq1,
+            "lqm1": lqm1,
+            "dlq1": dlq1,
+            "ldq1": g2(1) + mu * (g1(1) - g1(-1)),
+            "llq1": dlq1 + mu * (lq1 - lqm1),
+        }
+        return {k: float(v) for k, v in values.items()}

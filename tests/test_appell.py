@@ -1,6 +1,7 @@
 import math
 import random
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -12,6 +13,7 @@ from dunkl_appell import (
     NotAppellGeneratorError,
     PositivityViolationError,
     PowerSeries,
+    RangeError,
     TruncationFailureError,
     exp_series,
 )
@@ -20,6 +22,7 @@ from dunkl_appell.appell import POSITIVE_BY_COEFFICIENTS, UNVERIFIED
 
 from oracles import (
     gamma_mu_closed_form,
+    gould_hopper_functionals,
     ln_gamma_mu,
     poisson_weight,
     weight_brute,
@@ -63,23 +66,60 @@ class TestGouldHopper:
         assert not fam.truncated
 
     def test_quadratic_exponent_coefficients(self):
-        fam = AppellFamily.gould_hopper(DunklContext(0.0), 0.5, 1, degree_cap=8)
+        fam = AppellFamily.gould_hopper(DunklContext(0.0), 0.5, 1)
         c = fam.Q.coeffs
-        assert len(c) == 9
-        for k in range(5):
-            assert c[2 * k] == pytest.approx(0.5**k / math.factorial(k), rel=1e-15)
-        assert all(c[j] == 0.0 for j in range(9) if j % 2 == 1)
+        deg = fam.Q.degree
+        assert deg % 2 == 0
+        for k in range(deg // 2 + 1):
+            # the ratio recurrence rounds twice per step
+            exact = 0.5**k / math.factorial(k)
+            assert abs(c[2 * k] - exact) <= 2 * k * 2.0**-53 * exact
+        assert all(c[j] == 0.0 for j in range(deg + 1) if j % 2 == 1)
         assert fam.truncated
 
     def test_cubic_exponent_coefficients(self):
-        fam = AppellFamily.gould_hopper(DunklContext(0.0), 1.0, 2, degree_cap=6)
+        fam = AppellFamily.gould_hopper(DunklContext(0.0), 1.0, 2)
         c = fam.Q.coeffs
         nz = {i: v for i, v in enumerate(c) if v != 0.0}
-        assert nz == {0: 1.0, 3: 1.0, 6: 0.5}
+        assert list(nz) == list(range(0, fam.Q.degree + 1, 3))
+        assert (nz[0], nz[3], nz[6]) == (1.0, 1.0, 0.5)
 
     def test_negative_coefficient_rejected(self):
         with pytest.raises(DomainError):
             AppellFamily.gould_hopper(DunklContext(0.0), -0.1, 1)
+
+    @pytest.mark.parametrize("a", [math.inf, math.nan])
+    def test_non_finite_coefficient_rejected(self, a):
+        with pytest.raises(DomainError, match="finite"):
+            AppellFamily.gould_hopper(DunklContext(0.0), a, 1)
+
+    @pytest.mark.parametrize("a", [710.0, 1e300])
+    def test_overflowing_exponential_raises(self, a):
+        with pytest.raises(RangeError, match="double range"):
+            AppellFamily.gould_hopper(DunklContext(0.0), a, 1)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("a", [0.5, 5.0, 10.0, 50.0])
+    def test_value_at_one_is_exp_a(self, a, d):
+        # The ratio recurrence's rounding walks like sqrt(a) ulps (6.0 eps
+        # measured at a = 50); the cut tail is below half an ulp.
+        q1 = AppellFamily.gould_hopper(DunklContext(0.5), a, d).Q_at_1
+        exact = gould_hopper_functionals(0.5, a, d)["q1"]
+        assert abs(q1 - exact) <= 4 * math.sqrt(a + 1.0) * 2.0**-52 * exact
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("a", [0.5, 5.0, 10.0, 50.0])
+    def test_cut_tail_below_half_an_ulp(self, a, d):
+        # The omitted coefficients a**k / k!, weighted by their squared
+        # index, sum to under half an ulp of exp(a).
+        deg = AppellFamily.gould_hopper(DunklContext(0.0), a, d).Q.degree
+        p = d + 1
+        first = deg // p + 1  # the first omitted k
+        with mp.workdps(30):
+            tail = mp.nsum(
+                lambda k: (k * p) ** 2 * mp.mpf(a) ** k / mp.factorial(k), [first, mp.inf]
+            )
+            assert tail <= 2.0**-53 * mp.exp(a)
 
     def test_bad_gap_rejected(self):
         with pytest.raises(DomainError):
@@ -113,10 +153,10 @@ class TestPolynomials:
             assert abs(product.coeffs[i] - value) <= 1e-10
 
     def test_truncated_family_rejects_deep_indices(self):
-        fam = AppellFamily.gould_hopper(DunklContext(0.0), 0.5, 1, degree_cap=8)
-        fam.poly(8)
+        fam = AppellFamily.gould_hopper(DunklContext(0.0), 0.5, 1)
+        fam.poly(fam.Q.degree)
         with pytest.raises(DomainError):
-            fam.poly(9)
+            fam.poly(fam.Q.degree + 1)
 
     def test_rejects_negative_index(self):
         fam = AppellFamily.from_coefficients(DunklContext(0.0), [1.0])
@@ -126,7 +166,7 @@ class TestPolynomials:
 
 class TestWeights:
     def test_at_origin_weights_are_normalized_coefficients(self):
-        fam = AppellFamily.gould_hopper(DunklContext(0.7), 0.5, 1, degree_cap=8)
+        fam = AppellFamily.gould_hopper(DunklContext(0.7), 0.5, 1)
         ws = fam.weights(3, 0.0, tol=1e-12)
         c = fam.Q.coeffs
         for i, w in enumerate(ws.weights):
@@ -142,7 +182,7 @@ class TestWeights:
 
     def test_gould_hopper_against_double_sum_oracle(self):
         mu = 0.5
-        fam = AppellFamily.gould_hopper(DunklContext(mu), 0.5, 1, degree_cap=48)
+        fam = AppellFamily.gould_hopper(DunklContext(mu), 0.5, 1)
         ws = fam.weights(10, 1.0, tol=1e-12)
         assert abs(sum(ws.weights) + ws.tail_mass - 1.0) <= 1e-12
         assert ws.tail_mass <= 1e-12
@@ -151,7 +191,7 @@ class TestWeights:
             assert abs(w - ref) <= 1e-12
 
     def test_all_weights_nonnegative(self):
-        fam = AppellFamily.gould_hopper(DunklContext(1.0), 0.3, 2, degree_cap=48)
+        fam = AppellFamily.gould_hopper(DunklContext(1.0), 0.3, 2)
         for n, x in ((1, 0.0), (1, 2.0), (10, 0.5), (50, 2.0)):
             ws = fam.weights(n, x, tol=1e-12)
             assert all(w >= 0.0 for w in ws.weights)
@@ -170,7 +210,7 @@ class TestWeights:
     def test_full_window_raises_naming_nx(self, monkeypatch):
         # the mass at n*x = 2 needs far more than three terms of the window
         monkeypatch.setattr(appell, "MAX_WINDOW", 3)
-        fam = AppellFamily.gould_hopper(DunklContext(0.5), 0.5, 1, degree_cap=48)
+        fam = AppellFamily.gould_hopper(DunklContext(0.5), 0.5, 1)
         with pytest.raises(TruncationFailureError, match=r"n\*x = 2\b"):
             fam.weights(1, 2.0, tol=1e-12)
 
@@ -207,7 +247,7 @@ class TestWeights:
     def test_parallel_generation_matches_serial(self):
         from concurrent.futures import ThreadPoolExecutor
 
-        fam = AppellFamily.gould_hopper(DunklContext(0.5), 0.5, 1, degree_cap=48)
+        fam = AppellFamily.gould_hopper(DunklContext(0.5), 0.5, 1)
         jobs = [(n, x) for n in (1, 5, 20) for x in (0.0, 0.7, 2.0)]
         serial = [fam.weights(n, x, tol=1e-12) for n, x in jobs]
         with ThreadPoolExecutor(max_workers=6) as ex:
@@ -225,7 +265,7 @@ class TestBlockWindow:
         if shape == "unit":
             return AppellFamily.from_coefficients(ctx, [1.0])
         a, d = shape
-        return AppellFamily.gould_hopper(ctx, a, d, degree_cap=48)
+        return AppellFamily.gould_hopper(ctx, a, d)
 
     def test_matches_term_by_term_loop(self):
         # Same stop rule, so the same window; the terms differ only in

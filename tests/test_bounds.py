@@ -30,7 +30,7 @@ def unit_spec(mu, n):
 
 
 def gh_spec(mu, a, d, n):
-    fam = AppellFamily.gould_hopper(DunklContext(mu), a, d, degree_cap=48)
+    fam = AppellFamily.gould_hopper(DunklContext(mu), a, d)
     return OperatorSpec(family=fam, n=n)
 
 

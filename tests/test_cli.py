@@ -273,6 +273,34 @@ class TestErrors:
         code, _, err = run_cli(capsys, "moments", "--mu", "-0.2", "--n", "5", "--x", "1")
         assert code == 1
 
+    @pytest.mark.parametrize("a, error", [
+        ("nan", "DomainError"),
+        ("inf", "DomainError"),
+        ("710", "RangeError"),  # exp(710) overflows
+        ("1e300", "RangeError"),
+    ])
+    def test_gould_hopper_coefficient_out_of_range(self, capsys, a, error):
+        # The generator grows until its own tail is rounding, which a
+        # non-finite a would never reach; an exp(a) past double range has no
+        # finite Q(1).
+        code, _, err = run_cli(
+            capsys, "moments", "--family", "gould-hopper", "--gh-a", a,
+            "--n", "5", "--x", "1",
+        )
+        assert code == 1
+        assert err.startswith(f"error: {error}:")
+
+    def test_degree_cap_is_not_an_option(self, capsys, tmp_path):
+        argv = ("moments", "--family", "gould-hopper", "--n", "5", "--x", "1")
+        code, _, err = run_cli(capsys, *argv, "--gh-cap", "48")
+        assert code == 1
+        assert "unrecognized arguments: --gh-cap" in err
+        conf = tmp_path / "cap.json"
+        conf.write_text(json.dumps({"gh_cap": 48}))
+        code, _, err = run_cli(capsys, *argv, "--config", str(conf))
+        assert code == 1
+        assert "gh_cap" in err
+
     def test_full_weight_window_is_numeric_error(self, capsys, monkeypatch):
         monkeypatch.setattr(appell, "MAX_WINDOW", 3)
         code, _, err = run_cli(capsys, "eval", "--f", "sinx", "--n", "5", "--x", "2")
@@ -327,7 +355,7 @@ class TestConfigFile:
         ({"mu": "abc"}, "'mu'"),
         ({"n_list": [5, "a"]}, "'n_list'"),
         ({"gh_d": 1.5}, "'gh_d'"),
-        ({"gh_cap": True}, "'gh_cap'"),
+        ({"gh_d": True}, "'gh_d'"),
         ({"tol": [1e-3]}, "'tol'"),
         ({"x_grid": [0, 1]}, "'x_grid'"),
         ({"family": "hermite"}, "'family'"),

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
@@ -10,6 +12,8 @@ from dunkl_appell import (
     EvaluationError,
     OperatorSpec,
     PowerSeries,
+    QFunctionals,
+    RangeError,
     apply,
     central_moments,
     central_moments_series,
@@ -19,7 +23,12 @@ from dunkl_appell import (
 from dunkl_appell import engine
 from dunkl_appell.engine import exp_ratio, nodes
 
-from oracles import emu_brute
+from oracles import emu_brute, gould_hopper_functionals
+
+EPS = 2.0**-52
+# For each functional at -1, the one at +1 whose terms are its terms' absolute
+# values when the coefficients are nonnegative.
+AT_PLUS_ONE = {"qm1": "q1", "dqm1": "dq1", "lqm1": "lq1"}
 
 
 def unit_spec(mu, n, **kw):
@@ -28,7 +37,7 @@ def unit_spec(mu, n, **kw):
 
 
 def gh_spec(mu, a, d, n, **kw):
-    fam = AppellFamily.gould_hopper(DunklContext(mu), a, d, degree_cap=48)
+    fam = AppellFamily.gould_hopper(DunklContext(mu), a, d)
     return OperatorSpec(family=fam, n=n, **kw)
 
 
@@ -101,7 +110,7 @@ class TestQFunctionals:
 
     def test_gould_hopper_closed_forms(self):
         # Q = exp(t^2 / 2): Q(1) = Q(-1) = Q'(1) = sqrt(e)
-        fam = AppellFamily.gould_hopper(DunklContext(0.0), 0.5, 1, degree_cap=48)
+        fam = AppellFamily.gould_hopper(DunklContext(0.0), 0.5, 1)
         F = q_functionals(fam)
         root_e = math.exp(0.5)
         assert abs(F.q1 - root_e) <= 1e-12 * root_e
@@ -113,8 +122,6 @@ class TestQFunctionals:
     def test_dunkl_value_matches_difference_quotient(self):
         mu = 0.8
         ctx = DunklContext(mu)
-        import random
-
         rng = random.Random(7)
         for _ in range(10):
             coeffs = [rng.uniform(0.1, 1.0) for _ in range(rng.randint(1, 9))]
@@ -122,6 +129,74 @@ class TestQFunctionals:
             F = q_functionals(fam)
             expected = F.dq1 + mu * (F.q1 - F.qm1)
             assert abs(F.lq1 - expected) <= 1e-12 * max(1.0, abs(expected))
+
+
+class TestQFunctionalsPass:
+    """The one-pass functionals against the series transforms and oracles."""
+
+    @staticmethod
+    def composed(Q):
+        """The ten functionals from the series transforms and Horner's scheme."""
+        dQ, lQ = Q.derivative(), Q.dunkl_derivative()
+        return {
+            "q1": Q.eval(1.0),
+            "qm1": Q.eval(-1.0),
+            "dq1": dQ.eval(1.0),
+            "dqm1": dQ.eval(-1.0),
+            "ddq1": dQ.derivative().eval(1.0),
+            "lq1": lQ.eval(1.0),
+            "lqm1": lQ.eval(-1.0),
+            "dlq1": lQ.derivative().eval(1.0),
+            "ldq1": dQ.dunkl_derivative().eval(1.0),
+            "llq1": lQ.dunkl_derivative().eval(1.0),
+        }
+
+    def assert_matches_composition(self, fam):
+        F = q_functionals(fam)
+        ref = self.composed(fam.Q)
+        # Sum of |terms| of each functional: the +1 functional of |Q|.
+        scale = self.composed(PowerSeries(fam.ctx, map(abs, fam.Q.coeffs)))
+        for name in ref:
+            bound = 4 * EPS * scale[AT_PLUS_ONE.get(name, name)]
+            assert abs(getattr(F, name) - ref[name]) <= bound, (name, len(fam.Q))
+
+    @pytest.mark.parametrize("mu", [0.0, 0.3, 1.3, 5.0])
+    def test_random_dense_polynomials(self, mu):
+        ctx = DunklContext(mu)
+        rng = random.Random(int(10 * mu) + 3)
+        for length in [1, 2, 3, 600] + [rng.randint(1, 600) for _ in range(12)]:
+            c = [rng.uniform(-1.0, 1.0) if rng.random() < 0.7 else 0.0
+                 for _ in range(length)]
+            c[0] = 1.0 + sum(map(abs, c))  # keeps Q(1) positive
+            self.assert_matches_composition(AppellFamily(ctx, PowerSeries(ctx, c)))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("a", [0.5, 5.0, 10.0, 50.0])
+    def test_gould_hopper_matches_composition(self, a, d):
+        for mu in (0.0, 0.3, 1.3, 5.0):
+            fam = AppellFamily.gould_hopper(DunklContext(mu), a, d)
+            self.assert_matches_composition(fam)
+
+    @pytest.mark.parametrize("mu", [0.0, 0.3, 1.3, 5.0])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("a", [0.5, 5.0, 10.0, 50.0])
+    def test_gould_hopper_closed_forms(self, a, d, mu):
+        # The coefficients a**k / k! come from a ratio recurrence, two
+        # roundings per step, and the terms near the peak k ~ a dominate, so
+        # the error walks like sqrt(a) ulps: at most 1.03 sqrt(a+1) eps was
+        # measured (7.4 eps at a = 50).  The cut tail adds under half an ulp.
+        F = q_functionals(AppellFamily.gould_hopper(DunklContext(mu), a, d))
+        exact = gould_hopper_functionals(mu, a, d)
+        assert set(exact) == {f.name for f in dataclasses.fields(QFunctionals)}
+        for name, value in exact.items():
+            bound = 4 * math.sqrt(a + 1.0) * EPS * exact[AT_PLUS_ONE.get(name, name)]
+            assert abs(getattr(F, name) - value) <= bound, name
+
+    def test_overflow_raises_range_error(self):
+        ctx = DunklContext(5.0)
+        fam = AppellFamily(ctx, PowerSeries(ctx, [1.0, 1e308]))
+        with pytest.raises(RangeError, match="Q-functional"):
+            q_functionals(fam)
 
 
 class TestMomentsClosed:
