@@ -14,20 +14,29 @@ and the operator weight at index i, scale n and point x >= 0 is
 computed here as a convolution of the c_i with u_j = (n*x)**j / gamma_mu(j),
 scaled to 1 at the mode j = floor(n*x).  The sum of the u_j stands in for
 e_mu(n*x), so neither gamma_mu nor e_mu is materialized or can overflow.
-The window of u_j grows outward from the mode, the upper side first, in
-blocks of about 8*sqrt(n*x) + 40 terms: a cumulative product of the term
-ratios gives a block's terms, a cumulative sum its running totals, and the
-first term that meets the side's tail bound ends the side.  The window
-holds about 15*sqrt(n*x) terms at the default tolerance; MAX_WINDOW is the
-only limit on it (Loader 2000 centres Poisson weights at the mode the same
-way).
+The window of u_j grows outward from the mode, the upper side first, until
+a geometric bound on each side's rest falls below tol/2 of the sum so far;
+it holds about 15*sqrt(n*x) terms at apply's tolerances, and MAX_WINDOW is
+the only limit on it (Loader 2000 centres Poisson weights at the mode the
+same way).
+
+Two kernels grow it.  ``weights`` serves one point: each side in numpy
+blocks of about 8*sqrt(n*x) + 40 terms, a cumulative product of the term
+ratios for a block's terms and a cumulative sum for its running totals,
+ended at the first term that meets the side's bound.  ``weight_rows``
+serves a grid at one n: both sides of every point's window in one pass of
+flat arrays, rows cut at their own first passing term, in batches of at
+most MAX_WINDOW terms.  Every term, sum and test is the same in both, so a
+row of ``weight_rows`` equals ``weights`` at its point bit for bit; the
+grid kernel is not used for one point because numpy's fixed cost per call
+makes its one-row case slower than the block kernel.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Iterator, List, Sequence
 
 import numpy as np
 
@@ -194,6 +203,9 @@ class AppellFamily:
     ) -> WeightSequence:
         """Operator weights at (n, x) from a window of u_j around the mode.
 
+        This is the one-point kernel; ``weight_rows`` grows the windows of
+        several points in one pass and gives the same weights bit for bit.
+
         Each side of the window stops at its first term with u * q / (1 - q)
         <= (tol/2) * (sum so far), q bounding every later ratio on that side:
         n*x / (j+1) up, (j + 2*mu) / (n*x) down.  A side grows in blocks,
@@ -257,8 +269,83 @@ class AppellFamily:
             )
         lo = mode - sum(len(b) for b in down_blocks)
         down = [b[::-1] for b in reversed(down_blocks)]
-        u = np.concatenate(down + [(1.0,)] + up_blocks)
-        w = np.convolve(self.Q.coeffs, u) / (self.Q_at_1 * total)
+        return self._weight_sequence(n, x, lo, down + [(1.0,)] + up_blocks, total)
+
+    def weight_rows(
+        self,
+        n: int,
+        x: Sequence[float],
+        tol: Sequence[float],
+    ) -> Iterator[List[WeightSequence]]:
+        """Operator weights at scale n for every point of x, in batches of rows.
+
+        tol holds one mass tolerance per point.  Yields each point's
+        WeightSequence, in order, in lists that each cover a consecutive run
+        of points.  A run holds at most MAX_WINDOW (read at call time)
+        terms: its rows times the width of the index range that their first
+        pass spans.  A point whose window alone needs more than MAX_WINDOW
+        terms raises TruncationFailureError.
+
+        Every window of a run grows in one numpy pass (``_sides``): both
+        sides of every row, B terms out from the mode, B = 8*sqrt(n*x) + 40
+        for the run's largest n*x, and again with B doubled while some side
+        has not ended.  The stop rule, terms, sums and tests are those of
+        ``weights``, so each row equals ``weights`` at its point bit for bit.
+        """
+        if n < 1:
+            raise DomainError(f"operator scale n must be >= 1, got {n}")
+        if self.positivity != POSITIVE_BY_COEFFICIENTS:
+            raise DomainError(
+                "family positivity is unverified; only weights(..., "
+                "allow_unverified=True) proceeds with it"
+            )
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 1 or len(tol) != len(x):
+            raise DomainError(
+                f"need a 1-D grid of points and one tolerance per point, got "
+                f"shape {x.shape} and {len(tol)} tolerances"
+            )
+        tol = np.asarray(tol, dtype=float)
+        for a, b, block in _runs(n, x.tolist(), tol.tolist()):
+            yield self._run(n, x[a:b], tol[a:b], block)
+
+    def _run(self, n, x, tol, block) -> List[WeightSequence]:
+        """The weights of a run of points from one pass over all windows;
+        a run whose next pass would not fit MAX_WINDOW is split in halves."""
+        rows = len(x)
+        nx = n * x
+        m = np.floor(nx)
+        while True:
+            terms, up, down, total, done = _sides(nx, m, tol / 2, 2.0 * self.ctx.mu, block)
+            if done.all() or block == MAX_WINDOW - 1:
+                break
+            block = min(2 * block, MAX_WINDOW - 1)
+            if rows > 1 and rows * (2 * block + 1) > MAX_WINDOW:
+                half = rows // 2
+                return self._run(n, x[:half], tol[:half], block) + self._run(
+                    n, x[half:], tol[half:], block
+                )
+        if not done.all() or (up + down).max() >= MAX_WINDOW:
+            r = int((~done | (up + down >= MAX_WINDOW)).argmax())
+            raise TruncationFailureError(
+                f"truncation failure: the weight window reached {MAX_WINDOW} "
+                f"terms before its tail mass fell below tol {tol[r]:.3e} at "
+                f"n*x = {nx[r]:.6g} (n={n}, x={x[r]})"
+            )
+        return [
+            self._weight_sequence(
+                n, point, int(mode) - b, (terms[rows + r, b:0:-1], terms[r, : a + 1]), t
+            )
+            for r, (mode, a, b, t, point) in enumerate(
+                zip(m.tolist(), up.tolist(), down.tolist(), total.tolist(), x.tolist())
+            )
+        ]
+
+    def _weight_sequence(self, n, x, lo, parts, total) -> WeightSequence:
+        """The weights from a window's terms, in pieces from index lo on, and
+        their sum: Q's coefficients convolved with the terms, over Q(1) times
+        the sum."""
+        w = np.convolve(self.Q.coeffs, np.concatenate(parts)) / (self.Q_at_1 * total)
         i = int(w.argmin())
         if w[i] < -1e-12:
             raise PositivityViolationError(
@@ -272,9 +359,94 @@ class AppellFamily:
         return WeightSequence(w, n, x, start=lo)
 
 
+def _runs(n: int, x: List[float], tol: List[float]) -> Iterator[tuple]:
+    """Check the points and tolerances, and split the points into
+    consecutive runs whose rows, at the width of the index range they span
+    on the first pass, hold at most MAX_WINDOW terms: (start, stop, terms
+    per side on the first pass)."""
+    start, low, high, block = 0, math.inf, -math.inf, 0
+    for k, (v, t) in enumerate(zip(x, tol)):
+        nx = n * v
+        if not 0.0 <= nx < math.inf:
+            raise DomainError(f"evaluation point must be >= 0 with n*x finite, got {v}")
+        if not 0.0 < t < math.inf:
+            raise DomainError(f"mass tolerance must be finite and positive, got {t}")
+        side = min(int(8.0 * math.sqrt(nx)) + 40, MAX_WINDOW - 1)
+        mode = math.floor(nx)
+        lo, hi, b = min(low, mode - side), max(high, mode + side), max(block, side)
+        if k > start and (k - start + 1) * (hi - lo + 1) > MAX_WINDOW:
+            yield start, k, block
+            start, lo, hi, b = k, mode - side, mode + side, side
+        low, high, block = lo, hi, b
+    if x:
+        yield start, len(x), block
+
+
 def _rest(t, q):
     """Bound on the terms past t if every later ratio is <= q."""
     return t * q / (1.0 - q) if q < 1.0 else math.inf
+
+
+def _sides(nx, m, half, mu2, block):
+    """Both sides of every row's window, block terms out from the mode.
+
+    Side row r is row r's upper side and side row R + r its lower side;
+    column c holds the term c places from the mode m = floor(n*x), scaled
+    to 1 there (column 0).  Returns the terms, the column where each upper
+    and each lower side ends, each window's sum, and whether both sides of
+    each row ended within the block.  Elementwise work runs on flat arrays,
+    with each row's n*x and tol/2 repeated along it; every term, sum and
+    test is formed as in ``weights``.
+    """
+    rows = len(nx)
+    w = block + 1
+    cut = rows * w  # upper sides before it, lower sides after
+    at = np.arange(0, cut, w)
+    c = np.arange(w, dtype=float)
+    # Float indices, exact below 2**53, so that a window near an n*x past
+    # the int64 range still grows to MAX_WINDOW and fails as any other.  h
+    # is one past the term's index going up and the term's index going down.
+    h = np.empty(2 * cut)
+    np.add((m + 1.0)[:, None], c, h[:cut].reshape(rows, w))
+    np.subtract(m[:, None], c, h[cut:].reshape(rows, w))
+    nxr = np.repeat(nx, w)
+    low = np.maximum(nxr, 1.0)  # n*x wherever a lower side has terms (m >= 1)
+    d = h % 2.0  # d(h) = h + 2*mu*theta(h)
+    d *= mu2
+    d += h
+    # A new term is the one before it times n*x / d(i) going up and
+    # d(i+1) / (n*x) going down, which is 0 past index 0; each ratio comes
+    # from d one column back, and column 0 is reset to 1.
+    u = np.empty(2 * cut)
+    np.divide(nxr[1:], d[: cut - 1], u[1:cut])
+    np.divide(d[cut:-1], low[1:], u[cut + 1 :])
+    terms = u.reshape(2 * rows, w)
+    terms[:, 0] = 1.0
+    np.multiply.accumulate(terms, 1, None, terms)
+    # q bounds every later ratio: n*x / (i+1) up, (i + 2*mu) / (n*x) down,
+    # and 0 at index 0, which has no terms below it.
+    q = np.empty(2 * cut)
+    np.divide(nxr, h[:cut], q[:cut])
+    np.add(h[cut:], mu2, q[cut:])
+    q[cut:] *= h[cut:] > 0.0
+    q[cut:] /= low
+    rest = np.full(2 * cut, math.inf)
+    np.divide(u * q, 1.0 - q, out=rest, where=q < 1.0)
+    halfr = np.repeat(half, w)
+    sums = np.add.accumulate(terms[:rows], 1).reshape(-1)
+    ends = rest[:cut] <= halfr * sums
+    up = ends.reshape(rows, w).argmax(1)  # the first term that ends the side, if any
+    k = at + up
+    done = ends.take(k)
+    top = sums.take(k)
+    sums = u[cut:].copy()
+    sums.reshape(rows, w)[:, 0] = top  # the lower side's sum continues from the upper one's
+    np.add.accumulate(sums.reshape(rows, w), 1, None, sums.reshape(rows, w))
+    ends = rest[cut:] <= halfr * sums
+    down = ends.reshape(rows, w).argmax(1)
+    k = at + down
+    done &= ends.take(k)
+    return terms, up, down, sums.take(k), done
 
 
 def _step_ratios(nx, mu2, j, m, up):

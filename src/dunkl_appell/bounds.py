@@ -332,9 +332,8 @@ def verify(
                 return modulus2(f, s_eff, window, params.grid_step).value
 
     points = []
-    for x in grid:
+    for x, kf in zip(grid, apply(spec, f, grid).tolist()):
         cm = central_moments(spec, x)
-        kf = apply(spec, f, x)
         fx = f(x)
         actual = abs(kf - fx)
         s_floored = False

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -175,8 +176,7 @@ def _mode_eval(cfg: RunConfig) -> Tuple[List[dict], int]:
     rows = []
     for n in cfg.n_list:
         spec = OperatorSpec(family=family, n=n, tol=cfg.tol)
-        for x in xs:
-            kf = apply(spec, entry.evaluator, x)
+        for x, kf in zip(xs, apply(spec, entry.evaluator, xs).tolist()):
             fx = entry.evaluator(x)
             rows.append(_row(x=x, n=n, Kf=kf, f=fx, abs_err=abs(kf - fx)))
     return sorted(rows, key=_by_n_then_x), 0
@@ -206,8 +206,7 @@ def _mode_converge(cfg: RunConfig) -> Tuple[List[dict], int]:
     for n in cfg.n_list:
         spec = OperatorSpec(family=family, n=n, tol=cfg.tol)
         best = None
-        for x in xs:
-            kf = apply(spec, entry.evaluator, x)
+        for x, kf in zip(xs, apply(spec, entry.evaluator, xs).tolist()):
             fx = entry.evaluator(x)
             err = abs(kf - fx)
             if best is None or err > best[0]:
@@ -309,7 +308,10 @@ _FLAGS = (
 _FIELDS = {dest: (flag, convert, choices) for flag, dest, convert, choices in _FLAGS}
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    # Built once per process: every default is SUPPRESS, so a parse leaves
+    # nothing on the parser for the next one to see.
     parser = _Parser(prog="dunkl-appell", description=__doc__)
     sub = parser.add_subparsers(dest="mode")
     for mode in _MODES:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, List
 
 import numpy as np
 
@@ -96,36 +96,81 @@ def nodes(spec: OperatorSpec, count: int, start: int = 0) -> np.ndarray:
     return (i + 2.0 * spec.family.ctx.mu * (i & 1)) / spec.n
 
 
-def apply(spec: OperatorSpec, f: Callable[[float], float], x: float) -> float:
-    """Evaluate the operator on f at x by weighted summation.
+def apply(spec: OperatorSpec, f: Callable[[float], float], x):
+    """Evaluate the operator on f at a point x, or at every point of a 1-D grid.
 
-    f is called once per node of nonzero weight, in index order, and the sum
-    is one dot product.  A non-finite value of f raises EvaluationError
-    naming the first such node in index order.
+    A float x gives a float: f is called once per node of nonzero weight,
+    in index order, and the sum is one dot product.  A sequence gives a
+    float array, one value per point, each equal bit for bit to the value
+    at that point alone: the points share one weight pass per batch
+    (``AppellFamily.weight_rows``), f is called once per distinct node of
+    nonzero weight in a batch, in increasing index order, and each value is
+    the same dot product over its own row.  A non-finite value of f raises
+    EvaluationError naming the first such node in index order.
 
     The weight emission's mass tolerance only bounds the zeroth-moment
     truncation error; for growing targets like t or t**2 the omitted tail
     picks up a factor of the node value at the cutoff.  The mass tolerance
-    is therefore derated by the square of an a-priori estimate of that
-    node, floored where cumulative-mass rounding noise would start to bite.
+    is therefore derated, point by point, by the square of an a-priori
+    estimate of that node, floored where cumulative-mass rounding noise
+    would start to bite.
     """
+    if isinstance(x, float) or np.ndim(x) == 0:
+        ws = spec.family.weights(spec.n, x, tol=_point_tol(spec, x))
+        keep = ws.weights.nonzero()[0]  # f is never evaluated where the weight is zero
+        at = nodes(spec, len(ws.weights), ws.start)[keep]
+        fv = np.fromiter(map(f, at.tolist()), float, len(at))
+        total = float(ws.weights[keep] @ fv)
+        if not math.isfinite(total):  # a finite sum means every value was finite
+            _check_finite(fv, at)
+        return total
+    points = np.asarray(x, dtype=float)
+    if points.ndim != 1:
+        raise DomainError(f"x must be a float or a 1-D sequence, got shape {points.shape}")
+    out = np.empty(len(points))
+    done = 0
+    tol = [_point_tol(spec, t) for t in points.tolist()]
+    for rows in spec.family.weight_rows(spec.n, points, tol):
+        out[done : done + len(rows)] = _row_sums(spec, f, rows)
+        done += len(rows)
+    return out
+
+
+def _point_tol(spec: OperatorSpec, x: float) -> float:
+    """The mass tolerance for apply at x, derated for the largest node."""
     n = spec.n
-    node_cut = x + (8.0 * math.sqrt(n * x + 1.0) + 40.0) / n
+    # max(.., 0): a point with n*x < 0 is rejected by the weights
+    node_cut = x + (8.0 * math.sqrt(max(n * x, 0.0) + 1.0) + 40.0) / n
     tol = max(spec.tol / (1.0 + node_cut * node_cut), 5e-14)
-    tol = min(tol, spec.tol)
-    ws = spec.family.weights(spec.n, x, tol=tol)
-    keep = ws.weights.nonzero()[0]  # f is never evaluated where the weight is zero
-    at = nodes(spec, len(ws.weights), ws.start)[keep]
-    fv = np.fromiter(map(f, at.tolist()), float, len(at))
-    total = float(ws.weights[keep] @ fv)
-    if not math.isfinite(total):  # a finite sum means every value was finite
-        bad = np.isfinite(fv).argmin()
-        if not math.isfinite(fv[bad]):
-            raise EvaluationError(
-                f"target function returned non-finite value {fv[bad]} at node "
-                f"{at[bad]}"
-            )
-    return total
+    return min(tol, spec.tol)
+
+
+def _check_finite(fv: np.ndarray, at: np.ndarray) -> None:
+    finite = np.isfinite(fv)
+    if not finite.all():
+        bad = finite.argmin()
+        raise EvaluationError(
+            f"target function returned non-finite value {fv[bad]} at node {at[bad]}"
+        )
+
+
+def _row_sums(spec: OperatorSpec, f, rows) -> List[float]:
+    """Each row's weights times f at its nodes of nonzero weight; f is
+    called once per such node of any row, in index order."""
+    lo = min(ws.start for ws in rows)
+    span = max(ws.start + len(ws.weights) for ws in rows) - lo
+    keep = [ws.weights.nonzero()[0] for ws in rows]
+    used = np.zeros(span, bool)
+    for ws, k in zip(rows, keep):
+        used[k + (ws.start - lo)] = True
+    at = used.nonzero()[0]
+    t = nodes(spec, span, lo)[at]
+    fv = np.fromiter(map(f, t.tolist()), float, len(at))
+    if not math.isfinite(fv.sum()):
+        _check_finite(fv, t)
+    values = np.zeros(span)
+    values[at] = fv
+    return [float(ws.weights[k] @ values[k + (ws.start - lo)]) for ws, k in zip(rows, keep)]
 
 
 def q_functionals(family: AppellFamily) -> QFunctionals:

@@ -37,15 +37,16 @@ RECORDED = []
 
 @pytest.fixture(scope="module", autouse=True)
 def record_weight_sequences():
-    weights = AppellFamily.weights
+    # Every weight row, of one point or of a batch, is built here.
+    weight_sequence = AppellFamily._weight_sequence
 
     def recording(self, *args, **kwargs):
-        ws = weights(self, *args, **kwargs)
+        ws = weight_sequence(self, *args, **kwargs)
         RECORDED.append(ws)
         return ws
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(AppellFamily, "weights", recording)
+        mp.setattr(AppellFamily, "_weight_sequence", recording)
         yield
 
 

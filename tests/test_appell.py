@@ -344,3 +344,109 @@ class TestReductionChain:
         for i, w in enumerate(ws.weights):
             ref = (n * x) ** i / gamma_mu_closed_form(mu, i) / e
             assert abs(w - ref) <= 1e-13
+
+
+class TestWeightRows:
+    """weight_rows grows many windows in one pass; each row must be the
+    weights of its point alone, bit for bit."""
+
+    @staticmethod
+    def family(mu, shape):
+        return TestBlockWindow.family(mu, shape)
+
+    @staticmethod
+    def same(row, ws):
+        return (
+            row.start == ws.start
+            and row.n == ws.n
+            and row.x == ws.x
+            and row.weights.tobytes() == ws.weights.tobytes()
+        )
+
+    @staticmethod
+    def grid(n, rng):
+        # x = 0, duplicates and a shuffled order, n*x up to about 2000
+        xs = [0.0, 0.0, 1.0 / n] + [10.0 ** rng.uniform(-3.0, 3.3) / n for _ in range(12)]
+        xs += xs[3:6]
+        rng.shuffle(xs)
+        return xs
+
+    @pytest.mark.parametrize("n", [1, 5, 300, 1000])
+    @pytest.mark.parametrize("shape", ["unit", (0.5, 1)])
+    @pytest.mark.parametrize("mu", [0.0, 0.5, 1.3])
+    def test_rows_equal_single_points(self, mu, shape, n):
+        rng = random.Random(f"{mu} {shape} {n}")
+        fam = self.family(mu, shape)
+        xs = self.grid(n, rng)
+        tols = [10.0 ** rng.uniform(-13.5, -9.0) for _ in xs]
+        rows = [ws for batch in fam.weight_rows(n, xs, tols) for ws in batch]
+        assert len(rows) == len(xs)
+        for x, tol, row in zip(xs, tols, rows):
+            assert self.same(row, fam.weights(n, x, tol=tol))
+
+    def test_tiny_tolerances_take_a_second_pass(self):
+        # At tol 1e-40 the sides run past the first pass's 8*sqrt(n*x) + 40
+        # terms, and the pass is repeated with twice the width.
+        fam = self.family(0.5, (1.0, 2))
+        xs, tols = [3.0, 50.0, 800.0], [1e-40, 1e-12, 1e-40]
+        rows = [ws for batch in fam.weight_rows(1, xs, tols) for ws in batch]
+        assert len(rows[2].weights) > 2 * (8 * math.sqrt(800.0) + 40)
+        for x, tol, row in zip(xs, tols, rows):
+            assert self.same(row, fam.weights(1, x, tol=tol))
+
+    def test_batches_split_at_max_window(self, monkeypatch):
+        fam = self.family(0.5, (0.5, 1))
+        xs = [k * 0.05 for k in range(60)]
+        tols = [1e-13] * len(xs)
+        whole = list(fam.weight_rows(20, xs, tols))
+        monkeypatch.setattr(appell, "MAX_WINDOW", 600)
+        split = list(fam.weight_rows(20, xs, tols))
+        assert len(whole) == 1 and len(split) > 3
+        for batch in split:
+            starts = [ws.start for ws in batch]
+            ends = [ws.start + len(ws.weights) for ws in batch]
+            assert len(batch) * (max(ends) - min(starts)) <= 600
+        for a, b in zip(whole[0], [ws for batch in split for ws in batch]):
+            assert self.same(a, b)
+
+    def test_window_cap_counts_every_term(self, monkeypatch):
+        fam = self.family(0.5, "unit")
+        full = fam.weights(1, 2000.0, tol=1e-12)
+        monkeypatch.setattr(appell, "MAX_WINDOW", len(full.weights))
+        ((row,),) = fam.weight_rows(1, [2000.0], [1e-12])
+        assert self.same(row, full)
+        monkeypatch.setattr(appell, "MAX_WINDOW", len(full.weights) - 1)
+        with pytest.raises(TruncationFailureError, match=r"n\*x = 2000\b"):
+            list(fam.weight_rows(1, [1.0, 2000.0], [1e-12, 1e-12]))
+
+    def test_window_past_the_int64_range_fails_as_truncation(self, monkeypatch):
+        monkeypatch.setattr(appell, "MAX_WINDOW", 1000)
+        with pytest.raises(TruncationFailureError, match=r"n\*x = 1e\+300\b"):
+            list(self.family(0.5, "unit").weight_rows(1, [1e300], [1e-12]))
+
+    def test_empty_grid_yields_nothing(self):
+        assert list(self.family(0.5, "unit").weight_rows(5, [], [])) == []
+
+    def test_rows_are_read_only(self):
+        ((row,),) = self.family(0.5, (0.5, 1)).weight_rows(10, [1.0], [1e-12])
+        with pytest.raises(ValueError):
+            row.weights[0] = 1.0
+
+    def test_validation(self):
+        fam = self.family(0.0, "unit")
+        bad = [
+            (0, [1.0], [1e-12]),
+            (1, [1.0, -1.0], [1e-12, 1e-12]),
+            (1, [math.nan], [1e-12]),
+            (1, [math.inf], [1e-12]),
+            (1, [1.0], [0.0]),
+            (1, [1.0], [math.nan]),
+            (1, [1.0, 2.0], [1e-12]),
+            (1, [[1.0]], [1e-12]),
+        ]
+        for n, xs, tols in bad:
+            with pytest.raises(DomainError):
+                list(fam.weight_rows(n, xs, tols))
+        signed = AppellFamily.from_coefficients(DunklContext(0.0), [2.0, -1.0])
+        with pytest.raises(DomainError, match="unverified"):
+            list(signed.weight_rows(1, [1.0], [1e-12]))

@@ -13,8 +13,8 @@ from dunkl_appell import (
     central_moments,
     moments_closed,
 )
-from dunkl_appell import appell
-from dunkl_appell.cli import COLUMNS, emit, grid_points, main, parse_config
+from dunkl_appell import appell, cli
+from dunkl_appell.cli import COLUMNS, RunConfig, emit, grid_points, main, parse_config
 
 from conftest import shrink_sinx_modulus
 
@@ -30,6 +30,36 @@ def run_cli(capsys, *argv):
 def parse_csv(out):
     rows = list(csv.DictReader(io.StringIO(out)))
     return rows
+
+
+class TestParser:
+    def test_built_once_per_process(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_no_value_carries_over_between_parses(self):
+        first = parse_config(
+            ["eval", "--mu", "0.7", "--f", "sinx", "--n", "3,4", "--x", "0.5", "--tol", "1e-10"]
+        )
+        second = parse_config(["moments", "--n", "5", "--x-grid", "0:1:0.5"])
+        assert first == RunConfig(
+            mode="eval", mu=0.7, function="sinx", n_list=[3, 4], x=0.5, tol=1e-10
+        )
+        assert second == RunConfig(mode="moments", n_list=[5], x_grid=(0.0, 1.0, 0.5))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["moments", "--n", "5", "--bogus", "1"],
+            ["eval", "--family", "nope"],
+            ["moments", "--n", "x"],
+            [],
+        ],
+    )
+    def test_errors_still_raise_configuration_error(self, argv):
+        parse_config(["moments", "--n", "5", "--x", "1"])
+        with pytest.raises(ConfigurationError):
+            parse_config(argv)
+        assert parse_config(["moments", "--n", "2", "--x", "1"]).n_list == [2]
 
 
 class TestGridPoints:

@@ -14,13 +14,14 @@ from dunkl_appell import (
     PowerSeries,
     QFunctionals,
     RangeError,
+    TruncationFailureError,
     apply,
     central_moments,
     central_moments_series,
     moments_closed,
     q_functionals,
 )
-from dunkl_appell import engine
+from dunkl_appell import appell, engine
 from dunkl_appell.engine import exp_ratio, nodes
 
 from oracles import emu_brute, gould_hopper_functionals
@@ -89,6 +90,82 @@ class TestApply:
     def test_partition_of_unity_at_nx_1e8(self, mu, family):
         spec = unit_spec(mu, 1000) if family == "unit" else gh_spec(mu, 0.5, 1, 1000)
         assert abs(apply(spec, lambda t: 1.0, 1e5) - 1.0) <= 1e-12
+
+
+class TestApplyGrid:
+    """apply on a grid: one weight pass, each value equal bit for bit to the
+    value at that point alone."""
+
+    FUNCS = (math.sin, lambda t: math.exp(-t), lambda t: t * t, math.sqrt)
+
+    @staticmethod
+    def grid(n, rng):
+        xs = [0.0, 0.0, 1.0 / n] + [10.0 ** rng.uniform(-3.0, 3.0) / n for _ in range(12)]
+        xs += xs[3:6]
+        rng.shuffle(xs)
+        return xs
+
+    @pytest.mark.parametrize("n", [1, 5, 300, 1000])
+    @pytest.mark.parametrize("family", ["unit", "gould-hopper"])
+    @pytest.mark.parametrize("mu", [0.0, 0.5, 1.3])
+    def test_grid_equals_points(self, mu, family, n):
+        spec = unit_spec(mu, n) if family == "unit" else gh_spec(mu, 0.5, 1, n)
+        rng = random.Random(f"{mu} {family} {n}")
+        xs = self.grid(n, rng)
+        for f in self.FUNCS:
+            got = apply(spec, f, xs)
+            assert isinstance(got, np.ndarray) and got.shape == (len(xs),)
+            want = [apply(spec, f, x) for x in xs]
+            assert got.tobytes() == np.array(want).tobytes()
+
+    def test_f_called_once_per_node_in_index_order(self):
+        # The x = 0 row has zero weight at odd nodes; f runs exactly on the
+        # nodes where some row's weight is nonzero, each once, in index order.
+        spec = gh_spec(0.7, 0.5, 1, 4)
+        xs = [0.0, 2.0, 0.5, 2.0, 9.0]
+        seen = []
+        apply(spec, lambda t: seen.append(t) or 1.0, xs)
+        tols = [engine._point_tol(spec, x) for x in xs]
+        rows = [ws for batch in spec.family.weight_rows(4, xs, tols) for ws in batch]
+        used = sorted({ws.start + k for ws in rows for k in ws.weights.nonzero()[0]})
+        lo = min(used)
+        assert seen == nodes(spec, max(used) - lo + 1, lo)[np.array(used) - lo].tolist()
+        assert len(seen) == len(set(seen))
+
+    def test_error_names_first_non_finite_node_in_index_order(self):
+        # As in the one-point case: index 3 sits at node 4.4 and index 4 at 4.0.
+        spec = unit_spec(0.7, 1)
+        first = nodes(spec, 4)[3]
+        f = lambda t: math.inf if t > 4.2 else (math.nan if t > 3.9 else 1.0)
+        with pytest.raises(EvaluationError, match=rf"value inf at node {first}$"):
+            apply(spec, f, [0.0, 1.0, 1.5])
+
+    def test_empty_grid_gives_empty_array(self):
+        got = apply(unit_spec(0.5, 10), math.sin, [])
+        assert isinstance(got, np.ndarray) and got.shape == (0,)
+
+    def test_float_gives_float_and_only_1d_grids_are_taken(self):
+        spec = unit_spec(0.5, 10)
+        assert type(apply(spec, math.sin, 1.0)) is float
+        assert type(apply(spec, math.sin, np.float64(1.0))) is float
+        with pytest.raises(DomainError):
+            apply(spec, math.sin, [[1.0, 2.0]])
+
+    def test_several_batches_give_identical_values(self, monkeypatch):
+        spec = gh_spec(0.5, 0.5, 1, 50)
+        xs = np.arange(0.0, 3.0, 0.05)
+        tols = [engine._point_tol(spec, x) for x in xs]
+        whole = apply(spec, math.sin, xs)
+        monkeypatch.setattr(appell, "MAX_WINDOW", 2000)
+        assert len(list(spec.family.weight_rows(50, xs, tols))) > 3
+        assert apply(spec, math.sin, xs).tobytes() == whole.tobytes()
+
+    def test_row_too_wide_alone_raises(self, monkeypatch):
+        monkeypatch.setattr(appell, "MAX_WINDOW", 500)
+        spec = unit_spec(0.5, 100)
+        apply(spec, math.sin, [0.0, 0.5])
+        with pytest.raises(TruncationFailureError, match=r"n\*x = 3000\b"):
+            apply(spec, math.sin, [0.0, 0.5, 30.0])
 
 
 class TestOperatorSpec:
