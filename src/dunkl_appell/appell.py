@@ -20,16 +20,18 @@ it holds about 15*sqrt(n*x) terms at apply's tolerances, and MAX_WINDOW is
 the only limit on it (Loader 2000 centres Poisson weights at the mode the
 same way).
 
-Two kernels grow it.  ``weights`` serves one point: each side in numpy
-blocks of about 8*sqrt(n*x) + 40 terms, a cumulative product of the term
-ratios for a block's terms and a cumulative sum for its running totals,
-ended at the first term that meets the side's bound.  ``weight_rows``
-serves a grid at one n: both sides of every point's window in one pass of
-flat arrays, rows cut at their own first passing term, in batches of at
-most MAX_WINDOW terms.  Every term, sum and test is the same in both, so a
-row of ``weight_rows`` equals ``weights`` at its point bit for bit; the
-grid kernel is not used for one point because numpy's fixed cost per call
-makes its one-row case slower than the block kernel.
+One kernel grows the windows of a batch of points at one n
+(``weight_rows``; ``weights`` is its one-point case).  Both sides of every
+window are rows of one set of numpy arrays, B = 8*sqrt(n*x) + 40 terms out
+from the mode for the batch's largest n*x: one division for the term
+ratios (at mu > 0 the tail bounds come from the same division), one
+cumulative product for the terms and, per side, one cumulative sum for the
+running totals; each row ends at its own first term that meets its side's
+bound, and a row with a side that runs past B is grown again with B
+doubled.  Lower sides are left out when every mode of a batch is index 0,
+and a batch of windows that are the mode alone skips the arrays.  Every
+operation runs along a row in a fixed order, so a row's weights are the
+same bit for bit in any batch and alone.
 """
 
 from __future__ import annotations
@@ -58,6 +60,11 @@ UNVERIFIED = "unverified"
 # Terms a weight window may hold.  At about 15*sqrt(n*x) terms it is reached
 # near n*x = 5e9, after about a second of growing the window.
 MAX_WINDOW = 2**20
+
+# Terms a batch of several rows may hold, so that each of the kernel's
+# arrays (256 KB) stays in cache; at MAX_WINDOW terms a grid at n*x near
+# 1e6 ran 1.3-1.6x slower and held four times the memory.
+BATCH_TERMS = 2**15
 
 # Half an ulp of 1: a Gould-Hopper generator stops once the index-weighted
 # rest of its series is below this fraction of the sum so far.
@@ -203,73 +210,24 @@ class AppellFamily:
     ) -> WeightSequence:
         """Operator weights at (n, x) from a window of u_j around the mode.
 
-        This is the one-point kernel; ``weight_rows`` grows the windows of
-        several points in one pass and gives the same weights bit for bit.
-
-        Each side of the window stops at its first term with u * q / (1 - q)
-        <= (tol/2) * (sum so far), q bounding every later ratio on that side:
-        n*x / (j+1) up, (j + 2*mu) / (n*x) down.  A side grows in blocks,
-        and each block tests all its terms at once, so the window is the one
-        that growing it term by term would give.  Both bounds are met for
-        every finite n*x; a window that reaches MAX_WINDOW terms (read at
-        call time) first raises TruncationFailureError.
+        The one-point case of ``weight_rows``, and equal to its row at x bit
+        for bit.  Each side of the window stops at its first term with
+        u * q / (1 - q) <= (tol/2) * (sum so far), q bounding every later
+        ratio on that side: n*x / (j+1) up, (j + 2*mu) / (n*x) down.  Both
+        bounds are met for every finite n*x; a window that needs more than
+        MAX_WINDOW terms (read at call time) raises TruncationFailureError.
 
         A weight below -1e-12 signals an inadmissible generating series and
         raises; rounding-level negatives above that are clamped to zero.
+        A family whose positivity is unverified needs allow_unverified=True.
         """
-        if n < 1:
-            raise DomainError(f"operator scale n must be >= 1, got {n}")
-        if not 0.0 <= n * x < math.inf:
-            raise DomainError(f"evaluation point must be >= 0 with n*x finite, got {x}")
-        if not 0.0 < tol < math.inf:
-            raise DomainError(f"mass tolerance must be finite and positive, got {tol}")
         if self.positivity != POSITIVE_BY_COEFFICIENTS and not allow_unverified:
             raise DomainError(
                 "family positivity is unverified; pass allow_unverified=True "
                 "to proceed anyway"
             )
-        mu2 = 2.0 * self.ctx.mu
-        nx = n * x
-        mode = math.floor(nx)
-        half = tol / 2
-        # At apply's tolerances a side ends within about 7.5*sqrt(n*x) terms
-        # of the mode, so one block per side is the common case.
-        block = int(8.0 * math.sqrt(nx)) + 40
-        total, size, sides = 1.0, 1, []
-        for up in (True, False):
-            blocks = []
-            t, j = 1.0, mode  # the side's outermost term and its index
-            # q = 0 at index 0, which has no terms below it
-            r = _rest(t, nx / (mode + 1) if up else mode and (mode + mu2) / nx)
-            while r > half * total and size < MAX_WINDOW:
-                m = min(block, MAX_WINDOW - size)
-                if not up:
-                    m = min(m, j)  # no index below 0
-                ratio, q = _step_ratios(nx, mu2, j, m, up)
-                ratio[0] *= t
-                u = np.multiply.accumulate(ratio)
-                running = np.add.accumulate(np.concatenate(((total,), u)))[1:]
-                rest = np.full(m, math.inf)
-                np.divide(u * q, 1.0 - q, out=rest, where=q < 1.0)
-                ends = rest <= half * running
-                k = int(ends.argmax())  # the first term that ends the side, if any
-                if not ends[k]:
-                    k = m - 1
-                blocks.append(u[: k + 1])
-                t, total, r = float(u[k]), float(running[k]), float(rest[k])
-                j += k + 1 if up else -(k + 1)
-                size += k + 1
-            sides.append((blocks, r))
-        (up_blocks, r_hi), (down_blocks, r_lo) = sides
-        if max(r_hi, r_lo) > half * total:  # only a full window stops short
-            raise TruncationFailureError(
-                f"truncation failure: the weight window reached {MAX_WINDOW} "
-                f"terms before its tail mass fell below tol {tol:.3e} at "
-                f"n*x = {nx:.6g} (n={n}, x={x})"
-            )
-        lo = mode - sum(len(b) for b in down_blocks)
-        down = [b[::-1] for b in reversed(down_blocks)]
-        return self._weight_sequence(n, x, lo, down + [(1.0,)] + up_blocks, total)
+        ((ws,),) = self._weight_rows(n, [x], [tol])
+        return ws
 
     def weight_rows(
         self,
@@ -281,65 +239,66 @@ class AppellFamily:
 
         tol holds one mass tolerance per point.  Yields each point's
         WeightSequence, in order, in lists that each cover a consecutive run
-        of points.  A run holds at most MAX_WINDOW (read at call time)
-        terms: its rows times the width of the index range that their first
-        pass spans.  A point whose window alone needs more than MAX_WINDOW
-        terms raises TruncationFailureError.
-
-        Every window of a run grows in one numpy pass (``_sides``): both
-        sides of every row, B terms out from the mode, B = 8*sqrt(n*x) + 40
-        for the run's largest n*x, and again with B doubled while some side
-        has not ended.  The stop rule, terms, sums and tests are those of
-        ``weights``, so each row equals ``weights`` at its point bit for bit.
+        of points.  A run of several points holds at most MAX_WINDOW (read
+        at call time) terms: its rows times the 2*B + 1 terms of a window B
+        terms to each side of the mode, B = 8*sqrt(n*x) + 40 for its largest
+        n*x.  A point whose window alone needs more than MAX_WINDOW terms
+        raises TruncationFailureError.  Points whose windows run past B are
+        grown again, with B doubled, in runs of their own under the same
+        limit.  Each row equals ``weights`` at its point bit for bit.
         """
-        if n < 1:
-            raise DomainError(f"operator scale n must be >= 1, got {n}")
         if self.positivity != POSITIVE_BY_COEFFICIENTS:
             raise DomainError(
                 "family positivity is unverified; only weights(..., "
                 "allow_unverified=True) proceeds with it"
             )
+        return self._weight_rows(n, x, tol)
+
+    def _weight_rows(self, n, x, tol) -> Iterator[List[WeightSequence]]:
+        if n < 1:
+            raise DomainError(f"operator scale n must be >= 1, got {n}")
         x = np.asarray(x, dtype=float)
         if x.ndim != 1 or len(tol) != len(x):
             raise DomainError(
                 f"need a 1-D grid of points and one tolerance per point, got "
                 f"shape {x.shape} and {len(tol)} tolerances"
             )
-        tol = np.asarray(tol, dtype=float)
-        for a, b, block in _runs(n, x.tolist(), tol.tolist()):
-            yield self._run(n, x[a:b], tol[a:b], block)
+        x, tol = x.tolist(), list(tol)
+        nx = [n * v for v in x]
+        blocks = list(map(_first_block, nx, x, tol))
+        for a, b, block in _batches(blocks):
+            yield self._rows(n, x[a:b], nx[a:b], tol[a:b], block)
 
-    def _run(self, n, x, tol, block) -> List[WeightSequence]:
-        """The weights of a run of points from one pass over all windows;
-        a run whose next pass would not fit MAX_WINDOW is split in halves."""
+    def _rows(self, n, x, nx, tol, block) -> List[WeightSequence]:
+        """The weights at points x from one pass of block terms per side;
+        rows with a side that runs past it are redone with twice the block."""
+        modes = list(map(math.floor, nx))
+        terms, up, down, total, done = _sides(nx, modes, tol, 2.0 * self.ctx.mu, block)
         rows = len(x)
-        nx = n * x
-        m = np.floor(nx)
-        while True:
-            terms, up, down, total, done = _sides(nx, m, tol / 2, 2.0 * self.ctx.mu, block)
-            if done.all() or block == MAX_WINDOW - 1:
-                break
-            block = min(2 * block, MAX_WINDOW - 1)
-            if rows > 1 and rows * (2 * block + 1) > MAX_WINDOW:
-                half = rows // 2
-                return self._run(n, x[:half], tol[:half], block) + self._run(
-                    n, x[half:], tol[half:], block
+        out, redo = [], []
+        for r, (point, mode, a, b, t, ok) in enumerate(
+            zip(x, modes, up.tolist(), down.tolist(), total.tolist(), done.tolist())
+        ):
+            if ok and a + b < MAX_WINDOW:
+                window = (terms[rows + r, b:0:-1], terms[r, : a + 1])
+                out.append(self._weight_sequence(n, point, mode - b, window, t))
+            elif ok or block == MAX_WINDOW - 1:
+                raise TruncationFailureError(
+                    f"truncation failure: the weight window reached {MAX_WINDOW} "
+                    f"terms before its tail mass fell below tol {tol[r]:.3e} at "
+                    f"n*x = {nx[r]:.6g} (n={n}, x={x[r]})"
                 )
-        if not done.all() or (up + down).max() >= MAX_WINDOW:
-            r = int((~done | (up + down >= MAX_WINDOW)).argmax())
-            raise TruncationFailureError(
-                f"truncation failure: the weight window reached {MAX_WINDOW} "
-                f"terms before its tail mass fell below tol {tol[r]:.3e} at "
-                f"n*x = {nx[r]:.6g} (n={n}, x={x[r]})"
-            )
-        return [
-            self._weight_sequence(
-                n, point, int(mode) - b, (terms[rows + r, b:0:-1], terms[r, : a + 1]), t
-            )
-            for r, (mode, a, b, t, point) in enumerate(
-                zip(m.tolist(), up.tolist(), down.tolist(), total.tolist(), x.tolist())
-            )
-        ]
+            else:
+                redo.append(r)
+                out.append(None)
+        if redo:
+            block = min(2 * block, MAX_WINDOW - 1)
+            for a, b, _ in _batches([block] * len(redo)):
+                at = redo[a:b]
+                pick = [x[r] for r in at], [nx[r] for r in at], [tol[r] for r in at]
+                for r, ws in zip(at, self._rows(n, *pick, block)):
+                    out[r] = ws
+        return out
 
     def _weight_sequence(self, n, x, lo, parts, total) -> WeightSequence:
         """The weights from a window's terms, in pieces from index lo on, and
@@ -347,39 +306,47 @@ class AppellFamily:
         the sum."""
         w = np.convolve(self.Q.coeffs, np.concatenate(parts)) / (self.Q_at_1 * total)
         i = int(w.argmin())
-        if w[i] < -1e-12:
-            raise PositivityViolationError(
-                f"weight {w[i]} at index {lo + i} is materially negative; "
-                "the generating series is inadmissible",
-                index=lo + i,
-                weight=float(w[i]),
-            )
-        np.maximum(w, 0.0, out=w)
+        if w[i] < 0.0:
+            if w[i] < -1e-12:
+                raise PositivityViolationError(
+                    f"weight {w[i]} at index {lo + i} is materially negative; "
+                    "the generating series is inadmissible",
+                    index=lo + i,
+                    weight=float(w[i]),
+                )
+            np.maximum(w, 0.0, out=w)
         w.flags.writeable = False
         return WeightSequence(w, n, x, start=lo)
 
 
-def _runs(n: int, x: List[float], tol: List[float]) -> Iterator[tuple]:
-    """Check the points and tolerances, and split the points into
-    consecutive runs whose rows, at the width of the index range they span
-    on the first pass, hold at most MAX_WINDOW terms: (start, stop, terms
-    per side on the first pass)."""
-    start, low, high, block = 0, math.inf, -math.inf, 0
-    for k, (v, t) in enumerate(zip(x, tol)):
-        nx = n * v
-        if not 0.0 <= nx < math.inf:
-            raise DomainError(f"evaluation point must be >= 0 with n*x finite, got {v}")
-        if not 0.0 < t < math.inf:
-            raise DomainError(f"mass tolerance must be finite and positive, got {t}")
-        side = min(int(8.0 * math.sqrt(nx)) + 40, MAX_WINDOW - 1)
-        mode = math.floor(nx)
-        lo, hi, b = min(low, mode - side), max(high, mode + side), max(block, side)
-        if k > start and (k - start + 1) * (hi - lo + 1) > MAX_WINDOW:
-            yield start, k, block
-            start, lo, hi, b = k, mode - side, mode + side, side
-        low, high, block = lo, hi, b
-    if x:
-        yield start, len(x), block
+def _first_block(nx: float, x: float, tol: float) -> int:
+    """Check a point and its tolerance, and give the terms per side of its
+    window's first pass: none if the window is the mode alone."""
+    if not 0.0 <= nx < math.inf:
+        raise DomainError(f"evaluation point must be >= 0 with n*x finite, got {x}")
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"mass tolerance must be finite and positive, got {tol}")
+    # Below n*x = 1 the lower side is empty, and the upper one may end at
+    # the mode: the test of ``_sides`` at its column 0, where u = 1, q = n*x.
+    if nx < 1.0 and nx <= tol / 2 * (1.0 - nx):
+        return 0
+    return min(int(8.0 * math.sqrt(nx)) + 40, MAX_WINDOW - 1)
+
+
+def _batches(blocks: List[int]) -> Iterator[tuple]:
+    """Split rows into consecutive runs whose windows, at the run's widest
+    block B, hold at most BATCH_TERMS and MAX_WINDOW terms in all (rows
+    times 2*B + 1); a row alone is always a run.  Yields (start, stop, B)."""
+    limit = min(BATCH_TERMS, MAX_WINDOW)
+    start, top = 0, 0
+    for k, block in enumerate(blocks):
+        wide = max(top, block)
+        if k > start and (k - start + 1) * (2 * wide + 1) > limit:
+            yield start, k, top
+            start, wide = k, block
+        top = wide
+    if blocks:
+        yield start, len(blocks), top
 
 
 def _rest(t, q):
@@ -387,85 +354,91 @@ def _rest(t, q):
     return t * q / (1.0 - q) if q < 1.0 else math.inf
 
 
-def _sides(nx, m, half, mu2, block):
+def _sides(nx, m, tol, mu2, block):
     """Both sides of every row's window, block terms out from the mode.
 
+    nx, m and tol hold each row's n*x, mode m = floor(n*x) and tolerance.
     Side row r is row r's upper side and side row R + r its lower side;
-    column c holds the term c places from the mode m = floor(n*x), scaled
-    to 1 there (column 0).  Returns the terms, the column where each upper
-    and each lower side ends, each window's sum, and whether both sides of
-    each row ended within the block.  Elementwise work runs on flat arrays,
-    with each row's n*x and tol/2 repeated along it; every term, sum and
-    test is formed as in ``weights``.
+    column c holds the term c places from the mode, scaled to 1 there
+    (column 0).  Returns the terms, the column where each upper and each
+    lower side ends, each window's sum, and whether both sides of each row
+    ended within the block.  Lower sides are not grown when every mode is
+    index 0, which leaves them empty.  Every operation works along a row in
+    a fixed order, so a row's results do not depend on the others.
     """
     rows = len(nx)
+    if not block:  # every window is the mode alone
+        zero = np.zeros(rows, int)
+        return np.ones((2 * rows, 1)), zero, zero, np.ones(rows), zero == 0
+    lower = any(m)
+    sides = 2 * rows if lower else rows
     w = block + 1
-    cut = rows * w  # upper sides before it, lower sides after
-    at = np.arange(0, cut, w)
-    c = np.arange(w, dtype=float)
     # Float indices, exact below 2**53, so that a window near an n*x past
     # the int64 range still grows to MAX_WINDOW and fails as any other.  h
     # is one past the term's index going up and the term's index going down.
-    h = np.empty(2 * cut)
-    np.add((m + 1.0)[:, None], c, h[:cut].reshape(rows, w))
-    np.subtract(m[:, None], c, h[cut:].reshape(rows, w))
-    nxr = np.repeat(nx, w)
-    low = np.maximum(nxr, 1.0)  # n*x wherever a lower side has terms (m >= 1)
-    d = h % 2.0  # d(h) = h + 2*mu*theta(h)
-    d *= mu2
-    d += h
-    # A new term is the one before it times n*x / d(i) going up and
-    # d(i+1) / (n*x) going down, which is 0 past index 0; each ratio comes
-    # from d one column back, and column 0 is reset to 1.
-    u = np.empty(2 * cut)
-    np.divide(nxr[1:], d[: cut - 1], u[1:cut])
-    np.divide(d[cut:-1], low[1:], u[cut + 1 :])
-    terms = u.reshape(2 * rows, w)
-    terms[:, 0] = 1.0
-    np.multiply.accumulate(terms, 1, None, terms)
-    # q bounds every later ratio: n*x / (i+1) up, (i + 2*mu) / (n*x) down,
-    # and 0 at index 0, which has no terms below it.
-    q = np.empty(2 * cut)
-    np.divide(nxr, h[:cut], q[:cut])
-    np.add(h[cut:], mu2, q[cut:])
-    q[cut:] *= h[cut:] > 0.0
-    q[cut:] /= low
-    rest = np.full(2 * cut, math.inf)
-    np.divide(u * q, 1.0 - q, out=rest, where=q < 1.0)
-    halfr = np.repeat(half, w)
-    sums = np.add.accumulate(terms[:rows], 1).reshape(-1)
-    ends = rest[:cut] <= halfr * sums
-    up = ends.reshape(rows, w).argmax(1)  # the first term that ends the side, if any
-    k = at + up
-    done = ends.take(k)
-    top = sums.take(k)
-    sums = u[cut:].copy()
-    sums.reshape(rows, w)[:, 0] = top  # the lower side's sum continues from the upper one's
-    np.add.accumulate(sums.reshape(rows, w), 1, None, sums.reshape(rows, w))
-    ends = rest[cut:] <= halfr * sums
-    down = ends.reshape(rows, w).argmax(1)
-    k = at + down
-    done &= ends.take(k)
-    return terms, up, down, sums.take(k), done
+    # On lower sides the terms are divided by n*x only where there are
+    # any (m >= 1), so by max(n*x, 1).
+    c = np.arange(w, dtype=float)
+    base = np.array([k + 1.0 for k in m] + (m if lower else []), dtype=float)[:, None]
+    nxr = np.array(nx + ([max(v, 1.0) for v in nx] if lower else []))[:, None]
+    half = np.array([t / 2 for t in tol])[:, None]
+    # hd[1] holds d(h) = h + 2*mu*theta(h); hd[0] holds what the tail
+    # bound q divides by, or is divided by: h up, and (h + 2*mu) down but 0
+    # at index 0, which has no terms below it.  One division of each half
+    # then gives q in ratios[0] and the term ratios in ratios[1]: n*x / d(i)
+    # going up, d(i+1) / (n*x) going down (0 past index 0).
+    hd = np.empty((2, sides, w))
+    h = hd[0]
+    np.add(base[:rows], c, h[:rows])
+    if lower:
+        np.subtract(base[rows:], c, h[rows:])
+    if mu2:
+        # theta(h) = 2*frac(h/2) for h >= 0; past index 0 the terms are 0
+        # whatever d is
+        d = np.modf(h * 0.5)[0]
+        d *= 2.0 * mu2
+        np.add(h, d, hd[1])
+        ratios = np.empty(hd.shape)
+        np.divide(nxr[:rows], hd[:, :rows], ratios[:, :rows])
+        if lower:
+            below = h[rows:] > 0.0
+            h[rows:] += mu2
+            h[rows:] *= below
+            np.divide(hd[:, rows:], nxr[rows:], ratios[:, rows:])
+        q, ratio = ratios
+    else:  # d(h) = h, and q is the ratio that leads to the next term
+        ratio = np.empty((sides, w))
+        np.divide(nxr[:rows], h[:rows], ratio[:rows])
+        if lower:
+            np.divide(h[rows:], nxr[rows:], ratio[rows:])
+        q = ratio
+    terms = np.empty((2 * rows, w))
+    terms[:sides, 0] = 1.0
+    np.multiply.accumulate(ratio[:, :-1], 1, None, terms[:sides, 1:])
+    # A side ends at its first term u with u*q / (1-q) <= (tol/2) * (sum so
+    # far), tested as u*q <= (tol/2) * sum * (1-q): where q >= 1 the bound
+    # does not hold and the right side is at most 0 < u*q.
+    uq = terms[:sides] * q
+    room = 1.0 - q
+    first = np.arange(0, rows * w, w)
+    up, done, top = _ends(terms[:rows], uq[:rows], room[:rows], half, first)
+    if not lower:
+        return terms, up, np.zeros(rows, int), top, done
+    # The lower side's sum continues from the upper one's; column 0 of the
+    # lower terms (the mode again) is not part of the window.
+    terms[rows:, 0] = top
+    down, done_low, total = _ends(terms[rows:], uq[rows:], room[rows:], half, first)
+    return terms, up, down, total, done & done_low
 
 
-def _step_ratios(nx, mu2, j, m, up):
-    """Ratios and tail ratios q for the m indices past j on one side.
-
-    With d(i) = i + 2*mu*theta(i), the term at a new index i is the term
-    before it times n*x / d(i) going up and times d(i+1) / (n*x) going down.
-    Its q bounds every later ratio: n*x / (i+1) up, (i + 2*mu) / (n*x) down,
-    and 0 at index 0, which has no terms below it.
-    """
-    # Float indices, exact below 2**53, so that a window near an n*x past
-    # the int64 range still grows to MAX_WINDOW and fails as any other.
-    if up:
-        a = j + np.arange(1.0, m + 2.0)  # the new indices, then one past them
-        d = a[:-1] + mu2 * (a[:-1] % 2.0)
-        return nx / d, nx / a[1:]
-    a = j - np.arange(0.0, m + 1.0)  # the new indices plus one, then the last new one
-    d = a[:-1] + mu2 * (a[:-1] % 2.0)
-    q = (a[1:] + mu2) / nx
-    if a[-1] == 0.0:
-        q[-1] = 0.0
-    return d / nx, q
+def _ends(terms, uq, room, half, first):
+    """For sides whose terms start at the sum so far: the column of each
+    side's first term that ends it, whether there is one, and the sum
+    there."""
+    sums = np.add.accumulate(terms, 1)
+    bound = half * sums
+    bound *= room
+    ends = uq <= bound
+    k = ends.argmax(1)  # the first term that ends the side, if any
+    at = first + k
+    return k, ends.take(at), sums.take(at)

@@ -92,21 +92,25 @@ def exp_ratio(spec: OperatorSpec, x: float) -> float:
 
 def nodes(spec: OperatorSpec, count: int, start: int = 0) -> np.ndarray:
     """The evaluation nodes (i + 2*mu*theta(i))/n for i = start .. start+count-1."""
-    i = np.arange(start, start + count)
-    return (i + 2.0 * spec.family.ctx.mu * (i & 1)) / spec.n
+    return _nodes_at(spec, np.arange(start, start + count))
+
+
+def _nodes_at(spec: OperatorSpec, i: np.ndarray) -> np.ndarray:
+    mu2 = 2.0 * spec.family.ctx.mu
+    return (i + mu2 * (i & 1)) / spec.n if mu2 else i / spec.n
 
 
 def apply(spec: OperatorSpec, f: Callable[[float], float], x):
     """Evaluate the operator on f at a point x, or at every point of a 1-D grid.
 
-    A float x gives a float: f is called once per node of nonzero weight,
-    in index order, and the sum is one dot product.  A sequence gives a
-    float array, one value per point, each equal bit for bit to the value
-    at that point alone: the points share one weight pass per batch
-    (``AppellFamily.weight_rows``), f is called once per distinct node of
-    nonzero weight in a batch, in increasing index order, and each value is
-    the same dot product over its own row.  A non-finite value of f raises
-    EvaluationError naming the first such node in index order.
+    A float x gives a float and a sequence a float array, one value per
+    point; a float is the one-point grid.  The points share one weight pass
+    per batch (``AppellFamily.weight_rows``), f is called once per distinct
+    node of nonzero weight in a batch, in increasing index order, and each
+    value is one dot product over its own row's nodes of nonzero weight, so
+    it equals the value at that point alone bit for bit.  A non-finite
+    value of f raises EvaluationError naming the first such node in index
+    order.
 
     The weight emission's mass tolerance only bounds the zeroth-moment
     truncation error; for growing targets like t or t**2 the omitted tail
@@ -115,25 +119,15 @@ def apply(spec: OperatorSpec, f: Callable[[float], float], x):
     estimate of that node, floored where cumulative-mass rounding noise
     would start to bite.
     """
-    if isinstance(x, float) or np.ndim(x) == 0:
-        ws = spec.family.weights(spec.n, x, tol=_point_tol(spec, x))
-        keep = ws.weights.nonzero()[0]  # f is never evaluated where the weight is zero
-        at = nodes(spec, len(ws.weights), ws.start)[keep]
-        fv = np.fromiter(map(f, at.tolist()), float, len(at))
-        total = float(ws.weights[keep] @ fv)
-        if not math.isfinite(total):  # a finite sum means every value was finite
-            _check_finite(fv, at)
-        return total
     points = np.asarray(x, dtype=float)
-    if points.ndim != 1:
+    if points.ndim > 1:
         raise DomainError(f"x must be a float or a 1-D sequence, got shape {points.shape}")
-    out = np.empty(len(points))
-    done = 0
-    tol = [_point_tol(spec, t) for t in points.tolist()]
-    for rows in spec.family.weight_rows(spec.n, points, tol):
-        out[done : done + len(rows)] = _row_sums(spec, f, rows)
-        done += len(rows)
-    return out
+    grid = points.reshape(-1)
+    tol = [_point_tol(spec, t) for t in grid.tolist()]
+    values = []
+    for rows in spec.family.weight_rows(spec.n, grid, tol):
+        values += _row_sums(spec, f, rows)
+    return np.array(values) if points.ndim else values[0]
 
 
 def _point_tol(spec: OperatorSpec, x: float) -> float:
@@ -145,32 +139,52 @@ def _point_tol(spec: OperatorSpec, x: float) -> float:
     return min(tol, spec.tol)
 
 
-def _check_finite(fv: np.ndarray, at: np.ndarray) -> None:
+def _row_sums(spec: OperatorSpec, f, rows) -> List[float]:
+    """Each row's weights times f at its nodes of nonzero weight; f is
+    called once per such node of any row, in index order.
+
+    Weights are positive where f is called, so a non-finite value of f
+    makes the value of every row with that node non-finite; only then are
+    the values of f searched for the first non-finite one.
+    """
+    if all(a.start + len(a.weights) <= b.start for a, b in zip(rows, rows[1:])):
+        # Windows apart and in order share no node: each row's own nodes,
+        # in turn, are the distinct nodes in index order.
+        return [_row_sum(spec, f, ws) for ws in rows]
+    keep = [ws.weights.nonzero()[0] for ws in rows]
+    index = [k + ws.start for ws, k in zip(rows, keep)]
+    at = np.concatenate(index)
+    at.sort()
+    at = at[np.concatenate(([True], at[1:] != at[:-1]))]
+    t = _nodes_at(spec, at)
+    fv = np.fromiter(map(f, t.tolist()), float, len(t))
+    values = [
+        float(ws.weights[k] @ fv[at.searchsorted(i)])
+        for ws, k, i in zip(rows, keep, index)
+    ]
+    if not all(map(math.isfinite, values)):
+        _check_finite(fv, t)
+    return values
+
+
+def _row_sum(spec: OperatorSpec, f, ws) -> float:
+    w = ws.weights
+    keep = w.nonzero()[0]
+    t = _nodes_at(spec, keep + ws.start)
+    fv = np.fromiter(map(f, t.tolist()), float, len(t))
+    value = float((w if len(keep) == len(w) else w[keep]) @ fv)
+    if not math.isfinite(value):
+        _check_finite(fv, t)
+    return value
+
+
+def _check_finite(fv: np.ndarray, t: np.ndarray) -> None:
     finite = np.isfinite(fv)
     if not finite.all():
         bad = finite.argmin()
         raise EvaluationError(
-            f"target function returned non-finite value {fv[bad]} at node {at[bad]}"
+            f"target function returned non-finite value {fv[bad]} at node {t[bad]}"
         )
-
-
-def _row_sums(spec: OperatorSpec, f, rows) -> List[float]:
-    """Each row's weights times f at its nodes of nonzero weight; f is
-    called once per such node of any row, in index order."""
-    lo = min(ws.start for ws in rows)
-    span = max(ws.start + len(ws.weights) for ws in rows) - lo
-    keep = [ws.weights.nonzero()[0] for ws in rows]
-    used = np.zeros(span, bool)
-    for ws, k in zip(rows, keep):
-        used[k + (ws.start - lo)] = True
-    at = used.nonzero()[0]
-    t = nodes(spec, span, lo)[at]
-    fv = np.fromiter(map(f, t.tolist()), float, len(at))
-    if not math.isfinite(fv.sum()):
-        _check_finite(fv, t)
-    values = np.zeros(span)
-    values[at] = fv
-    return [float(ws.weights[k] @ values[k + (ws.start - lo)]) for ws, k in zip(rows, keep)]
 
 
 def q_functionals(family: AppellFamily) -> QFunctionals:

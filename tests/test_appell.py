@@ -257,7 +257,7 @@ class TestWeights:
 
 
 class TestBlockWindow:
-    """The block-grown window against the term-by-term loop it replaced."""
+    """The grown window against the term-by-term loop it replaced."""
 
     @staticmethod
     def family(mu, shape):
@@ -394,20 +394,35 @@ class TestWeightRows:
         for x, tol, row in zip(xs, tols, rows):
             assert self.same(row, fam.weights(1, x, tol=tol))
 
-    def test_batches_split_at_max_window(self, monkeypatch):
+    @pytest.mark.parametrize("limit", ["MAX_WINDOW", "BATCH_TERMS"])
+    def test_batches_split_at_max_window(self, monkeypatch, limit):
         fam = self.family(0.5, (0.5, 1))
         xs = [k * 0.05 for k in range(60)]
         tols = [1e-13] * len(xs)
         whole = list(fam.weight_rows(20, xs, tols))
-        monkeypatch.setattr(appell, "MAX_WINDOW", 600)
+        monkeypatch.setattr(appell, limit, 600)
         split = list(fam.weight_rows(20, xs, tols))
         assert len(whole) == 1 and len(split) > 3
         for batch in split:
-            starts = [ws.start for ws in batch]
-            ends = [ws.start + len(ws.weights) for ws in batch]
-            assert len(batch) * (max(ends) - min(starts)) <= 600
+            # the window terms of a batch of several rows, without the
+            # generator's degree that the convolution adds to each row
+            terms = sum(len(ws.weights) - fam.Q.degree for ws in batch)
+            assert len(batch) == 1 or terms <= 600
         for a, b in zip(whole[0], [ws for batch in split for ws in batch]):
             assert self.same(a, b)
+
+    @pytest.mark.parametrize("mu", [0.0, 1.3])
+    def test_rows_without_lower_sides(self, mu):
+        # Below n*x = 1 every mode is index 0 and a batch of such rows grows
+        # no lower sides; the same rows in a batch that does grow them, and
+        # alone, come out the same.
+        fam = self.family(mu, (0.5, 1))
+        xs = [0.003, 0.9, 0.0, 0.45]
+        low = next(fam.weight_rows(1, xs, [1e-13] * 4))
+        mixed = next(fam.weight_rows(1, xs + [7.0], [1e-13] * 5))
+        assert [ws.start for ws in low] == [0] * 4
+        for x, a, b in zip(xs, low, mixed):
+            assert self.same(a, b) and self.same(a, fam.weights(1, x, tol=1e-13))
 
     def test_window_cap_counts_every_term(self, monkeypatch):
         fam = self.family(0.5, "unit")

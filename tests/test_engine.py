@@ -118,19 +118,26 @@ class TestApplyGrid:
             want = [apply(spec, f, x) for x in xs]
             assert got.tobytes() == np.array(want).tobytes()
 
-    def test_f_called_once_per_node_in_index_order(self):
+    @pytest.mark.parametrize(
+        "xs",
+        [
+            [0.0, 2.0, 0.5, 2.0, 9.0],  # windows that overlap
+            [0.0, 300.0, 800.0],  # windows apart and in order
+        ],
+    )
+    def test_f_called_once_per_node_in_index_order(self, xs):
         # The x = 0 row has zero weight at odd nodes; f runs exactly on the
         # nodes where some row's weight is nonzero, each once, in index order.
         spec = gh_spec(0.7, 0.5, 1, 4)
-        xs = [0.0, 2.0, 0.5, 2.0, 9.0]
         seen = []
-        apply(spec, lambda t: seen.append(t) or 1.0, xs)
+        got = apply(spec, lambda t: seen.append(t) or math.cos(t), xs)
         tols = [engine._point_tol(spec, x) for x in xs]
         rows = [ws for batch in spec.family.weight_rows(4, xs, tols) for ws in batch]
         used = sorted({ws.start + k for ws in rows for k in ws.weights.nonzero()[0]})
         lo = min(used)
         assert seen == nodes(spec, max(used) - lo + 1, lo)[np.array(used) - lo].tolist()
         assert len(seen) == len(set(seen))
+        assert got.tobytes() == np.array([apply(spec, math.cos, x) for x in xs]).tobytes()
 
     def test_error_names_first_non_finite_node_in_index_order(self):
         # As in the one-point case: index 3 sits at node 4.4 and index 4 at 4.0.
