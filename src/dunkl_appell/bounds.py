@@ -8,9 +8,11 @@ measures of f:
   * second-modulus bound:  (3/4) * (2 + a + s**2) * w2(f; s) + (2 s**2 / a) ||f||,
                            with s = omega2 ** (1/4), on x in [0, a]
 
-where omega2 is the operator's second central moment at x.  The verifier
-sweeps a grid, compares actual error against the selected bound, and flags
-violations beyond a small rounding slack.
+where omega2 is the operator's second central moment at x.  Each bound is
+one rule of omega2 that checks its inputs once; the theoremN_bound functions
+and the verifier share it.  The verifier sweeps a grid, compares actual
+error against the selected bound, and flags violations beyond a small
+rounding slack.
 """
 
 from __future__ import annotations
@@ -27,6 +29,9 @@ from .functions import FunctionEntry
 
 MARGIN_SLACK = 1e-9
 _S_FLOOR = 1e-8
+# Grid spacing of the modulus estimates verify falls back to when the
+# registry has no analytic modulus.
+_GRID_STEP = 1e-3
 
 ANALYTIC = "analytic"
 GRID_ESTIMATE = "grid-estimate (consistency check, not proof)"
@@ -45,6 +50,11 @@ class ModulusEstimate:
     window: Tuple[float, float]
     grid_step: float
     kind: str  # 'first' or 'second'
+
+
+def _positive(name: str, value: float) -> None:
+    if not 0.0 < value < math.inf:
+        raise DomainError(f"{name} must be finite and positive, got {value}")
 
 
 def _grid_values(f, lo: float, hi: float, step: float):
@@ -67,8 +77,8 @@ def modulus1(
 
     Maximizes |f(x) - f(y)| over grid pairs with |x - y| <= delta.
     """
-    if delta <= 0.0:
-        raise DomainError(f"delta must be positive, got {delta}")
+    _positive("delta", delta)
+    _positive("grid step", grid_step)
     if grid_step > delta / 8.0:
         raise DomainError(
             f"grid step {grid_step} too coarse for delta={delta}; need <= delta/8"
@@ -97,8 +107,8 @@ def modulus2(
     Maximizes |f(x + 2h) - 2 f(x + h) + f(x)| over the grid for 0 < h <= s;
     the window must leave room for x + 2h.
     """
-    if s <= 0.0:
-        raise DomainError(f"scale s must be positive, got {s}")
+    _positive("scale s", s)
+    _positive("grid step", grid_step)
     if grid_step > s / 8.0:
         raise DomainError(
             f"grid step {grid_step} too coarse for s={s}; need <= s/8"
@@ -133,44 +143,61 @@ class BoundInputs:
     sup_norm: float = 0.0
 
 
-def _bound_t2(n: int, omega2: float, w_value: float) -> float:
-    return (1.0 + math.sqrt(n * omega2)) * w_value
+# A rule maps omega2 at a point to (bound, BoundInputs, s_floored).
+_Rule = Callable[[float], Tuple[float, BoundInputs, bool]]
 
 
-def _bound_t3(omega2: float, M: float, beta: float) -> float:
-    return M * omega2 ** (beta / 2.0)
+def _t2(n: int, w: float) -> _Rule:
+    """First-modulus rule, given the modulus value w = w(f; 1/sqrt(n))."""
+
+    def rule(omega2: float):
+        lambda_n = math.sqrt(n * omega2)
+        inputs = BoundInputs("T2", s=omega2 ** 0.25, lambda_n=lambda_n)
+        return (1.0 + lambda_n) * w, inputs, False
+
+    return rule
 
 
-def _bound_t4(
-    omega2: float, a: float, w2: Callable[[float], float], sup_norm: float
-) -> Tuple[float, bool]:
-    s = omega2 ** 0.25
-    if s == 0.0:
-        # Degenerate point mass: the modulus factor is evaluated at a small
-        # floor instead of zero, and the sup-norm term drops out.
-        return 0.75 * (2.0 + a) * w2(_S_FLOOR), True
-    return (
-        0.75 * (2.0 + a + s * s) * w2(s) + (2.0 * s * s / a) * sup_norm,
-        False,
-    )
+def _t3(M: float, beta: float) -> _Rule:
+    """Hoelder rule for a constant M > 0 and an exponent beta in (0, 1]."""
+    if not (0.0 < beta <= 1.0):
+        raise DomainError(f"Hoelder exponent must lie in (0, 1], got {beta}")
+    _positive("Hoelder constant M", M)
+    inputs = BoundInputs("T3", M=M, beta=beta)
+    return lambda omega2: (M * omega2 ** (beta / 2.0), inputs, False)
+
+
+def _t4(a: float, w2: Callable[[float], float], sup_norm: float) -> _Rule:
+    """Second-modulus rule on [0, a] with s = omega2 ** (1/4)."""
+    _positive("interval end", a)
+    if not 0.0 <= sup_norm < math.inf:
+        raise DomainError(f"sup norm must be finite and nonnegative, got {sup_norm}")
+
+    def rule(omega2: float):
+        s = omega2 ** 0.25
+        inputs = BoundInputs("T4", s=s, a=a, sup_norm=sup_norm)
+        if s == 0.0:
+            # Degenerate point mass: the modulus factor is evaluated at a
+            # small floor instead of zero, and the sup-norm term drops out.
+            return 0.75 * (2.0 + a) * w2(_S_FLOOR), inputs, True
+        bound = 0.75 * (2.0 + a + s * s) * w2(s) + (2.0 * s * s / a) * sup_norm
+        return bound, inputs, False
+
+    return rule
 
 
 def theorem2_bound(
     spec: OperatorSpec, x: float, w_provider: Callable[[float], float]
 ) -> float:
     """First-modulus bound (1 + sqrt(n*omega2(x))) * w(1/sqrt(n))."""
-    omega2 = central_moments(spec, x).omega2
-    return _bound_t2(spec.n, omega2, w_provider(1.0 / math.sqrt(spec.n)))
+    rule = _t2(spec.n, w_provider(1.0 / math.sqrt(spec.n)))
+    return rule(central_moments(spec, x).omega2)[0]
 
 
 def theorem3_bound(spec: OperatorSpec, x: float, M: float, beta: float) -> float:
     """Hoelder bound M * omega2(x) ** (beta/2) for exponent beta in (0, 1]."""
-    if not (0.0 < beta <= 1.0):
-        raise DomainError(f"Hoelder exponent must lie in (0, 1], got {beta}")
-    if M <= 0.0:
-        raise DomainError(f"Hoelder constant must be positive, got {M}")
-    omega2 = central_moments(spec, x).omega2
-    return _bound_t3(omega2, M, beta)
+    rule = _t3(M, beta)
+    return rule(central_moments(spec, x).omega2)[0]
 
 
 def theorem4_bound(
@@ -181,15 +208,10 @@ def theorem4_bound(
     sup_norm: float,
 ) -> float:
     """Second-modulus bound on [0, interval_end] with s = omega2 ** (1/4)."""
-    if interval_end <= 0.0:
-        raise DomainError(f"interval end must be positive, got {interval_end}")
+    rule = _t4(interval_end, w2_provider, sup_norm)
     if not (0.0 <= x <= interval_end):
         raise DomainError(f"x={x} outside [0, {interval_end}]")
-    if sup_norm < 0.0:
-        raise DomainError(f"sup norm must be nonnegative, got {sup_norm}")
-    omega2 = central_moments(spec, x).omega2
-    bound, _ = _bound_t4(omega2, interval_end, w2_provider, sup_norm)
-    return bound
+    return rule(central_moments(spec, x).omega2)[0]
 
 
 @dataclass(frozen=True)
@@ -218,11 +240,13 @@ class BoundReport:
 
     @property
     def min_margin(self) -> float:
-        return min((p.margin for p in self.points), default=math.inf)
+        # np.min returns NaN when any margin is NaN, whatever their order
+        return float(np.min([p.margin for p in self.points], initial=math.inf))
 
     @property
     def violations(self) -> int:
-        return sum(1 for p in self.points if p.margin < -MARGIN_SLACK)
+        # a NaN margin fails this comparison, so it counts as a violation
+        return sum(1 for p in self.points if not p.margin >= -MARGIN_SLACK)
 
     @property
     def passed(self) -> bool:
@@ -238,13 +262,12 @@ class VerifyParams:
     M: Optional[float] = None
     beta: Optional[float] = None
     interval_end: Optional[float] = None
-    grid_step: float = 1e-3
 
 
 def _default_window(grid: Sequence[float], n: int) -> Tuple[float, float]:
     # Wide enough that operator nodes carrying non-negligible weight lie
     # inside the window used for modulus estimation.
-    return (0.0, max(grid) + 3.0 / math.sqrt(n) + 1.0)
+    return (0.0, max(grid, default=0.0) + 3.0 / math.sqrt(n) + 1.0)
 
 
 def verify(
@@ -273,14 +296,6 @@ def verify(
             f"theorem {theorem} takes no {' or '.join(foreign)}; M and beta "
             "belong to T3, interval_end to T4"
         )
-    if len(grid) == 0:
-        return BoundReport(
-            theorem=theorem,
-            n=spec.n,
-            function=entry.name,
-            modulus_source=ANALYTIC,
-            points=[],
-        )
     f = entry.evaluator
     window = _default_window(grid, spec.n)
     source = ANALYTIC
@@ -291,8 +306,9 @@ def verify(
             w_at_delta = entry.analytic_modulus(delta)
         else:
             source = GRID_ESTIMATE
-            step = min(params.grid_step, delta / 8.0)
+            step = min(_GRID_STEP, delta / 8.0)
             w_at_delta = modulus1(f, delta, window, step).value
+        rule = _t2(spec.n, w_at_delta)
     elif theorem == "T3":
         if (params.M is None) != (params.beta is None):
             raise ConfigurationError(
@@ -304,21 +320,15 @@ def verify(
             raise ConfigurationError(
                 f"function {entry.name!r} has no Hoelder pair and none was given"
             )
-        M, beta = holder
-        if not (0.0 < beta <= 1.0):
-            raise DomainError(f"Hoelder exponent must lie in (0, 1], got {beta}")
+        rule = _t3(*holder)
     else:  # T4
         if params.interval_end is None:
             raise ConfigurationError("the second-modulus bound needs interval_end")
         a = params.interval_end
-        if not entry.bounded or entry.sup_norm is None:
+        if entry.sup_norm is None:
             raise ConfigurationError(
                 f"function {entry.name!r} is unbounded; the second-modulus "
                 "bound needs a finite sup norm"
-            )
-        if max(grid) > a + 1e-12:
-            raise ConfigurationError(
-                f"grid extends past interval_end={a}; the bound only holds on [0, a]"
             )
         if entry.analytic_modulus2 is not None:
             w2_provider = entry.analytic_modulus2
@@ -328,33 +338,21 @@ def verify(
             def w2_provider(s: float) -> float:
                 # Bump tiny scales to the resolvable floor; this can only
                 # enlarge the estimate (monotone in s), never fake a failure.
-                s_eff = max(s, 8.0 * params.grid_step)
-                return modulus2(f, s_eff, window, params.grid_step).value
+                s_eff = max(s, 8.0 * _GRID_STEP)
+                return modulus2(f, s_eff, window, _GRID_STEP).value
+
+        rule = _t4(a, w2_provider, entry.sup_norm)
+        if max(grid, default=0.0) > a + 1e-12:
+            raise ConfigurationError(
+                f"grid extends past interval_end={a}; the bound only holds on [0, a]"
+            )
 
     points = []
     for x, kf in zip(grid, apply(spec, f, grid).tolist()):
         cm = central_moments(spec, x)
         fx = f(x)
         actual = abs(kf - fx)
-        s_floored = False
-        if theorem == "T2":
-            bound = _bound_t2(spec.n, cm.omega2, w_at_delta)
-            inputs = BoundInputs(
-                theorem=theorem,
-                s=cm.omega2 ** 0.25,
-                lambda_n=math.sqrt(spec.n * cm.omega2),
-            )
-        elif theorem == "T3":
-            bound = _bound_t3(cm.omega2, M, beta)
-            inputs = BoundInputs(theorem=theorem, M=M, beta=beta)
-        else:
-            bound, s_floored = _bound_t4(cm.omega2, a, w2_provider, entry.sup_norm)
-            inputs = BoundInputs(
-                theorem=theorem,
-                s=cm.omega2 ** 0.25,
-                a=a,
-                sup_norm=entry.sup_norm,
-            )
+        bound, inputs, s_floored = rule(cm.omega2)
         points.append(
             BoundPoint(
                 x=x,

@@ -57,7 +57,6 @@ class RunConfig:
     M: Optional[float] = None
     beta: Optional[float] = None
     interval_end: Optional[float] = None
-    grid_step: float = 1e-3
 
     def validate(self):
         if self.mode not in _MODES:
@@ -222,12 +221,7 @@ def _mode_bounds(cfg: RunConfig) -> Tuple[List[dict], int]:
     entry = _target(cfg)
     family = _build_family(cfg)
     xs = _x_values(cfg)
-    params = VerifyParams(
-        M=cfg.M,
-        beta=cfg.beta,
-        interval_end=cfg.interval_end,
-        grid_step=cfg.grid_step,
-    )
+    params = VerifyParams(M=cfg.M, beta=cfg.beta, interval_end=cfg.interval_end)
     rows = []
     violations = 0
     for n in cfg.n_list:
@@ -303,7 +297,6 @@ _FLAGS = (
     ("--M", "M", float, None),
     ("--beta", "beta", float, None),
     ("--interval-end", "interval_end", float, None),
-    ("--grid-step", "grid_step", float, None),
 )
 _FIELDS = {dest: (flag, convert, choices) for flag, dest, convert, choices in _FLAGS}
 

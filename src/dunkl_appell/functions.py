@@ -24,7 +24,6 @@ class FunctionEntry:
     analytic_modulus2: Optional[Callable[[float], float]] = None
     holder: Optional[Tuple[float, float]] = None  # (M, beta)
     sup_norm: Optional[float] = None  # sup of |f| over [0, inf)
-    bounded: bool = False
 
 
 def _w_sin(delta: float) -> float:
@@ -63,7 +62,6 @@ BUILTIN_REGISTRY: Dict[str, FunctionEntry] = {
             analytic_modulus2=lambda s: 0.0,
             holder=(1.0, 1.0),
             sup_norm=1.0,
-            bounded=True,
         ),
         FunctionEntry(
             name="id",
@@ -71,14 +69,12 @@ BUILTIN_REGISTRY: Dict[str, FunctionEntry] = {
             analytic_modulus=lambda d: d,
             analytic_modulus2=lambda s: 0.0,  # second differences kill affine
             holder=(1.0, 1.0),
-            bounded=False,
         ),
         FunctionEntry(
             # Not uniformly continuous on the half line: no global modulus.
             name="square",
             evaluator=lambda t: t * t,
             analytic_modulus2=lambda s: 2.0 * s * s,
-            bounded=False,
         ),
         FunctionEntry(
             name="sinx",
@@ -87,7 +83,6 @@ BUILTIN_REGISTRY: Dict[str, FunctionEntry] = {
             analytic_modulus2=_w2_trig,
             holder=(1.0, 1.0),
             sup_norm=1.0,
-            bounded=True,
         ),
         FunctionEntry(
             name="cosx",
@@ -96,7 +91,6 @@ BUILTIN_REGISTRY: Dict[str, FunctionEntry] = {
             analytic_modulus2=_w2_trig,
             holder=(1.0, 1.0),
             sup_norm=1.0,
-            bounded=True,
         ),
         FunctionEntry(
             name="sqrtx",
@@ -104,7 +98,6 @@ BUILTIN_REGISTRY: Dict[str, FunctionEntry] = {
             analytic_modulus=_w_sqrt,
             analytic_modulus2=lambda s: (2.0 - math.sqrt(2.0)) * math.sqrt(s),
             holder=(1.0, 0.5),
-            bounded=False,
         ),
         FunctionEntry(
             name="expnegx",
@@ -113,7 +106,6 @@ BUILTIN_REGISTRY: Dict[str, FunctionEntry] = {
             analytic_modulus2=_w2_expneg,
             holder=(1.0, 1.0),
             sup_norm=1.0,
-            bounded=True,
         ),
     )
 }

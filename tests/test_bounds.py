@@ -19,7 +19,7 @@ from dunkl_appell import (
     verify,
 )
 from dunkl_appell.bounds import ANALYTIC, GRID_ESTIMATE
-from dunkl_appell.functions import lookup
+from dunkl_appell.functions import FunctionEntry, lookup
 
 from conftest import shrink_sinx_modulus
 from oracles import grid
@@ -62,6 +62,17 @@ class TestModulus1:
     def test_step_precondition(self):
         with pytest.raises(DomainError):
             modulus1(math.sin, 0.1, (0.0, 1.0), grid_step=0.05)
+
+
+@pytest.mark.parametrize("value", [0.0, -1e-3, math.nan, math.inf])
+@pytest.mark.parametrize("modulus", [modulus1, modulus2])
+@pytest.mark.parametrize("argument", ["scale", "grid_step"])
+def test_non_positive_or_non_finite_arguments_rejected(value, modulus, argument):
+    # a zero step divided by zero, a negative one gave an empty grid and a
+    # zero modulus, NaN raised ValueError and an infinite scale OverflowError
+    scale, step = (value, 1e-3) if argument == "scale" else (0.1, value)
+    with pytest.raises(DomainError, match="finite and positive"):
+        modulus(math.sin, scale, (0.0, 2.0), grid_step=step)
 
 
 class TestModulus2:
@@ -118,6 +129,11 @@ class TestTheorem3Bound:
                 theorem3_bound(spec, 1.0, 1.0, beta)
         with pytest.raises(DomainError):
             theorem3_bound(spec, 1.0, 0.0, 0.5)
+
+    @pytest.mark.parametrize("M", [-1.0, math.nan, math.inf])
+    def test_constant_must_be_finite_and_positive(self, M):
+        with pytest.raises(DomainError, match="Hoelder constant"):
+            theorem3_bound(unit_spec(0.5, 10), 1.0, M, 0.5)
 
     def test_lipschitz_case_dominates_first_central_moment(self):
         # beta = 1: the bound sqrt(omega2) dominates |omega1|
@@ -181,6 +197,16 @@ class TestTheorem4Bound:
             theorem4_bound(spec, 1.0, -2.0, lambda s: 0.0, 1.0)
         with pytest.raises(DomainError):
             theorem4_bound(spec, 1.0, 2.0, lambda s: 0.0, -1.0)
+
+    @pytest.mark.parametrize(
+        "interval_end, sup_norm",
+        [(0.0, 1.0), (math.nan, 1.0), (math.inf, 1.0), (2.0, math.nan), (2.0, math.inf)],
+    )
+    def test_inputs_must_be_finite(self, interval_end, sup_norm):
+        # x = 0 lies in [0, a] for a = inf; a = 0 used to divide by zero
+        spec = gh_spec(0.5, 0.5, 1, 10)
+        with pytest.raises(DomainError):
+            theorem4_bound(spec, 0.0, interval_end, lambda s: 0.0, sup_norm)
 
 
 class TestVerify:
@@ -248,16 +274,26 @@ class TestVerify:
         with pytest.raises(ConfigurationError, match=f"{theorem} takes no {named};"):
             verify(unit_spec(0.5, 10), lookup("cosx"), theorem, self.XS, params)
 
+    def test_nan_modulus_counts_as_violation(self):
+        # NaN compares false against the slack, so a NaN bound used to pass
+        entry = FunctionEntry("nanmod", math.sin, analytic_modulus=lambda d: math.nan)
+        rep = verify(unit_spec(0.5, 10), entry, "T2", self.XS)
+        assert rep.violations == len(self.XS)
+        assert not rep.passed
+        assert math.isnan(rep.min_margin)
+
     @pytest.mark.parametrize(
-        "theorem, params",
+        "name, theorem, params, error",
         [
-            ("T2", VerifyParams(grid_step=1e-3)),
-            ("T3", VerifyParams(grid_step=1e-3)),
-            ("T4", VerifyParams(interval_end=2.0, grid_step=1e-3)),
+            ("square", "T3", VerifyParams(), ConfigurationError),  # no Hoelder pair
+            ("sinx", "T3", VerifyParams(M=-1.0, beta=1.0), DomainError),
+            ("sinx", "T4", VerifyParams(interval_end=0.0), DomainError),
         ],
     )
-    def test_grid_step_is_legal_for_every_theorem(self, theorem, params):
-        assert verify(unit_spec(0.5, 10), lookup("cosx"), theorem, self.XS, params).passed
+    def test_empty_grid_gets_the_same_checks(self, name, theorem, params, error):
+        # an empty grid used to return a passing report before any check
+        with pytest.raises(error):
+            verify(gh_spec(0.5, 0.5, 1, 10), lookup(name), theorem, [], params)
 
     def test_unbounded_function_rejected_for_second_modulus(self):
         with pytest.raises(ConfigurationError, match="unbounded"):

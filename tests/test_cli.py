@@ -249,7 +249,44 @@ class TestJsonOutput:
                     assert float(cr[col]) == jr[col]  # lossless both ways
 
 
+_MOMENTS = ("moments", "--n", "5", "--x", "1")
+_BOUNDS_AT_0 = (
+    "bounds", "--f", "sinx", "--family", "gould-hopper", "--n", "20", "--x", "0",
+)
+# (argv without the flag, numeric flag) for every numeric flag where it is used
+_NUMERIC_FLAGS = (
+    (_MOMENTS, "--mu"),
+    (_MOMENTS + ("--family", "gould-hopper"), "--gh-a"),
+    (_MOMENTS, "--tol"),
+    (("eval", "--f", "sinx", "--n", "5"), "--x"),
+    (_MOMENTS + ("--family", "custom-coeffs"), "--coeffs"),
+    (_BOUNDS_AT_0 + ("--theorem", "T3", "--beta", "1"), "--M"),
+    (_BOUNDS_AT_0 + ("--theorem", "T3", "--M", "1"), "--beta"),
+    (_BOUNDS_AT_0 + ("--theorem", "T4"), "--interval-end"),
+)
+
+
 class TestErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [(*base, flag, v) for base, flag in _NUMERIC_FLAGS for v in ("nan", "inf")]
+        + [
+            (*_BOUNDS_AT_0, "--theorem", "T4", "--interval-end", "0"),
+            (*_BOUNDS_AT_0, "--theorem", "T3", "--beta", "1", "--M", "0"),
+            (*_BOUNDS_AT_0, "--theorem", "T3", "--beta", "1", "--M", "-1"),
+        ],
+        ids=lambda argv: " ".join(argv[-2:]),
+    )
+    def test_inadmissible_number_is_one_error_line(self, capsys, argv):
+        # a NaN or infinite --M or --interval-end used to print NaN or inf
+        # bounds with exit 0, --interval-end 0 divided by zero, and --M -1
+        # reported false violations
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "Traceback" not in err
+
     def test_unknown_function_names_parameter(self, capsys):
         code, _, err = run_cli(capsys, "eval", "--f", "wavelet", "--n", "5", "--x", "1")
         assert code == 1

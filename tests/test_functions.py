@@ -24,7 +24,7 @@ def test_lookup_unknown_name():
 def test_metadata_shape(name):
     e = lookup(name)
     assert callable(e.evaluator)
-    if e.bounded:
+    if e.sup_norm is not None:
         assert e.sup_norm is not None and e.sup_norm >= 0.0
     if e.holder is not None:
         M, beta = e.holder
