@@ -20,18 +20,19 @@ it holds about 15*sqrt(n*x) terms at apply's tolerances, and MAX_WINDOW is
 the only limit on it (Loader 2000 centres Poisson weights at the mode the
 same way).
 
-One kernel grows the windows of a batch of points at one n
-(``weight_rows``; ``weights`` is its one-point case).  Both sides of every
-window are rows of one set of numpy arrays, B = 8*sqrt(n*x) + 40 terms out
-from the mode for the batch's largest n*x: one division for the term
-ratios (at mu > 0 the tail bounds come from the same division), one
-cumulative product for the terms and, per side, one cumulative sum for the
-running totals; each row ends at its own first term that meets its side's
-bound, and a row with a side that runs past B is grown again with B
-doubled.  Lower sides are left out when every mode of a batch is index 0,
-and a batch of windows that are the mode alone skips the arrays.  Every
-operation runs along a row in a fixed order, so a row's weights are the
-same bit for bit in any batch and alone.
+One kernel grows the windows of a batch of points at one n (``windows``);
+``weight_rows`` convolves them with Q into weights (``weights`` is its
+one-point case), and the engine's ``apply`` correlates f with Q once per
+batch instead.  Both sides of every window are rows of one set of numpy
+arrays, B = 8*sqrt(n*x) + 40 terms out from the mode for the batch's largest
+n*x: one division for the term ratios (at mu > 0 the tail bounds come from
+the same division), one cumulative product for the terms and, per side, one
+cumulative sum for the running totals; each row ends at its own first term
+that meets its side's bound, and a row with a side that runs past B is grown
+again with B doubled.  Lower sides are left out when every mode of a batch
+is index 0, and a batch of windows that are the mode alone skips the
+arrays.  Every operation runs along a row in a fixed order, so a row's
+window is the same bit for bit in any batch and alone.
 """
 
 from __future__ import annotations
@@ -107,7 +108,7 @@ class AppellFamily:
     q_i defined for every i.
     """
 
-    __slots__ = ("ctx", "Q", "positivity", "Q_at_1", "truncated", "_functionals")
+    __slots__ = ("ctx", "Q", "positivity", "Q_at_1", "truncated", "_functionals", "_arrays")
 
     def __init__(self, ctx: DunklContext, Q: PowerSeries, truncated: bool = False):
         if ctx.mu < 0.0:
@@ -127,8 +128,9 @@ class AppellFamily:
         self.Q = Q
         self.Q_at_1 = q1
         self.truncated = truncated
-        # The engine's Q-functionals, filled on first use; Q never changes.
-        self._functionals = None
+        # The engine's Q-functionals and Q as arrays, filled on first use; Q
+        # never changes.
+        self._functionals = self._arrays = None
         if all(c >= 0.0 for c in Q.coeffs):
             self.positivity = POSITIVE_BY_COEFFICIENTS
         else:
@@ -221,13 +223,9 @@ class AppellFamily:
         raises; rounding-level negatives above that are clamped to zero.
         A family whose positivity is unverified needs allow_unverified=True.
         """
-        if self.positivity != POSITIVE_BY_COEFFICIENTS and not allow_unverified:
-            raise DomainError(
-                "family positivity is unverified; pass allow_unverified=True "
-                "to proceed anyway"
-            )
-        ((ws,),) = self._weight_rows(n, [x], [tol])
-        return ws
+        windows = self._windows if allow_unverified else self.windows
+        ((window,),) = windows(n, [x], [tol])
+        return self._weight_sequence(n, float(x), *window)
 
     def weight_rows(
         self,
@@ -237,24 +235,34 @@ class AppellFamily:
     ) -> Iterator[List[WeightSequence]]:
         """Operator weights at scale n for every point of x, in batches of rows.
 
-        tol holds one mass tolerance per point.  Yields each point's
-        WeightSequence, in order, in lists that each cover a consecutive run
-        of points.  A run of several points holds at most MAX_WINDOW (read
-        at call time) terms: its rows times the 2*B + 1 terms of a window B
-        terms to each side of the mode, B = 8*sqrt(n*x) + 40 for its largest
-        n*x.  A point whose window alone needs more than MAX_WINDOW terms
-        raises TruncationFailureError.  Points whose windows run past B are
-        grown again, with B doubled, in runs of their own under the same
-        limit.  Each row equals ``weights`` at its point bit for bit.
+        Yields each point's WeightSequence, in order, in one list per batch
+        of ``windows``.  Each row equals ``weights`` at its point bit for bit.
+        """
+        batches = self.windows(n, x, tol)
+        points = iter(np.asarray(x, dtype=float).ravel().tolist())
+        ws = self._weight_sequence
+        # batch first: zip stops at the batch's end without taking a point
+        return ([ws(n, p, *w) for w, p in zip(b, points)] for b in batches)
+
+    def windows(self, n: int, x: Sequence[float], tol: Sequence[float]) -> Iterator:
+        """The weight window at scale n of every point of x, in batches.
+
+        tol holds one mass tolerance per point.  Yields, for consecutive
+        runs of points, a list of each point's window (lo, upper terms,
+        lower terms, total): the terms from the mode up and from the mode - 1
+        down to index lo, and their sum.  A run holds at most MAX_WINDOW
+        (read at call time) terms, rows times 2*B + 1 for its widest first
+        block B; a point whose window alone needs more raises
+        TruncationFailureError.  The family's positivity must be proven.
         """
         if self.positivity != POSITIVE_BY_COEFFICIENTS:
             raise DomainError(
                 "family positivity is unverified; only weights(..., "
                 "allow_unverified=True) proceeds with it"
             )
-        return self._weight_rows(n, x, tol)
+        return self._windows(n, x, tol)
 
-    def _weight_rows(self, n, x, tol) -> Iterator[List[WeightSequence]]:
+    def _windows(self, n, x, tol) -> Iterator[List[tuple]]:
         if n < 1:
             raise DomainError(f"operator scale n must be >= 1, got {n}")
         x = np.asarray(x, dtype=float)
@@ -269,19 +277,18 @@ class AppellFamily:
         for a, b, block in _batches(blocks):
             yield self._rows(n, x[a:b], nx[a:b], tol[a:b], block)
 
-    def _rows(self, n, x, nx, tol, block) -> List[WeightSequence]:
-        """The weights at points x from one pass of block terms per side;
+    def _rows(self, n, x, nx, tol, block) -> List[tuple]:
+        """The windows at points x from one pass of block terms per side;
         rows with a side that runs past it are redone with twice the block."""
         modes = list(map(math.floor, nx))
         terms, up, down, total, done = _sides(nx, modes, tol, 2.0 * self.ctx.mu, block)
         rows = len(x)
         out, redo = [], []
-        for r, (point, mode, a, b, t, ok) in enumerate(
-            zip(x, modes, up.tolist(), down.tolist(), total.tolist(), done.tolist())
+        for r, (mode, a, b, t, ok) in enumerate(
+            zip(modes, up.tolist(), down.tolist(), total.tolist(), done.tolist())
         ):
             if ok and a + b < MAX_WINDOW:
-                window = (terms[rows + r, b:0:-1], terms[r, : a + 1])
-                out.append(self._weight_sequence(n, point, mode - b, window, t))
+                out.append((mode - b, terms[r, : a + 1], terms[rows + r, 1 : b + 1], t))
             elif ok or block == MAX_WINDOW - 1:
                 raise TruncationFailureError(
                     f"truncation failure: the weight window reached {MAX_WINDOW} "
@@ -296,15 +303,15 @@ class AppellFamily:
             for a, b, _ in _batches([block] * len(redo)):
                 at = redo[a:b]
                 pick = [x[r] for r in at], [nx[r] for r in at], [tol[r] for r in at]
-                for r, ws in zip(at, self._rows(n, *pick, block)):
-                    out[r] = ws
+                for r, window in zip(at, self._rows(n, *pick, block)):
+                    out[r] = window
         return out
 
-    def _weight_sequence(self, n, x, lo, parts, total) -> WeightSequence:
-        """The weights from a window's terms, in pieces from index lo on, and
-        their sum: Q's coefficients convolved with the terms, over Q(1) times
-        the sum."""
-        w = np.convolve(self.Q.coeffs, np.concatenate(parts)) / (self.Q_at_1 * total)
+    def _weight_sequence(self, n, x, lo, up, down, total) -> WeightSequence:
+        """The weights from a window: Q's coefficients convolved with its
+        terms, from index lo on, over Q(1) times their sum."""
+        w = np.convolve(self.Q.coeffs, np.concatenate((down[::-1], up)))
+        w /= self.Q_at_1 * total
         i = int(w.argmin())
         if w[i] < 0.0:
             if w[i] < -1e-12:

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .engine import OperatorSpec, apply, central_moments
 from .errors import ConfigurationError, DomainError, EvaluationError
@@ -58,6 +59,8 @@ def _positive(name: str, value: float) -> None:
 
 
 def _grid_values(f, lo: float, hi: float, step: float):
+    if not lo <= hi:
+        raise DomainError(f"window ({lo}, {hi}) holds no point")
     count = int(math.floor((hi - lo) / step + 1e-9)) + 1
     xs = lo + step * np.arange(count)
     fv = np.array([f(float(x)) for x in xs], dtype=float)
@@ -85,12 +88,10 @@ def modulus1(
         )
     lo, hi = window
     fv = _grid_values(f, lo, hi, grid_step)
-    max_shift = int(math.floor(delta / grid_step + 1e-9))
-    value = 0.0
-    for k in range(1, min(max_shift, len(fv) - 1) + 1):
-        d = float(np.max(np.abs(fv[k:] - fv[:-k])))
-        if d > value:
-            value = d
+    # Rounding is monotone: the largest rounded pair difference is max - min.
+    shift = min(int(math.floor(delta / grid_step + 1e-9)), len(fv) - 1)
+    runs = sliding_window_view(fv, shift + 1)
+    value = float(np.max(runs.max(1) - runs.min(1)))
     return ModulusEstimate(
         delta=delta, value=value, window=(lo, hi), grid_step=grid_step, kind="first"
     )
@@ -107,27 +108,35 @@ def modulus2(
     Maximizes |f(x + 2h) - 2 f(x + h) + f(x)| over the grid for 0 < h <= s;
     the window must leave room for x + 2h.
     """
+    _second_scale(s, window, grid_step)
+    lo, hi = window
+    value = _second_differences(_grid_values(f, lo, hi, grid_step), s, grid_step)
+    return ModulusEstimate(
+        delta=s, value=value, window=(lo, hi), grid_step=grid_step, kind="second"
+    )
+
+
+def _second_scale(s: float, window: Tuple[float, float], grid_step: float) -> None:
     _positive("scale s", s)
     _positive("grid step", grid_step)
     if grid_step > s / 8.0:
         raise DomainError(
             f"grid step {grid_step} too coarse for s={s}; need <= s/8"
         )
-    lo, hi = window
-    if hi - lo < 2.0 * s:
+    if window[1] - window[0] < 2.0 * s:
         raise DomainError(
             f"window {window} cannot accommodate x + 2h for h up to {s}"
         )
-    fv = _grid_values(f, lo, hi, grid_step)
+
+
+def _second_differences(fv: np.ndarray, s: float, grid_step: float) -> float:
     max_shift = int(math.floor(s / grid_step + 1e-9))
     value = 0.0
     for k in range(1, min(max_shift, (len(fv) - 1) // 2) + 1):
         d = float(np.max(np.abs(fv[2 * k:] - 2.0 * fv[k:-k] + fv[: -2 * k])))
         if d > value:
             value = d
-    return ModulusEstimate(
-        delta=s, value=value, window=(lo, hi), grid_step=grid_step, kind="second"
-    )
+    return value
 
 
 @dataclass(frozen=True)
@@ -334,12 +343,14 @@ def verify(
             w2_provider = entry.analytic_modulus2
         else:
             source = GRID_ESTIMATE
+            values = _grid_values(f, *window, _GRID_STEP)  # once for every point
 
             def w2_provider(s: float) -> float:
                 # Bump tiny scales to the resolvable floor; this can only
                 # enlarge the estimate (monotone in s), never fake a failure.
                 s_eff = max(s, 8.0 * _GRID_STEP)
-                return modulus2(f, s_eff, window, _GRID_STEP).value
+                _second_scale(s_eff, window, _GRID_STEP)
+                return _second_differences(values, s_eff, _GRID_STEP)
 
         rule = _t4(a, w2_provider, entry.sup_norm)
         if max(grid, default=0.0) > a + 1e-12:

@@ -1,10 +1,12 @@
 """Operator evaluation and closed-form moments.
 
 The operator attached to a family F at scale n averages a function over the
-nodes (i + 2*mu*theta(i))/n with the family's weights.  Its first and second
-raw moments, and the central moments omega1 and omega2, also have closed
-forms assembled from ten scalar functionals of the generating series Q
-(values and ordinary/Dunkl derivatives at +-1) plus the exponential ratio
+nodes (i + 2*mu*theta(i))/n with the family's weights.  ``apply`` never
+forms them: it sums f against Q's coefficients once per batch of points,
+then against each point's window of terms.  The first and second raw
+moments, and the central moments omega1 and omega2, also have closed forms
+assembled from ten scalar functionals of the generating series Q (values
+and ordinary/Dunkl derivatives at +-1) plus the exponential ratio
 e_mu(-nx)/e_mu(nx).  Both routes are implemented; they serve as mutual
 oracles, and the two algebraically identical expressions for omega2 are
 checked against each other on every call.
@@ -103,14 +105,15 @@ def _nodes_at(spec: OperatorSpec, i: np.ndarray) -> np.ndarray:
 def apply(spec: OperatorSpec, f: Callable[[float], float], x):
     """Evaluate the operator on f at a point x, or at every point of a 1-D grid.
 
-    A float x gives a float and a sequence a float array, one value per
-    point; a float is the one-point grid.  The points share one weight pass
-    per batch (``AppellFamily.weight_rows``), f is called once per distinct
-    node of nonzero weight in a batch, in increasing index order, and each
-    value is one dot product over its own row's nodes of nonzero weight, so
-    it equals the value at that point alone bit for bit.  A non-finite
-    value of f raises EvaluationError naming the first such node in index
-    order.
+    A float x gives a float and a sequence a float array; a float is the
+    one-point grid.  With the terms u_j of a window (``AppellFamily.windows``)
+    and Q's coefficients c_k, K f(x) = sum_j u_j g_j / (Q(1) sum_j u_j),
+    where g_j = sum_k c_k f(t_(j+k)) does not depend on x: each batch of
+    windows shares one correlation of f with Q.  f is called once per
+    distinct node of nonzero weight in a batch, in increasing index order,
+    and each value equals the value at that point alone bit for bit.  A
+    non-finite value of f raises EvaluationError naming the first such node
+    in index order.
 
     The weight emission's mass tolerance only bounds the zeroth-moment
     truncation error; for growing targets like t or t**2 the omitted tail
@@ -125,8 +128,8 @@ def apply(spec: OperatorSpec, f: Callable[[float], float], x):
     grid = points.reshape(-1)
     tol = [_point_tol(spec, t) for t in grid.tolist()]
     values = []
-    for rows in spec.family.weight_rows(spec.n, grid, tol):
-        values += _row_sums(spec, f, rows)
+    for windows in spec.family.windows(spec.n, grid, tol):
+        values += _contract(spec, f, windows)
     return np.array(values) if points.ndim else values[0]
 
 
@@ -139,43 +142,46 @@ def _point_tol(spec: OperatorSpec, x: float) -> float:
     return min(tol, spec.tol)
 
 
-def _row_sums(spec: OperatorSpec, f, rows) -> List[float]:
-    """Each row's weights times f at its nodes of nonzero weight; f is
-    called once per such node of any row, in index order.
+def _contract(spec: OperatorSpec, f, windows) -> List[float]:
+    """The value at every window of one batch, from f correlated with Q.
 
-    Weights are positive where f is called, so a non-finite value of f
-    makes the value of every row with that node non-finite; only then are
-    the values of f searched for the first non-finite one.
+    Rows whose node spans [lo, hi + deg Q] overlap share a cluster's arrays,
+    and g is 0.0 at the nodes that no window reaches through Q's support.
     """
-    if all(a.start + len(a.weights) <= b.start for a, b in zip(rows, rows[1:])):
-        # Windows apart and in order share no node: each row's own nodes,
-        # in turn, are the distinct nodes in index order.
-        return [_row_sum(spec, f, ws) for ws in rows]
-    keep = [ws.weights.nonzero()[0] for ws in rows]
-    index = [k + ws.start for ws, k in zip(rows, keep)]
-    at = np.concatenate(index)
-    at.sort()
-    at = at[np.concatenate(([True], at[1:] != at[:-1]))]
-    t = _nodes_at(spec, at)
-    fv = np.fromiter(map(f, t.tolist()), float, len(t))
-    values = [
-        float(ws.weights[k] @ fv[at.searchsorted(i)])
-        for ws, k, i in zip(rows, keep, index)
-    ]
-    if not all(map(math.isfinite, values)):
-        _check_finite(fv, t)
+    if spec.family._arrays is None:  # Q's coefficients, support and widest gap
+        c = np.array(spec.family.Q.coeffs)
+        support = c.nonzero()[0]
+        spec.family._arrays = c, support, int(np.diff(support).max(initial=1))
+    c, support, gap = spec.family._arrays
+    deg = len(c) - 1
+    clusters = []  # [first index, last window index, rows as (r, lo, hi)]
+    for lo, r in sorted((w[0], r) for r, w in enumerate(windows)):
+        hi = lo + len(windows[r][1]) + len(windows[r][2]) - 1
+        if not clusters or lo > clusters[-1][1] + deg:
+            clusters.append([lo, hi, []])
+        clusters[-1][1] = max(clusters[-1][1], hi)
+        clusters[-1][2].append((r, lo, hi))
+    values = [0.0] * len(windows)
+    for first, last, rows in clusters:
+        used = np.zeros(last - first + 1 + deg, bool)
+        for _, lo, hi in rows:
+            if hi - lo >= gap - 1:  # the window spans Q's widest gap: no holes
+                used[lo - first : hi - first + support[-1] + 1] = True
+            else:
+                used[np.add.outer(np.arange(lo, hi + 1) - first, support)] = True
+        k = used.nonzero()[0]
+        t = _nodes_at(spec, first + k)
+        fv = np.zeros(len(used))
+        fv[k] = np.fromiter(map(f, t.tolist()), float, len(t))
+        g = np.correlate(fv, c, "valid")
+        for r, lo, _ in rows:
+            _, up, down, total = windows[r]
+            mode = lo - first + len(down)
+            value = up @ g[mode : mode + len(up)] + down @ g[lo - first : mode][::-1]
+            values[r] = float(value) / (spec.family.Q_at_1 * total)
+            if not math.isfinite(values[r]):
+                _check_finite(fv[k], t)
     return values
-
-
-def _row_sum(spec: OperatorSpec, f, ws) -> float:
-    w = ws.weights
-    keep = w.nonzero()[0]
-    t = _nodes_at(spec, keep + ws.start)
-    fv = np.fromiter(map(f, t.tolist()), float, len(t))
-    value = float((w if len(keep) == len(w) else w[keep]) @ fv)
-    if not math.isfinite(value):
-        _check_finite(fv, t)
-    return value
 
 
 def _check_finite(fv: np.ndarray, t: np.ndarray) -> None:

@@ -4,7 +4,9 @@ Nothing here shares a computation path with the package: the generalized
 factorial goes through log-gamma closed forms, the exponential through
 log-space brute-force partial sums, family polynomials through the
 explicit binomial-style expansion, the weight window through the
-term-by-term loop the package's block growth replaced, and the Gould-Hopper
+term-by-term loop the package's block growth replaced, the first modulus
+through the loop over shifts that its sliding-window form replaced, and the
+Gould-Hopper
 Q-functionals through closed forms of exp(a t**(d+1)) and the difference
 form of the Dunkl operator.
 """
@@ -169,3 +171,17 @@ def gould_hopper_functionals(mu: float, a: float, d: int) -> dict:
             "llq1": dlq1 + mu * (lq1 - lqm1),
         }
         return {k: float(v) for k, v in values.items()}
+
+
+def modulus1_loop(f, delta: float, window, step: float) -> float:
+    """The grid first modulus as the largest |f(x + k step) - f(x)| over each
+    shift k up to delta/step in turn, on the grid lo + step * arange(count)."""
+    import numpy as np
+
+    lo, hi = window
+    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
+    fv = np.array([f(float(x)) for x in lo + step * np.arange(count)])
+    value = 0.0
+    for k in range(1, min(int(math.floor(delta / step + 1e-9)), count - 1) + 1):
+        value = max(value, float(np.max(np.abs(fv[k:] - fv[:-k]))))
+    return value

@@ -2,8 +2,8 @@
 
 Each test prints one `ACCEPTANCE <id> <label>: PASS|FAIL` line (visible with
 `pytest -s` or in captured output).  The partition-of-unity criterion at the
-end audits every weight sequence the earlier criteria generated, recorded by
-wrapping ``AppellFamily.weights`` for the duration of this module.
+end audits the weights at every point the earlier criteria grew a weight window
+for, recorded by wrapping the window kernel for the duration of this module.
 """
 
 import functools
@@ -36,17 +36,17 @@ RECORDED = []
 
 
 @pytest.fixture(scope="module", autouse=True)
-def record_weight_sequences():
-    # Every weight row, of one point or of a batch, is built here.
-    weight_sequence = AppellFamily._weight_sequence
+def record_weight_points():
+    # Every weight window, of one point or of a batch, for weights or for
+    # apply, is grown here; C9 rebuilds the weights at each recorded point.
+    windows = AppellFamily._windows
 
-    def recording(self, *args, **kwargs):
-        ws = weight_sequence(self, *args, **kwargs)
-        RECORDED.append(ws)
-        return ws
+    def recording(self, n, x, tol):
+        RECORDED.extend((self, n, p, t) for p, t in zip(list(x), tol))
+        return windows(self, n, x, tol)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(AppellFamily, "_weight_sequence", recording)
+        mp.setattr(AppellFamily, "_windows", recording)
         yield
 
 
@@ -236,7 +236,9 @@ def test_c9_partition_of_unity():
         for spec in _oracle_grid_specs():
             for x in (0.0, 0.5, 2.0):
                 spec.family.weights(spec.n, x, tol=1e-12)
-    assert len(RECORDED) > 100
-    for ws in RECORDED:
+    points = list(RECORDED)  # the weights below record their points too
+    assert len(points) > 100
+    for family, n, x, tol in points:
+        ws = family.weights(n, x, tol=tol)
         assert abs(math.fsum(ws.weights) + ws.tail_mass - 1.0) <= 1e-12
         assert all(w >= 0.0 for w in ws.weights)

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -18,11 +19,12 @@ from dunkl_appell import (
     theorem4_bound,
     verify,
 )
+from dunkl_appell import bounds
 from dunkl_appell.bounds import ANALYTIC, GRID_ESTIMATE
 from dunkl_appell.functions import FunctionEntry, lookup
 
 from conftest import shrink_sinx_modulus
-from oracles import grid
+from oracles import grid, modulus1_loop
 
 
 def unit_spec(mu, n):
@@ -62,6 +64,36 @@ class TestModulus1:
     def test_step_precondition(self):
         with pytest.raises(DomainError):
             modulus1(math.sin, 0.1, (0.0, 1.0), grid_step=0.05)
+
+
+class TestModulus1Windows:
+    """The sliding-window max - min equals the loop over shifts bit for bit."""
+
+    @staticmethod
+    def walk(step):
+        rng = random.Random(17)
+        values = [0.0]
+        for _ in range(4000):
+            values.append(values[-1] + rng.gauss(0.0, 1.0))
+        return lambda t: values[round(t / step)]
+
+    @pytest.mark.parametrize(
+        "delta, step, window",
+        [
+            (8e-3, 1e-3, (0.0, 2.0)),  # 8 shifts
+            (1.0 / math.sqrt(20), 1e-3, (0.0, 3.0)),  # 223 shifts, as at n = 20
+            (0.5, 1e-3, (0.0, 0.1)),  # a window shorter than the shifts
+            (0.25, 1e-3, (0.0, 0.0)),  # one grid point
+        ],
+    )
+    def test_matches_shift_loop(self, delta, step, window):
+        for f in (math.sin, math.sqrt, lambda t: t * t, self.walk(step)):
+            got = modulus1(f, delta, window, grid_step=step).value
+            assert got == modulus1_loop(f, delta, window, step)
+
+    def test_reversed_window_rejected(self):
+        with pytest.raises(DomainError, match="no point"):
+            modulus1(math.sin, 0.5, (1.0, 0.0))
 
 
 @pytest.mark.parametrize("value", [0.0, -1e-3, math.nan, math.inf])
@@ -247,6 +279,32 @@ class TestVerify:
         rep = verify(unit_spec(0.0, 10), lookup("square"), "T2", self.XS)
         assert rep.modulus_source == GRID_ESTIMATE
         assert rep.passed  # windowed estimate stays generous for t**2
+
+    def test_grid_second_modulus_evaluates_f_once_per_window(self):
+        # Without an analytic w2, T4 estimates it on the window's grid; the
+        # values are taken once, not once per point, and give the bounds a
+        # per-point modulus2 call gives.
+        spec = unit_spec(0.5, 20)
+        xs = grid(0.0, 2.0, 0.1)
+        calls = []
+        sin = lambda t: calls.append(t) or math.sin(t)
+        entry = FunctionEntry("sin_nomod2", sin, sup_norm=1.0)
+        report = verify(spec, entry, "T4", xs, VerifyParams(interval_end=2.0))
+        window = bounds._default_window(xs, 20)
+        grid_size = len(bounds._grid_values(math.sin, *window, 1e-3))
+        nodes = len(calls) - grid_size - len(xs)
+        assert report.modulus_source == GRID_ESTIMATE and len(xs) == 21
+        assert 0 < nodes <= 200
+        per_point = FunctionEntry(
+            "sin_nomod2",
+            math.sin,
+            analytic_modulus2=lambda s: modulus2(math.sin, max(s, 8e-3), window).value,
+            sup_norm=1.0,
+        )
+        want = verify(spec, per_point, "T4", xs, VerifyParams(interval_end=2.0))
+        assert [(p.bound, p.margin) for p in report.points] == [
+            (p.bound, p.margin) for p in want.points
+        ]
 
     def test_missing_hoelder_metadata(self):
         with pytest.raises(ConfigurationError):

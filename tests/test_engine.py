@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -173,6 +174,88 @@ class TestApplyGrid:
         apply(spec, math.sin, [0.0, 0.5])
         with pytest.raises(TruncationFailureError, match=r"n\*x = 3000\b"):
             apply(spec, math.sin, [0.0, 0.5, 30.0])
+
+
+class TestApplyCorrelation:
+    """apply sums f against Q once per batch; the weights stay the oracle."""
+
+    FUNCS = (math.sin, math.cos, lambda t: math.exp(-t), lambda t: t * t, math.sqrt)
+
+    @staticmethod
+    def family(mu, kind):
+        # a tuple (a, d) is a Gould-Hopper generator, a list Q's coefficients
+        ctx = DunklContext(mu)
+        if isinstance(kind, list):
+            return AppellFamily.from_coefficients(ctx, kind)
+        return AppellFamily.gould_hopper(ctx, *kind)
+
+    @pytest.mark.parametrize("n", [1, 5, 300, 1000])
+    @pytest.mark.parametrize("kind", [[1.0], (0.5, 1), (5.0, 3), [1.0, 0.5, 0.25]])
+    @pytest.mark.parametrize("mu", [0.0, 0.5, 1.3])
+    def test_matches_weighted_sum_of_weights(self, mu, kind, n):
+        # Summing f against Q first and against the window terms second
+        # only reorders the rounding of sum_j w_j f(t_j): the two agree
+        # within 16 eps of the sum of the terms' magnitudes.
+        spec = OperatorSpec(family=self.family(mu, kind), n=n)
+        rng = random.Random(f"{mu} {kind} {n}")
+        xs = [0.0, 1e-5 / n, 1.0 / n] + [10.0 ** rng.uniform(-2.0, 4.0) / n for _ in range(3)]
+        weights = [spec.family.weights(n, x, engine._point_tol(spec, x)) for x in xs]
+        for f in self.FUNCS:
+            for got, ws in zip(apply(spec, f, xs).tolist(), weights):
+                t = nodes(spec, len(ws.weights), ws.start).tolist()
+                terms = [w * f(v) for w, v in zip(ws.weights.tolist(), t) if w]
+                scale = math.fsum(map(abs, terms))
+                assert abs(got - math.fsum(terms)) <= 16 * EPS * scale
+
+    @pytest.mark.parametrize("kind", [(0.5, 1), (5.0, 3), [1.0, 0.0, 0.5, 0.0]])
+    def test_f_called_only_where_weights_are_nonzero(self, kind):
+        # Windows of one to three terms (n*x up to 4e-5) are shorter than the
+        # gap of 4 between the nonzero coefficients of exp(5 t**4), so their
+        # weights have zeros between nonzero ones; longer windows have none,
+        # and no window has a weight past Q's last nonzero coefficient.
+        spec = OperatorSpec(family=self.family(0.7, kind), n=4)
+        xs = [1e-5, 0.0, 50.0, 1e-6]
+        seen = []
+        apply(spec, lambda t: seen.append(t) or 1.0, xs)
+        tols = [engine._point_tol(spec, x) for x in xs]
+        rows = [ws for batch in spec.family.weight_rows(4, xs, tols) for ws in batch]
+        used = sorted({ws.start + k for ws in rows for k in ws.weights.nonzero()[0]})
+        assert any(1 < len(ws.weights) - spec.family.Q.degree < 4 for ws in rows)
+        assert seen == nodes(spec, used[-1] + 1)[used].tolist()
+
+    def test_windows_far_apart_share_no_array(self):
+        # n*x = 1e8 puts the second window 1e8 nodes past the first; a dense
+        # array over that gap would take about 800 MB.
+        spec = unit_spec(0.5, 1000)
+        xs = [0.0, 1e5]
+        seen = []
+        f = lambda t: seen.append(t) or math.sin(t)
+        tracemalloc.start()
+        try:
+            got = apply(spec, f, xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert got.tobytes() == np.array([apply(spec, math.sin, x) for x in xs]).tobytes()
+        tols = [engine._point_tol(spec, x) for x in xs]
+        rows = [ws for batch in spec.family.weight_rows(1000, xs, tols) for ws in batch]
+        used = [nodes(spec, len(ws.weights), ws.start)[ws.weights > 0.0] for ws in rows]
+        assert seen == np.concatenate(used).tolist()
+
+    def test_grid_builds_no_weight_sequence(self, monkeypatch):
+        spec = gh_spec(0.5, 0.5, 1, 20)
+        xs = [0.0, 0.3, 1.0, 2.0]
+        want = apply(spec, math.sin, xs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("apply built a WeightSequence")
+
+        monkeypatch.setattr(appell, "WeightSequence", refuse)
+        assert apply(spec, math.sin, xs).tobytes() == want.tobytes()
+        assert apply(spec, math.sin, 1.0) == want[2]
+        with pytest.raises(AssertionError, match="WeightSequence"):
+            spec.family.weights(20, 1.0)
 
 
 class TestOperatorSpec:
