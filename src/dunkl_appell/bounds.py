@@ -110,7 +110,8 @@ def modulus2(
     """
     _second_scale(s, window, grid_step)
     lo, hi = window
-    value = _second_differences(_grid_values(f, lo, hi, grid_step), s, grid_step)
+    fv = _grid_values(f, lo, hi, grid_step)
+    value = _second_maxima(fv, [0.0], _shifts(fv, s, grid_step))
     return ModulusEstimate(
         delta=s, value=value, window=(lo, hi), grid_step=grid_step, kind="second"
     )
@@ -129,14 +130,23 @@ def _second_scale(s: float, window: Tuple[float, float], grid_step: float) -> No
         )
 
 
-def _second_differences(fv: np.ndarray, s: float, grid_step: float) -> float:
-    max_shift = int(math.floor(s / grid_step + 1e-9))
-    value = 0.0
-    for k in range(1, min(max_shift, (len(fv) - 1) // 2) + 1):
+def _shifts(fv: np.ndarray, s: float, grid_step: float) -> int:
+    """The grid shifts h = k * grid_step <= s that fit twice into fv."""
+    return min(int(math.floor(s / grid_step + 1e-9)), (len(fv) - 1) // 2)
+
+
+def _second_maxima(fv: np.ndarray, maxima: List[float], shifts: int) -> float:
+    """The largest |f(x + 2h) - 2 f(x + h) + f(x)| over shifts of 1 to
+    ``shifts`` grid steps.
+
+    ``maxima[k]`` holds that largest value over shifts of 1 to k steps, and
+    ``maxima[0]`` is 0.0.  It is extended up to ``shifts`` and kept, so
+    callers that share it compute each shift's differences once.
+    """
+    for k in range(len(maxima), shifts + 1):
         d = float(np.max(np.abs(fv[2 * k:] - 2.0 * fv[k:-k] + fv[: -2 * k])))
-        if d > value:
-            value = d
-    return value
+        maxima.append(max(maxima[-1], d))
+    return maxima[shifts]
 
 
 @dataclass(frozen=True)
@@ -343,14 +353,17 @@ def verify(
             w2_provider = entry.analytic_modulus2
         else:
             source = GRID_ESTIMATE
-            values = _grid_values(f, *window, _GRID_STEP)  # once for every point
+            # f and each shift's differences once for every point
+            values = _grid_values(f, *window, _GRID_STEP)
+            maxima = [0.0]
 
             def w2_provider(s: float) -> float:
                 # Bump tiny scales to the resolvable floor; this can only
                 # enlarge the estimate (monotone in s), never fake a failure.
                 s_eff = max(s, 8.0 * _GRID_STEP)
                 _second_scale(s_eff, window, _GRID_STEP)
-                return _second_differences(values, s_eff, _GRID_STEP)
+                shifts = _shifts(values, s_eff, _GRID_STEP)
+                return _second_maxima(values, maxima, shifts)
 
         rule = _t4(a, w2_provider, entry.sup_norm)
         if max(grid, default=0.0) > a + 1e-12:

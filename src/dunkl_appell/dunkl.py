@@ -20,9 +20,12 @@ which never materializes gamma_mu itself.
 
 The ratio rho(y) = e_mu(-y)/e_mu(y) that the moment formulas consume has its
 own routes (see ``dunkl_exp_neg_ratio``): exp(-2y) at mu = 0, a series of
-positive terms below a crossover, and a large-argument Bessel expansion
-above it.  For mu >= 0 no route subtracts quantities much larger than rho,
-so rho keeps its relative accuracy for every y.
+positive terms below a crossover y_c(mu, tol), and a large-argument Bessel
+expansion above it.  The crossover is the least y at which the expansion's
+own error bounds meet tol: about 19 to 26 for mu in [1e-6, 8], (mu**2 - 1)/4
+beyond, and never above max(40, mu**2).  For mu >= 0 no route subtracts
+quantities much larger than rho, so rho keeps its relative accuracy for
+every y.
 """
 
 from __future__ import annotations
@@ -36,10 +39,12 @@ from .errors import DomainError, RangeError
 # is far beyond any stopping point reachable within double range.
 _MAX_EXP_TERMS = 20_000
 
-# rho switches from the positive series to the large-argument expansion at
-# y = max(RATIO_CROSSOVER, mu**2).  From there on the expansion's terms shrink
-# from the first one down to a smallest term of order exp(-2y) < 2e-35, and
-# the part of I_nu the expansion leaves out is of that order too.
+# rho leaves the positive series for the large-argument expansion where
+# ``_expansion_exact`` holds, and at the latest at y = max(RATIO_CROSSOVER,
+# mu**2): from there on the expansion's terms shrink from the first one down
+# to a smallest term of order exp(-2y) < 2e-35, and the part of I_nu the
+# expansion leaves out is of that order too.  Below that cap the rule is
+# tested; above it nothing is.
 RATIO_CROSSOVER = 40.0
 
 _EPS = 2.220446049250313e-16
@@ -193,14 +198,16 @@ def _ratio_series(mu: float, y: float, tol: float) -> float:
     decrease in k.
     """
     z = 2.0 * y
+    a = mu + 1.0
+    b = 2.0 * mu + 1.0
     term = num = den = 1.0
-    k = 0
+    k = 0.0
     while True:
-        ratio = (mu + 1.0 + k) * z / ((2.0 * mu + 1.0 + k) * (k + 1.0))
+        ratio = (a + k) * z / ((b + k) * (k + 1.0))
         if ratio < 1.0 and term * ratio < tol * (1.0 - ratio) * den:
             return num / den
         term *= ratio
-        k += 1
+        k += 1.0
         den += term
         num += term * mu / (mu + k)
         if den > _RESCALE:
@@ -227,19 +234,57 @@ def _ratio_expansion(mu: float, y: float, tol: float) -> float:
     functions never comes from cancellation.  Every g_k carries the factor
     mu, so small mu keeps its digits.
 
-    Requires y >= max(RATIO_CROSSOVER, mu**2): then the terms decrease from
-    the first one until their size is far below tol.
+    Requires ``_expansion_exact(mu, y, tol)`` or y >= max(RATIO_CROSSOVER,
+    mu**2).  The term ratio (k - mu)(k + mu)/((k+1) 2y) grows with k once k
+    passes mu, so terms that then stop shrinking before they fall below tol
+    never will: that raises ``RangeError`` instead of running on to NaN.
     """
-    g = -mu / (2.0 * y)
+    two_y = 2.0 * y
+    g = -mu / two_y
     num = -g  # sum of -k g_k
     den = 1.0 + mu * g  # sum of mu g_k, plus 1
-    k = 1
+    k = 1.0
     while abs(k * g) > tol * abs(num) or abs(mu * g) > tol * abs(den):
-        g *= (k - mu) * (k + mu) / ((k + 1.0) * 2.0 * y)
-        k += 1
+        factor = (k - mu) * (k + mu)
+        scale = (k + 1.0) * two_y
+        if k > mu and factor >= scale:
+            raise RangeError(
+                f"rho's large-argument expansion diverges at y={y} (mu={mu}) "
+                f"before its terms fall below tol={tol}"
+            )
+        g *= factor / scale
+        k += 1.0
         num -= k * g
         den += mu * g
     return num / den
+
+
+def _expansion_exact(mu: float, y: float, tol: float) -> bool:
+    """Whether ``_ratio_expansion`` reaches relative accuracy tol at y.
+
+    Two bounds, both met from some y_c(mu, tol) on:
+
+    * The terms do not grow after the first while k < mu.  Their ratios
+      (mu**2 - k**2)/((k+1) 2y) decrease in k there, so the first,
+      (mu**2 - 1)/(4y), must be at most one.  The terms' magnitudes then
+      sum to about exp(mu**2/y) <= e**4 times the sum, which bounds the
+      rounding error.
+    * The part of I_nu the expansion leaves out is about
+      exp(mu**2/y - 2y) relative to I_nu.  The difference of the two Bessel
+      functions is rho, about min(1, |mu|/(2y)), of their sum, so relative
+      to rho that part is exp(mu**2/y - 2y) max(1, 2y/|mu|), and it must be
+      below min(tol, 1).  Its smallest term is of the same order, so the
+      sum also reaches tol before its terms grow again.
+
+    Measured against 60-digit mpmath at tol = 1e-15 wherever this holds
+    below max(RATIO_CROSSOVER, mu**2), the expansion is within 4e-15
+    relative for mu from 1e-9 to 8 and within 5.5e-15 up to mu = 100,
+    where y_c = (mu**2 - 1)/4 lets the terms reach e**4 times the sum.
+    """
+    return mu * mu - 1.0 <= 4.0 * y and (
+        2.0 * y - mu * mu / y - math.log(max(1.0, 2.0 * y / abs(mu)))
+        >= -math.log(min(tol, 1.0))
+    )
 
 
 def dunkl_exp_neg_ratio(ctx: DunklContext, y: float, tol: float = 1e-15) -> float:
@@ -248,15 +293,24 @@ def dunkl_exp_neg_ratio(ctx: DunklContext, y: float, tol: float = 1e-15) -> floa
     Three routes, none of which subtracts large quantities:
 
     * mu = 0: exp(-2y), which underflows to zero past y of about 372;
-    * y < max(RATIO_CROSSOVER, mu**2): a quotient of two positive series
-      (``_ratio_series``), at most about 160 terms when mu <= 6;
+    * y below the crossover y_c(mu, tol): a quotient of two positive
+      series (``_ratio_series``), at most about 120 terms when mu <= 10 and
+      a little over mu**2/2 beyond;
     * otherwise: the large-argument Bessel expansion
-      (``_ratio_expansion``), 4 to 16 terms, where rho is close to mu/(2y).
+      (``_ratio_expansion``), at most about 30 terms, where rho is close to
+      mu/(2y) once y is large.
+
+    The crossover is the least y at which the expansion's two error bounds
+    (``_expansion_exact``) meet tol, capped at max(RATIO_CROSSOVER, mu**2);
+    the bounds are tested only below that cap.  At tol = 1e-15 it is about
+    19 to 21 for mu in [0.05, 8], rises like ln(1/mu)/2 to 26 at mu = 1e-6
+    (and to the cap near mu = 1e-18), and is (mu**2 - 1)/4 for mu >= 10.
 
     tol is the relative truncation tolerance of either sum (floored at
     machine epsilon).  For mu >= 0 the result has relative error of a few
-    ulps; past the crossover it also carries an absolute error of order
-    exp(-2y) < 2e-35 from the part of I_nu the expansion leaves out.
+    ulps (at most 5.5e-15 measured); above the cap it also carries an
+    absolute error of order exp(-2y) < 2e-35 from the part of I_nu the
+    expansion leaves out.
     """
     if not 0.0 <= y < math.inf:
         raise DomainError(f"ratio argument must be finite and nonnegative, got {y}")
@@ -268,6 +322,6 @@ def dunkl_exp_neg_ratio(ctx: DunklContext, y: float, tol: float = 1e-15) -> floa
     if mu == 0.0:
         return math.exp(-2.0 * y)
     tol = max(tol, _EPS)
-    if y < max(RATIO_CROSSOVER, mu * mu):
+    if y < max(RATIO_CROSSOVER, mu * mu) and not _expansion_exact(mu, y, tol):
         return _ratio_series(mu, y, tol)
     return _ratio_expansion(mu, y, tol)

@@ -12,13 +12,14 @@ oracles, and the two algebraically identical expressions for omega2 are
 checked against each other on every call.
 
 The closed forms cost a bounded amount at every n*x.  The ratio comes from
-``dunkl_exp_neg_ratio``: exp(-2nx) at mu = 0, a positive series below the
-crossover n*x = max(40, mu**2), and a large-argument Bessel expansion above
-it; nothing is flushed to zero.  The Q-functionals come from one pass over
-Q's coefficients, each a fixed linear form in them, with no intermediate
-series; they are computed once per family and kept on it, and one
-evaluation of the ratio and the functionals yields m1, m2, omega1 and
-omega2 together.
+``dunkl_exp_neg_ratio``: exp(-2nx) at mu = 0, a positive series below a
+crossover set by the expansion's own error bounds (n*x of about 19 to 26
+for mu in [1e-6, 8], (mu**2 - 1)/4 beyond, never above max(40, mu**2)),
+and a large-argument Bessel expansion above it; nothing is flushed to zero.
+The Q-functionals come from one pass over Q's coefficients, each a fixed
+linear form in them, with no intermediate series; they are computed once
+per family and kept on it, and one evaluation of the ratio and the
+functionals yields m1, m2, omega1 and omega2 together.
 """
 
 from __future__ import annotations

@@ -4,9 +4,10 @@ Nothing here shares a computation path with the package: the generalized
 factorial goes through log-gamma closed forms, the exponential through
 log-space brute-force partial sums, family polynomials through the
 explicit binomial-style expansion, the weight window through the
-term-by-term loop the package's block growth replaced, the first modulus
-through the loop over shifts that its sliding-window form replaced, and the
-Gould-Hopper
+term-by-term loop the package's block growth replaced, the first and second
+moduli through the per-call loops over shifts that the sliding-window form
+and the shared running maxima replaced, rho's positive series through the
+loop as it stood before its constants were hoisted, and the Gould-Hopper
 Q-functionals through closed forms of exp(a t**(d+1)) and the difference
 form of the Dunkl operator.
 """
@@ -185,3 +186,40 @@ def modulus1_loop(f, delta: float, window, step: float) -> float:
     for k in range(1, min(int(math.floor(delta / step + 1e-9)), count - 1) + 1):
         value = max(value, float(np.max(np.abs(fv[k:] - fv[:-k]))))
     return value
+
+
+def modulus2_loop(f, s: float, window, step: float) -> float:
+    """The grid second modulus as the largest |f(x + 2h) - 2 f(x + h) + f(x)|
+    over each shift h = k step up to s in turn, with f taken afresh on the
+    grid lo + step * arange(count)."""
+    import numpy as np
+
+    lo, hi = window
+    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
+    fv = np.array([f(float(x)) for x in lo + step * np.arange(count)])
+    value = 0.0
+    for k in range(1, min(int(math.floor(s / step + 1e-9)), (count - 1) // 2) + 1):
+        d = float(np.max(np.abs(fv[2 * k:] - 2.0 * fv[k:-k] + fv[: -2 * k])))
+        if d > value:
+            value = d
+    return value
+
+
+def ratio_series_loop(mu: float, y: float, tol: float) -> float:
+    """rho = M(mu, 2mu+1, 2y) / M(mu+1, 2mu+1, 2y) by the term loop with an
+    integer index and the constants formed afresh in every step."""
+    z = 2.0 * y
+    term = num = den = 1.0
+    k = 0
+    while True:
+        ratio = (mu + 1.0 + k) * z / ((2.0 * mu + 1.0 + k) * (k + 1.0))
+        if ratio < 1.0 and term * ratio < tol * (1.0 - ratio) * den:
+            return num / den
+        term *= ratio
+        k += 1
+        den += term
+        num += term * mu / (mu + k)
+        if den > 1e280:
+            term /= 1e280
+            num /= 1e280
+            den /= 1e280

@@ -234,7 +234,7 @@ def test_c8_bound_verification(capsys, monkeypatch):
 def test_c9_partition_of_unity():
     if not RECORDED:  # standalone run of this test: generate a sweep
         for spec in _oracle_grid_specs():
-            for x in (0.0, 0.5, 2.0):
+            for x in (0.0, 0.5, 1.0, 2.0):
                 spec.family.weights(spec.n, x, tol=1e-12)
     points = list(RECORDED)  # the weights below record their points too
     assert len(points) > 100

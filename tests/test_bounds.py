@@ -24,7 +24,7 @@ from dunkl_appell.bounds import ANALYTIC, GRID_ESTIMATE
 from dunkl_appell.functions import FunctionEntry, lookup
 
 from conftest import shrink_sinx_modulus
-from oracles import grid, modulus1_loop
+from oracles import grid, modulus1_loop, modulus2_loop
 
 
 def unit_spec(mu, n):
@@ -108,6 +108,20 @@ def test_non_positive_or_non_finite_arguments_rejected(value, modulus, argument)
 
 
 class TestModulus2:
+    @pytest.mark.parametrize(
+        "s, window",
+        [
+            (8e-3, (0.0, 2.0)),  # 8 shifts
+            (0.5, (0.0, 3.0)),  # 500 shifts
+            (0.25, (0.0, 0.5)),  # the shifts fill the window
+        ],
+    )
+    def test_matches_shift_loop(self, s, window):
+        walk = TestModulus1Windows.walk(1e-3)
+        for f in (math.sin, math.sqrt, lambda t: t * t, walk):
+            got = modulus2(f, s, window, grid_step=1e-3).value
+            assert got == modulus2_loop(f, s, window, 1e-3)
+
     def test_affine_annihilated(self):
         est = modulus2(lambda t: 3.0 * t - 1.0, 0.5, (0.0, 4.0), grid_step=1e-3)
         assert est.value <= 1e-12
@@ -301,6 +315,25 @@ class TestVerify:
             analytic_modulus2=lambda s: modulus2(math.sin, max(s, 8e-3), window).value,
             sup_norm=1.0,
         )
+        want = verify(spec, per_point, "T4", xs, VerifyParams(interval_end=2.0))
+        assert [(p.bound, p.margin) for p in report.points] == [
+            (p.bound, p.margin) for p in want.points
+        ]
+
+    @pytest.mark.parametrize("n", [5, 20, 300])
+    def test_grid_second_modulus_matches_per_point_loop(self, n):
+        # The shared running maxima give each point the value the loop over
+        # every shift, with f taken afresh, gives at that point.
+        spec = unit_spec(0.5, n)
+        xs = grid(0.0, 2.0, 0.1)
+        entry = FunctionEntry("sin_nomod2", math.sin, sup_norm=1.0)
+        report = verify(spec, entry, "T4", xs, VerifyParams(interval_end=2.0))
+        window = bounds._default_window(xs, n)
+
+        def loop(s):
+            return modulus2_loop(math.sin, max(s, 8e-3), window, 1e-3)
+
+        per_point = FunctionEntry("sin_loop", math.sin, analytic_modulus2=loop, sup_norm=1.0)
         want = verify(spec, per_point, "T4", xs, VerifyParams(interval_end=2.0))
         assert [(p.bound, p.margin) for p in report.points] == [
             (p.bound, p.margin) for p in want.points

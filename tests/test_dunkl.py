@@ -10,9 +10,10 @@ from dunkl_appell import (
     dunkl_exp_neg_ratio,
     theta,
 )
+from dunkl_appell import dunkl
 from dunkl_appell.dunkl import RATIO_CROSSOVER
 
-from oracles import emu_brute, gamma_mu_closed_form
+from oracles import emu_brute, gamma_mu_closed_form, ratio_series_loop
 
 
 @pytest.mark.parametrize("i,expected", [(0, 0), (7, 1), (2, 0), (1, 1), (100, 0)])
@@ -186,16 +187,36 @@ def _bessel_ratio(mu, y):
         return float((a - b) / (a + b))
 
 
+def _crossover(mu, tol=1e-15):
+    """The last y routed to the series and the first routed to the
+    expansion, bisected on the rule below the cap max(40, mu**2)."""
+    lo, hi = 0.5, max(RATIO_CROSSOVER, mu * mu)
+    if not dunkl._expansion_exact(mu, hi, tol):
+        return math.nextafter(hi, 0.0), hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return lo, hi
+        if dunkl._expansion_exact(mu, mid, tol):
+            hi = mid
+        else:
+            lo = mid
+
+
 class TestNegRatioOracle:
     # Every route sums positive terms, or terms whose differences are formed
     # exactly, and stops at relative tolerance 1e-15, so a few ulps of
-    # relative error are expected (1.6e-15 measured).  1e-12 leaves room
-    # for libm differences while still catching the cancellation of the
-    # alternating e_mu series, which costs about 1e-9 at mu = 1e-6, y = 20,
-    # and the old flush of rho to zero.
+    # relative error are expected (5.5e-15 measured, where the expansion's
+    # terms sum to e**4 times rho's numerator at y = (mu**2 - 1)/4).  1e-12
+    # leaves room for libm differences while still catching the
+    # cancellation of the alternating e_mu series, which costs about 1e-9
+    # at mu = 1e-6, y = 20, and the old flush of rho to zero.
     REL = 1e-12
+    MUS = [1e-6, 0.05, 0.5, 1.0, 1.3, 3.0, 6.0, 7.5, 10.0, 20.0, 50.0, 100.0]
 
-    @pytest.mark.parametrize("mu", [0.0, 1e-6, 0.1, 0.5, 1.0, 1.3, 2.0, 3.0])
+    @pytest.mark.parametrize(
+        "mu", [0.0, 1e-6, 0.1, 0.5, 1.0, 1.3, 2.0, 3.0, 6.0, 7.5, 20.0, 50.0, 100.0]
+    )
     @pytest.mark.parametrize(
         "y",
         [0.0, 1.0, 20.0, RATIO_CROSSOVER - 1.0, RATIO_CROSSOVER + 1.0,
@@ -208,9 +229,71 @@ class TestNegRatioOracle:
 
     @pytest.mark.parametrize("mu", [7.5, 20.0])
     def test_crossover_moves_to_mu_squared(self, mu):
-        # Below mu**2 the expansion's leading terms grow, so the positive
-        # series runs there, rescaled once its sums pass double range.
+        # Below (mu**2 - 1)/4 the expansion's terms grow after the first, so
+        # the positive series runs there (rescaling its sums once they pass
+        # double range, as at mu = 100, y = 1e3 in the grid above).
         for y in (RATIO_CROSSOVER + 1.0, mu * mu - 1.0, mu * mu + 1.0, 2000.0):
             ref = _bessel_ratio(mu, y)
             r = dunkl_exp_neg_ratio(DunklContext(mu), y)
             assert abs(r - ref) <= self.REL * ref, y
+
+    @pytest.mark.parametrize("mu", MUS)
+    def test_either_side_of_the_crossover(self, mu):
+        below, above = _crossover(mu)
+        assert below < above <= max(RATIO_CROSSOVER, mu * mu)
+        ctx = DunklContext(mu)
+        for y, route in ((below, dunkl._ratio_series), (above, dunkl._ratio_expansion)):
+            r = dunkl_exp_neg_ratio(ctx, y)
+            assert r == route(mu, y, 1e-15), y
+            ref = _bessel_ratio(mu, y)
+            assert abs(r - ref) <= self.REL * ref, y
+
+    def test_crossover_values(self):
+        # The omitted part of I_nu sets it for small mu, the terms' growth
+        # for large mu; either way it never exceeds max(40, mu**2).
+        assert 26.0 < _crossover(1e-6)[1] < 26.5
+        for mu in (0.05, 0.5, 1.0, 1.3, 3.0, 6.0, 7.5, 8.0):
+            assert 18.5 < _crossover(mu)[1] < 21.0, mu
+        for mu in (10.0, 20.0, 50.0, 100.0):
+            assert _crossover(mu)[1] == pytest.approx((mu * mu - 1.0) / 4.0), mu
+        for k in range(-36, 13):
+            mu = 10.0 ** (k / 4.0)
+            assert _crossover(mu)[1] <= max(RATIO_CROSSOVER, mu * mu), mu
+
+    @pytest.mark.parametrize("mu", [1e-30, 1e-6, 0.5, 7.5, 20.0, 100.0])
+    def test_rule_is_not_tested_from_the_cap_on(self, mu, monkeypatch):
+        def tested(*args):
+            raise AssertionError("rule tested above the cap")
+
+        monkeypatch.setattr(dunkl, "_expansion_exact", tested)
+        cap = max(RATIO_CROSSOVER, mu * mu)
+        for y in (cap, 2.0 * cap, 1e6):
+            r = dunkl_exp_neg_ratio(DunklContext(mu), y)
+            assert r == dunkl._ratio_expansion(mu, y, 1e-15)
+
+    def test_band_where_the_expansion_diverges(self):
+        # At mu = 7.5 the expansion's terms turn to grow again before they
+        # fall below tol for y up to about 17: the expansion raises there
+        # (it used to run on to NaN), and rho comes from the series.
+        ctx = DunklContext(7.5)
+        for y in [15.0 + 0.25 * i for i in range(9)]:
+            with pytest.raises(RangeError, match="diverges"):
+                dunkl._ratio_expansion(7.5, y, 1e-15)
+            r = dunkl_exp_neg_ratio(ctx, y)
+            assert r == dunkl._ratio_series(7.5, y, 1e-15)
+            ref = _bessel_ratio(7.5, y)
+            assert abs(r - ref) <= self.REL * ref, y
+
+    @pytest.mark.parametrize(
+        "mu, y, tol",
+        [
+            (1e-6, 20.0, 1e-15),
+            (0.5, 0.3, 1e-15),
+            (1.3, 19.0, 2.220446049250313e-16),
+            (7.5, 17.0, 1e-12),
+            (20.0, 399.0, 1e-15),  # rescales its sums
+            (100.0, 2499.0, 1e-15),
+        ],
+    )
+    def test_series_matches_pre_hoist_loop(self, mu, y, tol):
+        assert dunkl._ratio_series(mu, y, tol) == ratio_series_loop(mu, y, tol)
