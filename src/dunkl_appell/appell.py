@@ -119,6 +119,7 @@ class AppellFamily:
             raise NotAppellGeneratorError(
                 "not an Appell generator: constant coefficient is zero"
             )
+        # Horner's Q(1), whose bits every weight and moment divides by
         q1 = Q.eval(1.0)
         if q1 <= 0.0:
             raise NormalizationError(
@@ -131,7 +132,8 @@ class AppellFamily:
         # The engine's Q-functionals and Q as arrays, filled on first use; Q
         # never changes.
         self._functionals = self._arrays = None
-        if all(c >= 0.0 for c in Q.coeffs):
+        # Q's coefficients are finite, so the least decides; -0.0 >= 0.0
+        if min(Q.coeffs) >= 0.0:
             self.positivity = POSITIVE_BY_COEFFICIENTS
         else:
             self.positivity = UNVERIFIED
@@ -147,18 +149,19 @@ class AppellFamily:
     def gould_hopper(cls, ctx: DunklContext, a: float, d: int) -> "AppellFamily":
         """Family with generator exp(a * t**(d+1)), cut where its tail rounds away.
 
-        Nonzero coefficients sit at multiples of d+1 with values a**k / k!.
-        They are appended until the rest of the series at t = 1, bounded by
-        term * q / (1 - q) with q = a/(k+1) < 1 the largest later ratio and
-        weighted by the square of the next nonzero index, is below half an
-        ulp of the running sum.  The weight covers the second-order
-        Q-functionals, which put a factor of about i**2 on coefficient i, so
-        all ten are exact to rounding at the scale of Q(1).  The stored
-        degree follows from a and d (32 at a = 0.5, d = 1; 260 at a = 50).
-        An a for which exp(a) overflows raises RangeError.  a = 0 gives the
-        constant generator (the plain Dunkl-Szasz weights), exact and not
-        truncated; a > 0 keeps every coefficient nonnegative, so positivity
-        is proven by inspection.
+        Nonzero coefficients sit at multiples of d+1 with values a**k / k!,
+        each the last times a/k.  They are appended in one pass, which keeps
+        the last term, its index and their running sum, until the rest of
+        the series at t = 1, bounded by term * q / (1 - q) with q = a/(k+1)
+        < 1 the largest later ratio and weighted by the square of the next
+        nonzero index, is below half an ulp of the running sum.  The weight
+        covers the second-order Q-functionals, which put a factor of about
+        i**2 on coefficient i, so all ten are exact to rounding at the scale
+        of Q(1).  The stored degree follows from a and d (32 at a = 0.5,
+        d = 1; 260 at a = 50).  An a for which exp(a) overflows raises
+        RangeError.  a = 0 gives the constant generator (the plain
+        Dunkl-Szasz weights), exact and not truncated; a > 0 keeps every
+        coefficient nonnegative, so positivity is proven by inspection.
         """
         if not 0.0 <= a < math.inf:
             raise DomainError(
@@ -166,19 +169,25 @@ class AppellFamily:
             )
         if d < 1:
             raise DomainError(f"exponent gap must be a positive integer, got {d}")
-        terms, total = [1.0], 1.0  # a**k / k! for k = 0, 1, ...
-        q = a  # the next term's ratio to the last, a / (k+1)
-        while _rest(terms[-1], q) * (len(terms) * (d + 1)) ** 2 > _HALF_ULP * total:
-            terms.append(terms[-1] * q)
-            total += terms[-1]
+        step = d + 1
+        terms, term, total = [1.0], 1.0, 1.0  # a**k / k! for k = 0, 1, ...
+        k, q = 1, a  # terms so far; the next term's ratio to the last, a / k
+        i = step  # the next nonzero index, k * step
+        # rest bound term * q / (1 - q) when q < 1, weighted by i**2
+        while q >= 1.0 or term * q / (1.0 - q) * (i * i) > _HALF_ULP * total:
+            term *= q
+            terms.append(term)
+            total += term
             if total == math.inf:
                 raise RangeError(
-                    f"Gould-Hopper generator exp({a} t^{d + 1}) leaves double "
+                    f"Gould-Hopper generator exp({a} t^{step}) leaves double "
                     "range at t = 1"
                 )
-            q = a / len(terms)
-        coeffs = [0.0] * ((len(terms) - 1) * (d + 1) + 1)
-        coeffs[:: d + 1] = terms
+            k += 1
+            i += step
+            q = a / k
+        coeffs = [0.0] * ((k - 1) * step + 1)
+        coeffs[::step] = terms
         return cls(ctx, PowerSeries(ctx, coeffs), truncated=a > 0.0)
 
     def poly(self, i: int) -> List[float]:
@@ -354,11 +363,6 @@ def _batches(blocks: List[int]) -> Iterator[tuple]:
         top = wide
     if blocks:
         yield start, len(blocks), top
-
-
-def _rest(t, q):
-    """Bound on the terms past t if every later ratio is <= q."""
-    return t * q / (1.0 - q) if q < 1.0 else math.inf
 
 
 def _sides(nx, m, tol, mu2, block):

@@ -23,7 +23,8 @@ own routes (see ``dunkl_exp_neg_ratio``): exp(-2y) at mu = 0, a series of
 positive terms below a crossover y_c(mu, tol), and a large-argument Bessel
 expansion above it.  The crossover is the least y at which the expansion's
 own error bounds meet tol: about 19 to 26 for mu in [1e-6, 8], (mu**2 - 1)/4
-beyond, and never above max(40, mu**2).  For mu >= 0 no route subtracts
+beyond, and never above max(40, mu**2) for |mu| >= 1e-18 (for smaller mu it
+rises to 42.5 at 1e-20 and 366 at 1e-300).  For mu >= 0 no route subtracts
 quantities much larger than rho, so rho keeps its relative accuracy for
 every y.
 """
@@ -44,8 +45,14 @@ _MAX_EXP_TERMS = 20_000
 # mu**2): from there on the expansion's terms shrink from the first one down
 # to a smallest term of order exp(-2y) < 2e-35, and the part of I_nu the
 # expansion leaves out is of that order too.  Below that cap the rule is
-# tested; above it nothing is.
+# tested; above it nothing is, unless |mu| < TINY_MU.
 RATIO_CROSSOVER = 40.0
+
+# Below this |mu| the cap comes too early: at y = RATIO_CROSSOVER the part of
+# I_nu the expansion leaves out, exp(-2y) 2y/|mu| relative to rho, is about
+# 1.4e-15 at mu = 1e-18 and grows like 1/mu (1.4e-8 at mu = 1e-25).  For such
+# mu the rule is tested at every y, so the series runs until it holds.
+TINY_MU = 1e-18
 
 _EPS = 2.220446049250313e-16
 # Scale applied to the positive series' sums when they grow large; they only
@@ -302,9 +309,12 @@ def dunkl_exp_neg_ratio(ctx: DunklContext, y: float, tol: float = 1e-15) -> floa
 
     The crossover is the least y at which the expansion's two error bounds
     (``_expansion_exact``) meet tol, capped at max(RATIO_CROSSOVER, mu**2);
-    the bounds are tested only below that cap.  At tol = 1e-15 it is about
-    19 to 21 for mu in [0.05, 8], rises like ln(1/mu)/2 to 26 at mu = 1e-6
-    (and to the cap near mu = 1e-18), and is (mu**2 - 1)/4 for mu >= 10.
+    the bounds are tested only below that cap, except for |mu| < TINY_MU
+    (1e-18), where they are tested at every y and have no cap.  At
+    tol = 1e-15 it is about 19 to 21 for mu in [0.05, 8], rises like
+    ln(1/mu)/2 to 26 at mu = 1e-6, reaches the cap near mu = 1e-18 and
+    passes it below (42.5 at mu = 1e-20, 366 at mu = 1e-300), and is
+    (mu**2 - 1)/4 for mu >= 10.
 
     tol is the relative truncation tolerance of either sum (floored at
     machine epsilon).  For mu >= 0 the result has relative error of a few
@@ -322,6 +332,7 @@ def dunkl_exp_neg_ratio(ctx: DunklContext, y: float, tol: float = 1e-15) -> floa
     if mu == 0.0:
         return math.exp(-2.0 * y)
     tol = max(tol, _EPS)
-    if y < max(RATIO_CROSSOVER, mu * mu) and not _expansion_exact(mu, y, tol):
+    tested = y < max(RATIO_CROSSOVER, mu * mu) or abs(mu) < TINY_MU
+    if tested and not _expansion_exact(mu, y, tol):
         return _ratio_series(mu, y, tol)
     return _ratio_expansion(mu, y, tol)

@@ -14,8 +14,9 @@ checked against each other on every call.
 The closed forms cost a bounded amount at every n*x.  The ratio comes from
 ``dunkl_exp_neg_ratio``: exp(-2nx) at mu = 0, a positive series below a
 crossover set by the expansion's own error bounds (n*x of about 19 to 26
-for mu in [1e-6, 8], (mu**2 - 1)/4 beyond, never above max(40, mu**2)),
-and a large-argument Bessel expansion above it; nothing is flushed to zero.
+for mu in [1e-6, 8], (mu**2 - 1)/4 beyond, above max(40, mu**2) only for
+mu < 1e-18), and a large-argument Bessel expansion above it; nothing is
+flushed to zero.
 The Q-functionals come from one pass over Q's coefficients, each a fixed
 linear form in them, with no intermediate series; they are computed once
 per family and kept on it, and one evaluation of the ratio and the

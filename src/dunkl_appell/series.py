@@ -19,13 +19,22 @@ from .errors import DomainError, RangeError
 
 
 class PowerSeries:
+    """A series tied to a context, with its coefficients as a tuple of floats.
+
+    Construction converts each coefficient with float() and rejects an
+    empty list or a non-finite coefficient (DomainError); both checks run
+    as single mapped passes over the coefficients.  A non-numeric
+    coefficient raises what float() raises (TypeError or ValueError).
+    """
+
     __slots__ = ("ctx", "coeffs")
 
     def __init__(self, ctx: DunklContext, coeffs: Iterable[float]):
-        cs = tuple(float(c) for c in coeffs)
+        # float() and isfinite mapped at C level: one pass each, no frames
+        cs = tuple(map(float, coeffs))
         if not cs:
             raise DomainError("a power series needs at least one coefficient")
-        if not all(math.isfinite(c) for c in cs):
+        if not all(map(math.isfinite, cs)):
             raise DomainError("power series coefficients must be finite")
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "coeffs", cs)

@@ -7,9 +7,10 @@ explicit binomial-style expansion, the weight window through the
 term-by-term loop the package's block growth replaced, the first and second
 moduli through the per-call loops over shifts that the sliding-window form
 and the shared running maxima replaced, rho's positive series through the
-loop as it stood before its constants were hoisted, and the Gould-Hopper
-Q-functionals through closed forms of exp(a t**(d+1)) and the difference
-form of the Dunkl operator.
+loop as it stood before its constants were hoisted, the Gould-Hopper
+coefficients through their tail loop as it stood before its locals were
+kept, and the Gould-Hopper Q-functionals through closed forms of
+exp(a t**(d+1)) and the difference form of the Dunkl operator.
 """
 
 import math
@@ -223,3 +224,33 @@ def ratio_series_loop(mu: float, y: float, tol: float) -> float:
             term /= 1e280
             num /= 1e280
             den /= 1e280
+
+
+def gould_hopper_loop(a: float, d: int):
+    """The coefficients of exp(a t**(d+1)) by the tail loop that reads the
+    last term and the count of terms from the list in every step and takes
+    the rest bound from a helper, and Horner's value of them at t = 1.
+
+    Appends a**k / k!, each the last times a/k, until the rest at t = 1,
+    term * q / (1 - q) with q = a/(k+1) (unbounded when q >= 1), times the
+    squared next nonzero index is below half an ulp of the running sum.
+    Raises OverflowError where that sum leaves double range.
+    """
+
+    def rest(t, q):
+        return t * q / (1.0 - q) if q < 1.0 else math.inf
+
+    terms, total = [1.0], 1.0
+    q = a
+    while rest(terms[-1], q) * (len(terms) * (d + 1)) ** 2 > 2.0**-53 * total:
+        terms.append(terms[-1] * q)
+        total += terms[-1]
+        if total == math.inf:
+            raise OverflowError(f"exp({a} t^{d + 1}) leaves double range at t = 1")
+        q = a / len(terms)
+    coeffs = [0.0] * ((len(terms) - 1) * (d + 1) + 1)
+    coeffs[:: d + 1] = terms
+    q1 = 0.0
+    for c in reversed(coeffs):
+        q1 = q1 * 1.0 + c
+    return coeffs, q1

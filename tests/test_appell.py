@@ -23,6 +23,7 @@ from dunkl_appell.appell import POSITIVE_BY_COEFFICIENTS, UNVERIFIED
 from oracles import (
     gamma_mu_closed_form,
     gould_hopper_functionals,
+    gould_hopper_loop,
     ln_gamma_mu,
     poisson_weight,
     weight_brute,
@@ -56,6 +57,18 @@ class TestConstruction:
 
     def test_signed_coefficients_are_unverified(self):
         fam = AppellFamily.from_coefficients(DunklContext(0.0), [2.0, -1.0])
+        assert fam.positivity == UNVERIFIED
+
+    def test_negative_zero_coefficient_is_proven(self):
+        fam = AppellFamily.from_coefficients(DunklContext(0.5), [1.0, -0.0, 0.5, -0.0])
+        assert fam.positivity == POSITIVE_BY_COEFFICIENTS
+
+    @pytest.mark.parametrize("at", [1, 2, 4])
+    @pytest.mark.parametrize("value", [-5e-324, -1e-300, -0.5])
+    def test_any_negative_coefficient_is_unverified(self, at, value):
+        coeffs = [2.0, 1.0, 0.0, 0.25, 1.0]
+        coeffs[at] = value
+        fam = AppellFamily.from_coefficients(DunklContext(0.5), coeffs)
         assert fam.positivity == UNVERIFIED
 
 
@@ -124,6 +137,29 @@ class TestGouldHopper:
     def test_bad_gap_rejected(self):
         with pytest.raises(DomainError):
             AppellFamily.gould_hopper(DunklContext(0.0), 0.5, 0)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 7])
+    @pytest.mark.parametrize("a", [0.0, 1e-300, 0.5, 1.0 - 2.0**-53, 1.0, 5.0, 50.0, 700.0])
+    def test_matches_tail_loop_bit_for_bit(self, a, d):
+        fam = AppellFamily.gould_hopper(DunklContext(0.5), a, d)
+        coeffs, q1 = gould_hopper_loop(a, d)
+        assert [c.hex() for c in fam.Q.coeffs] == [c.hex() for c in coeffs]
+        assert fam.Q_at_1.hex() == q1.hex()
+        assert fam.truncated == (a > 0.0)
+        assert fam.positivity == POSITIVE_BY_COEFFICIENTS
+
+    @pytest.mark.parametrize("d", [1, 7])
+    @pytest.mark.parametrize("a", [710.0, 1e300])
+    def test_overflow_where_the_tail_loop_overflows(self, a, d):
+        with pytest.raises(OverflowError):
+            gould_hopper_loop(a, d)
+        with pytest.raises(RangeError, match="double range"):
+            AppellFamily.gould_hopper(DunklContext(0.5), a, d)
+
+    @pytest.mark.parametrize("a, d", [(-0.1, 1), (-5e-324, 2), (math.inf, 1), (math.nan, 3), (0.5, 0), (0.5, -1)])
+    def test_domain_errors_kept(self, a, d):
+        with pytest.raises(DomainError):
+            AppellFamily.gould_hopper(DunklContext(0.5), a, d)
 
 
 class TestPolynomials:

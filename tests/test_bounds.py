@@ -339,6 +339,56 @@ class TestVerify:
             (p.bound, p.margin) for p in want.points
         ]
 
+    def test_t2_grid_fallback_takes_f_on_two_fixed_grids(self, monkeypatch):
+        # Past delta = 1/sqrt(n) < 8e-3 the T2 estimate takes f at the 1e-3
+        # grid's nodes t and at t + delta, so with the window held fixed its
+        # f calls do not depend on n.  x = 0 takes f at one node in apply.
+        monkeypatch.setattr(bounds, "_default_window", lambda grid, n: (0.0, 1.5))
+        counts = []
+        for n in (10**6, 10**8, 10**12):
+            calls = []
+            entry = FunctionEntry("square_counted", lambda t: calls.append(t) or t * t)
+            report = verify(unit_spec(0.5, n), entry, "T2", [0.0])
+            assert report.modulus_source == GRID_ESTIMATE and report.passed
+            counts.append(len(calls))
+        assert counts == [counts[0]] * 3
+        assert counts[0] <= 2 * 1501 + 2
+
+    def test_t2_grid_fallback_cost_at_large_n(self):
+        # the per-call grid of step delta/8 took about 8e6 f calls here
+        calls = []
+        entry = FunctionEntry("square_counted", lambda t: calls.append(t) or t * t)
+        verify(unit_spec(0.5, 10**12), entry, "T2", [0.0])
+        assert len(calls) <= 2 * 1004 + 2
+
+    @pytest.mark.parametrize("n", [10**5, 10**6, 10**8])
+    @pytest.mark.parametrize(
+        "f", [math.sin, math.sqrt, lambda t: t * t], ids=["sin", "sqrt", "square"]
+    )
+    def test_t2_pair_estimate_at_most_dense_grid(self, f, n):
+        # Each pair is delta apart, so the estimate lower-bounds w(f; delta);
+        # for these f it also stays within 1% of the dense-grid estimate.
+        delta = 1.0 / math.sqrt(n)
+        window = bounds._default_window([0.0, 0.5], n)
+        est = bounds._pair_modulus1(f, delta, window)
+        dense = modulus1(f, delta, window, delta / 8.0).value
+        assert 0.99 * dense <= est <= dense
+
+    @pytest.mark.parametrize("n, pairs", [(20, False), (15625, False), (15626, True), (10**8, True)])
+    def test_t2_grid_fallback_switches_at_8e_3(self, n, pairs):
+        # delta = 1/125 = 8e-3 at n = 15625 keeps modulus1 at step 1e-3
+        xs = [0.0, 0.5, 1.0]
+        entry = FunctionEntry("sin_nomod", math.sin)
+        report = verify(unit_spec(0.5, n), entry, "T2", xs)
+        delta, window = 1.0 / math.sqrt(n), bounds._default_window(xs, n)
+        if pairs:
+            w = bounds._pair_modulus1(math.sin, delta, window)
+        else:
+            w = modulus1_loop(math.sin, delta, window, 1e-3)
+        assert [p.bound for p in report.points] == [
+            (1.0 + p.inputs.lambda_n) * w for p in report.points
+        ]
+
     def test_missing_hoelder_metadata(self):
         with pytest.raises(ConfigurationError):
             verify(unit_spec(0.0, 10), lookup("square"), "T3", self.XS)

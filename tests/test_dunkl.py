@@ -173,13 +173,15 @@ class TestNegRatio:
 def _bessel_ratio(mu, y):
     """(I_{mu-1/2}(y) - I_{mu+1/2}(y)) / (I_{mu-1/2}(y) + I_{mu+1/2}(y)) in mpmath.
 
-    The difference cancels about log10(y / mu) <= 12 digits on the grids
-    below; 40 digits leave more than 25.
+    The difference cancels about log10(y / mu) digits: at most 12 on most
+    grids below, where 40 digits leave more than 25, and up to 303 at
+    mu = 1e-300, so the precision grows with it to keep 28.
     """
     mp = pytest.importorskip("mpmath")
-    with mp.workdps(40):
-        if y == 0.0:
-            return 1.0
+    if y == 0.0:
+        return 1.0
+    cancelled = math.ceil(math.log10(y / mu)) if mu > 0.0 else 0
+    with mp.workdps(28 + max(12, cancelled)):
         if mu == 0.0:
             return float(mp.exp(-2 * mp.mpf(y)))
         a = mp.besseli(mp.mpf(mu) - 0.5, y)
@@ -213,6 +215,7 @@ class TestNegRatioOracle:
     # at mu = 1e-6, y = 20, and the old flush of rho to zero.
     REL = 1e-12
     MUS = [1e-6, 0.05, 0.5, 1.0, 1.3, 3.0, 6.0, 7.5, 10.0, 20.0, 50.0, 100.0]
+    TINY = [1e-20, 1e-25, 1e-30, 1e-100, 1e-300]  # below dunkl.TINY_MU
 
     @pytest.mark.parametrize(
         "mu", [0.0, 1e-6, 0.1, 0.5, 1.0, 1.3, 2.0, 3.0, 6.0, 7.5, 20.0, 50.0, 100.0]
@@ -260,7 +263,7 @@ class TestNegRatioOracle:
             mu = 10.0 ** (k / 4.0)
             assert _crossover(mu)[1] <= max(RATIO_CROSSOVER, mu * mu), mu
 
-    @pytest.mark.parametrize("mu", [1e-30, 1e-6, 0.5, 7.5, 20.0, 100.0])
+    @pytest.mark.parametrize("mu", [dunkl.TINY_MU, 1e-6, 0.5, 7.5, 20.0, 100.0])
     def test_rule_is_not_tested_from_the_cap_on(self, mu, monkeypatch):
         def tested(*args):
             raise AssertionError("rule tested above the cap")
@@ -297,3 +300,44 @@ class TestNegRatioOracle:
     )
     def test_series_matches_pre_hoist_loop(self, mu, y, tol):
         assert dunkl._ratio_series(mu, y, tol) == ratio_series_loop(mu, y, tol)
+
+    @pytest.mark.parametrize("mu", TINY)
+    @pytest.mark.parametrize(
+        "y",
+        [39.0, 40.0, 40.5, 42.0, 45.0, 60.0, 100.0, 135.0, 136.0, 200.0, 365.0,
+         366.0, 400.0],
+    )
+    def test_tiny_mu_past_the_cap(self, mu, y):
+        # Below TINY_MU the expansion at y = 40 leaves out exp(-2y) 2y/mu of
+        # rho (1.4e-8 at mu = 1e-25; at mu = 1e-100, y = 80, all of it), so
+        # the series runs until the rule holds: y = 42.5 at mu = 1e-20, 135.2
+        # at 1e-100 and 366.0 at 1e-300.
+        ref = _bessel_ratio(mu, y)
+        r = dunkl_exp_neg_ratio(DunklContext(mu), y)
+        assert abs(r - ref) <= self.REL * ref, (mu, y)
+
+    @pytest.mark.parametrize("mu", TINY)
+    def test_tiny_mu_routes_by_the_rule_at_every_y(self, mu):
+        ctx = DunklContext(mu)
+        below, above = 40.0, 1e4
+        assert not dunkl._expansion_exact(mu, below, 1e-15)
+        while above - below > 1e-9 * above:
+            mid = 0.5 * (below + above)
+            if dunkl._expansion_exact(mu, mid, 1e-15):
+                above = mid
+            else:
+                below = mid
+        for y in (RATIO_CROSSOVER, below):
+            assert dunkl_exp_neg_ratio(ctx, y) == dunkl._ratio_series(mu, y, 1e-15), y
+        for y in (above, 2.0 * above, 1e6):
+            assert dunkl_exp_neg_ratio(ctx, y) == dunkl._ratio_expansion(mu, y, 1e-15), y
+
+    def test_tiny_mu_bound(self):
+        # From TINY_MU up the cap keeps its place: the part the expansion
+        # leaves out at y = 40 is at most 1.5e-15 of rho.
+        mu = dunkl.TINY_MU
+        assert math.exp(-2.0 * RATIO_CROSSOVER) * 2.0 * RATIO_CROSSOVER / mu < 1.5e-15
+        ref = _bessel_ratio(mu, RATIO_CROSSOVER)
+        r = dunkl_exp_neg_ratio(DunklContext(mu), RATIO_CROSSOVER)
+        assert r == dunkl._ratio_expansion(mu, RATIO_CROSSOVER, 1e-15)
+        assert abs(r - ref) <= self.REL * ref

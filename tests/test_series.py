@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,6 +34,33 @@ class TestConstruction:
     def test_rejects_non_finite(self):
         with pytest.raises(DomainError):
             PowerSeries(CTX0, [1.0, float("inf")])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("at", [0, 2])
+    def test_rejects_each_non_finite_value(self, bad, at):
+        coeffs = [1.0, 0.5, 0.25]
+        coeffs[at] = bad
+        with pytest.raises(DomainError, match="finite"):
+            PowerSeries(CTX0, coeffs)
+
+    def test_rejects_empty_iterables(self):
+        for empty in ([], (), iter(()), (c for c in ())):
+            with pytest.raises(DomainError, match="at least one"):
+                PowerSeries(CTX0, empty)
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [(None, TypeError), ([1.0], TypeError), (object(), TypeError), ("abc", ValueError), ("", ValueError)],
+    )
+    def test_non_numeric_raises_what_float_raises(self, bad, error):
+        with pytest.raises(error):
+            PowerSeries(CTX0, [1.0, bad])
+
+    def test_converts_each_coefficient_to_float(self):
+        for coeffs in ([1, 2, 1], np.array([1.0, 2.0, 1.0]), (c for c in (1, 2.0, 1))):
+            S = PowerSeries(CTX0, coeffs)
+            assert S.coeffs == (1.0, 2.0, 1.0)
+            assert all(type(c) is float for c in S.coeffs)
 
     def test_immutable(self):
         S = PowerSeries(CTX0, [1.0, 2.0])
