@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterator, List, Sequence
 
 import numpy as np
@@ -96,6 +97,14 @@ class WeightSequence:
 class AppellFamily:
     """A validated generating series Q plus derived family machinery.
 
+    ``support`` holds, in increasing order, the indices of Q's nonzero
+    coefficients (-0.0 counts as zero), recorded once at construction;
+    ``Q_at_1``, the normalizer every weight and moment divides by, is the
+    running sum of those coefficients from the top index down.  At t = 1
+    Horner's step acc*1 + c is acc + c, and a zero coefficient leaves acc
+    unchanged, so Q_at_1 equals ``Q.eval(1.0)`` bit for bit; a sum that
+    leaves double range raises RangeError.
+
     ``positivity`` is 'proven-by-coefficients' when every stored coefficient
     of Q is nonnegative (a sufficient condition for nonnegative weights on
     x >= 0) and 'unverified' otherwise; weight generation rejects unverified
@@ -108,32 +117,42 @@ class AppellFamily:
     q_i defined for every i.
     """
 
-    __slots__ = ("ctx", "Q", "positivity", "Q_at_1", "truncated", "_functionals", "_arrays")
+    __slots__ = (
+        "ctx", "Q", "support", "positivity", "Q_at_1", "truncated", "_functionals", "_arrays"
+    )
 
     def __init__(self, ctx: DunklContext, Q: PowerSeries, truncated: bool = False):
         if ctx.mu < 0.0:
             raise DomainError(
                 f"operator families require mu >= 0, got mu={ctx.mu}"
             )
-        if Q.coeffs[0] == 0.0:
+        cs = Q.coeffs
+        if cs[0] == 0.0:
             raise NotAppellGeneratorError(
                 "not an Appell generator: constant coefficient is zero"
             )
-        # Horner's Q(1), whose bits every weight and moment divides by
-        q1 = Q.eval(1.0)
+        # the indices whose coefficient is truthy, i.e. nonzero, at C level
+        support = tuple(compress(range(len(cs)), cs))
+        q1 = 0.0  # Horner's Q(1) with its zero steps left out
+        for i in reversed(support):
+            q1 += cs[i]
+        if not math.isfinite(q1):
+            raise RangeError(f"Q(1) = {q1} left double range (degree {len(cs) - 1})")
         if q1 <= 0.0:
             raise NormalizationError(
                 f"normalization undefined: Q(1) = {q1} is not positive"
             )
         self.ctx = ctx
         self.Q = Q
+        self.support = support
         self.Q_at_1 = q1
         self.truncated = truncated
-        # The engine's Q-functionals and Q as arrays, filled on first use; Q
-        # never changes.
+        # The engine's Q-functionals with their per-family combinations, and
+        # Q's coefficient array with the widest gap in its support, filled
+        # on first use; Q never changes.
         self._functionals = self._arrays = None
         # Q's coefficients are finite, so the least decides; -0.0 >= 0.0
-        if min(Q.coeffs) >= 0.0:
+        if min(cs) >= 0.0:
             self.positivity = POSITIVE_BY_COEFFICIENTS
         else:
             self.positivity = UNVERIFIED

@@ -17,15 +17,19 @@ crossover set by the expansion's own error bounds (n*x of about 19 to 26
 for mu in [1e-6, 8], (mu**2 - 1)/4 beyond, above max(40, mu**2) only for
 mu < 1e-18), and a large-argument Bessel expansion above it; nothing is
 flushed to zero.
-The Q-functionals come from one pass over Q's coefficients, each a fixed
-linear form in them, with no intermediate series; they are computed once
-per family and kept on it, and one evaluation of the ratio and the
-functionals yields m1, m2, omega1 and omega2 together.
+The Q-functionals come from one pass over Q's support (the indices of its
+nonzero coefficients, which the family records), each a fixed linear form
+in the coefficients, with no intermediate series.  They are computed once
+per family and kept on it, together with the combinations of them that the
+moment formulas use at every (n, x); one evaluation of the ratio then
+yields m1, m2, omega1 and omega2 together, each with the bits of its
+printed formula.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, List
 
@@ -38,15 +42,25 @@ from .errors import DomainError, EvaluationError, RangeError, TranscriptionError
 
 @dataclass(frozen=True)
 class OperatorSpec:
-    """A family plus the scale n and the weights' mass tolerance."""
+    """A family plus the scale n and the weights' mass tolerance.
+
+    n must be an integer >= 1: a Python int, or a numpy integer, which is
+    stored as the equal int.  A float (even 2.0, NaN or inf) or a bool
+    raises DomainError.
+    """
 
     family: AppellFamily
     n: int
     tol: float = 1e-12
 
     def __post_init__(self):
+        n = self.n
+        if type(n) is not int:  # bool is a subclass of int, so not this type
+            if not isinstance(n, np.integer):
+                raise DomainError(f"operator scale n must be an integer >= 1, got {n!r}")
+            object.__setattr__(self, "n", int(n))
         if self.n < 1:
-            raise DomainError(f"operator scale n must be >= 1, got {self.n}")
+            raise DomainError(f"operator scale n must be an integer >= 1, got {n!r}")
         if not 0.0 < self.tol < math.inf:
             raise DomainError(f"tolerance must be finite and positive, got {self.tol}")
 
@@ -150,11 +164,12 @@ def _contract(spec: OperatorSpec, f, windows) -> List[float]:
     Rows whose node spans [lo, hi + deg Q] overlap share a cluster's arrays,
     and g is 0.0 at the nodes that no window reaches through Q's support.
     """
-    if spec.family._arrays is None:  # Q's coefficients, support and widest gap
-        c = np.array(spec.family.Q.coeffs)
-        support = c.nonzero()[0]
-        spec.family._arrays = c, support, int(np.diff(support).max(initial=1))
-    c, support, gap = spec.family._arrays
+    family = spec.family
+    support = family.support
+    if family._arrays is None:  # Q's coefficients and the widest gap in its support
+        gap = max(map(operator.sub, support[1:], support), default=1)
+        family._arrays = np.array(family.Q.coeffs), gap
+    c, gap = family._arrays
     deg = len(c) - 1
     clusters = []  # [first index, last window index, rows as (r, lo, hi)]
     for lo, r in sorted((w[0], r) for r, w in enumerate(windows)):
@@ -180,7 +195,7 @@ def _contract(spec: OperatorSpec, f, windows) -> List[float]:
             _, up, down, total = windows[r]
             mode = lo - first + len(down)
             value = up @ g[mode : mode + len(up)] + down @ g[lo - first : mode][::-1]
-            values[r] = float(value) / (spec.family.Q_at_1 * total)
+            values[r] = float(value) / (family.Q_at_1 * total)
             if not math.isfinite(values[r]):
                 _check_finite(fv[k], t)
     return values
@@ -209,17 +224,19 @@ def q_functionals(family: AppellFamily) -> QFunctionals:
     Every product is formed in the order ``PowerSeries.derivative`` and
     ``dunkl_derivative`` form their coefficients, and the sums run from the
     top coefficient down as Horner's scheme at +-1 does, so the values equal
-    the transforms' composition while no intermediate series is built.  Zero
-    coefficients are skipped.  q1 is ``family.Q_at_1``, the normalizer the
-    weights use.  One code path serves every generator; hand-derived
-    specializations live only in tests.
+    the transforms' composition while no intermediate series is built.  The
+    pass walks only ``family.support``, the indices of the nonzero
+    coefficients (a zero term leaves every sum unchanged), so a Gould-Hopper
+    generator costs one step per term of its exponential, not per stored
+    coefficient.  q1 is ``family.Q_at_1``, the normalizer the weights use.
+    One code path serves every generator; hand-derived specializations live
+    only in tests.
     """
     mu2 = 2.0 * family.ctx.mu
     qm1 = dq1 = dqm1 = ddq1 = lq1 = lqm1 = dlq1 = ldq1 = llq1 = 0.0
     coeffs = family.Q.coeffs
-    for i, c in zip(range(len(coeffs) - 1, -1, -1), reversed(coeffs)):
-        if c == 0.0:
-            continue
+    for i in reversed(family.support):
+        c = coeffs[i]
         ic = i * c
         if i & 1:  # (-1)**i = -1, d(i) = i + 2 mu, d(i-1) = i - 1
             dc = (i + mu2) * c
@@ -248,58 +265,80 @@ def q_functionals(family: AppellFamily) -> QFunctionals:
     return QFunctionals(family.Q_at_1, *values)
 
 
-def _functionals(family: AppellFamily) -> QFunctionals:
-    """The family's Q-functionals, computed on first use and kept on it.
+def _functionals(family: AppellFamily):
+    """The family's Q-functionals F and the closed forms' coefficients that do
+    not depend on (n, x), computed on first use and kept on it.
 
-    Threads that race here compute equal values, so no lock is needed.
+    Returns (F, curv, const, lead, odd, skew): with mu2 = 2 mu,
+
+        curv  = 2 Q''(1) - (LQ)'(1) - (LQ')(1) + Q'(1) - mu2 Q'(-1)
+        const = (LLQ)(1) + mu2 (LQ)(-1)
+        lead  = 2 Q'(1) + Q(1)
+        odd   = mu Q(-1) + Q'(1) - (LQ)(1)
+        skew  = mu2 Q(-1)
+
+    each formed in the order the printed formulas form it, so every moment
+    keeps its bits.  Threads that race here compute equal values, so no lock
+    is needed.
     """
-    F = family._functionals
-    if F is None:
-        F = family._functionals = q_functionals(family)
-    return F
+    cached = family._functionals
+    if cached is None:
+        F = q_functionals(family)
+        mu = family.ctx.mu
+        mu2 = 2.0 * mu
+        cached = family._functionals = (
+            F,
+            2.0 * F.ddq1 - F.dlq1 - F.ldq1 + F.dq1 - mu2 * F.dqm1,
+            F.llq1 + mu2 * F.lqm1,
+            2.0 * F.dq1 + F.q1,
+            mu * F.qm1 + F.dq1 - F.lq1,
+            mu2 * F.qm1,
+        )
+    return cached
 
 
 def _closed_form(spec: OperatorSpec, x: float):
     """(m1, m2, omega1, omega2) from one evaluation of rho and the functionals.
 
-    omega2 is computed from its own printed formula and recomputed as
-    m2 - 2*x*m1 + x**2; the two are algebraically identical, so any
-    disagreement beyond rounding indicates a transcription bug and raises.
+    With rho = e_mu(-nx)/e_mu(nx) and the coefficients of ``_functionals``:
+
+        omega1 = ((1 - rho) Q'(1) + rho (LQ)(1)) / (Q(1) n),   m1 = x + omega1
+        m2     = x**2 + (lead + skew rho) x / (Q(1) n) + S
+        omega2 = (1 + 2 rho odd / Q(1)) x / n + S
+        S      = (LQ)(1) rho / (Q(1) n**2) + curv (1 - rho) / (Q(1) n**2)
+                 + const / (Q(1) n**2)
+
+    The three terms of S are formed once and shared.  omega2 is computed
+    from its own printed formula and recomputed as m2 - 2*x*m1 + x**2; the
+    two are algebraically identical, so any disagreement beyond rounding
+    indicates a transcription bug and raises.
     """
     if x < 0.0:
         raise DomainError(f"evaluation point must be >= 0, got {x}")
-    F = _functionals(spec.family)
-    n = spec.n
-    mu = spec.family.ctx.mu
-    rho = exp_ratio(spec, x)
-    omega1 = ((1.0 - rho) * F.dq1 + rho * F.lq1) / (F.q1 * n)
+    family, n = spec.family, spec.n
+    F, curv, const, lead, odd, skew = _functionals(family)
+    rho = dunkl_exp_neg_ratio(family.ctx, n * x, tol=min(1e-15, spec.tol))
+    q1n = F.q1 * n
+    q1nn = q1n * n
+    stay = 1.0 - rho
+    lq1 = F.lq1
+    omega1 = (stay * F.dq1 + rho * lq1) / q1n
     m1 = x + omega1
-    m2 = (
-        x * x
-        + ((2.0 * F.dq1 + F.q1) + 2.0 * mu * F.qm1 * rho) * x / (F.q1 * n)
-        + F.lq1 * rho / (F.q1 * n * n)
-        + (2.0 * F.ddq1 - F.dlq1 - F.ldq1 + F.dq1 - 2.0 * mu * F.dqm1)
-        * (1.0 - rho)
-        / (F.q1 * n * n)
-        + (F.llq1 + 2.0 * mu * F.lqm1) / (F.q1 * n * n)
-    )
-    omega2 = (
-        (1.0 + 2.0 * rho * (mu * F.qm1 + F.dq1 - F.lq1) / F.q1) * x / n
-        + F.lq1 * rho / (F.q1 * n * n)
-        + (2.0 * F.ddq1 - F.dlq1 - F.ldq1 + F.dq1 - 2.0 * mu * F.dqm1)
-        * (1.0 - rho)
-        / (F.q1 * n * n)
-        + (F.llq1 + 2.0 * mu * F.lqm1) / (F.q1 * n * n)
-    )
-    combined = m2 - 2.0 * x * m1 + x * x
+    s1 = lq1 * rho / q1nn
+    s2 = curv * stay / q1nn
+    s3 = const / q1nn
+    xx = x * x
+    m2 = xx + (lead + skew * rho) * x / q1n + s1 + s2 + s3
+    omega2 = (1.0 + 2.0 * rho * odd / F.q1) * x / n + s1 + s2 + s3
+    combined = m2 - 2.0 * x * m1 + xx
     # The combination cancels x**2-sized terms, so allow a rounding floor
     # proportional to the quantities that cancel.
-    floor = 64.0 * 2.220446049250313e-16 * (x * x + 2.0 * x * abs(m1) + abs(m2))
+    floor = 64.0 * 2.220446049250313e-16 * (xx + 2.0 * x * abs(m1) + abs(m2))
     diff = abs(omega2 - combined)
     if diff > 1e-10 * max(abs(omega2), abs(combined)) + floor:
         raise TranscriptionError(
             f"formula transcription error: omega2 printed form {omega2!r} vs "
-            f"moment combination {combined!r} at (n={n}, x={x}, mu={mu})"
+            f"moment combination {combined!r} at (n={n}, x={x}, mu={family.ctx.mu})"
         )
     return m1, m2, omega1, omega2
 

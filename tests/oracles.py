@@ -10,7 +10,12 @@ and the shared running maxima replaced, rho's positive series through the
 loop as it stood before its constants were hoisted, the Gould-Hopper
 coefficients through their tail loop as it stood before its locals were
 kept, and the Gould-Hopper Q-functionals through closed forms of
-exp(a t**(d+1)) and the difference form of the Dunkl operator.
+exp(a t**(d+1)) and the difference form of the Dunkl operator.  For
+bit-identity checks, Q(1), the Q-functionals and the closed-form moments
+are also kept as they were computed before the package walked only Q's
+support and hoisted the per-family terms: Horner's scheme over every
+coefficient, the dense functional pass with its zero test, and the printed
+moment formulas written out in full.
 """
 
 import math
@@ -254,3 +259,71 @@ def gould_hopper_loop(a: float, d: int):
     for c in reversed(coeffs):
         q1 = q1 * 1.0 + c
     return coeffs, q1
+
+
+def horner_at_one(coeffs) -> float:
+    """Q(1) by Horner's scheme over every stored coefficient."""
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * 1.0 + c
+    return acc
+
+
+def q_functionals_dense(coeffs, mu: float) -> dict:
+    """The nine Q-functionals other than Q(1), by one pass over every
+    stored coefficient from the top down that skips zero coefficients by
+    test; the keys are the ``QFunctionals`` field names."""
+    mu2 = 2.0 * mu
+    qm1 = dq1 = dqm1 = ddq1 = lq1 = lqm1 = dlq1 = ldq1 = llq1 = 0.0
+    for i, c in zip(range(len(coeffs) - 1, -1, -1), reversed(coeffs)):
+        if c == 0.0:
+            continue
+        ic = i * c
+        if i & 1:
+            dc = (i + mu2) * c
+            below = i - 1.0
+            qm1 -= c
+            dqm1 += ic
+            lqm1 += dc
+        else:
+            dc = ic
+            below = i - 1 + mu2
+            qm1 += c
+            dqm1 -= ic
+            lqm1 -= dc
+        dq1 += ic
+        ddq1 += (i - 1) * ic
+        lq1 += dc
+        dlq1 += (i - 1) * dc
+        ldq1 += below * ic
+        llq1 += below * dc
+    return {
+        "qm1": qm1, "dq1": dq1, "dqm1": dqm1, "ddq1": ddq1, "lq1": lq1,
+        "lqm1": lqm1, "dlq1": dlq1, "ldq1": ldq1, "llq1": llq1,
+    }
+
+
+def closed_form_printed(F, mu: float, n, x: float, rho: float):
+    """(m1, m2, omega1, omega2) from the printed formulas, every
+    combination of the functionals F (attributes named as in
+    ``QFunctionals``) formed afresh in each formula."""
+    omega1 = ((1.0 - rho) * F.dq1 + rho * F.lq1) / (F.q1 * n)
+    m1 = x + omega1
+    m2 = (
+        x * x
+        + ((2.0 * F.dq1 + F.q1) + 2.0 * mu * F.qm1 * rho) * x / (F.q1 * n)
+        + F.lq1 * rho / (F.q1 * n * n)
+        + (2.0 * F.ddq1 - F.dlq1 - F.ldq1 + F.dq1 - 2.0 * mu * F.dqm1)
+        * (1.0 - rho)
+        / (F.q1 * n * n)
+        + (F.llq1 + 2.0 * mu * F.lqm1) / (F.q1 * n * n)
+    )
+    omega2 = (
+        (1.0 + 2.0 * rho * (mu * F.qm1 + F.dq1 - F.lq1) / F.q1) * x / n
+        + F.lq1 * rho / (F.q1 * n * n)
+        + (2.0 * F.ddq1 - F.dlq1 - F.ldq1 + F.dq1 - 2.0 * mu * F.dqm1)
+        * (1.0 - rho)
+        / (F.q1 * n * n)
+        + (F.llq1 + 2.0 * mu * F.lqm1) / (F.q1 * n * n)
+    )
+    return m1, m2, omega1, omega2

@@ -55,6 +55,16 @@ class TestConstruction:
         with pytest.raises(DomainError):
             AppellFamily.from_coefficients(DunklContext(-0.2), [1.0])
 
+    def test_support_is_the_nonzero_indices(self):
+        coeffs = [2.0, -0.0, 0.0, 5e-324, 0.0, -0.5, 0.0, 0.25, -0.0]
+        fam = AppellFamily.from_coefficients(DunklContext(0.5), coeffs)
+        assert fam.support == (0, 3, 5, 7)
+        assert AppellFamily.gould_hopper(DunklContext(0.0), 0.5, 3).support[:3] == (0, 4, 8)
+
+    def test_q1_overflow_raises_range_error(self):
+        with pytest.raises(RangeError, match="double range"):
+            AppellFamily.from_coefficients(DunklContext(0.0), [1e308, 0.0, 1e308])
+
     def test_signed_coefficients_are_unverified(self):
         fam = AppellFamily.from_coefficients(DunklContext(0.0), [2.0, -1.0])
         assert fam.positivity == UNVERIFIED

@@ -25,7 +25,13 @@ from dunkl_appell import (
 from dunkl_appell import appell, engine
 from dunkl_appell.engine import exp_ratio, nodes
 
-from oracles import emu_brute, gould_hopper_functionals
+from oracles import (
+    closed_form_printed,
+    emu_brute,
+    gould_hopper_functionals,
+    horner_at_one,
+    q_functionals_dense,
+)
 
 EPS = 2.0**-52
 # For each functional at -1, the one at +1 whose terms are its terms' absolute
@@ -265,6 +271,21 @@ class TestOperatorSpec:
     def test_rejects_bad_scale_and_tolerance(self, n, tol):
         with pytest.raises(DomainError):
             unit_spec(0.5, n, tol=tol)
+
+    @pytest.mark.parametrize(
+        "n", [2.5, 2.0, True, False, math.nan, math.inf, -math.inf, np.float64(3.0),
+              np.bool_(True), "3", -1, np.int64(0)]
+    )
+    def test_rejects_a_scale_that_is_not_an_integer_from_one(self, n):
+        with pytest.raises(DomainError, match="scale n must be an integer >= 1"):
+            unit_spec(0.5, n)
+
+    @pytest.mark.parametrize("n", [np.int64(10), np.int32(10), np.uint8(10)])
+    def test_numpy_integer_scale_is_the_equal_int(self, n):
+        spec, ref = gh_spec(0.5, 0.5, 1, n), gh_spec(0.5, 0.5, 1, 10)
+        assert type(spec.n) is int and spec.n == 10
+        assert central_moments(spec, 0.7) == central_moments(ref, 0.7)
+        assert apply(spec, math.sin, 0.7) == apply(ref, math.sin, 0.7)
 
 
 class TestQFunctionals:
@@ -509,6 +530,86 @@ class TestEvaluationCounts:
         assert len(calls) == 1
         central_moments(gh_spec(0.5, 0.5, 1, 30), 1.2)  # a new family
         assert len(calls) == 2
+
+
+# Families whose supports are full, sparse, or hold signed zeros and
+# subnormal coefficients.
+BIT_FAMILIES = {
+    "unit": [1.0],
+    "quadratic": [1.0, 0.5, 0.25],
+    "gh(0.5,1)": (0.5, 1),
+    "gh(5,3)": (5.0, 3),
+    "gh(1,9)": (1.0, 9),
+    "zero-runs": [1.0, 0.0, 0.0, 0.0, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.125],
+    "signed-zeros": [2.0, -0.0, 0.0, -0.0, 0.75, -0.0, 0.0, 0.0, 0.3, -0.0],
+    "subnormal": [1.0, 5e-324, 0.0, 0.0, 5e-324, -0.0, 0.25, 0.0, 0.0, 0.0, 5e-324],
+    "mixed-sign": [1.0, 0.0, -0.25, 0.0, 0.0, 0.5, -0.0, 0.0, 1e-3],
+}
+BIT_MUS = [0.0, 1e-20, 0.5, 1.3, 7.5, 20.0]
+BIT_NS = [1, 10, 1000, 1_000_000]
+# n*x at zero, on each side of rho's crossover (about 19 to 21 for mu in
+# [0.5, 7.5], 42.5 at mu = 1e-20 and 99.75 at mu = 20) and far past it.
+BIT_NX = [0.0, 0.3, 18.5, 19.5, 20.5, 21.5, 42.0, 43.0, 99.5, 100.0, 1e6]
+
+
+def bit_family(mu, name):
+    spec = BIT_FAMILIES[name]
+    if isinstance(spec, tuple):
+        return AppellFamily.gould_hopper(DunklContext(mu), *spec)
+    return AppellFamily.from_coefficients(DunklContext(mu), spec)
+
+
+class TestBitIdentity:
+    """Q(1), the Q-functionals and the closed-form moments equal, bit for
+    bit, Horner's scheme, the dense functional pass and the printed
+    formulas in ``oracles``."""
+
+    @staticmethod
+    def dense(fam):
+        q1 = horner_at_one(fam.Q.coeffs)
+        return QFunctionals(q1, **q_functionals_dense(fam.Q.coeffs, fam.ctx.mu))
+
+    @pytest.mark.parametrize("name", BIT_FAMILIES)
+    @pytest.mark.parametrize("mu", BIT_MUS)
+    def test_q1_and_functionals(self, mu, name):
+        fam = bit_family(mu, name)
+        ref = self.dense(fam)
+        assert fam.Q_at_1.hex() == fam.Q.eval(1.0).hex() == ref.q1.hex()
+        F = q_functionals(fam)
+        for field in dataclasses.fields(QFunctionals):
+            assert getattr(F, field.name).hex() == getattr(ref, field.name).hex(), field.name
+
+    @pytest.mark.parametrize("name", BIT_FAMILIES)
+    @pytest.mark.parametrize("mu", BIT_MUS)
+    def test_closed_form(self, mu, name):
+        fam = bit_family(mu, name)
+        ref = self.dense(fam)
+        for n in BIT_NS:
+            spec = OperatorSpec(family=fam, n=n)
+            for nx in BIT_NX:
+                x = nx / n
+                got = engine._closed_form(spec, x)
+                want = closed_form_printed(ref, mu, n, x, exp_ratio(spec, x))
+                assert [v.hex() for v in got] == [v.hex() for v in want], (n, x)
+
+    def test_grid_straddles_rho_crossover(self, monkeypatch):
+        from dunkl_appell import dunkl
+
+        routes = {}
+        for route in ("_ratio_series", "_ratio_expansion"):
+            original = getattr(dunkl, route)
+
+            def counted(mu, y, tol, route=route, original=original):
+                routes.setdefault(mu, set()).add(route)
+                return original(mu, y, tol)
+
+            monkeypatch.setattr(dunkl, route, counted)
+        fam = {mu: bit_family(mu, "unit") for mu in BIT_MUS}
+        for mu in BIT_MUS:
+            for nx in BIT_NX:
+                exp_ratio(OperatorSpec(family=fam[mu], n=1), nx)
+        for mu in BIT_MUS[1:]:
+            assert routes[mu] == {"_ratio_series", "_ratio_expansion"}, mu
 
 
 class TestNodes:
