@@ -25,14 +25,15 @@ One kernel grows the windows of a batch of points at one n (``windows``);
 one-point case), and the engine's ``apply`` correlates f with Q once per
 batch instead.  Both sides of every window are rows of one set of numpy
 arrays, B = 8*sqrt(n*x) + 40 terms out from the mode for the batch's largest
-n*x: one division for the term ratios (at mu > 0 the tail bounds come from
-the same division), one cumulative product for the terms and, per side, one
-cumulative sum for the running totals; each row ends at its own first term
-that meets its side's bound, and a row with a side that runs past B is grown
-again with B doubled.  Lower sides are left out when every mode of a batch
-is index 0, and a batch of windows that are the mode alone skips the
-arrays.  Every operation runs along a row in a fixed order, so a row's
-window is the same bit for bit in any batch and alone.
+n*x, with each row's values spread over it so that every operation meets
+operands of one shape: one division for the tail bounds and the term ratios,
+one cumulative product for the terms and, per side, one cumulative sum for
+the running totals; each row ends at its own first term that meets its
+side's bound, a last column past B meets every bound, and a row with a side
+that ends there is grown again with B doubled.  Lower sides are left empty
+when every mode of a batch is index 0, and a batch of windows that are the
+mode alone skips the arrays.  Every operation runs along a row in a fixed
+order, so a row's window is the same bit for bit in any batch and alone.
 """
 
 from __future__ import annotations
@@ -63,14 +64,17 @@ UNVERIFIED = "unverified"
 # near n*x = 5e9, after about a second of growing the window.
 MAX_WINDOW = 2**20
 
-# Terms a batch of several rows may hold, so that each of the kernel's
-# arrays (256 KB) stays in cache; at MAX_WINDOW terms a grid at n*x near
-# 1e6 ran 1.3-1.6x slower and held four times the memory.
+# Terms a batch of several rows may hold, so that the kernel's arrays (128
+# KB per side and row of values) stay in cache; at MAX_WINDOW terms a grid
+# at n*x near 1e6 ran 1.3-1.6x slower and held four times the memory.
 BATCH_TERMS = 2**15
 
 # Half an ulp of 1: a Gould-Hopper generator stops once the index-weighted
 # rest of its series is below this fraction of the sum so far.
 _HALF_ULP = 2.0**-53
+
+# A window's upper side grows up from the mode, its lower side down.
+_SIGN = np.array([1.0, -1.0]).reshape(2, 1, 1)
 
 
 @dataclass(frozen=True)
@@ -309,14 +313,14 @@ class AppellFamily:
         """The windows at points x from one pass of block terms per side;
         rows with a side that runs past it are redone with twice the block."""
         modes = list(map(math.floor, nx))
-        terms, up, down, total, done = _sides(nx, modes, tol, 2.0 * self.ctx.mu, block)
-        rows = len(x)
+        terms, up, down, total = _sides(nx, modes, tol, 2.0 * self.ctx.mu, block)
         out, redo = [], []
-        for r, (mode, a, b, t, ok) in enumerate(
-            zip(modes, up.tolist(), down.tolist(), total.tolist(), done.tolist())
+        for r, (mode, a, b, t) in enumerate(
+            zip(modes, up.tolist(), down.tolist(), total.tolist())
         ):
+            ok = a <= block and b <= block  # both sides ended within the block
             if ok and a + b < MAX_WINDOW:
-                out.append((mode - b, terms[r, : a + 1], terms[rows + r, 1 : b + 1], t))
+                out.append((mode - b, terms[0, r, : a + 1], terms[1, r, 1 : b + 1], t))
             elif ok or block == MAX_WINDOW - 1:
                 raise TruncationFailureError(
                     f"truncation failure: the weight window reached {MAX_WINDOW} "
@@ -388,87 +392,87 @@ def _sides(nx, m, tol, mu2, block):
     """Both sides of every row's window, block terms out from the mode.
 
     nx, m and tol hold each row's n*x, mode m = floor(n*x) and tolerance.
-    Side row r is row r's upper side and side row R + r its lower side;
-    column c holds the term c places from the mode, scaled to 1 there
-    (column 0).  Returns the terms, the column where each upper and each
-    lower side ends, each window's sum, and whether both sides of each row
-    ended within the block.  Lower sides are not grown when every mode is
-    index 0, which leaves them empty.  Every operation works along a row in
-    a fixed order, so a row's results do not depend on the others.
+    Returns the terms, shape (2, rows, block + 2): [0, r] is row r's upper
+    side and [1, r] its lower side, column c the term c places from the
+    mode, scaled to 1 there (column 0); then the column where each upper
+    and each lower side ends, and each window's sum.  Every side ends in
+    the last column, past the block, if in no column before it.  The ends
+    of lower sides are not searched when every mode is index 0, which
+    leaves them empty.  Every operation works along a row in a fixed order,
+    so a row's results do not depend on the others.
     """
     rows = len(nx)
     if not block:  # every window is the mode alone
         zero = np.zeros(rows, int)
-        return np.ones((2 * rows, 1)), zero, zero, np.ones(rows), zero == 0
-    lower = any(m)
-    sides = 2 * rows if lower else rows
-    w = block + 1
-    # Float indices, exact below 2**53, so that a window near an n*x past
-    # the int64 range still grows to MAX_WINDOW and fails as any other.  h
-    # is one past the term's index going up and the term's index going down.
-    # On lower sides the terms are divided by n*x only where there are
-    # any (m >= 1), so by max(n*x, 1).
-    c = np.arange(w, dtype=float)
-    base = np.array([k + 1.0 for k in m] + (m if lower else []), dtype=float)[:, None]
-    nxr = np.array(nx + ([max(v, 1.0) for v in nx] if lower else []))[:, None]
-    half = np.array([t / 2 for t in tol])[:, None]
-    # hd[1] holds d(h) = h + 2*mu*theta(h); hd[0] holds what the tail
-    # bound q divides by, or is divided by: h up, and (h + 2*mu) down but 0
-    # at index 0, which has no terms below it.  One division of each half
-    # then gives q in ratios[0] and the term ratios in ratios[1]: n*x / d(i)
-    # going up, d(i+1) / (n*x) going down (0 past index 0).
-    hd = np.empty((2, sides, w))
-    h = hd[0]
-    np.add(base[:rows], c, h[:rows])
-    if lower:
-        np.subtract(base[rows:], c, h[rows:])
+        return np.ones((2, rows, 1)), zero, zero, np.ones(rows)
+    w = block + 2  # and a last column past the block, where every side ends
+    # Per-row values, spread over their rows so that every operation meets
+    # operands of one shape: the pairs (n*x, h) up and (h, max(n*x, 1))
+    # down, h one past the term's index going up and the index going down
+    # (a lower side has terms only where m >= 1, and n*x >= 1 there); at
+    # mu > 0 the same pairs with 2*mu*theta(h), made d(h) below; tol/2.
+    # Float indices, exact below 2**53, let a window past the int64 range
+    # fail as any other.
+    nx1 = [max(v, 1.0) for v in nx]
+    cols = nx + [k + 1.0 for k in m] + m + nx1
     if mu2:
-        # theta(h) = 2*frac(h/2) for h >= 0; past index 0 the terms are 0
-        # whatever d is
-        d = np.modf(h * 0.5)[0]
-        d *= 2.0 * mu2
-        np.add(h, d, hd[1])
-        ratios = np.empty(hd.shape)
-        np.divide(nxr[:rows], hd[:, :rows], ratios[:, :rows])
-        if lower:
-            below = h[rows:] > 0.0
-            h[rows:] += mu2
-            h[rows:] *= below
-            np.divide(hd[:, rows:], nxr[rows:], ratios[:, rows:])
-        q, ratio = ratios
-    else:  # d(h) = h, and q is the ratio that leads to the next term
-        ratio = np.empty((sides, w))
-        np.divide(nxr[:rows], h[:rows], ratio[:rows])
-        if lower:
-            np.divide(h[rows:], nxr[rows:], ratio[rows:])
-        q = ratio
-    terms = np.empty((2 * rows, w))
-    terms[:sides, 0] = 1.0
-    np.multiply.accumulate(ratio[:, :-1], 1, None, terms[:sides, 1:])
+        odd = [mu2 * (k & 1) for k in m]
+        cols += nx + [mu2 - v for v in odd] + odd + nx1
+    cols += [t / 2 for t in tol]
+    cols = np.array(cols, float).reshape(-1, rows, 1)
+    spread = np.empty((len(cols), rows, w))
+    spread[...] = cols
+    c = np.arange(w, dtype=float)
+    h = spread[1:3]
+    h += c * _SIGN
+    lower = any(m)  # lower sides have terms unless every mode is index 0
+    if mu2:
+        # d(h) = h + 2*mu*theta(h): theta alternates along a side, so
+        # 2*mu*theta(h) is |2*mu*theta(first h) - 2*mu*theta(c)|, 0 or 2*mu
+        c[0::2] = 0.0
+        c[1::2] = mu2
+        d = spread[5:7]
+        d -= c
+        np.abs(d, d)
+        d += h
+        # the tail bound going down uses h + 2*mu, but 0 at index 0, which
+        # has no terms below it (h > 0 before 2*mu is added)
+        low = h[1]
+        below = low > 0.0 if lower and min(m) <= block else None
+        low += mu2
+        if below is not None:
+            low *= below
+    # One division of every pair: the tail bound q and at mu > 0 the term
+    # ratios (0 past index 0); at mu = 0, d(h) = h and q is the ratio itself.
+    q = np.divide(spread[0:-1:2], spread[1:-1:2])
+    ratio = q[2:] if mu2 else q
+    q = q[:2]
+    q[:, :, -1] = 0.0  # the test below then holds past the block
+    terms = np.empty((2, rows, w))
+    terms[:, :, 0] = 1.0
+    np.multiply.accumulate(ratio[:, :, :-1], 2, None, terms[:, :, 1:])
     # A side ends at its first term u with u*q / (1-q) <= (tol/2) * (sum so
     # far), tested as u*q <= (tol/2) * sum * (1-q): where q >= 1 the bound
     # does not hold and the right side is at most 0 < u*q.
-    uq = terms[:sides] * q
-    room = 1.0 - q
+    uq = terms * q
+    room = np.subtract(1.0, q, q)
+    half = spread[-1]
     first = np.arange(0, rows * w, w)
-    up, done, top = _ends(terms[:rows], uq[:rows], room[:rows], half, first)
+    up, top = _ends(terms[0], uq[0], room[0], half, first)
     if not lower:
-        return terms, up, np.zeros(rows, int), top, done
+        return terms, up, np.zeros(rows, int), top
     # The lower side's sum continues from the upper one's; column 0 of the
     # lower terms (the mode again) is not part of the window.
-    terms[rows:, 0] = top
-    down, done_low, total = _ends(terms[rows:], uq[rows:], room[rows:], half, first)
-    return terms, up, down, total, done & done_low
+    terms[1, :, 0] = top
+    down, total = _ends(terms[1], uq[1], room[1], half, first)
+    return terms, up, down, total
 
 
 def _ends(terms, uq, room, half, first):
     """For sides whose terms start at the sum so far: the column of each
-    side's first term that ends it, whether there is one, and the sum
-    there."""
+    side's first term that ends it and the sum there."""
     sums = np.add.accumulate(terms, 1)
     bound = half * sums
     bound *= room
-    ends = uq <= bound
-    k = ends.argmax(1)  # the first term that ends the side, if any
-    at = first + k
-    return k, ends.take(at), sums.take(at)
+    k = (uq <= bound).argmax(1)  # the first term that ends the side
+    return k, sums.take(first + k)

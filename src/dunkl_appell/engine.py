@@ -110,12 +110,12 @@ def exp_ratio(spec: OperatorSpec, x: float) -> float:
 
 def nodes(spec: OperatorSpec, count: int, start: int = 0) -> np.ndarray:
     """The evaluation nodes (i + 2*mu*theta(i))/n for i = start .. start+count-1."""
-    return _nodes_at(spec, np.arange(start, start + count))
-
-
-def _nodes_at(spec: OperatorSpec, i: np.ndarray) -> np.ndarray:
+    t = np.arange(start, start + count, dtype=float)
     mu2 = 2.0 * spec.family.ctx.mu
-    return (i + mu2 * (i & 1)) / spec.n if mu2 else i / spec.n
+    if mu2:
+        t[(start + 1) % 2 :: 2] += mu2  # the odd indices
+    t /= spec.n
+    return t
 
 
 def apply(spec: OperatorSpec, f: Callable[[float], float], x):
@@ -129,7 +129,8 @@ def apply(spec: OperatorSpec, f: Callable[[float], float], x):
     distinct node of nonzero weight in a batch, in increasing index order,
     and each value equals the value at that point alone bit for bit.  A
     non-finite value of f raises EvaluationError naming the first such node
-    in index order.
+    in index order; finite values whose weighted sum leaves double range
+    raise RangeError naming n and the point.
 
     The weight emission's mass tolerance only bounds the zeroth-moment
     truncation error; for growing targets like t or t**2 the omitted tail
@@ -142,10 +143,11 @@ def apply(spec: OperatorSpec, f: Callable[[float], float], x):
     if points.ndim > 1:
         raise DomainError(f"x must be a float or a 1-D sequence, got shape {points.shape}")
     grid = points.reshape(-1)
-    tol = [_point_tol(spec, t) for t in grid.tolist()]
+    xs = grid.tolist()
+    tol = [_point_tol(spec, t) for t in xs]
     values = []
     for windows in spec.family.windows(spec.n, grid, tol):
-        values += _contract(spec, f, windows)
+        values += _contract(spec, f, windows, xs[len(values) :])
     return np.array(values) if points.ndim else values[0]
 
 
@@ -158,11 +160,13 @@ def _point_tol(spec: OperatorSpec, x: float) -> float:
     return min(tol, spec.tol)
 
 
-def _contract(spec: OperatorSpec, f, windows) -> List[float]:
-    """The value at every window of one batch, from f correlated with Q.
+def _contract(spec: OperatorSpec, f, windows, x) -> List[float]:
+    """The value at every window of one batch, at points x, from f
+    correlated with Q.
 
-    Rows whose node spans [lo, hi + deg Q] overlap share a cluster's arrays,
-    and g is 0.0 at the nodes that no window reaches through Q's support.
+    Rows whose nodes [lo, hi + last index of Q's support] meet share a
+    cluster's arrays; they are one interval unless a window is narrower
+    than Q's widest gap, and g is 0.0 at the nodes no window reaches.
     """
     family = spec.family
     support = family.support
@@ -170,44 +174,60 @@ def _contract(spec: OperatorSpec, f, windows) -> List[float]:
         gap = max(map(operator.sub, support[1:], support), default=1)
         family._arrays = np.array(family.Q.coeffs), gap
     c, gap = family._arrays
-    deg = len(c) - 1
+    deg, top = len(c) - 1, support[-1]
     clusters = []  # [first index, last window index, rows as (r, lo, hi)]
     for lo, r in sorted((w[0], r) for r, w in enumerate(windows)):
         hi = lo + len(windows[r][1]) + len(windows[r][2]) - 1
-        if not clusters or lo > clusters[-1][1] + deg:
+        if not clusters or lo > clusters[-1][1] + top + 1:
             clusters.append([lo, hi, []])
         clusters[-1][1] = max(clusters[-1][1], hi)
         clusters[-1][2].append((r, lo, hi))
     values = [0.0] * len(windows)
     for first, last, rows in clusters:
-        used = np.zeros(last - first + 1 + deg, bool)
-        for _, lo, hi in rows:
-            if hi - lo >= gap - 1:  # the window spans Q's widest gap: no holes
-                used[lo - first : hi - first + support[-1] + 1] = True
-            else:
-                used[np.add.outer(np.arange(lo, hi + 1) - first, support)] = True
-        k = used.nonzero()[0]
-        t = _nodes_at(spec, first + k)
-        fv = np.zeros(len(used))
-        fv[k] = np.fromiter(map(f, t.tolist()), float, len(t))
-        g = np.correlate(fv, c, "valid")
-        for r, lo, _ in rows:
-            _, up, down, total = windows[r]
-            mode = lo - first + len(down)
-            value = up @ g[mode : mode + len(up)] + down @ g[lo - first : mode][::-1]
-            values[r] = float(value) / (family.Q_at_1 * total)
+        span = last - first + 1 + deg
+        used = slice(0, last - first + 1 + top)
+        if any(hi - lo < gap - 1 for _, lo, hi in rows):  # a window leaves holes
+            mask = np.zeros(span, bool)
+            for _, lo, hi in rows:
+                if hi - lo >= gap - 1:  # the window spans Q's widest gap
+                    mask[lo - first : hi - first + top + 1] = True
+                else:
+                    mask[np.add.outer(np.arange(lo, hi + 1) - first, support)] = True
+            used = mask.nonzero()[0]
+        t = nodes(spec, span, first)[used]
+        ft = fv = np.fromiter(map(f, t.tolist()), float, len(t))
+        if len(ft) < span:
+            fv = np.zeros(span)
+            fv[used] = ft
+        _weighted_sums(fv, c, first, rows, windows, family.Q_at_1, values)
+        for r, _, _ in rows:
             if not math.isfinite(values[r]):
-                _check_finite(fv[k], t)
+                _non_finite(ft, t, spec.n, x[r])
     return values
 
 
-def _check_finite(fv: np.ndarray, t: np.ndarray) -> None:
+# A sum past double range shows as a non-finite value that _contract reports.
+@np.errstate(over="ignore", invalid="ignore")
+def _weighted_sums(fv, c, first, rows, windows, q1, values) -> None:
+    """K f at a cluster's rows from f at its nodes, fv from index first on."""
+    g = np.correlate(fv, c, "valid")
+    for r, lo, _ in rows:
+        _, up, down, total = windows[r]
+        mode = lo - first + len(down)
+        value = up @ g[mode : mode + len(up)] + down @ g[lo - first : mode][::-1]
+        values[r] = float(value) / (q1 * total)
+
+
+def _non_finite(fv: np.ndarray, t: np.ndarray, n: int, x: float) -> None:
+    """Raise for a non-finite K f at (n, x): EvaluationError at the first
+    non-finite value of f, else RangeError for their weighted sum."""
     finite = np.isfinite(fv)
     if not finite.all():
         bad = finite.argmin()
         raise EvaluationError(
             f"target function returned non-finite value {fv[bad]} at node {t[bad]}"
         )
+    raise RangeError(f"K f left double range at n={n}, x={x}, with every value of f finite")
 
 
 def q_functionals(family: AppellFamily) -> QFunctionals:

@@ -15,7 +15,10 @@ bit-identity checks, Q(1), the Q-functionals and the closed-form moments
 are also kept as they were computed before the package walked only Q's
 support and hoisted the per-family terms: Horner's scheme over every
 coefficient, the dense functional pass with its zero test, and the printed
-moment formulas written out in full.
+moment formulas written out in full.  The weight windows and apply's sum
+are kept as the block kernel and the masked contraction computed them
+before the kernel's columns were spread over its rows and a cluster's nodes
+were taken as one interval.
 """
 
 import math
@@ -327,3 +330,165 @@ def closed_form_printed(F, mu: float, n, x: float, rho: float):
         + (F.llq1 + 2.0 * mu * F.lqm1) / (F.q1 * n * n)
     )
     return m1, m2, omega1, omega2
+
+
+def block_windows(mu: float, n: int, x, tol, max_window: int, batch_terms: int):
+    """The weight windows at scale n of every point of x, in batches, by the
+    block kernel as it stood before its per-row columns were spread over
+    the rows and its divisions merged: side rows of one (2R, w) array,
+    theta from ``modf``, per-side divisions against (R, 1) columns and an
+    ends test read with ``take`` at the first passing column, rows that
+    run past the block redone with twice it.  Returns the list of batches,
+    each a list of (lo, upper terms, lower terms, total); a window past
+    max_window terms raises OverflowError.
+    """
+    import numpy as np
+
+    mu2 = 2.0 * mu
+    x, tol = [float(v) for v in x], list(tol)
+    nx = [n * v for v in x]
+
+    def first_block(v, t):
+        if v < 1.0 and v <= t / 2 * (1.0 - v):
+            return 0
+        return min(int(8.0 * math.sqrt(v)) + 40, max_window - 1)
+
+    def batches(blocks):
+        limit = min(batch_terms, max_window)
+        start, top = 0, 0
+        for k, block in enumerate(blocks):
+            wide = max(top, block)
+            if k > start and (k - start + 1) * (2 * wide + 1) > limit:
+                yield start, k, top
+                start, wide = k, block
+            top = wide
+        if blocks:
+            yield start, len(blocks), top
+
+    def ends(terms, uq, room, half, first):
+        sums = np.add.accumulate(terms, 1)
+        bound = half * sums
+        bound *= room
+        passing = uq <= bound
+        k = passing.argmax(1)
+        at = first + k
+        return k, passing.take(at), sums.take(at)
+
+    def sides(nx, m, tol, block):
+        rows = len(nx)
+        if not block:
+            zero = np.zeros(rows, int)
+            return np.ones((2 * rows, 1)), zero, zero, np.ones(rows), zero == 0
+        lower = any(m)
+        count = 2 * rows if lower else rows
+        w = block + 1
+        c = np.arange(w, dtype=float)
+        base = np.array([k + 1.0 for k in m] + (m if lower else []), dtype=float)[:, None]
+        nxr = np.array(nx + ([max(v, 1.0) for v in nx] if lower else []))[:, None]
+        half = np.array([t / 2 for t in tol])[:, None]
+        hd = np.empty((2, count, w))
+        h = hd[0]
+        np.add(base[:rows], c, h[:rows])
+        if lower:
+            np.subtract(base[rows:], c, h[rows:])
+        if mu2:
+            d = np.modf(h * 0.5)[0]
+            d *= 2.0 * mu2
+            np.add(h, d, hd[1])
+            ratios = np.empty(hd.shape)
+            np.divide(nxr[:rows], hd[:, :rows], ratios[:, :rows])
+            if lower:
+                below = h[rows:] > 0.0
+                h[rows:] += mu2
+                h[rows:] *= below
+                np.divide(hd[:, rows:], nxr[rows:], ratios[:, rows:])
+            q, ratio = ratios
+        else:
+            ratio = np.empty((count, w))
+            np.divide(nxr[:rows], h[:rows], ratio[:rows])
+            if lower:
+                np.divide(h[rows:], nxr[rows:], ratio[rows:])
+            q = ratio
+        terms = np.empty((2 * rows, w))
+        terms[:count, 0] = 1.0
+        np.multiply.accumulate(ratio[:, :-1], 1, None, terms[:count, 1:])
+        uq = terms[:count] * q
+        room = 1.0 - q
+        first = np.arange(0, rows * w, w)
+        up, done, top = ends(terms[:rows], uq[:rows], room[:rows], half, first)
+        if not lower:
+            return terms, up, np.zeros(rows, int), top, done
+        terms[rows:, 0] = top
+        down, done_low, total = ends(terms[rows:], uq[rows:], room[rows:], half, first)
+        return terms, up, down, total, done & done_low
+
+    def rows_of(x, nx, tol, block):
+        modes = list(map(math.floor, nx))
+        terms, up, down, total, done = sides(nx, modes, tol, block)
+        rows = len(x)
+        out, redo = [], []
+        for r, (mode, a, b, t, ok) in enumerate(
+            zip(modes, up.tolist(), down.tolist(), total.tolist(), done.tolist())
+        ):
+            if ok and a + b < max_window:
+                out.append((mode - b, terms[r, : a + 1], terms[rows + r, 1 : b + 1], t))
+            elif ok or block == max_window - 1:
+                raise OverflowError(f"window past {max_window} terms at n*x = {nx[r]}")
+            else:
+                redo.append(r)
+                out.append(None)
+        if redo:
+            block = min(2 * block, max_window - 1)
+            for a, b, _ in batches([block] * len(redo)):
+                at = redo[a:b]
+                pick = [x[r] for r in at], [nx[r] for r in at], [tol[r] for r in at]
+                for r, window in zip(at, rows_of(*pick, block)):
+                    out[r] = window
+        return out
+
+    blocks = [first_block(v, t) for v, t in zip(nx, tol)]
+    return [rows_of(x[a:b], nx[a:b], tol[a:b], block) for a, b, block in batches(blocks)]
+
+
+def contract_masked(mu: float, n: int, coeffs, f, windows):
+    """K f at every window of one batch as apply summed it before the nodes
+    of a cluster were taken as one interval: a bool mask of the nodes each
+    window reaches through Q's support, f at its nonzero entries scattered
+    into zeros, one correlation with Q's coefficients per cluster of
+    overlapping windows and two dot products per window over Q(1), by
+    Horner's scheme, times the window's sum."""
+    import numpy as np
+
+    mu2 = 2.0 * mu
+    c = np.array(coeffs, dtype=float)
+    support = [i for i, v in enumerate(coeffs) if v != 0.0]
+    gap = max((b - a for a, b in zip(support, support[1:])), default=1)
+    q1 = horner_at_one(coeffs)
+    deg = len(c) - 1
+    clusters = []
+    for lo, r in sorted((w[0], r) for r, w in enumerate(windows)):
+        hi = lo + len(windows[r][1]) + len(windows[r][2]) - 1
+        if not clusters or lo > clusters[-1][1] + deg:
+            clusters.append([lo, hi, []])
+        clusters[-1][1] = max(clusters[-1][1], hi)
+        clusters[-1][2].append((r, lo, hi))
+    values = [0.0] * len(windows)
+    for first, last, rows in clusters:
+        used = np.zeros(last - first + 1 + deg, bool)
+        for _, lo, hi in rows:
+            if hi - lo >= gap - 1:
+                used[lo - first : hi - first + support[-1] + 1] = True
+            else:
+                used[np.add.outer(np.arange(lo, hi + 1) - first, support)] = True
+        k = used.nonzero()[0]
+        i = first + k
+        t = (i + mu2 * (i & 1)) / n if mu2 else i / n
+        fv = np.zeros(len(used))
+        fv[k] = np.fromiter(map(f, t.tolist()), float, len(t))
+        g = np.correlate(fv, c, "valid")
+        for r, lo, _ in rows:
+            _, up, down, total = windows[r]
+            mode = lo - first + len(down)
+            value = up @ g[mode : mode + len(up)] + down @ g[lo - first : mode][::-1]
+            values[r] = float(value) / (q1 * total)
+    return values

@@ -147,6 +147,20 @@ class TestEvalMode:
         assert abs(float(row["Kf"]) - 1.05) <= 1e-10
         assert row["bound"] == ""
 
+    @pytest.mark.parametrize("mu", ["0.5", "0"])
+    def test_small_nx_on_a_sparse_generator(self, capsys, mu):
+        # The CI step's command: Q = 1 + 0.5 t^4 and n*x from 0 to 4, where
+        # windows of a few terms leave holes in the nodes Q's support reaches
+        code, out, _ = run_cli(
+            capsys, "eval", "--mu", mu, "--family", "custom-coeffs", "--coeffs",
+            "1,0,0,0,0.5", "--f", "sinx", "--n", "20", "--x-grid", "0:0.2:0.01",
+        )
+        assert code == 0
+        assert out.splitlines()[0] == HEADER
+        rows = parse_csv(out)
+        assert len(rows) == 21 and all(len(row) == 10 for row in rows)
+        assert "nan" not in out.lower() and "inf" not in out.lower()
+
     def test_requires_function(self, capsys):
         code, _, err = run_cli(capsys, "eval", "--n", "5", "--x", "1")
         assert code == 1

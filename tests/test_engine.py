@@ -26,7 +26,9 @@ from dunkl_appell import appell, engine
 from dunkl_appell.engine import exp_ratio, nodes
 
 from oracles import (
+    block_windows,
     closed_form_printed,
+    contract_masked,
     emu_brute,
     gould_hopper_functionals,
     horner_at_one,
@@ -610,6 +612,163 @@ class TestBitIdentity:
                 exp_ratio(OperatorSpec(family=fam[mu], n=1), nx)
         for mu in BIT_MUS[1:]:
             assert routes[mu] == {"_ratio_series", "_ratio_expansion"}, mu
+
+
+# The window kernel and apply's contraction against their frozen forms in
+# ``oracles``: mu at 0, tiny and up to 3; n*x at 0, below 1 (no lower side),
+# at 1 and up to 1e6; tolerances down to 1e-40, where the first block runs
+# short and rows are redone.
+KERNEL_MUS = [0.0, 1e-20, 0.5, 1.3, 3.0]
+KERNEL_NX = [0.0, 1e-5, 0.5, 1.0, 2.0, 20.0, 600.0, 1e6]
+KERNEL_TOLS = [1e-12, 5e-14, 1e-25, 1e-40]
+KERNEL_FAMILIES = ["unit", "gh(0.5,1)", "sparse", "trailing-zero", "signed-zeros"]
+
+
+def kernel_family(mu, name):
+    if name == "sparse":  # Q = 1 + 0.5 t^4: a gap of 4 in its support
+        return AppellFamily.from_coefficients(DunklContext(mu), [1.0, 0.0, 0.0, 0.0, 0.5])
+    if name == "trailing-zero":  # a stored zero past the support's end
+        return AppellFamily.from_coefficients(DunklContext(mu), [1.0, 0.5, 0.0])
+    return bit_family(mu, name)
+
+
+def window_hex(window):
+    lo, up, down, total = window
+    return lo, [v.hex() for v in up.tolist()], [v.hex() for v in down.tolist()], total.hex()
+
+
+def batches_hex(batches):
+    return [[window_hex(w) for w in batch] for batch in batches]
+
+
+class TestKernelBitIdentity:
+    """``AppellFamily.windows`` and ``apply`` equal, by ``float.hex``, the
+    block kernel and the masked contraction frozen in ``oracles``."""
+
+    @staticmethod
+    def frozen(mu, n, xs, tols):
+        return block_windows(mu, n, xs, tols, appell.MAX_WINDOW, appell.BATCH_TERMS)
+
+    @pytest.mark.parametrize("mu", KERNEL_MUS)
+    def test_point_windows(self, mu):
+        fam = kernel_family(mu, "unit")
+        redone = 0
+        for nx in KERNEL_NX:
+            for tol in KERNEL_TOLS:
+                got = list(fam.windows(7, [nx / 7], [tol]))
+                want = self.frozen(mu, 7, [nx / 7], [tol])
+                assert batches_hex(got) == batches_hex(want), (nx, tol)
+                ((window,),) = got
+                redone += max(len(window[1]), len(window[2])) > 8.0 * math.sqrt(nx) + 41
+        assert redone  # some first blocks ran short
+
+    @pytest.mark.parametrize("mu", KERNEL_MUS)
+    @pytest.mark.parametrize("tol", KERNEL_TOLS)
+    def test_grid_windows(self, mu, tol):
+        fam = kernel_family(mu, "unit")
+        xs = [nx / 3 for nx in KERNEL_NX[::-1] + KERNEL_NX]
+        got = list(fam.windows(3, xs, [tol] * len(xs)))
+        assert batches_hex(got) == batches_hex(self.frozen(mu, 3, xs, [tol] * len(xs)))
+
+    @pytest.mark.parametrize("mu", KERNEL_MUS)
+    def test_batches_with_every_mode_at_zero(self, mu):
+        fam = kernel_family(mu, "unit")
+        xs = [0.0, 1e-5, 0.25, 0.5, 0.999]
+        tols = [1e-12, 1e-40, 5e-14, 1e-25, 1e-12]
+        got = list(fam.windows(1, xs, tols))
+        assert all(not w[2].size for batch in got for w in batch)
+        assert batches_hex(got) == batches_hex(self.frozen(mu, 1, xs, tols))
+
+    @pytest.mark.parametrize("mu", KERNEL_MUS)
+    def test_batches_split_by_batch_terms(self, mu, monkeypatch):
+        monkeypatch.setattr(appell, "BATCH_TERMS", 600)
+        fam = kernel_family(mu, "unit")
+        xs = [k * 0.37 for k in range(60)]
+        tols = [KERNEL_TOLS[k % 4] for k in range(60)]
+        got = list(fam.windows(20, xs, tols))
+        assert len(got) > 3
+        assert batches_hex(got) == batches_hex(self.frozen(mu, 20, xs, tols))
+
+    @pytest.mark.parametrize("mu", KERNEL_MUS)
+    def test_window_past_int64_fails_as_any_other(self, mu, monkeypatch):
+        monkeypatch.setattr(appell, "MAX_WINDOW", 1000)
+        fam = kernel_family(mu, "unit")
+        with pytest.raises(OverflowError):
+            self.frozen(mu, 1, [2.0**64], [1e-12])
+        with pytest.raises(TruncationFailureError, match="reached 1000 terms"):
+            list(fam.windows(1, [1.0, 2.0**64], [1e-12, 1e-12]))
+
+    @pytest.mark.parametrize("name", KERNEL_FAMILIES)
+    @pytest.mark.parametrize("mu", KERNEL_MUS)
+    def test_apply(self, mu, name):
+        fam = kernel_family(mu, name)
+        f = lambda t: math.cos(3.0 * t) - 0.25
+        for n in (1, 20):
+            spec = OperatorSpec(family=fam, n=n)
+            xs = [nx / n for nx in KERNEL_NX]
+            tols = [engine._point_tol(spec, x) for x in xs]
+            want = []
+            for batch in self.frozen(mu, n, xs, tols):
+                want += contract_masked(mu, n, fam.Q.coeffs, f, batch)
+            got = apply(spec, f, xs)
+            assert [v.hex() for v in got.tolist()] == [v.hex() for v in want], n
+            for x, v in zip(xs, want):
+                assert apply(spec, f, x).hex() == v.hex(), (n, x)
+
+    @pytest.mark.parametrize("mu", KERNEL_MUS)
+    def test_apply_where_windows_are_shorter_than_the_gap(self, mu):
+        # Q = 1 + 0.5 t^4 at n*x near 0: windows of one to three terms, so
+        # the nodes a window reaches through Q's support leave holes
+        fam = kernel_family(mu, "sparse")
+        spec = OperatorSpec(family=fam, n=1)
+        xs = [0.0, 1e-5, 0.2, 0.21, 3.0, 3.01, 9.0]
+        tols = [engine._point_tol(spec, x) for x in xs]
+        batches = self.frozen(mu, 1, xs, tols)
+        assert any(len(w[1]) + len(w[2]) < 4 for batch in batches for w in batch)
+        want = []
+        for batch in batches:
+            want += contract_masked(mu, 1, fam.Q.coeffs, math.sin, batch)
+        assert [v.hex() for v in apply(spec, math.sin, xs).tolist()] == [v.hex() for v in want]
+
+    @pytest.mark.parametrize("mu", [0.0, 0.7])
+    @pytest.mark.parametrize("start", [0, 1, 6, 7])
+    def test_nodes(self, mu, start):
+        spec = unit_spec(mu, 7)
+        i = np.arange(start, start + 9)
+        want = (i + 2.0 * mu * (i & 1)) / 7 if mu else i / 7
+        got = nodes(spec, 9, start)
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
+
+
+class TestSumPastDoubleRange:
+    """K f is a convex combination of f's values; finite values whose
+    weighted sum overflows raise RangeError, not a silent inf."""
+
+    @pytest.mark.parametrize("family", ["gh(0.5,1)", "unit"])
+    @pytest.mark.parametrize("mu", [0.0, 0.5])
+    def test_one_point(self, mu, family):
+        spec = OperatorSpec(family=kernel_family(mu, family), n=50)
+        with pytest.raises(RangeError, match=r"n=50, x=1\.0"):
+            apply(spec, lambda t: 1.7e308, 1.0)
+
+    @pytest.mark.parametrize("family", ["gh(0.5,1)", "unit"])
+    @pytest.mark.parametrize("mu", [0.0, 0.5])
+    def test_grid_names_the_first_point(self, mu, family):
+        spec = OperatorSpec(family=kernel_family(mu, family), n=50)
+        with pytest.raises(RangeError, match=r"n=50, x=0\.5"):
+            apply(spec, lambda t: 1.7e308, [0.5, 1.0])
+
+    def test_finite_sums_keep_their_bits(self):
+        spec = OperatorSpec(family=kernel_family(0.5, "gh(0.5,1)"), n=50)
+        tols = [engine._point_tol(spec, 1.0)]
+        (batch,) = block_windows(0.5, 50, [1.0], tols, appell.MAX_WINDOW, appell.BATCH_TERMS)
+        (want,) = contract_masked(0.5, 50, spec.family.Q.coeffs, lambda t: 1e300, batch)
+        assert apply(spec, lambda t: 1e300, 1.0).hex() == want.hex()
+
+    def test_non_finite_value_still_names_its_node(self):
+        spec = unit_spec(0.0, 50)
+        with pytest.raises(EvaluationError, match="node"):
+            apply(spec, lambda t: math.inf if t > 1.0 else 1e308, 1.0)
 
 
 class TestNodes:
