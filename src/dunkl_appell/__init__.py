@@ -39,7 +39,6 @@ from .errors import (
     EvaluationError,
     NormalizationError,
     NotAppellGeneratorError,
-    PositivityViolationError,
     RangeError,
     TranscriptionError,
     TruncationFailureError,
@@ -67,7 +66,6 @@ __all__ = [
     "NormalizationError",
     "NotAppellGeneratorError",
     "OperatorSpec",
-    "PositivityViolationError",
     "PowerSeries",
     "QFunctionals",
     "RangeError",

@@ -20,10 +20,12 @@ it holds about 15*sqrt(n*x) terms at apply's tolerances, and MAX_WINDOW is
 the only limit on it (Loader 2000 centres Poisson weights at the mode the
 same way).
 
-One kernel grows the windows of a batch of points at one n (``windows``);
-``weight_rows`` convolves them with Q into weights (``weights`` is its
-one-point case), and the engine's ``apply`` correlates f with Q once per
-batch instead.  Both sides of every window are rows of one set of numpy
+One kernel, ``windows``, grows the windows of a batch of points at one n,
+and every weight comes from it: ``weights`` convolves one point's window
+with Q, and the engine's ``apply`` correlates f with Q once per batch
+instead.  It refuses a family whose positivity is unverified; for the others
+Q's coefficients and the terms are nonnegative, so no weight is negative and
+none is clamped.  Both sides of every window are rows of one set of numpy
 arrays, B = 8*sqrt(n*x) + 40 terms out from the mode for the batch's largest
 n*x, with each row's values spread over it so that every operation meets
 operands of one shape: one division for the tail bounds and the term ratios,
@@ -51,7 +53,6 @@ from .errors import (
     DomainError,
     NormalizationError,
     NotAppellGeneratorError,
-    PositivityViolationError,
     RangeError,
     TruncationFailureError,
 )
@@ -111,8 +112,8 @@ class AppellFamily:
 
     ``positivity`` is 'proven-by-coefficients' when every stored coefficient
     of Q is nonnegative (a sufficient condition for nonnegative weights on
-    x >= 0) and 'unverified' otherwise; weight generation rejects unverified
-    families unless explicitly overridden.
+    x >= 0) and 'unverified' otherwise; ``windows``, and so every weight and
+    ``apply``, rejects unverified families.
 
     ``truncated`` marks families whose stored coefficients cut off a
     genuinely infinite expansion (the Gould-Hopper exponentials); for those,
@@ -235,48 +236,28 @@ class AppellFamily:
             gj *= j + 1 + 2.0 * self.ctx.mu * ((j + 1) & 1)
         return out
 
-    def weights(
-        self,
-        n: int,
-        x: float,
-        tol: float = 1e-12,
-        allow_unverified: bool = False,
-    ) -> WeightSequence:
+    def weights(self, n: int, x: float, tol: float = 1e-12) -> WeightSequence:
         """Operator weights at (n, x) from a window of u_j around the mode.
 
-        The one-point case of ``weight_rows``, and equal to its row at x bit
-        for bit.  Each side of the window stops at its first term with
-        u * q / (1 - q) <= (tol/2) * (sum so far), q bounding every later
-        ratio on that side: n*x / (j+1) up, (j + 2*mu) / (n*x) down.  Both
-        bounds are met for every finite n*x; a window that needs more than
-        MAX_WINDOW terms (read at call time) raises TruncationFailureError.
-
-        A weight below -1e-12 signals an inadmissible generating series and
-        raises; rounding-level negatives above that are clamped to zero.
-        A family whose positivity is unverified needs allow_unverified=True.
+        The window is ``windows`` at the one point x, convolved with Q's
+        coefficients and divided by Q(1) times its sum.  Each side of the
+        window stops at its first term with u * q / (1 - q) <= (tol/2) *
+        (sum so far), q bounding every later ratio on that side: n*x / (j+1)
+        up, (j + 2*mu) / (n*x) down.  Both bounds are met for every finite
+        n*x; a window that needs more than MAX_WINDOW terms (read at call
+        time) raises TruncationFailureError.  Q's coefficients and the
+        window's terms are nonnegative, so every weight is too.
         """
-        windows = self._windows if allow_unverified else self.windows
-        ((window,),) = windows(n, [x], [tol])
-        return self._weight_sequence(n, float(x), *window)
+        ((window,),) = self.windows(n, [x], [tol])
+        lo, up, down, total = window
+        w = np.convolve(self.Q.coeffs, np.concatenate((down[::-1], up)))
+        w /= self.Q_at_1 * total
+        w.flags.writeable = False
+        return WeightSequence(w, n, float(x), start=lo)
 
-    def weight_rows(
-        self,
-        n: int,
-        x: Sequence[float],
-        tol: Sequence[float],
-    ) -> Iterator[List[WeightSequence]]:
-        """Operator weights at scale n for every point of x, in batches of rows.
-
-        Yields each point's WeightSequence, in order, in one list per batch
-        of ``windows``.  Each row equals ``weights`` at its point bit for bit.
-        """
-        batches = self.windows(n, x, tol)
-        points = iter(np.asarray(x, dtype=float).ravel().tolist())
-        ws = self._weight_sequence
-        # batch first: zip stops at the batch's end without taking a point
-        return ([ws(n, p, *w) for w, p in zip(b, points)] for b in batches)
-
-    def windows(self, n: int, x: Sequence[float], tol: Sequence[float]) -> Iterator:
+    def windows(
+        self, n: int, x: Sequence[float], tol: Sequence[float]
+    ) -> Iterator[List[tuple]]:
         """The weight window at scale n of every point of x, in batches.
 
         tol holds one mass tolerance per point.  Yields, for consecutive
@@ -285,16 +266,15 @@ class AppellFamily:
         down to index lo, and their sum.  A run holds at most MAX_WINDOW
         (read at call time) terms, rows times 2*B + 1 for its widest first
         block B; a point whose window alone needs more raises
-        TruncationFailureError.  The family's positivity must be proven.
+        TruncationFailureError.  A family whose positivity is unverified
+        raises DomainError.  The inputs are checked when the first batch is
+        taken.
         """
         if self.positivity != POSITIVE_BY_COEFFICIENTS:
             raise DomainError(
-                "family positivity is unverified; only weights(..., "
-                "allow_unverified=True) proceeds with it"
+                "family positivity is unverified: Q has a negative coefficient, "
+                "so its operator weights need not be nonnegative"
             )
-        return self._windows(n, x, tol)
-
-    def _windows(self, n, x, tol) -> Iterator[List[tuple]]:
         if n < 1:
             raise DomainError(f"operator scale n must be >= 1, got {n}")
         x = np.asarray(x, dtype=float)
@@ -338,24 +318,6 @@ class AppellFamily:
                 for r, window in zip(at, self._rows(n, *pick, block)):
                     out[r] = window
         return out
-
-    def _weight_sequence(self, n, x, lo, up, down, total) -> WeightSequence:
-        """The weights from a window: Q's coefficients convolved with its
-        terms, from index lo on, over Q(1) times their sum."""
-        w = np.convolve(self.Q.coeffs, np.concatenate((down[::-1], up)))
-        w /= self.Q_at_1 * total
-        i = int(w.argmin())
-        if w[i] < 0.0:
-            if w[i] < -1e-12:
-                raise PositivityViolationError(
-                    f"weight {w[i]} at index {lo + i} is materially negative; "
-                    "the generating series is inadmissible",
-                    index=lo + i,
-                    weight=float(w[i]),
-                )
-            np.maximum(w, 0.0, out=w)
-        w.flags.writeable = False
-        return WeightSequence(w, n, x, start=lo)
 
 
 def _first_block(nx: float, x: float, tol: float) -> int:

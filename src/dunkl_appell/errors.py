@@ -21,15 +21,6 @@ class NormalizationError(DunklApproxError, ValueError):
     """The generating series evaluates to a non-positive value at 1."""
 
 
-class PositivityViolationError(DunklApproxError, ArithmeticError):
-    """A materially negative operator weight appeared; the family is inadmissible."""
-
-    def __init__(self, message, index=None, weight=None):
-        super().__init__(message)
-        self.index = index
-        self.weight = weight
-
-
 class TruncationFailureError(DunklApproxError, ArithmeticError):
     """A weight window reached its term limit with its tail bound unmet."""
 

@@ -1,6 +1,7 @@
 """Shared pytest plumbing: surfaces the acceptance criterion results in the
 terminal summary so they are visible without disabling output capture, and
-provides the shrunken-modulus negative control."""
+provides the shrunken-modulus negative control and the exact form of weight
+windows that bit-identity tests compare."""
 
 import dataclasses
 
@@ -20,6 +21,16 @@ def shrink_sinx_modulus(monkeypatch):
             entry, analytic_modulus=lambda d: 0.05 * entry.analytic_modulus(d)
         ),
     )
+
+
+def window_hex(window):
+    """A window (lo, upper terms, lower terms, total) with every float as hex."""
+    lo, up, down, total = window
+    return lo, [v.hex() for v in up.tolist()], [v.hex() for v in down.tolist()], total.hex()
+
+
+def batches_hex(batches):
+    return [[window_hex(w) for w in batch] for batch in batches]
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -39,14 +39,14 @@ RECORDED = []
 def record_weight_points():
     # Every weight window, of one point or of a batch, for weights or for
     # apply, is grown here; C9 rebuilds the weights at each recorded point.
-    windows = AppellFamily._windows
+    windows = AppellFamily.windows
 
     def recording(self, n, x, tol):
         RECORDED.extend((self, n, p, t) for p, t in zip(list(x), tol))
         return windows(self, n, x, tol)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(AppellFamily, "_windows", recording)
+        mp.setattr(AppellFamily, "windows", recording)
         yield
 
 

@@ -11,7 +11,6 @@ from dunkl_appell import (
     DunklContext,
     NormalizationError,
     NotAppellGeneratorError,
-    PositivityViolationError,
     PowerSeries,
     RangeError,
     TruncationFailureError,
@@ -20,6 +19,7 @@ from dunkl_appell import (
 from dunkl_appell import appell
 from dunkl_appell.appell import POSITIVE_BY_COEFFICIENTS, UNVERIFIED
 
+from conftest import batches_hex, window_hex
 from oracles import (
     gamma_mu_closed_form,
     gould_hopper_functionals,
@@ -241,17 +241,26 @@ class TestWeights:
         for n, x in ((1, 0.0), (1, 2.0), (10, 0.5), (50, 2.0)):
             ws = fam.weights(n, x, tol=1e-12)
             assert all(w >= 0.0 for w in ws.weights)
+        # Random nonnegative generators, with zeros, signed zeros and values
+        # near 1e-300: their weights are sums of products of nonnegative
+        # numbers, so none falls below 0.0 and none needs a clamp.
+        rng = random.Random(15)
+        values = (1e-300, 3e-300, 0.5, 1.0, 2.5, 0.0, -0.0)
+        for _ in range(400):
+            mu = rng.choice((0.0, 1e-300, 0.3, 1.3, 7.0))
+            coeffs = [rng.choice(values[:5])]
+            coeffs += [rng.choice(values) for _ in range(rng.randint(0, 6))]
+            fam = AppellFamily.from_coefficients(DunklContext(mu), coeffs)
+            n = rng.randint(1, 1000)
+            nx = 0.0 if rng.random() < 0.1 else 10.0 ** rng.uniform(-6.0, 4.0)
+            tol = 10.0 ** rng.uniform(-40.0, -6.0)
+            ws = fam.weights(n, nx / n, tol)
+            assert (ws.weights >= 0.0).all(), (mu, coeffs, n, nx, tol)
 
-    def test_unverified_family_requires_override(self):
+    def test_unverified_family_is_rejected(self):
         fam = AppellFamily.from_coefficients(DunklContext(0.0), [2.0, -1.0])
         with pytest.raises(DomainError, match="unverified"):
             fam.weights(1, 1.0)
-
-    def test_override_then_positivity_violation(self):
-        fam = AppellFamily.from_coefficients(DunklContext(0.0), [2.0, -1.0])
-        with pytest.raises(PositivityViolationError) as exc_info:
-            fam.weights(1, 0.1, allow_unverified=True)
-        assert exc_info.value.index is not None
 
     def test_full_window_raises_naming_nx(self, monkeypatch):
         # the mass at n*x = 2 needs far more than three terms of the window
@@ -393,21 +402,21 @@ class TestReductionChain:
 
 
 class TestWeightRows:
-    """weight_rows grows many windows in one pass; each row must be the
-    weights of its point alone, bit for bit."""
+    """windows grows the windows of many points in one pass, one row each;
+    each row must be the window of its point alone, bit for bit."""
 
     @staticmethod
     def family(mu, shape):
         return TestBlockWindow.family(mu, shape)
 
     @staticmethod
-    def same(row, ws):
-        return (
-            row.start == ws.start
-            and row.n == ws.n
-            and row.x == ws.x
-            and row.weights.tobytes() == ws.weights.tobytes()
-        )
+    def rows(batches):
+        return [w for batch in batches_hex(batches) for w in batch]
+
+    @staticmethod
+    def alone(fam, n, x, tol):
+        ((window,),) = fam.windows(n, [x], [tol])
+        return window_hex(window)
 
     @staticmethod
     def grid(n, rng):
@@ -425,37 +434,35 @@ class TestWeightRows:
         fam = self.family(mu, shape)
         xs = self.grid(n, rng)
         tols = [10.0 ** rng.uniform(-13.5, -9.0) for _ in xs]
-        rows = [ws for batch in fam.weight_rows(n, xs, tols) for ws in batch]
+        rows = self.rows(fam.windows(n, xs, tols))
         assert len(rows) == len(xs)
         for x, tol, row in zip(xs, tols, rows):
-            assert self.same(row, fam.weights(n, x, tol=tol))
+            assert row == self.alone(fam, n, x, tol)
 
     def test_tiny_tolerances_take_a_second_pass(self):
         # At tol 1e-40 the sides run past the first pass's 8*sqrt(n*x) + 40
         # terms, and the pass is repeated with twice the width.
         fam = self.family(0.5, (1.0, 2))
         xs, tols = [3.0, 50.0, 800.0], [1e-40, 1e-12, 1e-40]
-        rows = [ws for batch in fam.weight_rows(1, xs, tols) for ws in batch]
-        assert len(rows[2].weights) > 2 * (8 * math.sqrt(800.0) + 40)
+        rows = self.rows(fam.windows(1, xs, tols))
+        _, up, down, _ = rows[2]
+        assert max(len(up), len(down)) > 8 * math.sqrt(800.0) + 40
         for x, tol, row in zip(xs, tols, rows):
-            assert self.same(row, fam.weights(1, x, tol=tol))
+            assert row == self.alone(fam, 1, x, tol)
 
     @pytest.mark.parametrize("limit", ["MAX_WINDOW", "BATCH_TERMS"])
     def test_batches_split_at_max_window(self, monkeypatch, limit):
         fam = self.family(0.5, (0.5, 1))
         xs = [k * 0.05 for k in range(60)]
         tols = [1e-13] * len(xs)
-        whole = list(fam.weight_rows(20, xs, tols))
+        whole = list(fam.windows(20, xs, tols))
         monkeypatch.setattr(appell, limit, 600)
-        split = list(fam.weight_rows(20, xs, tols))
+        split = list(fam.windows(20, xs, tols))
         assert len(whole) == 1 and len(split) > 3
         for batch in split:
-            # the window terms of a batch of several rows, without the
-            # generator's degree that the convolution adds to each row
-            terms = sum(len(ws.weights) - fam.Q.degree for ws in batch)
+            terms = sum(len(up) + len(down) for _, up, down, _ in batch)
             assert len(batch) == 1 or terms <= 600
-        for a, b in zip(whole[0], [ws for batch in split for ws in batch]):
-            assert self.same(a, b)
+        assert self.rows(whole) == self.rows(split)
 
     @pytest.mark.parametrize("mu", [0.0, 1.3])
     def test_rows_without_lower_sides(self, mu):
@@ -464,34 +471,36 @@ class TestWeightRows:
         # alone, come out the same.
         fam = self.family(mu, (0.5, 1))
         xs = [0.003, 0.9, 0.0, 0.45]
-        low = next(fam.weight_rows(1, xs, [1e-13] * 4))
-        mixed = next(fam.weight_rows(1, xs + [7.0], [1e-13] * 5))
-        assert [ws.start for ws in low] == [0] * 4
+        low = self.rows([next(fam.windows(1, xs, [1e-13] * 4))])
+        mixed = self.rows([next(fam.windows(1, xs + [7.0], [1e-13] * 5))])
+        assert [(lo, down) for lo, _, down, _ in low] == [(0, [])] * 4
         for x, a, b in zip(xs, low, mixed):
-            assert self.same(a, b) and self.same(a, fam.weights(1, x, tol=1e-13))
+            assert a == b == self.alone(fam, 1, x, 1e-13)
 
     def test_window_cap_counts_every_term(self, monkeypatch):
         fam = self.family(0.5, "unit")
-        full = fam.weights(1, 2000.0, tol=1e-12)
-        monkeypatch.setattr(appell, "MAX_WINDOW", len(full.weights))
-        ((row,),) = fam.weight_rows(1, [2000.0], [1e-12])
-        assert self.same(row, full)
-        monkeypatch.setattr(appell, "MAX_WINDOW", len(full.weights) - 1)
+        full = self.alone(fam, 1, 2000.0, 1e-12)
+        terms = len(full[1]) + len(full[2])
+        monkeypatch.setattr(appell, "MAX_WINDOW", terms)
+        assert self.rows(fam.windows(1, [2000.0], [1e-12])) == [full]
+        monkeypatch.setattr(appell, "MAX_WINDOW", terms - 1)
         with pytest.raises(TruncationFailureError, match=r"n\*x = 2000\b"):
-            list(fam.weight_rows(1, [1.0, 2000.0], [1e-12, 1e-12]))
+            list(fam.windows(1, [1.0, 2000.0], [1e-12, 1e-12]))
 
     def test_window_past_the_int64_range_fails_as_truncation(self, monkeypatch):
         monkeypatch.setattr(appell, "MAX_WINDOW", 1000)
         with pytest.raises(TruncationFailureError, match=r"n\*x = 1e\+300\b"):
-            list(self.family(0.5, "unit").weight_rows(1, [1e300], [1e-12]))
+            list(self.family(0.5, "unit").windows(1, [1e300], [1e-12]))
 
     def test_empty_grid_yields_nothing(self):
-        assert list(self.family(0.5, "unit").weight_rows(5, [], [])) == []
+        assert list(self.family(0.5, "unit").windows(5, [], [])) == []
 
     def test_rows_are_read_only(self):
-        ((row,),) = self.family(0.5, (0.5, 1)).weight_rows(10, [1.0], [1e-12])
-        with pytest.raises(ValueError):
-            row.weights[0] = 1.0
+        fam = self.family(0.5, (0.5, 1))
+        for nx in (0.0, 0.5, 7.0):  # the mode alone, an upper side alone, both
+            ws = fam.weights(10, nx / 10, 1e-12)
+            with pytest.raises(ValueError):
+                ws.weights[0] = 1.0
 
     def test_validation(self):
         fam = self.family(0.0, "unit")
@@ -507,7 +516,7 @@ class TestWeightRows:
         ]
         for n, xs, tols in bad:
             with pytest.raises(DomainError):
-                list(fam.weight_rows(n, xs, tols))
+                list(fam.windows(n, xs, tols))
         signed = AppellFamily.from_coefficients(DunklContext(0.0), [2.0, -1.0])
         with pytest.raises(DomainError, match="unverified"):
-            list(signed.weight_rows(1, [1.0], [1e-12]))
+            list(signed.windows(1, [1.0], [1e-12]))

@@ -25,6 +25,7 @@ from dunkl_appell import (
 from dunkl_appell import appell, engine
 from dunkl_appell.engine import exp_ratio, nodes
 
+from conftest import batches_hex
 from oracles import (
     block_windows,
     closed_form_printed,
@@ -141,7 +142,7 @@ class TestApplyGrid:
         seen = []
         got = apply(spec, lambda t: seen.append(t) or math.cos(t), xs)
         tols = [engine._point_tol(spec, x) for x in xs]
-        rows = [ws for batch in spec.family.weight_rows(4, xs, tols) for ws in batch]
+        rows = [spec.family.weights(4, x, tol) for x, tol in zip(xs, tols)]
         used = sorted({ws.start + k for ws in rows for k in ws.weights.nonzero()[0]})
         lo = min(used)
         assert seen == nodes(spec, max(used) - lo + 1, lo)[np.array(used) - lo].tolist()
@@ -160,6 +161,14 @@ class TestApplyGrid:
         got = apply(unit_spec(0.5, 10), math.sin, [])
         assert isinstance(got, np.ndarray) and got.shape == (0,)
 
+    @pytest.mark.parametrize("x", [1.0, [0.0, 1.0], []])
+    def test_unverified_family_is_rejected(self, x):
+        # Q = 2 - t: apply takes its windows from the kernel, which refuses
+        # the family before any point, on a float, a grid or an empty grid.
+        fam = AppellFamily.from_coefficients(DunklContext(0.0), [2.0, -1.0])
+        with pytest.raises(DomainError, match="unverified"):
+            apply(OperatorSpec(family=fam, n=5), math.sin, x)
+
     def test_float_gives_float_and_only_1d_grids_are_taken(self):
         spec = unit_spec(0.5, 10)
         assert type(apply(spec, math.sin, 1.0)) is float
@@ -173,7 +182,7 @@ class TestApplyGrid:
         tols = [engine._point_tol(spec, x) for x in xs]
         whole = apply(spec, math.sin, xs)
         monkeypatch.setattr(appell, "MAX_WINDOW", 2000)
-        assert len(list(spec.family.weight_rows(50, xs, tols))) > 3
+        assert len(list(spec.family.windows(50, xs, tols))) > 3
         assert apply(spec, math.sin, xs).tobytes() == whole.tobytes()
 
     def test_row_too_wide_alone_raises(self, monkeypatch):
@@ -226,7 +235,7 @@ class TestApplyCorrelation:
         seen = []
         apply(spec, lambda t: seen.append(t) or 1.0, xs)
         tols = [engine._point_tol(spec, x) for x in xs]
-        rows = [ws for batch in spec.family.weight_rows(4, xs, tols) for ws in batch]
+        rows = [spec.family.weights(4, x, tol) for x, tol in zip(xs, tols)]
         used = sorted({ws.start + k for ws in rows for k in ws.weights.nonzero()[0]})
         assert any(1 < len(ws.weights) - spec.family.Q.degree < 4 for ws in rows)
         assert seen == nodes(spec, used[-1] + 1)[used].tolist()
@@ -247,7 +256,7 @@ class TestApplyCorrelation:
         assert peak < 64 * 2**20
         assert got.tobytes() == np.array([apply(spec, math.sin, x) for x in xs]).tobytes()
         tols = [engine._point_tol(spec, x) for x in xs]
-        rows = [ws for batch in spec.family.weight_rows(1000, xs, tols) for ws in batch]
+        rows = [spec.family.weights(1000, x, tol) for x, tol in zip(xs, tols)]
         used = [nodes(spec, len(ws.weights), ws.start)[ws.weights > 0.0] for ws in rows]
         assert seen == np.concatenate(used).tolist()
 
@@ -630,15 +639,6 @@ def kernel_family(mu, name):
     if name == "trailing-zero":  # a stored zero past the support's end
         return AppellFamily.from_coefficients(DunklContext(mu), [1.0, 0.5, 0.0])
     return bit_family(mu, name)
-
-
-def window_hex(window):
-    lo, up, down, total = window
-    return lo, [v.hex() for v in up.tolist()], [v.hex() for v in down.tolist()], total.hex()
-
-
-def batches_hex(batches):
-    return [[window_hex(w) for w in batch] for batch in batches]
 
 
 class TestKernelBitIdentity:
