@@ -110,6 +110,10 @@ class AppellFamily:
     unchanged, so Q_at_1 equals ``Q.eval(1.0)`` bit for bit; a sum that
     leaves double range raises RangeError.
 
+    Q(1) > 0 is required (else NormalizationError).  A Q whose coefficients
+    are all <= 0 gives the operator of -Q, which the caller passes instead;
+    under that sign the paper's condition a_k / Q(1) >= 0 reads a_k >= 0.
+
     ``positivity`` is 'proven-by-coefficients' when every stored coefficient
     of Q is nonnegative (a sufficient condition for nonnegative weights on
     x >= 0) and 'unverified' otherwise; ``windows``, and so every weight and
@@ -120,10 +124,15 @@ class AppellFamily:
     polynomial indices past the stored degree are not represented.  Families
     built from explicit coefficient lists are exact polynomials and have
     q_i defined for every i.
+
+    The engine fills on first use (Q never changes) ``_functionals``, Q's
+    functionals; ``_arrays``, its coefficients and widest support gap; and
+    ``_last_moments``, the last closed-form moments with their key.
     """
 
     __slots__ = (
-        "ctx", "Q", "support", "positivity", "Q_at_1", "truncated", "_functionals", "_arrays"
+        "ctx", "Q", "support", "positivity", "Q_at_1", "truncated",
+        "_functionals", "_arrays", "_last_moments",
     )
 
     def __init__(self, ctx: DunklContext, Q: PowerSeries, truncated: bool = False):
@@ -145,17 +154,15 @@ class AppellFamily:
             raise RangeError(f"Q(1) = {q1} left double range (degree {len(cs) - 1})")
         if q1 <= 0.0:
             raise NormalizationError(
-                f"normalization undefined: Q(1) = {q1} is not positive"
+                f"normalization undefined: Q(1) = {q1} is not positive; for a Q "
+                "with every coefficient <= 0 pass -Q, which gives the same operator"
             )
         self.ctx = ctx
         self.Q = Q
         self.support = support
         self.Q_at_1 = q1
         self.truncated = truncated
-        # The engine's Q-functionals with their per-family combinations, and
-        # Q's coefficient array with the widest gap in its support, filled
-        # on first use; Q never changes.
-        self._functionals = self._arrays = None
+        self._functionals = self._arrays = self._last_moments = None
         # Q's coefficients are finite, so the least decides; -0.0 >= 0.0
         if min(cs) >= 0.0:
             self.positivity = POSITIVE_BY_COEFFICIENTS

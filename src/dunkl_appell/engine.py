@@ -9,21 +9,19 @@ assembled from ten scalar functionals of the generating series Q (values
 and ordinary/Dunkl derivatives at +-1) plus the exponential ratio
 e_mu(-nx)/e_mu(nx).  Both routes are implemented; they serve as mutual
 oracles, and the two algebraically identical expressions for omega2 are
-checked against each other on every call.
+checked against each other on every fresh evaluation.
 
 The closed forms cost a bounded amount at every n*x.  The ratio comes from
 ``dunkl_exp_neg_ratio``: exp(-2nx) at mu = 0, a positive series below a
-crossover set by the expansion's own error bounds (n*x of about 19 to 26
-for mu in [1e-6, 8], (mu**2 - 1)/4 beyond, above max(40, mu**2) only for
-mu < 1e-18), and a large-argument Bessel expansion above it; nothing is
-flushed to zero.
-The Q-functionals come from one pass over Q's support (the indices of its
-nonzero coefficients, which the family records), each a fixed linear form
-in the coefficients, with no intermediate series.  They are computed once
-per family and kept on it, together with the combinations of them that the
-moment formulas use at every (n, x); one evaluation of the ratio then
-yields m1, m2, omega1 and omega2 together, each with the bits of its
-printed formula.
+crossover set by the expansion's own error bounds, and a large-argument
+Bessel expansion above it; nothing is flushed to zero.  The Q-functionals
+come from one pass over Q's support (the indices of its nonzero
+coefficients, which the family records), each a fixed linear form in the
+coefficients.  They are computed once per family and kept on it, with the
+combinations of them that the moment formulas use at every (n, x); one
+evaluation of the ratio then yields m1, m2, omega1 and omega2 together,
+each with the bits of its printed formula.  The family keeps the last such
+evaluation, so ``moments_closed`` and ``central_moments`` share it.
 """
 
 from __future__ import annotations
@@ -298,8 +296,8 @@ def _functionals(family: AppellFamily):
         skew  = mu2 Q(-1)
 
     each formed in the order the printed formulas form it, so every moment
-    keeps its bits.  Threads that race here compute equal values, so no lock
-    is needed.
+    keeps its bits.  Threads that race here compute equal values and store
+    one tuple in one attribute, so no lock is needed.
     """
     cached = family._functionals
     if cached is None:
@@ -332,12 +330,21 @@ def _closed_form(spec: OperatorSpec, x: float):
     from its own printed formula and recomputed as m2 - 2*x*m1 + x**2; the
     two are algebraically identical, so any disagreement beyond rounding
     indicates a transcription bug and raises.
+
+    x is taken as float(x) + 0.0.  The family keeps the last result whole,
+    as (n, x, tol, moments) with tol = min(1e-15, spec.tol); an equal key
+    returns it, skipping rho, the functionals and the check it passed for
+    these inputs.  A raise stores nothing; threads need no lock.
     """
     if x < 0.0:
         raise DomainError(f"evaluation point must be >= 0, got {x}")
-    family, n = spec.family, spec.n
+    x = float(x) + 0.0  # one key and result type for 1 and 1.0, -0.0 and 0.0, np.float64
+    family, n, tol = spec.family, spec.n, min(1e-15, spec.tol)
+    last = family._last_moments
+    if last is not None and last[0] == n and last[1] == x and last[2] == tol:
+        return last[3]
     F, curv, const, lead, odd, skew = _functionals(family)
-    rho = dunkl_exp_neg_ratio(family.ctx, n * x, tol=min(1e-15, spec.tol))
+    rho = dunkl_exp_neg_ratio(family.ctx, n * x, tol=tol)
     q1n = F.q1 * n
     q1nn = q1n * n
     stay = 1.0 - rho
@@ -360,7 +367,8 @@ def _closed_form(spec: OperatorSpec, x: float):
             f"formula transcription error: omega2 printed form {omega2!r} vs "
             f"moment combination {combined!r} at (n={n}, x={x}, mu={family.ctx.mu})"
         )
-    return m1, m2, omega1, omega2
+    family._last_moments = last = (n, x, tol, (m1, m2, omega1, omega2))
+    return last[3]
 
 
 def moments_closed(spec: OperatorSpec, x: float):

@@ -51,6 +51,13 @@ class TestConstruction:
         with pytest.raises(NormalizationError):
             AppellFamily.from_coefficients(DunklContext(0.0), [1.0, -2.0])
 
+    def test_nonpositive_generator_error_names_the_negated_generator(self):
+        # Q = -1 - 0.5 t gives the operator of -Q = 1 + 0.5 t, which is admissible.
+        with pytest.raises(NormalizationError, match=r"pass -Q, which gives the same operator"):
+            AppellFamily.from_coefficients(DunklContext(0.5), [-1.0, -0.5])
+        fam = AppellFamily.from_coefficients(DunklContext(0.5), [1.0, 0.5])
+        assert fam.positivity == POSITIVE_BY_COEFFICIENTS
+
     def test_negative_mu_rejected(self):
         with pytest.raises(DomainError):
             AppellFamily.from_coefficients(DunklContext(-0.2), [1.0])

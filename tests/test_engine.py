@@ -1,6 +1,8 @@
 import dataclasses
 import math
 import random
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -15,6 +17,7 @@ from dunkl_appell import (
     PowerSeries,
     QFunctionals,
     RangeError,
+    TranscriptionError,
     TruncationFailureError,
     apply,
     central_moments,
@@ -514,35 +517,6 @@ class TestLargeArguments:
         assert abs(closed - summed) <= 1e-8 * summed
 
 
-class TestEvaluationCounts:
-    @staticmethod
-    def counting(monkeypatch, name):
-        calls = []
-        original = getattr(engine, name)
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(engine, name, counted)
-        return calls
-
-    def test_one_rho_per_central_moments_call(self, monkeypatch):
-        calls = self.counting(monkeypatch, "dunkl_exp_neg_ratio")
-        central_moments(gh_spec(0.5, 0.5, 1, 30), 1.2)
-        assert len(calls) == 1
-
-    def test_functionals_built_once_per_family(self, monkeypatch):
-        calls = self.counting(monkeypatch, "q_functionals")
-        spec = gh_spec(0.5, 0.5, 1, 30)
-        for x in (0.0, 0.5, 1.2):
-            central_moments(spec, x)
-            moments_closed(OperatorSpec(family=spec.family, n=7), x)
-        assert len(calls) == 1
-        central_moments(gh_spec(0.5, 0.5, 1, 30), 1.2)  # a new family
-        assert len(calls) == 2
-
-
 # Families whose supports are full, sparse, or hold signed zeros and
 # subnormal coefficients.
 BIT_FAMILIES = {
@@ -568,6 +542,157 @@ def bit_family(mu, name):
     if isinstance(spec, tuple):
         return AppellFamily.gould_hopper(DunklContext(mu), *spec)
     return AppellFamily.from_coefficients(DunklContext(mu), spec)
+
+
+class TestEvaluationCounts:
+    @staticmethod
+    def counting(monkeypatch, name):
+        calls = []
+        original = getattr(engine, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(engine, name, counted)
+        return calls
+
+    def test_one_rho_per_central_moments_call(self, monkeypatch):
+        calls = self.counting(monkeypatch, "dunkl_exp_neg_ratio")
+        central_moments(gh_spec(0.5, 0.5, 1, 30), 1.2)
+        assert len(calls) == 1
+        # moments_closed, then central_moments at the same point, share one rho
+        spec = gh_spec(0.5, 0.5, 1, 30)
+        _, m1, _ = moments_closed(spec, 1.2)
+        assert m1 == 1.2 + central_moments(spec, 1.2).omega1
+        assert len(calls) == 2
+
+    def test_a_new_point_scale_tolerance_or_family_recomputes(self, monkeypatch):
+        calls = self.counting(monkeypatch, "dunkl_exp_neg_ratio")
+        spec = gh_spec(0.5, 0.5, 1, 30)
+        central_moments(spec, 1.2)
+        central_moments(spec, 1.2)
+        assert len(calls) == 1
+        for other, x in [
+            (spec, 0.4),  # x
+            (OperatorSpec(family=spec.family, n=31), 0.4),  # n
+            (OperatorSpec(family=spec.family, n=31, tol=1e-16), 0.4),  # tol
+            (gh_spec(0.5, 0.5, 1, 31, tol=1e-16), 0.4),  # family
+        ]:
+            before = len(calls)
+            central_moments(other, x)
+            assert len(calls) == before + 1
+        # tol enters the key as min(1e-15, tol): 1e-12 and 1e-13 are one key
+        central_moments(OperatorSpec(family=spec.family, n=30, tol=1e-12), 1.2)
+        central_moments(OperatorSpec(family=spec.family, n=30, tol=1e-13), 1.2)
+        assert len(calls) == 6
+
+    def test_an_evaluation_that_raises_stores_nothing(self, monkeypatch):
+        spec = gh_spec(0.5, 0.5, 1, 30)
+        central_moments(spec, 1.2)
+        entry = spec.family._last_moments
+        for x in (-1.0, -1e-300, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                central_moments(spec, x)
+            assert spec.family._last_moments is entry
+        original = engine._functionals
+
+        def skewed(family):  # an 'odd' coefficient that m2 does not share
+            F, curv, const, lead, odd, skew = original(family)
+            return F, curv, const, lead, odd + 1.0, skew
+
+        monkeypatch.setattr(engine, "_functionals", skewed)
+        with pytest.raises(TranscriptionError):
+            central_moments(spec, 0.4)
+        assert spec.family._last_moments is entry
+        calls = self.counting(monkeypatch, "dunkl_exp_neg_ratio")
+        assert central_moments(spec, 1.2).omega2 == entry[3][3]
+        assert calls == []
+
+    @pytest.mark.parametrize("name", BIT_FAMILIES)
+    @pytest.mark.parametrize("mu", BIT_MUS)
+    def test_stored_result_equals_a_fresh_family(self, mu, name):
+        fam = bit_family(mu, name)
+        for n in BIT_NS:
+            spec = OperatorSpec(family=fam, n=n)
+            for nx in BIT_NX:
+                x = nx / n
+                first = engine._closed_form(spec, x)
+                hit = engine._closed_form(spec, x)
+                assert hit is first is fam._last_moments[3]
+                fresh = engine._closed_form(OperatorSpec(family=bit_family(mu, name), n=n), x)
+                assert [(type(v), v.hex()) for v in hit] == [
+                    (type(v), v.hex()) for v in fresh
+                ], (n, x)
+
+    # x is taken as float(x) + 0.0: each pair is one key, and every result
+    # is a float whatever form x came in.
+    @pytest.mark.parametrize(
+        "a,b",
+        [
+            (0.0, -0.0),
+            (-0.0, 0.0),
+            (1, 1.0),
+            (1.0, 1),
+            (np.float64(1.3), 1.3),
+            (1.3, np.float64(1.3)),
+        ],
+    )
+    @pytest.mark.parametrize("name", ["unit", "gh(0.5,1)", "signed-zeros", "mixed-sign"])
+    def test_one_key_per_value_of_x(self, name, a, b):
+        for mu in (0.0, 0.5):
+            for n in (1, 10):
+                fam = bit_family(mu, name)
+                spec = OperatorSpec(family=fam, n=n)
+                engine._closed_form(spec, a)
+                stored = fam._last_moments
+                hit = engine._closed_form(spec, b)
+                assert hit is stored[3]
+                assert type(stored[1]) is float and math.copysign(1.0, stored[1]) == 1.0
+                fresh = engine._closed_form(OperatorSpec(family=bit_family(mu, name), n=n), b)
+                assert [(type(v), v.hex()) for v in hit] == [
+                    (type(v), v.hex()) for v in fresh
+                ], (mu, n)
+                assert all(type(v) is float for v in hit)
+
+    def test_two_threads_on_one_family_get_the_serial_values(self):
+        # One point on each side of rho's crossover (n*x = 12 and 36).
+        points = (0.4, 1.2)
+        serial = {x: central_moments(gh_spec(0.5, 0.5, 1, 30), x) for x in points}
+        spec = gh_spec(0.5, 0.5, 1, 30)
+        got = [[], []]
+
+        def alternate(k):
+            for i in range(3000):
+                x = points[(i + k) % 2]
+                got[k].append((x, central_moments(spec, x)))
+
+        threads = [threading.Thread(target=alternate, args=(k,)) for k in (0, 1)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for k in (0, 1):
+            assert len(got[k]) == 3000
+            for x, cm in got[k]:
+                assert cm.omega1.hex() == serial[x].omega1.hex()
+                assert cm.omega2.hex() == serial[x].omega2.hex()
+
+    def test_functionals_built_once_per_family(self, monkeypatch):
+        calls = self.counting(monkeypatch, "q_functionals")
+        spec = gh_spec(0.5, 0.5, 1, 30)
+        for x in (0.0, 0.5, 1.2):
+            central_moments(spec, x)
+            moments_closed(OperatorSpec(family=spec.family, n=7), x)
+        assert len(calls) == 1
+        central_moments(gh_spec(0.5, 0.5, 1, 30), 1.2)  # a new family
+        assert len(calls) == 2
 
 
 class TestBitIdentity:
