@@ -44,7 +44,7 @@ from .errors import (
     TruncationFailureError,
 )
 from .functions import BUILTIN_REGISTRY, FunctionEntry, lookup
-from .series import PowerSeries, exp_series
+from .series import PowerSeries
 
 __version__ = "0.1.0"
 
@@ -78,7 +78,6 @@ __all__ = [
     "central_moments_series",
     "dunkl_exp",
     "dunkl_exp_neg_ratio",
-    "exp_series",
     "lookup",
     "modulus1",
     "modulus2",

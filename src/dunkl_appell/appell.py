@@ -120,10 +120,8 @@ class AppellFamily:
     ``apply``, rejects unverified families.
 
     ``truncated`` marks families whose stored coefficients cut off a
-    genuinely infinite expansion (the Gould-Hopper exponentials); for those,
-    polynomial indices past the stored degree are not represented.  Families
-    built from explicit coefficient lists are exact polynomials and have
-    q_i defined for every i.
+    genuinely infinite expansion (the Gould-Hopper exponentials); families
+    built from explicit coefficient lists are exact polynomials.
 
     The engine fills on first use (Q never changes) ``_functionals``, Q's
     functionals; ``_arrays``, its coefficients and widest support gap; and
@@ -136,10 +134,6 @@ class AppellFamily:
     )
 
     def __init__(self, ctx: DunklContext, Q: PowerSeries, truncated: bool = False):
-        if ctx.mu < 0.0:
-            raise DomainError(
-                f"operator families require mu >= 0, got mu={ctx.mu}"
-            )
         cs = Q.coeffs
         if cs[0] == 0.0:
             raise NotAppellGeneratorError(
@@ -220,28 +214,6 @@ class AppellFamily:
         coeffs = [0.0] * ((k - 1) * step + 1)
         coeffs[::step] = terms
         return cls(ctx, PowerSeries(ctx, coeffs), truncated=a > 0.0)
-
-    def poly(self, i: int) -> List[float]:
-        """Coefficients of q_i in powers of x (length i+1).
-
-        For truncated families, indices past the stored degree would drop
-        genuinely nonzero terms and are rejected.
-        """
-        if i < 0:
-            raise DomainError(f"polynomial index must be nonnegative, got {i}")
-        deg = self.Q.degree
-        if self.truncated and i > deg:
-            raise DomainError(
-                f"family truncated at degree {deg}: q_{i} is not represented"
-            )
-        gi = self.ctx.gamma(i)  # raises RangeError if gamma_mu(i) overflows
-        gj = 1.0  # gamma_mu(j), multiplied in the order ctx.gamma uses
-        out = []
-        for j in range(i + 1):
-            ck = self.Q.coeffs[i - j] if i - j <= deg else 0.0
-            out.append(gi * ck / gj if ck != 0.0 else 0.0)
-            gj *= j + 1 + 2.0 * self.ctx.mu * ((j + 1) & 1)
-        return out
 
     def weights(self, n: int, x: float, tol: float = 1e-12) -> WeightSequence:
         """Operator weights at (n, x) from a window of u_j around the mode.

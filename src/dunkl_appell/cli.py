@@ -22,6 +22,7 @@ import functools
 import io
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
@@ -250,6 +251,13 @@ def _mode_bounds(cfg: RunConfig) -> Tuple[List[dict], int]:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own test takes "-1,-0.5" for an option, as it does any
+        # "-" token but a lone number; here "-" or "-." then a digit starts
+        # a value, so "--coeffs -1,-0.5" and "--x-grid -1:1:0.5" parse.
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message):
         raise ConfigurationError(message)
 

@@ -11,8 +11,7 @@ and the generalized exponential
 
 which reduces to exp(x) at mu = 0.  The factorial-like growth of gamma_mu
 rules out evaluating it through gamma-function quotients at runtime (they
-overflow near index 170); everything here runs on the recursion, and series
-terms are generated by the ratio recurrence
+overflow near index 170); series terms are generated by the ratio recurrence
 
     term(i+1) = term(i) * x / (i+1 + 2*mu*theta(i+1)),
 
@@ -23,10 +22,9 @@ own routes (see ``dunkl_exp_neg_ratio``): exp(-2y) at mu = 0, a series of
 positive terms below a crossover y_c(mu, tol), and a large-argument Bessel
 expansion above it.  The crossover is the least y at which the expansion's
 own error bounds meet tol: about 19 to 26 for mu in [1e-6, 8], (mu**2 - 1)/4
-beyond, and never above max(40, mu**2) for |mu| >= 1e-18 (for smaller mu it
-rises to 42.5 at 1e-20 and 366 at 1e-300).  For mu >= 0 no route subtracts
-quantities much larger than rho, so rho keeps its relative accuracy for
-every y.
+beyond, and never above max(40, mu**2) for mu >= 1e-18 (for smaller mu it
+rises to 42.5 at 1e-20 and 366 at 1e-300).  No route subtracts quantities
+much larger than rho, so rho keeps its relative accuracy for every y.
 """
 
 from __future__ import annotations
@@ -45,11 +43,11 @@ _MAX_EXP_TERMS = 20_000
 # mu**2): from there on the expansion's terms shrink from the first one down
 # to a smallest term of order exp(-2y) < 2e-35, and the part of I_nu the
 # expansion leaves out is of that order too.  Below that cap the rule is
-# tested; above it nothing is, unless |mu| < TINY_MU.
+# tested; above it nothing is, unless mu < TINY_MU.
 RATIO_CROSSOVER = 40.0
 
-# Below this |mu| the cap comes too early: at y = RATIO_CROSSOVER the part of
-# I_nu the expansion leaves out, exp(-2y) 2y/|mu| relative to rho, is about
+# Below this mu the cap comes too early: at y = RATIO_CROSSOVER the part of
+# I_nu the expansion leaves out, exp(-2y) 2y/mu relative to rho, is about
 # 1.4e-15 at mu = 1e-18 and grows like 1/mu (1.4e-8 at mu = 1e-25).  For such
 # mu the rule is tested at every y, so the series runs until it holds.
 TINY_MU = 1e-18
@@ -68,12 +66,8 @@ def theta(i: int) -> int:
 
 
 class DunklContext:
-    """The validated parameter mu, and gamma_mu computed from it.
-
-    mu must satisfy mu > -1/2 for the recursion factors to stay positive.
-    Negative mu (in (-1/2, 0)) is accepted for the scalar primitives and
-    flagged via ``negative_mu``; operator construction elsewhere requires
-    mu >= 0.
+    """The validated parameter mu: a finite real mu >= 0, the domain of the
+    paper's operators (-0.0 counts as 0).
 
     A context holds nothing but mu, so it may be shared between threads.
     """
@@ -82,28 +76,9 @@ class DunklContext:
 
     def __init__(self, mu: float):
         mu = float(mu)
-        if not math.isfinite(mu) or mu <= -0.5:
-            raise DomainError(f"mu must be a finite real > -1/2, got {mu}")
+        if not 0.0 <= mu < math.inf:
+            raise DomainError(f"mu must be a finite real >= 0, got {mu}")
         self.mu = mu
-
-    @property
-    def negative_mu(self) -> bool:
-        """True when mu < 0: scalar primitives only, no operator use."""
-        return self.mu < 0.0
-
-    def gamma(self, i: int) -> float:
-        """gamma_mu(i) via the product recursion; strictly positive and finite."""
-        if i < 0:
-            raise DomainError(f"gamma index must be nonnegative, got {i}")
-        g = 1.0
-        for k in range(1, i + 1):
-            g *= k + 2.0 * self.mu * (k & 1)
-            if not math.isfinite(g):
-                raise RangeError(
-                    f"gamma_mu({k}) exceeds double range (mu={self.mu}); "
-                    f"indices up to {k - 1} are representable"
-                )
-        return g
 
     def __repr__(self):
         return f"DunklContext(mu={self.mu!r})"
@@ -156,8 +131,8 @@ def _sum_series(mu: float, x: float, tol: float) -> ExpEvaluation:
     else:
         raise RangeError(f"e_mu series did not settle within {_MAX_EXP_TERMS} terms")
     value = total + comp
-    # Subsequent denominators are at least i+1 (mu >= 0) or i (mu < 0).
-    ratio = abs_x / (i + 1.0 + 2.0 * min(mu, 0.0))
+    # Subsequent denominators are at least i+1.
+    ratio = abs_x / (i + 1.0)
     tail = abs(term) * ratio / (1.0 - ratio) if ratio < 1.0 else math.inf
     return ExpEvaluation(value=value, terms_used=i + 1, tail_bound=tail)
 
@@ -197,7 +172,7 @@ def _ratio_series(mu: float, y: float, tol: float) -> float:
     The Kummer form of the Dunkl exponential, e_mu(x) = e^{-x} M(mu+1, 2mu+1, 2x),
     gives rho = M(mu, 2mu+1, 2y) / M(mu+1, 2mu+1, 2y).  The k-th term of the
     numerator is the denominator's k-th term times mu/(mu+k), so one
-    recurrence drives both sums, and for mu >= 0 every term is positive.
+    recurrence drives both sums, and every term is positive.
 
     The term ratio decreases in k, so once it is below one the remaining
     tail is bounded by a geometric series; the numerator's tail is a smaller
@@ -278,8 +253,8 @@ def _expansion_exact(mu: float, y: float, tol: float) -> bool:
       rounding error.
     * The part of I_nu the expansion leaves out is about
       exp(mu**2/y - 2y) relative to I_nu.  The difference of the two Bessel
-      functions is rho, about min(1, |mu|/(2y)), of their sum, so relative
-      to rho that part is exp(mu**2/y - 2y) max(1, 2y/|mu|), and it must be
+      functions is rho, about min(1, mu/(2y)), of their sum, so relative
+      to rho that part is exp(mu**2/y - 2y) max(1, 2y/mu), and it must be
       below min(tol, 1).  Its smallest term is of the same order, so the
       sum also reaches tol before its terms grow again.
 
@@ -289,7 +264,7 @@ def _expansion_exact(mu: float, y: float, tol: float) -> bool:
     where y_c = (mu**2 - 1)/4 lets the terms reach e**4 times the sum.
     """
     return mu * mu - 1.0 <= 4.0 * y and (
-        2.0 * y - mu * mu / y - math.log(max(1.0, 2.0 * y / abs(mu)))
+        2.0 * y - mu * mu / y - math.log(max(1.0, 2.0 * y / mu))
         >= -math.log(min(tol, 1.0))
     )
 
@@ -309,7 +284,7 @@ def dunkl_exp_neg_ratio(ctx: DunklContext, y: float, tol: float = 1e-15) -> floa
 
     The crossover is the least y at which the expansion's two error bounds
     (``_expansion_exact``) meet tol, capped at max(RATIO_CROSSOVER, mu**2);
-    the bounds are tested only below that cap, except for |mu| < TINY_MU
+    the bounds are tested only below that cap, except for mu < TINY_MU
     (1e-18), where they are tested at every y and have no cap.  At
     tol = 1e-15 it is about 19 to 21 for mu in [0.05, 8], rises like
     ln(1/mu)/2 to 26 at mu = 1e-6, reaches the cap near mu = 1e-18 and
@@ -317,10 +292,9 @@ def dunkl_exp_neg_ratio(ctx: DunklContext, y: float, tol: float = 1e-15) -> floa
     (mu**2 - 1)/4 for mu >= 10.
 
     tol is the relative truncation tolerance of either sum (floored at
-    machine epsilon).  For mu >= 0 the result has relative error of a few
-    ulps (at most 5.5e-15 measured); above the cap it also carries an
-    absolute error of order exp(-2y) < 2e-35 from the part of I_nu the
-    expansion leaves out.
+    machine epsilon).  The result has relative error of a few ulps (at most
+    5.5e-15 measured); above the cap it also carries an absolute error of
+    order exp(-2y) < 2e-35 from the part of I_nu the expansion leaves out.
     """
     if not 0.0 <= y < math.inf:
         raise DomainError(f"ratio argument must be finite and nonnegative, got {y}")
@@ -332,7 +306,7 @@ def dunkl_exp_neg_ratio(ctx: DunklContext, y: float, tol: float = 1e-15) -> floa
     if mu == 0.0:
         return math.exp(-2.0 * y)
     tol = max(tol, _EPS)
-    tested = y < max(RATIO_CROSSOVER, mu * mu) or abs(mu) < TINY_MU
+    tested = y < max(RATIO_CROSSOVER, mu * mu) or mu < TINY_MU
     if tested and not _expansion_exact(mu, y, tol):
         return _ratio_series(mu, y, tol)
     return _ratio_expansion(mu, y, tol)

@@ -4,7 +4,7 @@ A series is a finite coefficient vector (c_0, ..., c_N) for sum c_i t**i,
 tied to a DunklContext.  The Dunkl operator acts as a one-line coefficient
 transform: on monomials it lowers degree with factor (i + 2*mu*theta(i)),
 so coefficient i of the image is (i+1 + 2*mu*theta(i+1)) * c_{i+1}.
-Evaluation is Horner's scheme; products are plain Cauchy products.
+Evaluation is Horner's scheme.
 
 Instances are immutable; every operation returns a fresh series.
 """
@@ -92,67 +92,3 @@ class PowerSeries:
                 for i, c in enumerate(self.coeffs[1:])
             ),
         )
-
-    def reflect(self) -> "PowerSeries":
-        """The series of t -> S(-t): flips the sign of odd coefficients."""
-        return PowerSeries(
-            self.ctx,
-            (c if i % 2 == 0 else -c for i, c in enumerate(self.coeffs)),
-        )
-
-    def multiply(self, other: "PowerSeries") -> "PowerSeries":
-        """Cauchy product; result length is len(a) + len(b) - 1."""
-        if self.ctx.mu != other.ctx.mu:
-            raise DomainError(
-                f"context mismatch: mu={self.ctx.mu} vs mu={other.ctx.mu}"
-            )
-        a, b = self.coeffs, other.coeffs
-        out = [0.0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai == 0.0:
-                continue
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-        return PowerSeries(self.ctx, out)
-
-    def __mul__(self, other):
-        if isinstance(other, PowerSeries):
-            return self.multiply(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        if not isinstance(other, PowerSeries):
-            return NotImplemented
-        if self.ctx.mu != other.ctx.mu:
-            raise DomainError("context mismatch in series addition")
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return PowerSeries(self.ctx, out)
-
-    def __sub__(self, other):
-        if not isinstance(other, PowerSeries):
-            return NotImplemented
-        return self + other.scale(-1.0)
-
-    def scale(self, factor: float) -> "PowerSeries":
-        return PowerSeries(self.ctx, (factor * c for c in self.coeffs))
-
-
-def exp_series(ctx: DunklContext, x: float, degree: int) -> PowerSeries:
-    """Coefficients of t -> e_mu(x*t) truncated at the given degree.
-
-    Coefficient i is x**i / gamma_mu(i), built by the ratio recurrence.
-    """
-    if degree < 0:
-        raise DomainError(f"degree must be nonnegative, got {degree}")
-    mu = ctx.mu
-    coeffs = [1.0]
-    term = 1.0
-    for i in range(1, degree + 1):
-        term = term * x / (i + 2.0 * mu * (i & 1))
-        coeffs.append(term)
-    return PowerSeries(ctx, coeffs)

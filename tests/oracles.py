@@ -1,6 +1,7 @@
-"""Independent oracles for the test suite.
+"""Independent oracles for the test suite, and former package code.
 
-Nothing here shares a computation path with the package: the generalized
+Apart from the marked section at the end, nothing here shares a computation
+path with the package: the generalized
 factorial goes through log-gamma closed forms, the exponential through
 log-space brute-force partial sums, family polynomials through the
 explicit binomial-style expansion, the weight window through the
@@ -19,10 +20,20 @@ moment formulas written out in full.  The weight windows and apply's sum
 are kept as the block kernel and the masked contraction computed them
 before the kernel's columns were spread over its rows and a cluster's nodes
 were taken as one interval.
+
+The marked section at the end is former package code, kept as reference:
+gamma_mu by its product recursion, the family polynomials q_i, and the
+series algebra (reflection, Cauchy products, sums) with the truncated
+series of e_mu(x t).  The operators use none of it, so it left the package
+with its arithmetic unchanged; the tests check it against the oracles above
+and state the generating-series round trip and the Dunkl product rule with
+it.
 """
 
 import math
 from math import exp, lgamma, log
+
+from dunkl_appell import DomainError, PowerSeries, RangeError
 
 
 def ln_gamma_mu(mu: float, i: int, lgamma=lgamma, log=log):
@@ -492,3 +503,120 @@ def contract_masked(mu: float, n: int, coeffs, f, windows):
             value = up @ g[mode : mode + len(up)] + down @ g[lo - first : mode][::-1]
             values[r] = float(value) / (q1 * total)
     return values
+
+
+def product_rule_rhs(A, B):
+    """A L(B) + B(-t) L(A) + A' (B - B(-t)), the right side of the Dunkl
+    product rule for L(A B), with L the Dunkl operator, summed left to
+    right by the series algebra below."""
+    return add(
+        add(
+            multiply(A, B.dunkl_derivative()),
+            multiply(reflect(B), A.dunkl_derivative()),
+        ),
+        multiply(A.derivative(), sub(B, reflect(B))),
+    )
+
+# ---------------------------------------------------------------------------
+# Former package code, kept as reference: DunklContext.gamma, AppellFamily.poly,
+# the PowerSeries algebra and series.exp_series as free functions, with the
+# same arithmetic in the same order.
+# ---------------------------------------------------------------------------
+
+
+def gamma_mu(mu: float, i: int) -> float:
+    """gamma_mu(i) via the product recursion; strictly positive and finite."""
+    if i < 0:
+        raise DomainError(f"gamma index must be nonnegative, got {i}")
+    g = 1.0
+    for k in range(1, i + 1):
+        g *= k + 2.0 * mu * (k & 1)
+        if not math.isfinite(g):
+            raise RangeError(
+                f"gamma_mu({k}) exceeds double range (mu={mu}); "
+                f"indices up to {k - 1} are representable"
+            )
+    return g
+
+
+def family_poly(family, i: int) -> list:
+    """Coefficients of q_i in powers of x (length i+1).
+
+    For truncated families, indices past the stored degree would drop
+    genuinely nonzero terms and are rejected.
+    """
+    if i < 0:
+        raise DomainError(f"polynomial index must be nonnegative, got {i}")
+    deg = family.Q.degree
+    if family.truncated and i > deg:
+        raise DomainError(
+            f"family truncated at degree {deg}: q_{i} is not represented"
+        )
+    mu = family.ctx.mu
+    gi = gamma_mu(mu, i)  # raises RangeError if gamma_mu(i) overflows
+    gj = 1.0  # gamma_mu(j), multiplied in the order gamma_mu uses
+    out = []
+    for j in range(i + 1):
+        ck = family.Q.coeffs[i - j] if i - j <= deg else 0.0
+        out.append(gi * ck / gj if ck != 0.0 else 0.0)
+        gj *= j + 1 + 2.0 * mu * ((j + 1) & 1)
+    return out
+
+
+def reflect(S: PowerSeries) -> PowerSeries:
+    """The series of t -> S(-t): flips the sign of odd coefficients."""
+    return PowerSeries(
+        S.ctx,
+        (c if i % 2 == 0 else -c for i, c in enumerate(S.coeffs)),
+    )
+
+
+def multiply(A: PowerSeries, B: PowerSeries) -> PowerSeries:
+    """Cauchy product; result length is len(A) + len(B) - 1."""
+    if A.ctx.mu != B.ctx.mu:
+        raise DomainError(f"context mismatch: mu={A.ctx.mu} vs mu={B.ctx.mu}")
+    a, b = A.coeffs, B.coeffs
+    out = [0.0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai == 0.0:
+            continue
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return PowerSeries(A.ctx, out)
+
+
+def add(A: PowerSeries, B: PowerSeries) -> PowerSeries:
+    """Coefficient-wise sum; the longer series sets the length."""
+    if A.ctx.mu != B.ctx.mu:
+        raise DomainError("context mismatch in series addition")
+    a, b = A.coeffs, B.coeffs
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return PowerSeries(A.ctx, out)
+
+
+def scale(S: PowerSeries, factor: float) -> PowerSeries:
+    return PowerSeries(S.ctx, (factor * c for c in S.coeffs))
+
+
+def sub(A: PowerSeries, B: PowerSeries) -> PowerSeries:
+    return add(A, scale(B, -1.0))
+
+
+def exp_series(ctx, x: float, degree: int) -> PowerSeries:
+    """Coefficients of t -> e_mu(x*t) truncated at the given degree.
+
+    Coefficient i is x**i / gamma_mu(i), built by the ratio recurrence.
+    """
+    if degree < 0:
+        raise DomainError(f"degree must be nonnegative, got {degree}")
+    mu = ctx.mu
+    coeffs = [1.0]
+    term = 1.0
+    for i in range(1, degree + 1):
+        term = term * x / (i + 2.0 * mu * (i & 1))
+        coeffs.append(term)
+    return PowerSeries(ctx, coeffs)

@@ -322,6 +322,23 @@ class TestErrors:
         assert code == 1
         assert "unverified" in err
 
+    @pytest.mark.parametrize(
+        "coeffs", [("--coeffs", "-1,-0.5"), ("--coeffs=-1,-0.5",)], ids=["space", "equals"]
+    )
+    def test_negative_leading_coefficients_reach_the_family(self, capsys, coeffs):
+        # A value that starts with "-" used to be taken for an option.
+        code, out, err = run_cli(
+            capsys, "moments", "--family", "custom-coeffs", *coeffs,
+            "--n", "5", "--x", "1",
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: NormalizationError:")
+        assert "pass -Q" in err
+
+    def test_negative_leading_values_parse(self):
+        cfg = parse_config(["moments", "--n", "5", "--x-grid", "-1:1:0.5", "--x", "-.5"])
+        assert cfg.x_grid == (-1.0, 1.0, 0.5) and cfg.x == -0.5
+
     def test_bad_grid(self, capsys):
         code, _, err = run_cli(capsys, "moments", "--n", "5", "--x-grid", "2:0:0.1")
         assert code == 1

@@ -13,7 +13,7 @@ from dunkl_appell import (
 from dunkl_appell import dunkl
 from dunkl_appell.dunkl import RATIO_CROSSOVER
 
-from oracles import emu_brute, gamma_mu_closed_form, ratio_series_loop
+from oracles import emu_brute, gamma_mu, gamma_mu_closed_form, ratio_series_loop
 
 
 @pytest.mark.parametrize("i,expected", [(0, 0), (7, 1), (2, 0), (1, 1), (100, 0)])
@@ -35,53 +35,50 @@ class TestContext:
         with pytest.raises(DomainError):
             DunklContext(float("nan"))
 
-    def test_negative_mu_flag(self):
-        assert DunklContext(-0.3).negative_mu
-        assert not DunklContext(0.0).negative_mu
-        assert not DunklContext(1.7).negative_mu
+    @pytest.mark.parametrize("mu", [-0.2, -1e-300, -0.49, math.inf])
+    def test_requires_finite_nonnegative_mu(self, mu):
+        with pytest.raises(DomainError, match="mu must be a finite real >= 0"):
+            DunklContext(mu)
+
+    def test_negative_zero_is_accepted(self):
+        assert DunklContext(-0.0).mu == 0.0
 
     def test_gamma_zero_is_one_exactly(self):
-        for mu in (0.0, 0.5, 1.7, -0.3):
-            assert DunklContext(mu).gamma(0) == 1.0
+        for mu in (0.0, 0.5, 1.7):
+            assert gamma_mu(mu, 0) == 1.0
 
 
 class TestGamma:
+    """gamma_mu's product recursion, former package code kept in oracles."""
+
     def test_factorial_reduction_exact(self):
-        ctx = DunklContext(0.0)
         for i in range(21):
-            assert ctx.gamma(i) == float(math.factorial(i))
+            assert gamma_mu(0.0, i) == float(math.factorial(i))
 
     def test_example_values(self):
-        assert DunklContext(0.0).gamma(4) == 24.0
+        assert gamma_mu(0.0, 4) == 24.0
         # closed form gives 2*Gamma(mu+3/2)/Gamma(mu+1/2) = 1 + 2*mu
-        assert DunklContext(0.5).gamma(1) == 2.0
+        assert gamma_mu(0.5, 1) == 2.0
 
     @pytest.mark.parametrize("mu", [0.0, 0.5, 1.7])
     def test_recursion_consistency_and_closed_form(self, mu):
-        ctx = DunklContext(mu)
         for i in range(51):
-            g = ctx.gamma(i)
+            g = gamma_mu(mu, i)
             assert g > 0.0 and math.isfinite(g)
             # same computation path: exact float identity
-            assert ctx.gamma(i + 1) == (i + 1 + 2 * mu * theta(i + 1)) * g
+            assert gamma_mu(mu, i + 1) == (i + 1 + 2 * mu * theta(i + 1)) * g
             ref = gamma_mu_closed_form(mu, i)
             assert abs(g - ref) <= 1e-12 * ref
 
-    def test_negative_mu_stays_positive(self):
-        ctx = DunklContext(-0.4)
-        for i in range(100):
-            assert ctx.gamma(i) > 0.0
-
     def test_overflow_raises_with_index(self):
-        ctx = DunklContext(0.0)
         with pytest.raises(RangeError, match="gamma_mu"):
-            ctx.gamma(400)
-        # the context stays usable below the overflow point
-        assert ctx.gamma(20) == float(math.factorial(20))
+            gamma_mu(0.0, 400)
+        # indices below the overflow point stay usable
+        assert gamma_mu(0.0, 20) == float(math.factorial(20))
 
     def test_rejects_negative_index(self):
         with pytest.raises(DomainError):
-            DunklContext(0.0).gamma(-3)
+            gamma_mu(0.0, -3)
 
 
 class TestDunklExp:
