@@ -13,7 +13,7 @@ and the operator weight at index i, scale n and point x >= 0 is
 
 computed here as a convolution of the c_i with u_j = (n*x)**j / gamma_mu(j),
 scaled to 1 at the mode j = floor(n*x).  The sum of the u_j stands in for
-e_mu(n*x), so neither gamma_mu nor e_mu is materialized or can overflow.
+e_mu(n*x), so neither gamma_mu nor e_mu is materialized.
 The window of u_j grows outward from the mode, the upper side first, until
 a geometric bound on each side's rest falls below tol/2 of the sum so far;
 it holds about 15*sqrt(n*x) terms at apply's tolerances, and MAX_WINDOW is
@@ -31,7 +31,7 @@ n*x, with each row's values spread over it so that every operation meets
 operands of one shape: one division for the tail bounds and the term ratios,
 one cumulative product for the terms and, per side, one cumulative sum for
 the running totals; each row ends at its own first term that meets its
-side's bound, a last column past B meets every bound, and a row with a side
+side's bound, a last column past B ends every side, and a row with a side
 that ends there is grown again with B doubled.  Lower sides are left empty
 when every mode of a batch is index 0, and a batch of windows that are the
 mode alone skips the arrays.  Every operation runs along a row in a fixed
@@ -277,6 +277,11 @@ class AppellFamily:
         for r, (mode, a, b, t) in enumerate(
             zip(modes, up.tolist(), down.tolist(), total.tolist())
         ):
+            if not t < math.inf:  # terms past double range before a side ended
+                raise RangeError(
+                    f"weight window terms left double range at n*x = {nx[r]:.6g} "
+                    f"(mu={self.ctx.mu}, n={n}, x={x[r]})"
+                )
             ok = a <= block and b <= block  # both sides ended within the block
             if ok and a + b < MAX_WINDOW:
                 out.append((mode - b, terms[0, r, : a + 1], terms[1, r, 1 : b + 1], t))
@@ -329,6 +334,7 @@ def _batches(blocks: List[int]) -> Iterator[tuple]:
         yield start, len(blocks), top
 
 
+@np.errstate(over="ignore", invalid="ignore")  # ``_rows`` reports overflow
 def _sides(nx, m, tol, mu2, block):
     """Both sides of every row's window, block terms out from the mode.
 
@@ -388,7 +394,6 @@ def _sides(nx, m, tol, mu2, block):
     q = np.divide(spread[0:-1:2], spread[1:-1:2])
     ratio = q[2:] if mu2 else q
     q = q[:2]
-    q[:, :, -1] = 0.0  # the test below then holds past the block
     terms = np.empty((2, rows, w))
     terms[:, :, 0] = 1.0
     np.multiply.accumulate(ratio[:, :, :-1], 2, None, terms[:, :, 1:])
@@ -415,5 +420,7 @@ def _ends(terms, uq, room, half, first):
     sums = np.add.accumulate(terms, 1)
     bound = half * sums
     bound *= room
-    k = (uq <= bound).argmax(1)  # the first term that ends the side
+    ends = uq <= bound
+    ends[:, -1] = True  # every side ends in the last column, past the block
+    k = ends.argmax(1)  # the first term that ends the side
     return k, sums.take(first + k)

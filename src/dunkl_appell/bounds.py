@@ -36,6 +36,9 @@ _S_FLOOR = 1e-8
 # registry has no analytic modulus.
 _GRID_STEP = 1e-3
 
+# Nodes a modulus grid may hold (about 250 MB); verify's window reaches it at x = 4,190.
+MAX_GRID_NODES = 2**22
+
 ANALYTIC = "analytic"
 GRID_ESTIMATE = "grid-estimate (consistency check, not proof)"
 
@@ -61,10 +64,17 @@ def _positive(name: str, value: float) -> None:
 
 
 def _grid_values(f, lo: float, hi: float, step: float, shift: float = 0.0):
-    """f at the grid nodes lo + k * step up to hi, each moved by shift."""
+    """f at the grid nodes lo + k * step up to hi, each moved by shift; more
+    than MAX_GRID_NODES nodes raise DomainError before f runs."""
     if not lo <= hi:
         raise DomainError(f"window ({lo}, {hi}) holds no point")
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
+    span = (hi - lo) / step + 1e-9
+    if not span < MAX_GRID_NODES:
+        raise DomainError(
+            f"the grid on ({lo}, {hi}) at step {step} holds {span + 1:.4g} "
+            f"nodes, more than the limit of {MAX_GRID_NODES}"
+        )
+    count = int(math.floor(span)) + 1
     xs = lo + step * np.arange(count) + shift
     fv = np.array([f(float(x)) for x in xs], dtype=float)
     if not np.all(np.isfinite(fv)):

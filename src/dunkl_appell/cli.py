@@ -125,16 +125,18 @@ def emit(rows: List[dict], fmt: str, destination: Optional[str]) -> None:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(COLUMNS)
-        for r in rows:
-            writer.writerow([_fmt_cell(r[c]) for c in COLUMNS])
+        writer.writerows([_fmt_cell(r[c]) for c in COLUMNS] for r in rows)
         text = buf.getvalue()
     else:
         text = json.dumps(rows, indent=2) + "\n"
     if destination is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(destination, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write --out {destination}: {exc}") from None
 
 
 # ---------------------------------------------------------------- modes

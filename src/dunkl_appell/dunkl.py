@@ -18,13 +18,11 @@ overflow near index 170); series terms are generated by the ratio recurrence
 which never materializes gamma_mu itself.
 
 The ratio rho(y) = e_mu(-y)/e_mu(y) that the moment formulas consume has its
-own routes (see ``dunkl_exp_neg_ratio``): exp(-2y) at mu = 0, a series of
-positive terms below a crossover y_c(mu, tol), and a large-argument Bessel
-expansion above it.  The crossover is the least y at which the expansion's
-own error bounds meet tol: about 19 to 26 for mu in [1e-6, 8], (mu**2 - 1)/4
-beyond, and never above max(40, mu**2) for mu >= 1e-18 (for smaller mu it
-rises to 42.5 at 1e-20 and 366 at 1e-300).  No route subtracts quantities
-much larger than rho, so rho keeps its relative accuracy for every y.
+own routes (see ``dunkl_exp_neg_ratio``): exp(-2y) at mu = 0, else a series
+of positive terms below the least y at which a large-argument Bessel
+expansion's own error bounds meet tol, and that expansion from there on.  No
+route subtracts quantities much larger than rho, so rho keeps its relative
+accuracy for every y.
 """
 
 from __future__ import annotations
@@ -37,20 +35,6 @@ from .errors import DomainError, RangeError
 # Terms of e_mu decay superexponentially once the index passes |x|; this cap
 # is far beyond any stopping point reachable within double range.
 _MAX_EXP_TERMS = 20_000
-
-# rho leaves the positive series for the large-argument expansion where
-# ``_expansion_exact`` holds, and at the latest at y = max(RATIO_CROSSOVER,
-# mu**2): from there on the expansion's terms shrink from the first one down
-# to a smallest term of order exp(-2y) < 2e-35, and the part of I_nu the
-# expansion leaves out is of that order too.  Below that cap the rule is
-# tested; above it nothing is, unless mu < TINY_MU.
-RATIO_CROSSOVER = 40.0
-
-# Below this mu the cap comes too early: at y = RATIO_CROSSOVER the part of
-# I_nu the expansion leaves out, exp(-2y) 2y/mu relative to rho, is about
-# 1.4e-15 at mu = 1e-18 and grows like 1/mu (1.4e-8 at mu = 1e-25).  For such
-# mu the rule is tested at every y, so the series runs until it holds.
-TINY_MU = 1e-18
 
 _EPS = 2.220446049250313e-16
 # Scale applied to the positive series' sums when they grow large; they only
@@ -216,10 +200,10 @@ def _ratio_expansion(mu: float, y: float, tol: float) -> float:
     functions never comes from cancellation.  Every g_k carries the factor
     mu, so small mu keeps its digits.
 
-    Requires ``_expansion_exact(mu, y, tol)`` or y >= max(RATIO_CROSSOVER,
-    mu**2).  The term ratio (k - mu)(k + mu)/((k+1) 2y) grows with k once k
-    passes mu, so terms that then stop shrinking before they fall below tol
-    never will: that raises ``RangeError`` instead of running on to NaN.
+    Requires ``_expansion_exact(mu, y, tol)``.  The term ratio
+    (k - mu)(k + mu)/((k+1) 2y) grows with k once k passes mu, so terms that
+    then stop shrinking before they fall below tol never will: that raises
+    ``RangeError`` instead of running on to NaN.
     """
     two_y = 2.0 * y
     g = -mu / two_y
@@ -242,59 +226,53 @@ def _ratio_expansion(mu: float, y: float, tol: float) -> float:
 
 
 def _expansion_exact(mu: float, y: float, tol: float) -> bool:
-    """Whether ``_ratio_expansion`` reaches relative accuracy tol at y.
+    """Whether ``_ratio_expansion`` reaches relative accuracy tol at y,
+    decided without overflow at every finite y > 0 and mu > 0.  Two bounds,
+    both met from some y_c(mu, tol) on:
 
-    Two bounds, both met from some y_c(mu, tol) on:
-
-    * The terms do not grow after the first while k < mu.  Their ratios
+    * The terms do not grow after the first while k < mu: their ratios
       (mu**2 - k**2)/((k+1) 2y) decrease in k there, so the first,
-      (mu**2 - 1)/(4y), must be at most one.  The terms' magnitudes then
-      sum to about exp(mu**2/y) <= e**4 times the sum, which bounds the
-      rounding error.
-    * The part of I_nu the expansion leaves out is about
-      exp(mu**2/y - 2y) relative to I_nu.  The difference of the two Bessel
-      functions is rho, about min(1, mu/(2y)), of their sum, so relative
-      to rho that part is exp(mu**2/y - 2y) max(1, 2y/mu), and it must be
-      below min(tol, 1).  Its smallest term is of the same order, so the
-      sum also reaches tol before its terms grow again.
+      (mu**2 - 1)/(4y), must be at most one (it is not where mu**2
+      overflows).  The terms' magnitudes then sum to about
+      exp(mu**2/y) <= e**4 times the sum, which bounds the rounding error.
+    * The part of I_nu the expansion leaves out is about exp(mu**2/y - 2y)
+      of I_nu, so exp(mu**2/y - 2y) max(1, 2y/mu) of rho, which is about
+      min(1, mu/(2y)) of the Bessel functions' sum; it must be below
+      min(tol, 1).  Its smallest term is of the same order, so the sum also
+      reaches tol before its terms grow again.  From y = 1e3 on the first
+      bound implies it (mu**2/y <= 4 + 1/y, ln(2y/mu) < ln(2y) + 745);
+      below, 2y/mu overflows only for mu < 1.2e-305, and its logarithm is
+      then taken as a difference.
 
-    Measured against 60-digit mpmath at tol = 1e-15 wherever this holds
-    below max(RATIO_CROSSOVER, mu**2), the expansion is within 4e-15
-    relative for mu from 1e-9 to 8 and within 5.5e-15 up to mu = 100,
-    where y_c = (mu**2 - 1)/4 lets the terms reach e**4 times the sum.
+    Against 60-digit mpmath at tol = 1e-15 for y from y_c to max(40, mu**2),
+    the expansion is within 4e-15 relative for mu in [1e-9, 8] and within
+    5.5e-15 up to mu = 100, where the terms reach e**4 times the sum.
     """
-    return mu * mu - 1.0 <= 4.0 * y and (
-        2.0 * y - mu * mu / y - math.log(max(1.0, 2.0 * y / mu))
-        >= -math.log(min(tol, 1.0))
-    )
+    if y >= 1e3 or (mu * mu - 1.0) * 0.25 > y:  # the first bound decides
+        return (mu * mu - 1.0) * 0.25 <= y
+    excess = 2.0 * y / mu  # past double range only for mu < 1.2e-305
+    ln_excess = (math.log(max(1.0, excess)) if excess < math.inf
+                 else math.log(2.0 * y) - math.log(mu))
+    return 2.0 * y - mu * mu / y - ln_excess >= -math.log(min(tol, 1.0))
 
 
 def dunkl_exp_neg_ratio(ctx: DunklContext, y: float, tol: float = 1e-15) -> float:
-    """The ratio rho = e_mu(-y)/e_mu(y) for finite y >= 0.
-
-    Three routes, none of which subtracts large quantities:
+    """The ratio rho = e_mu(-y)/e_mu(y) for finite y >= 0, by three routes,
+    none of which subtracts large quantities:
 
     * mu = 0: exp(-2y), which underflows to zero past y of about 372;
-    * y below the crossover y_c(mu, tol): a quotient of two positive
-      series (``_ratio_series``), at most about 120 terms when mu <= 10 and
-      a little over mu**2/2 beyond;
-    * otherwise: the large-argument Bessel expansion
-      (``_ratio_expansion``), at most about 30 terms, where rho is close to
-      mu/(2y) once y is large.
+    * y below a crossover y_c(mu, tol): a quotient of two positive series
+      (``_ratio_series``), at most about 120 terms for mu in [1e-6, 10]
+      and a little over mu**2/2 beyond;
+    * otherwise: the large-argument Bessel expansion (``_ratio_expansion``),
+      at most about 30 terms, where rho is close to mu/(2y) once y is large.
 
-    The crossover is the least y at which the expansion's two error bounds
-    (``_expansion_exact``) meet tol, capped at max(RATIO_CROSSOVER, mu**2);
-    the bounds are tested only below that cap, except for mu < TINY_MU
-    (1e-18), where they are tested at every y and have no cap.  At
-    tol = 1e-15 it is about 19 to 21 for mu in [0.05, 8], rises like
-    ln(1/mu)/2 to 26 at mu = 1e-6, reaches the cap near mu = 1e-18 and
-    passes it below (42.5 at mu = 1e-20, 366 at mu = 1e-300), and is
-    (mu**2 - 1)/4 for mu >= 10.
-
-    tol is the relative truncation tolerance of either sum (floored at
-    machine epsilon).  The result has relative error of a few ulps (at most
-    5.5e-15 measured); above the cap it also carries an absolute error of
-    order exp(-2y) < 2e-35 from the part of I_nu the expansion leaves out.
+    y_c is the least y at which ``_expansion_exact``, the one rule between
+    the last two routes, holds.  At tol = 1e-15 it is 19.5 at mu = 0.5 (19
+    to 21 for mu in [0.05, 8]), 26.2 at 1e-6, 40.2 at 1e-18, 42.5 at 1e-20,
+    366 at 1e-300, and (mu**2 - 1)/4 for mu >= 10.  tol is the relative
+    truncation tolerance of either sum (floored at machine epsilon); the
+    result is within a few ulps (at most 5.5e-15 relative measured).
     """
     if not 0.0 <= y < math.inf:
         raise DomainError(f"ratio argument must be finite and nonnegative, got {y}")
@@ -306,7 +284,5 @@ def dunkl_exp_neg_ratio(ctx: DunklContext, y: float, tol: float = 1e-15) -> floa
     if mu == 0.0:
         return math.exp(-2.0 * y)
     tol = max(tol, _EPS)
-    tested = y < max(RATIO_CROSSOVER, mu * mu) or mu < TINY_MU
-    if tested and not _expansion_exact(mu, y, tol):
-        return _ratio_series(mu, y, tol)
-    return _ratio_expansion(mu, y, tol)
+    route = _ratio_expansion if _expansion_exact(mu, y, tol) else _ratio_series
+    return route(mu, y, tol)

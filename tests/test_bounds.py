@@ -96,6 +96,48 @@ class TestModulus1Windows:
             modulus1(math.sin, 0.5, (1.0, 0.0))
 
 
+class TestGridNodeLimit:
+    """A modulus grid of more than bounds.MAX_GRID_NODES nodes raises
+    DomainError before f runs; verify's window grows with the grid's
+    largest x, and at x = 1e6 it would hold 1e9 nodes."""
+
+    @staticmethod
+    def counted():
+        calls = []
+        return (lambda t: calls.append(t) or t * t), calls
+
+    def test_a_grid_at_the_limit_still_runs(self, monkeypatch):
+        monkeypatch.setattr(bounds, "MAX_GRID_NODES", 2001)  # (0, 2) at 1e-3
+        f, calls = self.counted()
+        got = modulus1(f, 0.5, (0.0, 2.0), grid_step=1e-3).value
+        assert len(calls) == 2001
+        assert got == modulus1_loop(lambda t: t * t, 0.5, (0.0, 2.0), 1e-3)
+        assert modulus2(f, 0.5, (0.0, 2.0), grid_step=1e-3).value > 0.0
+
+    @pytest.mark.parametrize("modulus", [modulus1, modulus2])
+    def test_past_the_limit_f_never_runs(self, monkeypatch, modulus):
+        monkeypatch.setattr(bounds, "MAX_GRID_NODES", 2000)
+        f, calls = self.counted()
+        with pytest.raises(DomainError, match="holds 2001 nodes, more than the limit of 2000"):
+            modulus(f, 0.5, (0.0, 2.0), grid_step=1e-3)
+        assert calls == []
+
+    def test_an_unbounded_window_is_refused(self):
+        with pytest.raises(DomainError, match="holds inf nodes"):
+            modulus1(math.sin, 0.5, (0.0, math.inf))
+
+    @pytest.mark.parametrize("theorem, n", [("T2", 5), ("T2", 10**6), ("T4", 5)])
+    def test_verify_refuses_before_f_runs(self, monkeypatch, theorem, n):
+        # (0, 3 + 3/sqrt(n) + 1) at step 1e-3 holds more than 4,000 nodes
+        monkeypatch.setattr(bounds, "MAX_GRID_NODES", 4000)
+        f, calls = self.counted()
+        entry = FunctionEntry("square_counted", f, sup_norm=1.0)
+        params = VerifyParams(interval_end=3.0) if theorem == "T4" else VerifyParams()
+        with pytest.raises(DomainError, match="more than the limit of 4000"):
+            verify(unit_spec(0.5, n), entry, theorem, [0.0, 3.0], params)
+        assert calls == []
+
+
 @pytest.mark.parametrize("value", [0.0, -1e-3, math.nan, math.inf])
 @pytest.mark.parametrize("modulus", [modulus1, modulus2])
 @pytest.mark.parametrize("argument", ["scale", "grid_step"])

@@ -301,6 +301,33 @@ class TestErrors:
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("where", ["missing-dir", "a-directory"])
+    def test_unwritable_out_is_one_error_line(self, capsys, tmp_path, where):
+        path = tmp_path / "absent" / "r.csv" if where == "missing-dir" else tmp_path
+        code, out, err = run_cli(capsys, "moments", "--n", "5", "--x", "1", "--out", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: cannot write --out {path}: ")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+    def test_window_terms_past_double_range(self, capsys):
+        # 2*mu = 2e4 against n*x = 1e3: the lower side's terms overflow
+        code, out, err = run_cli(
+            capsys, "eval", "--mu", "10000", "--family", "unit", "--f", "id",
+            "--n", "1", "--x", "1000",
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: RangeError: ") and "mu=10000.0, n=1, x=1000.0" in err
+        assert "Traceback" not in err
+
+    def test_modulus_grid_past_its_node_limit(self, capsys):
+        # verify's T2 grid estimate at x = 1e6 would take f on 1e9 nodes
+        code, out, err = run_cli(
+            capsys, "bounds", "--theorem", "T2", "--f", "square", "--n", "5",
+            "--x", "1000000",
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: DomainError: ") and "more than the limit" in err
+
     def test_unknown_function_names_parameter(self, capsys):
         code, _, err = run_cli(capsys, "eval", "--f", "wavelet", "--n", "5", "--x", "1")
         assert code == 1

@@ -11,7 +11,6 @@ from dunkl_appell import (
     theta,
 )
 from dunkl_appell import dunkl
-from dunkl_appell.dunkl import RATIO_CROSSOVER
 
 from oracles import emu_brute, gamma_mu, gamma_mu_closed_form, ratio_series_loop
 
@@ -171,13 +170,13 @@ def _bessel_ratio(mu, y):
     """(I_{mu-1/2}(y) - I_{mu+1/2}(y)) / (I_{mu-1/2}(y) + I_{mu+1/2}(y)) in mpmath.
 
     The difference cancels about log10(y / mu) digits: at most 12 on most
-    grids below, where 40 digits leave more than 25, and up to 303 at
-    mu = 1e-300, so the precision grows with it to keep 28.
+    grids below, where 40 digits leave more than 25, and up to 336 at
+    mu = 5e-324, y = 1e12, so the precision grows with it to keep 28.
     """
     mp = pytest.importorskip("mpmath")
     if y == 0.0:
         return 1.0
-    cancelled = math.ceil(math.log10(y / mu)) if mu > 0.0 else 0
+    cancelled = math.ceil(math.log10(y) - math.log10(mu)) if mu > 0.0 else 0
     with mp.workdps(28 + max(12, cancelled)):
         if mu == 0.0:
             return float(mp.exp(-2 * mp.mpf(y)))
@@ -188,10 +187,10 @@ def _bessel_ratio(mu, y):
 
 def _crossover(mu, tol=1e-15):
     """The last y routed to the series and the first routed to the
-    expansion, bisected on the rule below the cap max(40, mu**2)."""
-    lo, hi = 0.5, max(RATIO_CROSSOVER, mu * mu)
-    if not dunkl._expansion_exact(mu, hi, tol):
-        return math.nextafter(hi, 0.0), hi
+    expansion, adjacent doubles bisected on the rule.  It holds at
+    max(1e3, mu**2) for every mu > 0 (y_c is 393 at mu = 5e-324)."""
+    lo, hi = 0.5, max(1e3, mu * mu)
+    assert dunkl._expansion_exact(mu, hi, tol) and not dunkl._expansion_exact(mu, lo, tol)
     while True:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
@@ -212,15 +211,15 @@ class TestNegRatioOracle:
     # at mu = 1e-6, y = 20, and the old flush of rho to zero.
     REL = 1e-12
     MUS = [1e-6, 0.05, 0.5, 1.0, 1.3, 3.0, 6.0, 7.5, 10.0, 20.0, 50.0, 100.0]
-    TINY = [1e-20, 1e-25, 1e-30, 1e-100, 1e-300]  # below dunkl.TINY_MU
+    TINY = [1e-20, 1e-25, 1e-30, 1e-100, 1e-300]  # y_c above 40
+    BAND = [1e-18, 3e-18, 6e-18]  # y_c near 40
 
     @pytest.mark.parametrize(
         "mu", [0.0, 1e-6, 0.1, 0.5, 1.0, 1.3, 2.0, 3.0, 6.0, 7.5, 20.0, 50.0, 100.0]
     )
     @pytest.mark.parametrize(
         "y",
-        [0.0, 1.0, 20.0, RATIO_CROSSOVER - 1.0, RATIO_CROSSOVER + 1.0,
-         651.0, 1e3, 1e4, 1e6],
+        [0.0, 1.0, 20.0, 39.0, 41.0, 651.0, 1e3, 1e4, 1e6],
     )
     def test_matches_bessel_form(self, mu, y):
         ref = _bessel_ratio(mu, y)
@@ -232,7 +231,7 @@ class TestNegRatioOracle:
         # Below (mu**2 - 1)/4 the expansion's terms grow after the first, so
         # the positive series runs there (rescaling its sums once they pass
         # double range, as at mu = 100, y = 1e3 in the grid above).
-        for y in (RATIO_CROSSOVER + 1.0, mu * mu - 1.0, mu * mu + 1.0, 2000.0):
+        for y in (41.0, mu * mu - 1.0, mu * mu + 1.0, 2000.0):
             ref = _bessel_ratio(mu, y)
             r = dunkl_exp_neg_ratio(DunklContext(mu), y)
             assert abs(r - ref) <= self.REL * ref, y
@@ -240,7 +239,7 @@ class TestNegRatioOracle:
     @pytest.mark.parametrize("mu", MUS)
     def test_either_side_of_the_crossover(self, mu):
         below, above = _crossover(mu)
-        assert below < above <= max(RATIO_CROSSOVER, mu * mu)
+        assert below < above <= max(40.0, mu * mu)
         ctx = DunklContext(mu)
         for y, route in ((below, dunkl._ratio_series), (above, dunkl._ratio_expansion)):
             r = dunkl_exp_neg_ratio(ctx, y)
@@ -250,7 +249,8 @@ class TestNegRatioOracle:
 
     def test_crossover_values(self):
         # The omitted part of I_nu sets it for small mu, the terms' growth
-        # for large mu; either way it never exceeds max(40, mu**2).
+        # for large mu; either way it stays below max(40, mu**2) from
+        # mu = 6.5e-18 on (40.2 at 1e-18, 366 at 1e-300).
         assert 26.0 < _crossover(1e-6)[1] < 26.5
         for mu in (0.05, 0.5, 1.0, 1.3, 3.0, 6.0, 7.5, 8.0):
             assert 18.5 < _crossover(mu)[1] < 21.0, mu
@@ -258,18 +258,7 @@ class TestNegRatioOracle:
             assert _crossover(mu)[1] == pytest.approx((mu * mu - 1.0) / 4.0), mu
         for k in range(-36, 13):
             mu = 10.0 ** (k / 4.0)
-            assert _crossover(mu)[1] <= max(RATIO_CROSSOVER, mu * mu), mu
-
-    @pytest.mark.parametrize("mu", [dunkl.TINY_MU, 1e-6, 0.5, 7.5, 20.0, 100.0])
-    def test_rule_is_not_tested_from_the_cap_on(self, mu, monkeypatch):
-        def tested(*args):
-            raise AssertionError("rule tested above the cap")
-
-        monkeypatch.setattr(dunkl, "_expansion_exact", tested)
-        cap = max(RATIO_CROSSOVER, mu * mu)
-        for y in (cap, 2.0 * cap, 1e6):
-            r = dunkl_exp_neg_ratio(DunklContext(mu), y)
-            assert r == dunkl._ratio_expansion(mu, y, 1e-15)
+            assert _crossover(mu)[1] <= max(40.0, mu * mu), mu
 
     def test_band_where_the_expansion_diverges(self):
         # At mu = 7.5 the expansion's terms turn to grow again before they
@@ -305,36 +294,57 @@ class TestNegRatioOracle:
          366.0, 400.0],
     )
     def test_tiny_mu_past_the_cap(self, mu, y):
-        # Below TINY_MU the expansion at y = 40 leaves out exp(-2y) 2y/mu of
-        # rho (1.4e-8 at mu = 1e-25; at mu = 1e-100, y = 80, all of it), so
-        # the series runs until the rule holds: y = 42.5 at mu = 1e-20, 135.2
-        # at 1e-100 and 366.0 at 1e-300.
+        # Here the expansion at y = 40 leaves out exp(-2y) 2y/mu of rho
+        # (1.4e-8 at mu = 1e-25; at mu = 1e-100, y = 80, all of it), so the
+        # series runs until the rule holds: y = 42.5 at mu = 1e-20, 135.2 at
+        # 1e-100 and 366.0 at 1e-300.
         ref = _bessel_ratio(mu, y)
         r = dunkl_exp_neg_ratio(DunklContext(mu), y)
         assert abs(r - ref) <= self.REL * ref, (mu, y)
 
-    @pytest.mark.parametrize("mu", TINY)
+    @pytest.mark.parametrize("mu", MUS + TINY + BAND)
     def test_tiny_mu_routes_by_the_rule_at_every_y(self, mu):
+        # Every mu, tiny or not: the series up to y_c, the expansion from it
+        # on, with no cap, out to the largest double.
         ctx = DunklContext(mu)
-        below, above = 40.0, 1e4
-        assert not dunkl._expansion_exact(mu, below, 1e-15)
-        while above - below > 1e-9 * above:
-            mid = 0.5 * (below + above)
-            if dunkl._expansion_exact(mu, mid, 1e-15):
-                above = mid
-            else:
-                below = mid
-        for y in (RATIO_CROSSOVER, below):
-            assert dunkl_exp_neg_ratio(ctx, y) == dunkl._ratio_series(mu, y, 1e-15), y
-        for y in (above, 2.0 * above, 1e6):
-            assert dunkl_exp_neg_ratio(ctx, y) == dunkl._ratio_expansion(mu, y, 1e-15), y
+        below, above = _crossover(mu)
+        ys = [below, above, 40.0, 2.0 * max(40.0, mu * mu), 1e6, 1e12, 1e300, 1.7e308]
+        for y in ys:
+            route = dunkl._ratio_series if y < above else dunkl._ratio_expansion
+            assert dunkl_exp_neg_ratio(ctx, y) == route(mu, y, 1e-15), y
 
-    def test_tiny_mu_bound(self):
-        # From TINY_MU up the cap keeps its place: the part the expansion
-        # leaves out at y = 40 is at most 1.5e-15 of rho.
-        mu = dunkl.TINY_MU
-        assert math.exp(-2.0 * RATIO_CROSSOVER) * 2.0 * RATIO_CROSSOVER / mu < 1.5e-15
-        ref = _bessel_ratio(mu, RATIO_CROSSOVER)
-        r = dunkl_exp_neg_ratio(DunklContext(mu), RATIO_CROSSOVER)
-        assert r == dunkl._ratio_expansion(mu, RATIO_CROSSOVER, 1e-15)
-        assert abs(r - ref) <= self.REL * ref
+    @pytest.mark.parametrize("mu", [5e-324, 1e-310, 1e-306])
+    def test_rule_where_2y_over_mu_overflows(self, mu):
+        # Below y = 1e3, 2y/mu overflows only for mu < 1.2e-305, and the rule
+        # then takes ln(2y/mu) as a difference.  Its decision must match the
+        # exponent formed in mpmath away from the crossover (393 at 5e-324).
+        mp = pytest.importorskip("mpmath")
+        below, above = _crossover(mu)
+        assert 2.0 * below / mu == math.inf and 370.0 < above < 400.0
+        for y in (1.0, 100.0, 0.999 * below, 1.001 * above, 999.0):
+            with mp.workdps(50):
+                exponent = 2 * mp.mpf(y) - mp.log(2 * mp.mpf(y) / mp.mpf(mu))
+            assert dunkl._expansion_exact(mu, y, 1e-15) == (exponent >= -mp.log(1e-15)), y
+            route = dunkl._ratio_series if y < above else dunkl._ratio_expansion
+            assert dunkl_exp_neg_ratio(DunklContext(mu), y) == route(mu, y, 1e-15), y
+
+    @pytest.mark.parametrize("mu", [1e-18, 2e-18, 3e-18, 6e-18])
+    @pytest.mark.parametrize("y", [39.9, 40.0, 40.1, 40.5])
+    def test_band_where_the_cap_sat(self, mu, y):
+        # y_c is 40.2 at mu = 1e-18 and 39.3 at 6e-18 (tol 1e-15): the rule
+        # routes both sides of y = 40.
+        ref = _bessel_ratio(mu, y)
+        r = dunkl_exp_neg_ratio(DunklContext(mu), y)
+        assert abs(r - ref) <= self.REL * ref, (mu, y)
+
+    @pytest.mark.parametrize("mu", [5e-324, 1e-300, 1e-18, 0.5, 100.0])
+    @pytest.mark.parametrize("y", [1e8, 1e12, 1e300, 1.7e308])
+    def test_rule_is_total(self, mu, y):
+        # The rule holds without overflow in 2y/mu or 2y, so rho comes from
+        # the expansion's few terms, not from a series of about 2y terms.
+        # Past y = 1e12 the leading term mu/(2y) is all of rho that a double
+        # keeps (0.0 where 2y overflows).
+        assert dunkl._expansion_exact(mu, y, 1e-15)
+        r = dunkl_exp_neg_ratio(DunklContext(mu), y)
+        ref = _bessel_ratio(mu, y) if y <= 1e12 else mu / (2.0 * y)
+        assert abs(r - ref) <= self.REL * ref, (r, ref)

@@ -896,6 +896,37 @@ class TestSumPastDoubleRange:
             apply(spec, lambda t: math.inf if t > 1.0 else 1e308, 1.0)
 
 
+class TestTermsPastDoubleRange:
+    """Where 2*mu is large against n*x the weights peak near (n*x)**2/(2 mu),
+    far below the window's anchor floor(n*x), and the lower side's terms
+    grow on the way there.  Terms that leave double range before the side's
+    bound is met raise RangeError; they used to end the side at the mode,
+    so apply(t) read 1909 at mu = 1e4, n*x = 1e3, where m1 is 1000."""
+
+    @pytest.mark.parametrize("mu, nx", [(1e4, 1e3), (1e5, 1e4)])
+    def test_every_entry_raises(self, mu, nx):
+        fam = kernel_family(mu, "unit")
+        where = rf"mu={mu}, n=1, x={nx}\)"
+        with pytest.raises(RangeError, match=where):
+            list(fam.windows(1, [1.0, nx], [1e-12, 1e-12]))
+        with pytest.raises(RangeError, match=where):
+            fam.weights(1, nx)
+        with pytest.raises(RangeError, match=where):
+            apply(OperatorSpec(family=fam, n=1), lambda t: t, [1.0, nx])
+
+    @pytest.mark.parametrize("mu, nx", [(1e3, 1e3), (1e4, 1e2)])
+    def test_windows_that_stay_in_range_keep_their_bits(self, mu, nx):
+        fam = kernel_family(mu, "unit")
+        spec = OperatorSpec(family=fam, n=1)
+        tols = [engine._point_tol(spec, nx)]
+        (batch,) = block_windows(mu, 1, [nx], tols, appell.MAX_WINDOW, appell.BATCH_TERMS)
+        assert batches_hex(fam.windows(1, [nx], tols)) == batches_hex([batch])
+        (want,) = contract_masked(mu, 1, fam.Q.coeffs, lambda t: t, batch)
+        got = apply(spec, lambda t: t, nx)
+        assert got.hex() == want.hex()
+        assert got == pytest.approx(central_moments(spec, nx).omega1 + nx, rel=1e-12)
+
+
 class TestNodes:
     @pytest.mark.parametrize("mu", [0.0, 0.3, 0.49])
     def test_strictly_increasing_below_half(self, mu):
