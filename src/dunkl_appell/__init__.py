@@ -6,7 +6,6 @@ from .bounds import (
     BoundInputs,
     BoundPoint,
     BoundReport,
-    ModulusEstimate,
     VerifyParams,
     modulus1,
     modulus2,
@@ -20,7 +19,6 @@ from .dunkl import (
     ExpEvaluation,
     dunkl_exp,
     dunkl_exp_neg_ratio,
-    theta,
 )
 from .engine import (
     CentralMoments,
@@ -62,7 +60,6 @@ __all__ = [
     "EvaluationError",
     "ExpEvaluation",
     "FunctionEntry",
-    "ModulusEstimate",
     "NormalizationError",
     "NotAppellGeneratorError",
     "OperatorSpec",
@@ -86,6 +83,5 @@ __all__ = [
     "theorem2_bound",
     "theorem3_bound",
     "theorem4_bound",
-    "theta",
     "verify",
 ]

@@ -90,8 +90,6 @@ class WeightSequence:
     """
 
     weights: np.ndarray
-    n: int
-    x: float
     start: int = 0
 
     @property
@@ -119,21 +117,17 @@ class AppellFamily:
     x >= 0) and 'unverified' otherwise; ``windows``, and so every weight and
     ``apply``, rejects unverified families.
 
-    ``truncated`` marks families whose stored coefficients cut off a
-    genuinely infinite expansion (the Gould-Hopper exponentials); families
-    built from explicit coefficient lists are exact polynomials.
-
     The engine fills on first use (Q never changes) ``_functionals``, Q's
     functionals; ``_arrays``, its coefficients and widest support gap; and
     ``_last_moments``, the last closed-form moments with their key.
     """
 
     __slots__ = (
-        "ctx", "Q", "support", "positivity", "Q_at_1", "truncated",
+        "ctx", "Q", "support", "positivity", "Q_at_1",
         "_functionals", "_arrays", "_last_moments",
     )
 
-    def __init__(self, ctx: DunklContext, Q: PowerSeries, truncated: bool = False):
+    def __init__(self, ctx: DunklContext, Q: PowerSeries):
         cs = Q.coeffs
         if cs[0] == 0.0:
             raise NotAppellGeneratorError(
@@ -155,7 +149,6 @@ class AppellFamily:
         self.Q = Q
         self.support = support
         self.Q_at_1 = q1
-        self.truncated = truncated
         self._functionals = self._arrays = self._last_moments = None
         # Q's coefficients are finite, so the least decides; -0.0 >= 0.0
         if min(cs) >= 0.0:
@@ -213,7 +206,7 @@ class AppellFamily:
             q = a / k
         coeffs = [0.0] * ((k - 1) * step + 1)
         coeffs[::step] = terms
-        return cls(ctx, PowerSeries(ctx, coeffs), truncated=a > 0.0)
+        return cls(ctx, PowerSeries(ctx, coeffs))
 
     def weights(self, n: int, x: float, tol: float = 1e-12) -> WeightSequence:
         """Operator weights at (n, x) from a window of u_j around the mode.
@@ -232,7 +225,7 @@ class AppellFamily:
         w = np.convolve(self.Q.coeffs, np.concatenate((down[::-1], up)))
         w /= self.Q_at_1 * total
         w.flags.writeable = False
-        return WeightSequence(w, n, float(x), start=lo)
+        return WeightSequence(w, start=lo)
 
     def windows(
         self, n: int, x: Sequence[float], tol: Sequence[float]

@@ -15,6 +15,7 @@ error against the selected bound, and flags violations beyond a small
 rounding slack.  Where the registry has no analytic modulus it estimates
 one from f on grids of step 1e-3 whose size does not depend on n (see
 ``verify``): a lower estimate, so such a report is a consistency check.
+``modulus1`` and ``modulus2`` return such an estimate as a plain float.
 """
 
 from __future__ import annotations
@@ -41,21 +42,6 @@ MAX_GRID_NODES = 2**22
 
 ANALYTIC = "analytic"
 GRID_ESTIMATE = "grid-estimate (consistency check, not proof)"
-
-
-@dataclass(frozen=True)
-class ModulusEstimate:
-    """A grid maximum of first or second differences.
-
-    The value is a lower estimate of the true modulus: the grid can miss
-    the maximizing pair by up to one step.
-    """
-
-    delta: float
-    value: float
-    window: Tuple[float, float]
-    grid_step: float
-    kind: str  # 'first' or 'second'
 
 
 def _positive(name: str, value: float) -> None:
@@ -88,10 +74,12 @@ def modulus1(
     delta: float,
     window: Tuple[float, float],
     grid_step: float = 1e-3,
-) -> ModulusEstimate:
+) -> float:
     """Grid estimate of the modulus of continuity w(f; delta) on a window.
 
-    Maximizes |f(x) - f(y)| over grid pairs with |x - y| <= delta.
+    Maximizes |f(x) - f(y)| over grid pairs with |x - y| <= delta.  The
+    value is a lower estimate of the true modulus: the grid can miss the
+    maximizing pair by up to one step.
     """
     _positive("delta", delta)
     _positive("grid step", grid_step)
@@ -99,15 +87,11 @@ def modulus1(
         raise DomainError(
             f"grid step {grid_step} too coarse for delta={delta}; need <= delta/8"
         )
-    lo, hi = window
-    fv = _grid_values(f, lo, hi, grid_step)
+    fv = _grid_values(f, *window, grid_step)
     # Rounding is monotone: the largest rounded pair difference is max - min.
     shift = min(int(math.floor(delta / grid_step + 1e-9)), len(fv) - 1)
     runs = sliding_window_view(fv, shift + 1)
-    value = float(np.max(runs.max(1) - runs.min(1)))
-    return ModulusEstimate(
-        delta=delta, value=value, window=(lo, hi), grid_step=grid_step, kind="first"
-    )
+    return float(np.max(runs.max(1) - runs.min(1)))
 
 
 def _pair_modulus1(f: Callable[[float], float], delta: float, window) -> float:
@@ -129,19 +113,16 @@ def modulus2(
     s: float,
     window: Tuple[float, float],
     grid_step: float = 1e-3,
-) -> ModulusEstimate:
-    """Grid estimate of the second-order modulus on a window.
+) -> float:
+    """Grid estimate of the second-order modulus on a window, a lower
+    estimate as ``modulus1``'s.
 
     Maximizes |f(x + 2h) - 2 f(x + h) + f(x)| over the grid for 0 < h <= s;
     the window must leave room for x + 2h.
     """
     _second_scale(s, window, grid_step)
-    lo, hi = window
-    fv = _grid_values(f, lo, hi, grid_step)
-    value = _second_maxima(fv, [0.0], _shifts(fv, s, grid_step))
-    return ModulusEstimate(
-        delta=s, value=value, window=(lo, hi), grid_step=grid_step, kind="second"
-    )
+    fv = _grid_values(f, *window, grid_step)
+    return _second_maxima(fv, [0.0], _shifts(fv, s, grid_step))
 
 
 def _second_scale(s: float, window: Tuple[float, float], grid_step: float) -> None:
@@ -356,7 +337,7 @@ def verify(
         else:
             source = GRID_ESTIMATE
             if delta >= 8.0 * _GRID_STEP:
-                w_at_delta = modulus1(f, delta, window, _GRID_STEP).value
+                w_at_delta = modulus1(f, delta, window, _GRID_STEP)
             else:
                 # n > 15,625: a grid of step delta/8 would grow like sqrt(n)
                 w_at_delta = _pair_modulus1(f, delta, window)

@@ -8,7 +8,10 @@ schema
     x,n,Kf,f,abs_err,omega1,omega2,bound,margin,theorem
 
 with columns a mode does not produce left empty; floats are printed with 17
-significant digits so the CSV is a lossless archive of the doubles.
+significant digits so the CSV is a lossless archive of the doubles.  Every
+mode runs through one loop, ``run``: one operator per --n, the mode's rows
+at each (``converge`` keeps ``eval``'s row of largest error), and the report
+sorted by (n, x).
 
 Exit codes: 0 on success (all bounds hold), 2 on a bound violation, 1 on
 configuration or numeric errors.
@@ -35,8 +38,8 @@ from .errors import ConfigurationError, DunklApproxError
 from .functions import lookup
 
 COLUMNS = ("x", "n", "Kf", "f", "abs_err", "omega1", "omega2", "bound", "margin", "theorem")
-
-_MODES = ("eval", "moments", "converge", "bounds")
+# A report row is dict(_ROW, **values): every column, in order, None where unset.
+_ROW = dict.fromkeys(COLUMNS)
 
 
 @dataclass
@@ -98,15 +101,6 @@ def grid_points(start: float, stop: float, step: float) -> List[float]:
 
 
 # ---------------------------------------------------------------- reports
-
-
-def _row(**kw):
-    return {c: kw.get(c) for c in COLUMNS}
-
-
-def _by_n_then_x(row):
-    # --n may list scales in any order; reports are always sorted.
-    return (row["n"], row["x"])
 
 
 def _fmt_cell(v) -> str:
@@ -171,82 +165,53 @@ def _target(cfg: RunConfig):
     return lookup(cfg.function)
 
 
-def _mode_eval(cfg: RunConfig) -> Tuple[List[dict], int]:
-    entry = _target(cfg)
-    family = _build_family(cfg)
-    xs = _x_values(cfg)
+# One builder per mode: the rows at one scale and their bound violations.
+
+
+def _eval_rows(cfg: RunConfig, entry, spec: OperatorSpec, xs: List[float]):
+    f = entry.evaluator
     rows = []
-    for n in cfg.n_list:
-        spec = OperatorSpec(family=family, n=n, tol=cfg.tol)
-        for x, kf in zip(xs, apply(spec, entry.evaluator, xs).tolist()):
-            fx = entry.evaluator(x)
-            rows.append(_row(x=x, n=n, Kf=kf, f=fx, abs_err=abs(kf - fx)))
-    return sorted(rows, key=_by_n_then_x), 0
+    for x, kf in zip(xs, apply(spec, f, xs).tolist()):
+        fx = f(x)
+        rows.append(dict(_ROW, x=x, n=spec.n, Kf=kf, f=fx, abs_err=abs(kf - fx)))
+    return rows, 0
 
 
-def _mode_moments(cfg: RunConfig) -> Tuple[List[dict], int]:
-    family = _build_family(cfg)
-    xs = _x_values(cfg)
+def _moments_rows(cfg: RunConfig, entry, spec: OperatorSpec, xs: List[float]):
     rows = []
-    for n in cfg.n_list:
-        spec = OperatorSpec(family=family, n=n, tol=cfg.tol)
-        for x in xs:
-            cm = central_moments(spec, x)
-            m1 = x + cm.omega1  # the closed-form first raw moment, bit for bit
-            rows.append(_row(
-                x=x, n=n, Kf=m1, f=x, abs_err=abs(m1 - x),
-                omega1=cm.omega1, omega2=cm.omega2,
-            ))
-    return sorted(rows, key=_by_n_then_x), 0
+    for x in xs:
+        cm = central_moments(spec, x)
+        m1 = x + cm.omega1  # the closed-form first raw moment, bit for bit
+        rows.append(dict(_ROW, x=x, n=spec.n, Kf=m1, f=x, abs_err=abs(m1 - x),
+                         omega1=cm.omega1, omega2=cm.omega2))
+    return rows, 0
 
 
-def _mode_converge(cfg: RunConfig) -> Tuple[List[dict], int]:
-    entry = _target(cfg)
-    family = _build_family(cfg)
-    xs = _x_values(cfg)
-    rows = []
-    for n in cfg.n_list:
-        spec = OperatorSpec(family=family, n=n, tol=cfg.tol)
-        best = None
-        for x, kf in zip(xs, apply(spec, entry.evaluator, xs).tolist()):
-            fx = entry.evaluator(x)
-            err = abs(kf - fx)
-            if best is None or err > best[0]:
-                best = (err, x, kf, fx)
-        err, x, kf, fx = best
-        rows.append(_row(x=x, n=n, Kf=kf, f=fx, abs_err=err))
-    return sorted(rows, key=_by_n_then_x), 0
+def _converge_rows(cfg: RunConfig, entry, spec: OperatorSpec, xs: List[float]):
+    # max keeps the first of equal errors, as a strict > scan does
+    rows, _ = _eval_rows(cfg, entry, spec, xs)
+    return [max(rows, key=lambda row: row["abs_err"])], 0
 
 
-def _mode_bounds(cfg: RunConfig) -> Tuple[List[dict], int]:
-    if cfg.theorem is None:
-        raise ConfigurationError("--theorem is required for bounds")
-    entry = _target(cfg)
-    family = _build_family(cfg)
-    xs = _x_values(cfg)
+def _bounds_rows(cfg: RunConfig, entry, spec: OperatorSpec, xs: List[float]):
     params = VerifyParams(M=cfg.M, beta=cfg.beta, interval_end=cfg.interval_end)
-    rows = []
-    violations = 0
-    for n in cfg.n_list:
-        spec = OperatorSpec(family=family, n=n, tol=cfg.tol)
-        rep = verify(spec, entry, cfg.theorem, xs, params)
-        violations += rep.violations
-        print(
-            f"# {rep.theorem} {rep.function} n={rep.n}: "
-            f"min margin {rep.min_margin:.6g}, violations {rep.violations} "
-            f"[modulus: {rep.modulus_source}]",
-            file=sys.stderr,
-        )
-        for p in rep.points:
-            rows.append(
-                _row(
-                    x=p.x, n=rep.n, Kf=p.kf, f=p.fx, abs_err=p.actual_error,
-                    omega1=p.omega1, omega2=p.omega2,
-                    bound=p.bound, margin=p.margin, theorem=rep.theorem,
-                )
-            )
-    rows.sort(key=_by_n_then_x)
-    return rows, (2 if violations > 0 else 0)
+    rep = verify(spec, entry, cfg.theorem, xs, params)
+    print(
+        f"# {rep.theorem} {rep.function} n={rep.n}: "
+        f"min margin {rep.min_margin:.6g}, violations {rep.violations} "
+        f"[modulus: {rep.modulus_source}]",
+        file=sys.stderr,
+    )
+    return [
+        dict(_ROW, x=p.x, n=rep.n, Kf=p.kf, f=p.fx, abs_err=p.actual_error,
+             omega1=p.omega1, omega2=p.omega2, bound=p.bound, margin=p.margin,
+             theorem=rep.theorem)
+        for p in rep.points
+    ], rep.violations
+
+
+_MODES = {"eval": _eval_rows, "moments": _moments_rows,
+          "converge": _converge_rows, "bounds": _bounds_rows}
 
 
 # ---------------------------------------------------------------- parsing
@@ -379,16 +344,22 @@ def parse_config(argv: Optional[Sequence[str]] = None) -> RunConfig:
 
 
 def run(cfg: RunConfig) -> int:
-    """Dispatch one validated configuration; returns the process exit code."""
-    dispatch = {
-        "eval": _mode_eval,
-        "moments": _mode_moments,
-        "converge": _mode_converge,
-        "bounds": _mode_bounds,
-    }
-    rows, status = dispatch[cfg.mode](cfg)
+    """Run one validated configuration (see the module docstring); returns
+    the process exit code."""
+    if cfg.mode == "bounds" and cfg.theorem is None:
+        raise ConfigurationError("--theorem is required for bounds")
+    entry = None if cfg.mode == "moments" else _target(cfg)
+    family = _build_family(cfg)
+    xs = _x_values(cfg)
+    rows, violations = [], 0
+    for n in cfg.n_list:
+        spec = OperatorSpec(family=family, n=n, tol=cfg.tol)
+        got, bad = _MODES[cfg.mode](cfg, entry, spec, xs)
+        rows += got
+        violations += bad
+    rows.sort(key=lambda row: (row["n"], row["x"]))  # --n may list scales in any order
     emit(rows, cfg.output, cfg.out)
-    return status
+    return 2 if violations else 0
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -1,7 +1,7 @@
 """Scalar Dunkl primitives.
 
-The building blocks are the parity indicator ``theta``, the generalized
-factorial sequence ``gamma_mu`` defined by
+The building blocks are the generalized factorial sequence ``gamma_mu``,
+defined with the parity theta(i) = i & 1 (0 for even i, 1 for odd) by
 
     gamma_mu(0) = 1,    gamma_mu(i+1) = (i+1 + 2*mu*theta(i+1)) * gamma_mu(i),
 
@@ -40,13 +40,6 @@ _EPS = 2.220446049250313e-16
 # Scale applied to the positive series' sums when they grow large; they only
 # enter through their quotient.
 _RESCALE = 1e280
-
-
-def theta(i: int) -> int:
-    """Parity indicator: 0 for even i, 1 for odd i."""
-    if i < 0:
-        raise DomainError(f"parity index must be nonnegative, got {i}")
-    return i & 1
 
 
 class DunklContext:
@@ -205,8 +198,8 @@ def _ratio_expansion(mu: float, y: float, tol: float) -> float:
     then stop shrinking before they fall below tol never will: that raises
     ``RangeError`` instead of running on to NaN.
     """
-    two_y = 2.0 * y
-    g = -mu / two_y
+    two_y = 2.0 * y  # the ratios below drop to 0 where (k + 1) * 2y overflows
+    g = -(0.5 * mu) / y  # -mu / (2y) bit for bit wherever 2y is finite
     num = -g  # sum of -k g_k
     den = 1.0 + mu * g  # sum of mu g_k, plus 1
     k = 1.0
@@ -272,7 +265,9 @@ def dunkl_exp_neg_ratio(ctx: DunklContext, y: float, tol: float = 1e-15) -> floa
     to 21 for mu in [0.05, 8]), 26.2 at 1e-6, 40.2 at 1e-18, 42.5 at 1e-20,
     366 at 1e-300, and (mu**2 - 1)/4 for mu >= 10.  tol is the relative
     truncation tolerance of either sum (floored at machine epsilon); the
-    result is within a few ulps (at most 5.5e-15 relative measured).
+    result is within a few ulps (at most 5.5e-15 relative measured).  A rho
+    that is not finite raises RangeError: the series' sums overflow from
+    about mu = 1e29 on.
     """
     if not 0.0 <= y < math.inf:
         raise DomainError(f"ratio argument must be finite and nonnegative, got {y}")
@@ -285,4 +280,7 @@ def dunkl_exp_neg_ratio(ctx: DunklContext, y: float, tol: float = 1e-15) -> floa
         return math.exp(-2.0 * y)
     tol = max(tol, _EPS)
     route = _ratio_expansion if _expansion_exact(mu, y, tol) else _ratio_series
-    return route(mu, y, tol)
+    rho = route(mu, y, tol)
+    if not rho < math.inf:  # inf or NaN
+        raise RangeError(f"rho = e_mu(-y)/e_mu(y) left double range at y={y} (mu={mu})")
+    return rho

@@ -37,14 +37,19 @@ from .appell import AppellFamily
 from .dunkl import dunkl_exp_neg_ratio
 from .errors import DomainError, EvaluationError, RangeError, TranscriptionError
 
+# The least integer whose float overflows (it rounds up to 2**1024); n*x
+# raises OverflowError from there on.
+_N_OVERFLOW = 2**1024 - 2**970
+
 
 @dataclass(frozen=True)
 class OperatorSpec:
     """A family plus the scale n and the weights' mass tolerance.
 
     n must be an integer >= 1: a Python int, or a numpy integer, which is
-    stored as the equal int.  A float (even 2.0, NaN or inf) or a bool
-    raises DomainError.
+    stored as the equal int.  A float (even 2.0, NaN or inf), a bool, or an
+    n that rounds past double range (n*x would raise OverflowError) raises
+    DomainError.
     """
 
     family: AppellFamily
@@ -57,8 +62,11 @@ class OperatorSpec:
             if not isinstance(n, np.integer):
                 raise DomainError(f"operator scale n must be an integer >= 1, got {n!r}")
             object.__setattr__(self, "n", int(n))
-        if self.n < 1:
-            raise DomainError(f"operator scale n must be an integer >= 1, got {n!r}")
+        if not 1 <= self.n < _N_OVERFLOW:
+            raise DomainError(
+                f"operator scale n must be an integer >= 1 below double range, "
+                f"got {n!r}"
+            )
         if not 0.0 < self.tol < math.inf:
             raise DomainError(f"tolerance must be finite and positive, got {self.tol}")
 
@@ -362,7 +370,7 @@ def _closed_form(spec: OperatorSpec, x: float):
     # proportional to the quantities that cancel.
     floor = 64.0 * 2.220446049250313e-16 * (xx + 2.0 * x * abs(m1) + abs(m2))
     diff = abs(omega2 - combined)
-    if diff > 1e-10 * max(abs(omega2), abs(combined)) + floor:
+    if not diff <= 1e-10 * max(abs(omega2), abs(combined)) + floor:  # NaN fails
         raise TranscriptionError(
             f"formula transcription error: omega2 printed form {omega2!r} vs "
             f"moment combination {combined!r} at (n={n}, x={x}, mu={family.ctx.mu})"

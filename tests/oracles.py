@@ -540,18 +540,12 @@ def gamma_mu(mu: float, i: int) -> float:
 
 
 def family_poly(family, i: int) -> list:
-    """Coefficients of q_i in powers of x (length i+1).
-
-    For truncated families, indices past the stored degree would drop
-    genuinely nonzero terms and are rejected.
-    """
+    """Coefficients of q_i in powers of x (length i+1), from Q's stored
+    coefficients: past the stored degree of a Gould-Hopper generator they
+    leave out the terms its cut dropped."""
     if i < 0:
         raise DomainError(f"polynomial index must be nonnegative, got {i}")
     deg = family.Q.degree
-    if family.truncated and i > deg:
-        raise DomainError(
-            f"family truncated at degree {deg}: q_{i} is not represented"
-        )
     mu = family.ctx.mu
     gi = gamma_mu(mu, i)  # raises RangeError if gamma_mu(i) overflows
     gj = 1.0  # gamma_mu(j), multiplied in the order gamma_mu uses

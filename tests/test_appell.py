@@ -39,7 +39,6 @@ class TestConstruction:
         fam = AppellFamily.from_coefficients(DunklContext(0.5), [1.0])
         assert fam.Q_at_1 == 1.0
         assert fam.positivity == POSITIVE_BY_COEFFICIENTS
-        assert not fam.truncated
 
     def test_classical_linear_generator(self):
         fam = AppellFamily.from_coefficients(DunklContext(0.0), [1.0, 1.0])
@@ -96,7 +95,6 @@ class TestGouldHopper:
     def test_zero_coefficient_gives_unit(self):
         fam = AppellFamily.gould_hopper(DunklContext(0.5), 0.0, 3)
         assert fam.Q.coeffs == (1.0,)
-        assert not fam.truncated
 
     def test_quadratic_exponent_coefficients(self):
         fam = AppellFamily.gould_hopper(DunklContext(0.0), 0.5, 1)
@@ -108,7 +106,6 @@ class TestGouldHopper:
             exact = 0.5**k / math.factorial(k)
             assert abs(c[2 * k] - exact) <= 2 * k * 2.0**-53 * exact
         assert all(c[j] == 0.0 for j in range(deg + 1) if j % 2 == 1)
-        assert fam.truncated
 
     def test_cubic_exponent_coefficients(self):
         fam = AppellFamily.gould_hopper(DunklContext(0.0), 1.0, 2)
@@ -165,7 +162,6 @@ class TestGouldHopper:
         coeffs, q1 = gould_hopper_loop(a, d)
         assert [c.hex() for c in fam.Q.coeffs] == [c.hex() for c in coeffs]
         assert fam.Q_at_1.hex() == q1.hex()
-        assert fam.truncated == (a > 0.0)
         assert fam.positivity == POSITIVE_BY_COEFFICIENTS
 
     @pytest.mark.parametrize("d", [1, 7])
@@ -207,12 +203,6 @@ class TestPolynomials:
             qi = family_poly(fam, i)
             value = sum(c * x**j for j, c in enumerate(qi)) / gamma_mu(mu, i)
             assert abs(product.coeffs[i] - value) <= 1e-10
-
-    def test_truncated_family_rejects_deep_indices(self):
-        fam = AppellFamily.gould_hopper(DunklContext(0.0), 0.5, 1)
-        family_poly(fam, fam.Q.degree)
-        with pytest.raises(DomainError):
-            family_poly(fam, fam.Q.degree + 1)
 
     def test_rejects_negative_index(self):
         fam = AppellFamily.from_coefficients(DunklContext(0.0), [1.0])

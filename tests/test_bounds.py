@@ -39,19 +39,19 @@ def gh_spec(mu, a, d, n):
 class TestModulus1:
     def test_identity_function(self):
         est = modulus1(lambda t: t, 0.3, (0.0, 5.0), grid_step=1e-3)
-        assert abs(est.value - 0.3) <= 2e-3
-        assert est.kind == "first"
+        assert abs(est - 0.3) <= 2e-3
+        assert type(est) is float
 
     def test_sine_against_analytic(self):
         est = modulus1(math.sin, 0.5, (0.0, 2.0 * math.pi), grid_step=1e-3)
-        assert abs(est.value - 2.0 * math.sin(0.25)) <= 1e-3
+        assert abs(est - 2.0 * math.sin(0.25)) <= 1e-3
 
     def test_constant_is_zero(self):
-        assert modulus1(lambda t: 4.2, 0.7, (0.0, 3.0)).value == 0.0
+        assert modulus1(lambda t: 4.2, 0.7, (0.0, 3.0)) == 0.0
 
     def test_monotone_in_delta(self):
         vals = [
-            modulus1(math.cos, d, (0.0, 6.0), grid_step=1e-3).value
+            modulus1(math.cos, d, (0.0, 6.0), grid_step=1e-3)
             for d in (0.1, 0.2, 0.4, 0.8)
         ]
         assert all(a <= b for a, b in zip(vals, vals[1:]))
@@ -59,7 +59,7 @@ class TestModulus1:
     def test_lipschitz_overshoot_bound(self):
         # estimate <= L * delta for a Lipschitz-L function
         est = modulus1(math.sin, 0.25, (0.0, 7.0), grid_step=1e-3)
-        assert est.value <= 0.25 + 2e-3
+        assert est <= 0.25 + 2e-3
 
     def test_step_precondition(self):
         with pytest.raises(DomainError):
@@ -88,7 +88,7 @@ class TestModulus1Windows:
     )
     def test_matches_shift_loop(self, delta, step, window):
         for f in (math.sin, math.sqrt, lambda t: t * t, self.walk(step)):
-            got = modulus1(f, delta, window, grid_step=step).value
+            got = modulus1(f, delta, window, grid_step=step)
             assert got == modulus1_loop(f, delta, window, step)
 
     def test_reversed_window_rejected(self):
@@ -109,10 +109,10 @@ class TestGridNodeLimit:
     def test_a_grid_at_the_limit_still_runs(self, monkeypatch):
         monkeypatch.setattr(bounds, "MAX_GRID_NODES", 2001)  # (0, 2) at 1e-3
         f, calls = self.counted()
-        got = modulus1(f, 0.5, (0.0, 2.0), grid_step=1e-3).value
+        got = modulus1(f, 0.5, (0.0, 2.0), grid_step=1e-3)
         assert len(calls) == 2001
         assert got == modulus1_loop(lambda t: t * t, 0.5, (0.0, 2.0), 1e-3)
-        assert modulus2(f, 0.5, (0.0, 2.0), grid_step=1e-3).value > 0.0
+        assert modulus2(f, 0.5, (0.0, 2.0), grid_step=1e-3) > 0.0
 
     @pytest.mark.parametrize("modulus", [modulus1, modulus2])
     def test_past_the_limit_f_never_runs(self, monkeypatch, modulus):
@@ -161,21 +161,21 @@ class TestModulus2:
     def test_matches_shift_loop(self, s, window):
         walk = TestModulus1Windows.walk(1e-3)
         for f in (math.sin, math.sqrt, lambda t: t * t, walk):
-            got = modulus2(f, s, window, grid_step=1e-3).value
+            got = modulus2(f, s, window, grid_step=1e-3)
             assert got == modulus2_loop(f, s, window, 1e-3)
 
     def test_affine_annihilated(self):
         est = modulus2(lambda t: 3.0 * t - 1.0, 0.5, (0.0, 4.0), grid_step=1e-3)
-        assert est.value <= 1e-12
+        assert est <= 1e-12
 
     def test_square_exact_second_difference(self):
         est = modulus2(lambda t: t * t, 0.2, (0.0, 3.0), grid_step=1e-3)
-        assert abs(est.value - 0.08) <= 2e-3
+        assert abs(est - 0.08) <= 2e-3
 
     def test_cosine_against_finer_grid(self):
         coarse = modulus2(math.cos, 0.3, (0.0, 7.0), grid_step=2e-3)
         fine = modulus2(math.cos, 0.3, (0.0, 7.0), grid_step=2.5e-4)
-        assert abs(coarse.value - fine.value) <= 1e-4
+        assert abs(coarse - fine) <= 1e-4
 
     def test_window_must_fit_double_shift(self):
         with pytest.raises(DomainError):
@@ -183,7 +183,7 @@ class TestModulus2:
 
     def test_monotone_in_s(self):
         vals = [
-            modulus2(math.sin, s, (0.0, 8.0), grid_step=1e-3).value
+            modulus2(math.sin, s, (0.0, 8.0), grid_step=1e-3)
             for s in (0.1, 0.2, 0.4)
         ]
         assert all(a <= b for a, b in zip(vals, vals[1:]))
@@ -354,7 +354,7 @@ class TestVerify:
         per_point = FunctionEntry(
             "sin_nomod2",
             math.sin,
-            analytic_modulus2=lambda s: modulus2(math.sin, max(s, 8e-3), window).value,
+            analytic_modulus2=lambda s: modulus2(math.sin, max(s, 8e-3), window),
             sup_norm=1.0,
         )
         want = verify(spec, per_point, "T4", xs, VerifyParams(interval_end=2.0))
@@ -413,7 +413,7 @@ class TestVerify:
         delta = 1.0 / math.sqrt(n)
         window = bounds._default_window([0.0, 0.5], n)
         est = bounds._pair_modulus1(f, delta, window)
-        dense = modulus1(f, delta, window, delta / 8.0).value
+        dense = modulus1(f, delta, window, delta / 8.0)
         assert 0.99 * dense <= est <= dense
 
     @pytest.mark.parametrize("n, pairs", [(20, False), (15625, False), (15626, True), (10**8, True)])

@@ -189,6 +189,47 @@ class TestConvergeMode:
         assert len(parse_csv(out)) == 1
 
 
+class TestConvergeIsEvalReduced:
+    """converge's row at each n is eval's row of largest abs_err on the same
+    grid, the first of equal errors."""
+
+    @staticmethod
+    def reduced(capsys, fmt, *argv):
+        code, out, _ = run_cli(capsys, "eval", *argv, "--format", fmt)
+        assert code == 0
+        rows = json.loads(out) if fmt == "json" else parse_csv(out)
+        key = (lambda r: r["abs_err"]) if fmt == "json" else (lambda r: float(r["abs_err"]))
+        worst = {}
+        for row in rows:  # sorted by (n, x): the first of equal errors comes first
+            n = row["n"]
+            if n not in worst or key(row) > key(worst[n]):
+                worst[n] = row
+        return list(worst.values())
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # at n*x <= 1e-7 K 1 is 1 exactly, so every error is 0: the
+            # first x must win
+            ("--mu", "0.5", "--f", "const1", "--n", "20,5", "--x-grid", "0:4e-9:1e-9"),
+            # unsorted --n
+            ("--mu", "0.5", "--family", "gould-hopper", "--f", "sinx",
+             "--n", "300,5,40", "--x-grid", "0:2:0.1"),
+        ],
+        ids=["tie", "unsorted-n"],
+    )
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_row_of_largest_error(self, capsys, argv, fmt):
+        want = self.reduced(capsys, fmt, *argv)
+        code, out, _ = run_cli(capsys, "converge", *argv, "--format", fmt)
+        assert code == 0
+        got = json.loads(out) if fmt == "json" else parse_csv(out)
+        assert got == want
+        assert [int(r["n"]) for r in got] == sorted(int(r["n"]) for r in got)
+        if "const1" in argv:
+            assert all(float(r["x"]) == 0.0 and float(r["abs_err"]) == 0.0 for r in got)
+
+
 class TestBoundsMode:
     def test_all_margins_positive(self, capsys):
         code, out, err = run_cli(
@@ -318,6 +359,25 @@ class TestErrors:
         assert code == 1 and out == ""
         assert err.startswith("error: RangeError: ") and "mu=10000.0, n=1, x=1000.0" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # rho's series sums overflow from about mu = 1e29 on; moments
+            # printed nan in four columns with exit 0
+            ("moments", "--mu", "1e29", "--n", "1", "--x", "1000"),
+            ("moments", "--mu", "1e29", "--family", "gould-hopper", "--n", "10", "--x", "100"),
+            # n past double range: n*x raised OverflowError
+            ("moments", "--n", "1" + "0" * 309, "--x", "1"),
+            ("eval", "--f", "sinx", "--n", str(2**1024), "--x", "1"),
+        ],
+        ids=["huge-mu", "huge-mu-gould-hopper", "huge-n", "huge-n-eval"],
+    )
+    def test_past_double_range_is_one_error_line(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
 
     def test_modulus_grid_past_its_node_limit(self, capsys):
         # verify's T2 grid estimate at x = 1e6 would take f on 1e9 nodes

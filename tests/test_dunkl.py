@@ -1,14 +1,15 @@
 import math
+import re
 
 import pytest
 
 from dunkl_appell import (
     DomainError,
     DunklContext,
+    PowerSeries,
     RangeError,
     dunkl_exp,
     dunkl_exp_neg_ratio,
-    theta,
 )
 from dunkl_appell import dunkl
 
@@ -17,12 +18,11 @@ from oracles import emu_brute, gamma_mu, gamma_mu_closed_form, ratio_series_loop
 
 @pytest.mark.parametrize("i,expected", [(0, 0), (7, 1), (2, 0), (1, 1), (100, 0)])
 def test_theta_parity(i, expected):
-    assert theta(i) == expected
-
-
-def test_theta_rejects_negative():
-    with pytest.raises(DomainError):
-        theta(-1)
+    # The Dunkl operator maps t**i to (i + 2 mu theta(i)) t**(i-1); the
+    # package writes the parity theta(i) as i & 1 wherever it uses it.
+    mu = 0.25
+    image = PowerSeries(DunklContext(mu), [0.0] * i + [1.0]).dunkl_derivative()
+    assert image.coeffs[max(i - 1, 0)] == i + 2 * mu * expected
 
 
 class TestContext:
@@ -65,7 +65,7 @@ class TestGamma:
             g = gamma_mu(mu, i)
             assert g > 0.0 and math.isfinite(g)
             # same computation path: exact float identity
-            assert gamma_mu(mu, i + 1) == (i + 1 + 2 * mu * theta(i + 1)) * g
+            assert gamma_mu(mu, i + 1) == (i + 1 + 2 * mu * ((i + 1) & 1)) * g
             ref = gamma_mu_closed_form(mu, i)
             assert abs(g - ref) <= 1e-12 * ref
 
@@ -338,13 +338,23 @@ class TestNegRatioOracle:
         assert abs(r - ref) <= self.REL * ref, (mu, y)
 
     @pytest.mark.parametrize("mu", [5e-324, 1e-300, 1e-18, 0.5, 100.0])
-    @pytest.mark.parametrize("y", [1e8, 1e12, 1e300, 1.7e308])
+    @pytest.mark.parametrize("y", [1e8, 1e12, 1e300, 1e308, 1.7e308])
     def test_rule_is_total(self, mu, y):
         # The rule holds without overflow in 2y/mu or 2y, so rho comes from
         # the expansion's few terms, not from a series of about 2y terms.
         # Past y = 1e12 the leading term mu/(2y) is all of rho that a double
-        # keeps (0.0 where 2y overflows).
+        # keeps, formed as (mu/2)/y, since 2y overflows past y = 8.99e307
+        # (-mu/(2y) made it 0.0 there).
         assert dunkl._expansion_exact(mu, y, 1e-15)
         r = dunkl_exp_neg_ratio(DunklContext(mu), y)
-        ref = _bessel_ratio(mu, y) if y <= 1e12 else mu / (2.0 * y)
+        ref = _bessel_ratio(mu, y) if y <= 1e12 else 0.5 * mu / y
         assert abs(r - ref) <= self.REL * ref, (r, ref)
+
+    @pytest.mark.parametrize("mu", [1e29, 1e100, 1e300])
+    def test_huge_mu_raises_where_the_series_overflows(self, mu):
+        # the series' sums overflow: rho was inf (NaN moments downstream)
+        with pytest.raises(RangeError, match=re.escape(f"y=1000.0 (mu={mu!r})")):
+            dunkl_exp_neg_ratio(DunklContext(mu), 1e3)
+
+    def test_mu_1e28_stays_finite(self):
+        assert dunkl_exp_neg_ratio(DunklContext(1e28), 1e3) == 1.0

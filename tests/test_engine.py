@@ -294,6 +294,18 @@ class TestOperatorSpec:
         with pytest.raises(DomainError, match="scale n must be an integer >= 1"):
             unit_spec(0.5, n)
 
+    @pytest.mark.parametrize(
+        "n", [2**1024, 2**1024 - 2**970, 10**309], ids=["2**1024", "rounds-up", "1e309"]
+    )
+    def test_rejects_a_scale_past_double_range(self, n):
+        # n*x raised a bare OverflowError
+        with pytest.raises(DomainError, match="scale n must be an integer >= 1 below double range"):
+            unit_spec(0.5, n)
+
+    def test_largest_scale_below_double_range(self):
+        n = 2**1024 - 2**970 - 1  # float(n) rounds down to the largest double
+        assert central_moments(unit_spec(0.5, n), 1.0).omega2 == 1.0 / float(n)
+
     @pytest.mark.parametrize("n", [np.int64(10), np.int32(10), np.uint8(10)])
     def test_numpy_integer_scale_is_the_equal_int(self, n):
         spec, ref = gh_spec(0.5, 0.5, 1, n), gh_spec(0.5, 0.5, 1, 10)
@@ -469,6 +481,12 @@ class TestCentralMoments:
             summed = central_moments_series(spec, x)
             assert abs(closed.omega1 - summed.omega1) <= 1e-8
             assert abs(closed.omega2 - summed.omega2) <= 1e-8
+
+    def test_nan_fails_the_transcription_check(self, monkeypatch):
+        # diff > bound is False for NaN, so a NaN omega2 used to pass
+        monkeypatch.setattr(engine, "dunkl_exp_neg_ratio", lambda *a, **k: math.nan)
+        with pytest.raises(TranscriptionError):
+            central_moments(gh_spec(0.5, 0.5, 1, 30), 1.2)
 
 
 class TestExpRatio:
