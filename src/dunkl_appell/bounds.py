@@ -12,10 +12,9 @@ where omega2 is the operator's second central moment at x.  Each bound is
 one rule of omega2 that checks its inputs once; the theoremN_bound functions
 and the verifier share it.  The verifier sweeps a grid, compares actual
 error against the selected bound, and flags violations beyond a small
-rounding slack.  Where the registry has no analytic modulus it estimates
-one from f on grids of step 1e-3 whose size does not depend on n (see
-``verify``): a lower estimate, so such a report is a consistency check.
-``modulus1`` and ``modulus2`` return such an estimate as a plain float.
+rounding slack.  It takes every modulus in closed form from the registry
+(see ``verify``).  ``modulus1`` and ``modulus2`` estimate a modulus from f
+on a grid window, a lower estimate returned as a plain float.
 """
 
 from __future__ import annotations
@@ -33,15 +32,12 @@ from .functions import FunctionEntry
 
 MARGIN_SLACK = 1e-9
 _S_FLOOR = 1e-8
-# Grid spacing of the modulus estimates verify falls back to when the
-# registry has no analytic modulus.
-_GRID_STEP = 1e-3
 
-# Nodes a modulus grid may hold (about 250 MB); verify's window reaches it at x = 4,190.
+# Nodes a modulus grid may hold (about 250 MB).
 MAX_GRID_NODES = 2**22
 
 ANALYTIC = "analytic"
-GRID_ESTIMATE = "grid-estimate (consistency check, not proof)"
+WINDOW_LOCAL = "window-local (consistency check, not proof)"
 
 
 def _positive(name: str, value: float) -> None:
@@ -49,9 +45,9 @@ def _positive(name: str, value: float) -> None:
         raise DomainError(f"{name} must be finite and positive, got {value}")
 
 
-def _grid_values(f, lo: float, hi: float, step: float, shift: float = 0.0):
-    """f at the grid nodes lo + k * step up to hi, each moved by shift; more
-    than MAX_GRID_NODES nodes raise DomainError before f runs."""
+def _grid_values(f, lo: float, hi: float, step: float):
+    """f at the grid nodes lo + k * step up to hi; more than MAX_GRID_NODES
+    nodes raise DomainError before f runs."""
     if not lo <= hi:
         raise DomainError(f"window ({lo}, {hi}) holds no point")
     span = (hi - lo) / step + 1e-9
@@ -61,7 +57,7 @@ def _grid_values(f, lo: float, hi: float, step: float, shift: float = 0.0):
             f"nodes, more than the limit of {MAX_GRID_NODES}"
         )
     count = int(math.floor(span)) + 1
-    xs = lo + step * np.arange(count) + shift
+    xs = lo + step * np.arange(count)
     fv = np.array([f(float(x)) for x in xs], dtype=float)
     if not np.all(np.isfinite(fv)):
         bad = xs[~np.isfinite(fv)][0]
@@ -94,20 +90,6 @@ def modulus1(
     return float(np.max(runs.max(1) - runs.min(1)))
 
 
-def _pair_modulus1(f: Callable[[float], float], delta: float, window) -> float:
-    """The largest |f(t + delta) - f(t)| over t on the grid of _GRID_STEP
-    with t + delta in the window.
-
-    f is taken on two grids of the same nodes, whatever delta is, and each
-    pair is delta apart, so the value lower-bounds w(f; delta) at a cost
-    independent of delta.
-    """
-    lo, hi = window
-    fv = _grid_values(f, lo, hi - delta, _GRID_STEP)
-    moved = _grid_values(f, lo, hi - delta, _GRID_STEP, delta)
-    return float(np.max(np.abs(moved - fv)))
-
-
 def modulus2(
     f: Callable[[float], float],
     s: float,
@@ -120,12 +102,6 @@ def modulus2(
     Maximizes |f(x + 2h) - 2 f(x + h) + f(x)| over the grid for 0 < h <= s;
     the window must leave room for x + 2h.
     """
-    _second_scale(s, window, grid_step)
-    fv = _grid_values(f, *window, grid_step)
-    return _second_maxima(fv, [0.0], _shifts(fv, s, grid_step))
-
-
-def _second_scale(s: float, window: Tuple[float, float], grid_step: float) -> None:
     _positive("scale s", s)
     _positive("grid step", grid_step)
     if grid_step > s / 8.0:
@@ -136,25 +112,14 @@ def _second_scale(s: float, window: Tuple[float, float], grid_step: float) -> No
         raise DomainError(
             f"window {window} cannot accommodate x + 2h for h up to {s}"
         )
-
-
-def _shifts(fv: np.ndarray, s: float, grid_step: float) -> int:
-    """The grid shifts h = k * grid_step <= s that fit twice into fv."""
-    return min(int(math.floor(s / grid_step + 1e-9)), (len(fv) - 1) // 2)
-
-
-def _second_maxima(fv: np.ndarray, maxima: List[float], shifts: int) -> float:
-    """The largest |f(x + 2h) - 2 f(x + h) + f(x)| over shifts of 1 to
-    ``shifts`` grid steps.
-
-    ``maxima[k]`` holds that largest value over shifts of 1 to k steps, and
-    ``maxima[0]`` is 0.0.  It is extended up to ``shifts`` and kept, so
-    callers that share it compute each shift's differences once.
-    """
-    for k in range(len(maxima), shifts + 1):
+    fv = _grid_values(f, *window, grid_step)
+    # the grid shifts h = k * grid_step <= s that fit twice into the window
+    shifts = min(int(math.floor(s / grid_step + 1e-9)), (len(fv) - 1) // 2)
+    value = 0.0
+    for k in range(1, shifts + 1):
         d = float(np.max(np.abs(fv[2 * k:] - 2.0 * fv[k:-k] + fv[: -2 * k])))
-        maxima.append(max(maxima[-1], d))
-    return maxima[shifts]
+        value = max(value, d)
+    return value
 
 
 @dataclass(frozen=True)
@@ -293,7 +258,7 @@ class VerifyParams:
 
 def _default_window(grid: Sequence[float], n: int) -> Tuple[float, float]:
     # Wide enough that operator nodes carrying non-negligible weight lie
-    # inside the window used for modulus estimation.
+    # inside the window a window-local modulus is taken on.
     return (0.0, max(grid, default=0.0) + 3.0 / math.sqrt(n) + 1.0)
 
 
@@ -306,13 +271,12 @@ def verify(
 ) -> BoundReport:
     """Check actual operator error against one theorem's bound on a grid.
 
-    Analytic moduli from the registry are used when present; otherwise the
-    bound is assembled from grid-estimated moduli and the report is labeled
-    a consistency check (a grid estimate lower-bounds the true modulus, so
-    it cannot certify the theorem).  The grid estimates cost the same at
-    every n: T2's is ``modulus1`` at step 1e-3 while delta = 1/sqrt(n) is at
-    least 8e-3, and past that the largest |f(t + delta) - f(t)| over t on the
-    1e-3 grid, f on two grids; T4's takes f on the 1e-3 grid once per call.
+    Each modulus comes in closed form from the registry entry.  T2 takes
+    ``analytic_modulus``, else ``window_modulus`` on the window (0, max(grid)
+    + 3/sqrt(n) + 1) with the report labeled a window-local consistency
+    check (the theorem needs the modulus on the whole half line).  T4 takes
+    ``analytic_modulus2``.  An entry without the modulus its theorem needs
+    raises ConfigurationError, as a missing Hoelder pair does.
     """
     if theorem not in ("T2", "T3", "T4"):
         raise ConfigurationError(f"unknown theorem {theorem!r}; expected T2, T3 or T4")
@@ -327,20 +291,17 @@ def verify(
             "belong to T3, interval_end to T4"
         )
     f = entry.evaluator
-    window = _default_window(grid, spec.n)
     source = ANALYTIC
 
     if theorem == "T2":
         delta = 1.0 / math.sqrt(spec.n)
         if entry.analytic_modulus is not None:
             w_at_delta = entry.analytic_modulus(delta)
+        elif entry.window_modulus is not None:
+            source = WINDOW_LOCAL
+            w_at_delta = entry.window_modulus(delta, _default_window(grid, spec.n)[1])
         else:
-            source = GRID_ESTIMATE
-            if delta >= 8.0 * _GRID_STEP:
-                w_at_delta = modulus1(f, delta, window, _GRID_STEP)
-            else:
-                # n > 15,625: a grid of step delta/8 would grow like sqrt(n)
-                w_at_delta = _pair_modulus1(f, delta, window)
+            raise ConfigurationError(f"function {entry.name!r} has no modulus for T2")
         rule = _t2(spec.n, w_at_delta)
     elif theorem == "T3":
         if (params.M is None) != (params.beta is None):
@@ -363,23 +324,9 @@ def verify(
                 f"function {entry.name!r} is unbounded; the second-modulus "
                 "bound needs a finite sup norm"
             )
-        if entry.analytic_modulus2 is not None:
-            w2_provider = entry.analytic_modulus2
-        else:
-            source = GRID_ESTIMATE
-            # f and each shift's differences once for every point
-            values = _grid_values(f, *window, _GRID_STEP)
-            maxima = [0.0]
-
-            def w2_provider(s: float) -> float:
-                # Bump tiny scales to the resolvable floor; this can only
-                # enlarge the estimate (monotone in s), never fake a failure.
-                s_eff = max(s, 8.0 * _GRID_STEP)
-                _second_scale(s_eff, window, _GRID_STEP)
-                shifts = _shifts(values, s_eff, _GRID_STEP)
-                return _second_maxima(values, maxima, shifts)
-
-        rule = _t4(a, w2_provider, entry.sup_norm)
+        if entry.analytic_modulus2 is None:
+            raise ConfigurationError(f"function {entry.name!r} has no second modulus for T4")
+        rule = _t4(a, entry.analytic_modulus2, entry.sup_norm)
         if max(grid, default=0.0) > a + 1e-12:
             raise ConfigurationError(
                 f"grid extends past interval_end={a}; the bound only holds on [0, a]"

@@ -83,21 +83,17 @@ class RunConfig:
                 raise ConfigurationError(
                     f"--x-grid start {start} exceeds stop {stop}"
                 )
+            if (stop - start) / step == math.inf:
+                raise ConfigurationError(f"--x-grid {self.x_grid} spans too many steps")
         if not 0.0 < self.tol < math.inf:
             raise ConfigurationError(f"--tol must be positive and finite, got {self.tol}")
 
 
 def grid_points(start: float, stop: float, step: float) -> List[float]:
-    """Inclusive arithmetic grid, robust to step rounding."""
-    out = []
-    k = 0
-    while True:
-        x = start + k * step
-        if x > stop + 1e-9:
-            break
-        out.append(x)
-        k += 1
-    return out
+    """Inclusive grid start + k * step, k = 0, 1, ...; a slack of 1e-9 of
+    a step keeps the point at stop where (stop - start) / step rounds low."""
+    last = math.floor((stop - start) / step + 1e-9)
+    return [start + k * step for k in range(last + 1)]
 
 
 # ---------------------------------------------------------------- reports

@@ -1,10 +1,11 @@
 """Registry of test functions with their analytic smoothness metadata.
 
-Bound verification prefers analytic moduli over grid estimates: a grid
-estimate is a lower bound on the true modulus, and feeding an underestimate
-into a theorem's right-hand side could flag spurious violations of a true
-statement.  Functions without analytic metadata fall back to grid estimates,
-and reports label those runs as consistency checks rather than proofs.
+Bound verification uses only analytic moduli: a numerical estimate is a
+lower bound on the true modulus, and feeding an underestimate into a
+theorem's right-hand side could flag spurious violations of a true
+statement.  ``square`` has no global modulus on the half line; its entry
+carries the exact modulus on a window [0, b] instead, and reports that use
+it are labeled window-local consistency checks rather than proofs.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ class FunctionEntry:
     analytic_modulus2: Optional[Callable[[float], float]] = None
     holder: Optional[Tuple[float, float]] = None  # (M, beta)
     sup_norm: Optional[float] = None  # sup of |f| over [0, inf)
+    # window_modulus(delta, b) is w(f; delta) on [0, b], for an f with no global one
+    window_modulus: Optional[Callable[[float, float], float]] = None
 
 
 def _w_sin(delta: float) -> float:
@@ -52,6 +55,11 @@ def _w_sqrt(delta: float) -> float:
     return math.sqrt(delta)
 
 
+def _w_square_window(delta: float, b: float) -> float:
+    d = min(delta, b)  # |u^2 - v^2| on [0, b] with |u - v| <= d peaks at (b - d, b)
+    return (2.0 * b - d) * d
+
+
 BUILTIN_REGISTRY: Dict[str, FunctionEntry] = {
     e.name: e
     for e in (
@@ -75,6 +83,7 @@ BUILTIN_REGISTRY: Dict[str, FunctionEntry] = {
             name="square",
             evaluator=lambda t: t * t,
             analytic_modulus2=lambda s: 2.0 * s * s,
+            window_modulus=_w_square_window,
         ),
         FunctionEntry(
             name="sinx",

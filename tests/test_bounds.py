@@ -20,7 +20,7 @@ from dunkl_appell import (
     verify,
 )
 from dunkl_appell import bounds
-from dunkl_appell.bounds import ANALYTIC, GRID_ESTIMATE
+from dunkl_appell.bounds import ANALYTIC, WINDOW_LOCAL
 from dunkl_appell.functions import FunctionEntry, lookup
 
 from conftest import shrink_sinx_modulus
@@ -98,8 +98,7 @@ class TestModulus1Windows:
 
 class TestGridNodeLimit:
     """A modulus grid of more than bounds.MAX_GRID_NODES nodes raises
-    DomainError before f runs; verify's window grows with the grid's
-    largest x, and at x = 1e6 it would hold 1e9 nodes."""
+    DomainError before f runs."""
 
     @staticmethod
     def counted():
@@ -125,17 +124,6 @@ class TestGridNodeLimit:
     def test_an_unbounded_window_is_refused(self):
         with pytest.raises(DomainError, match="holds inf nodes"):
             modulus1(math.sin, 0.5, (0.0, math.inf))
-
-    @pytest.mark.parametrize("theorem, n", [("T2", 5), ("T2", 10**6), ("T4", 5)])
-    def test_verify_refuses_before_f_runs(self, monkeypatch, theorem, n):
-        # (0, 3 + 3/sqrt(n) + 1) at step 1e-3 holds more than 4,000 nodes
-        monkeypatch.setattr(bounds, "MAX_GRID_NODES", 4000)
-        f, calls = self.counted()
-        entry = FunctionEntry("square_counted", f, sup_norm=1.0)
-        params = VerifyParams(interval_end=3.0) if theorem == "T4" else VerifyParams()
-        with pytest.raises(DomainError, match="more than the limit of 4000"):
-            verify(unit_spec(0.5, n), entry, theorem, [0.0, 3.0], params)
-        assert calls == []
 
 
 @pytest.mark.parametrize("value", [0.0, -1e-3, math.nan, math.inf])
@@ -331,105 +319,27 @@ class TestVerify:
         assert rep.violations > 0
         assert rep.min_margin < -1e-9
 
-    def test_grid_estimated_modulus_is_labeled(self):
-        rep = verify(unit_spec(0.0, 10), lookup("square"), "T2", self.XS)
-        assert rep.modulus_source == GRID_ESTIMATE
-        assert rep.passed  # windowed estimate stays generous for t**2
-
-    def test_grid_second_modulus_evaluates_f_once_per_window(self):
-        # Without an analytic w2, T4 estimates it on the window's grid; the
-        # values are taken once, not once per point, and give the bounds a
-        # per-point modulus2 call gives.
-        spec = unit_spec(0.5, 20)
-        xs = grid(0.0, 2.0, 0.1)
-        calls = []
-        sin = lambda t: calls.append(t) or math.sin(t)
-        entry = FunctionEntry("sin_nomod2", sin, sup_norm=1.0)
-        report = verify(spec, entry, "T4", xs, VerifyParams(interval_end=2.0))
-        window = bounds._default_window(xs, 20)
-        grid_size = len(bounds._grid_values(math.sin, *window, 1e-3))
-        nodes = len(calls) - grid_size - len(xs)
-        assert report.modulus_source == GRID_ESTIMATE and len(xs) == 21
-        assert 0 < nodes <= 200
-        per_point = FunctionEntry(
-            "sin_nomod2",
-            math.sin,
-            analytic_modulus2=lambda s: modulus2(math.sin, max(s, 8e-3), window),
-            sup_norm=1.0,
-        )
-        want = verify(spec, per_point, "T4", xs, VerifyParams(interval_end=2.0))
-        assert [(p.bound, p.margin) for p in report.points] == [
-            (p.bound, p.margin) for p in want.points
+    @pytest.mark.parametrize("n, xs", [(20, XS), (50, XS), (10**12, [0.0, 1e-6])])
+    def test_square_takes_its_window_modulus(self, n, xs):
+        # square has no global modulus: T2 takes its exact modulus on the
+        # window and labels the report window-local
+        entry = lookup("square")
+        rep = verify(unit_spec(0.5, n), entry, "T2", xs)
+        w = entry.window_modulus(1.0 / math.sqrt(n), bounds._default_window(xs, n)[1])
+        assert rep.modulus_source == WINDOW_LOCAL and rep.passed
+        assert [p.bound for p in rep.points] == [
+            (1.0 + p.inputs.lambda_n) * w for p in rep.points
         ]
 
-    @pytest.mark.parametrize("n", [5, 20, 300])
-    def test_grid_second_modulus_matches_per_point_loop(self, n):
-        # The shared running maxima give each point the value the loop over
-        # every shift, with f taken afresh, gives at that point.
-        spec = unit_spec(0.5, n)
-        xs = grid(0.0, 2.0, 0.1)
-        entry = FunctionEntry("sin_nomod2", math.sin, sup_norm=1.0)
-        report = verify(spec, entry, "T4", xs, VerifyParams(interval_end=2.0))
-        window = bounds._default_window(xs, n)
-
-        def loop(s):
-            return modulus2_loop(math.sin, max(s, 8e-3), window, 1e-3)
-
-        per_point = FunctionEntry("sin_loop", math.sin, analytic_modulus2=loop, sup_norm=1.0)
-        want = verify(spec, per_point, "T4", xs, VerifyParams(interval_end=2.0))
-        assert [(p.bound, p.margin) for p in report.points] == [
-            (p.bound, p.margin) for p in want.points
-        ]
-
-    def test_t2_grid_fallback_takes_f_on_two_fixed_grids(self, monkeypatch):
-        # Past delta = 1/sqrt(n) < 8e-3 the T2 estimate takes f at the 1e-3
-        # grid's nodes t and at t + delta, so with the window held fixed its
-        # f calls do not depend on n.  x = 0 takes f at one node in apply.
-        monkeypatch.setattr(bounds, "_default_window", lambda grid, n: (0.0, 1.5))
-        counts = []
-        for n in (10**6, 10**8, 10**12):
-            calls = []
-            entry = FunctionEntry("square_counted", lambda t: calls.append(t) or t * t)
-            report = verify(unit_spec(0.5, n), entry, "T2", [0.0])
-            assert report.modulus_source == GRID_ESTIMATE and report.passed
-            counts.append(len(calls))
-        assert counts == [counts[0]] * 3
-        assert counts[0] <= 2 * 1501 + 2
-
-    def test_t2_grid_fallback_cost_at_large_n(self):
-        # the per-call grid of step delta/8 took about 8e6 f calls here
-        calls = []
-        entry = FunctionEntry("square_counted", lambda t: calls.append(t) or t * t)
-        verify(unit_spec(0.5, 10**12), entry, "T2", [0.0])
-        assert len(calls) <= 2 * 1004 + 2
-
-    @pytest.mark.parametrize("n", [10**5, 10**6, 10**8])
-    @pytest.mark.parametrize(
-        "f", [math.sin, math.sqrt, lambda t: t * t], ids=["sin", "sqrt", "square"]
-    )
-    def test_t2_pair_estimate_at_most_dense_grid(self, f, n):
-        # Each pair is delta apart, so the estimate lower-bounds w(f; delta);
-        # for these f it also stays within 1% of the dense-grid estimate.
-        delta = 1.0 / math.sqrt(n)
-        window = bounds._default_window([0.0, 0.5], n)
-        est = bounds._pair_modulus1(f, delta, window)
-        dense = modulus1(f, delta, window, delta / 8.0)
-        assert 0.99 * dense <= est <= dense
-
-    @pytest.mark.parametrize("n, pairs", [(20, False), (15625, False), (15626, True), (10**8, True)])
-    def test_t2_grid_fallback_switches_at_8e_3(self, n, pairs):
-        # delta = 1/125 = 8e-3 at n = 15625 keeps modulus1 at step 1e-3
-        xs = [0.0, 0.5, 1.0]
-        entry = FunctionEntry("sin_nomod", math.sin)
-        report = verify(unit_spec(0.5, n), entry, "T2", xs)
-        delta, window = 1.0 / math.sqrt(n), bounds._default_window(xs, n)
-        if pairs:
-            w = bounds._pair_modulus1(math.sin, delta, window)
-        else:
-            w = modulus1_loop(math.sin, delta, window, 1e-3)
-        assert [p.bound for p in report.points] == [
-            (1.0 + p.inputs.lambda_n) * w for p in report.points
-        ]
+    @pytest.mark.parametrize("n", [20, 50, 1000])
+    def test_square_window_modulus_at_least_grid_estimate(self, n):
+        # The grid misses the maximizing pair (b - delta, b) by at most one
+        # step in each end, and w(t^2; d) on [0, b] grows with b and d.
+        lo, b = bounds._default_window(self.XS, n)
+        delta, step = 1.0 / math.sqrt(n), 1e-3
+        w = lookup("square").window_modulus
+        est = modulus1(lambda t: t * t, delta, (lo, b), grid_step=step)
+        assert w(delta - step, b - step) <= est <= w(delta, b)
 
     def test_missing_hoelder_metadata(self):
         with pytest.raises(ConfigurationError):
@@ -471,12 +381,15 @@ class TestVerify:
             ("square", "T3", VerifyParams(), ConfigurationError),  # no Hoelder pair
             ("sinx", "T3", VerifyParams(M=-1.0, beta=1.0), DomainError),
             ("sinx", "T4", VerifyParams(interval_end=0.0), DomainError),
+            ("sin_bare", "T2", VerifyParams(), ConfigurationError),  # no modulus
+            ("sin_bare", "T4", VerifyParams(interval_end=2.0), ConfigurationError),  # no w2
         ],
     )
     def test_empty_grid_gets_the_same_checks(self, name, theorem, params, error):
         # an empty grid used to return a passing report before any check
+        entry = FunctionEntry(name, math.sin, sup_norm=1.0) if name == "sin_bare" else lookup(name)
         with pytest.raises(error):
-            verify(gh_spec(0.5, 0.5, 1, 10), lookup(name), theorem, [], params)
+            verify(gh_spec(0.5, 0.5, 1, 10), entry, theorem, [], params)
 
     def test_unbounded_function_rejected_for_second_modulus(self):
         with pytest.raises(ConfigurationError, match="unbounded"):

@@ -58,6 +58,23 @@ def test_analytic_second_modulus_dominates_grid_estimate(name, s):
 @given(
     st.floats(min_value=0.0, max_value=50.0),
     st.floats(min_value=0.0, max_value=50.0),
+    st.floats(min_value=1e-3, max_value=50.0),
+)
+@settings(max_examples=200)
+def test_square_window_modulus_is_the_sup_on_the_window(u, v, b):
+    # |u^2 - v^2| over u, v in [0, b] with |u - v| <= d, attained at (b - d, b);
+    # b*b - (b - d)**2 cancels, so it is exact only to a few ulps of b*b
+    w = lookup("square").window_modulus
+    u, v = min(u, b), min(v, b)
+    d = abs(u - v)
+    assert abs(u * u - v * v) <= w(d, b) * (1.0 + 1e-12)
+    assert w(d, b) == pytest.approx(b * b - (b - d) ** 2, abs=1e-14 * b * b)
+    assert w(2.0 * b, b) == b * b
+
+
+@given(
+    st.floats(min_value=0.0, max_value=50.0),
+    st.floats(min_value=0.0, max_value=50.0),
 )
 @settings(max_examples=200)
 def test_sqrt_hoelder_pair_is_valid(u, v):
