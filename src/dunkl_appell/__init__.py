@@ -6,7 +6,6 @@ from .bounds import (
     BoundInputs,
     BoundPoint,
     BoundReport,
-    VerifyParams,
     modulus1,
     modulus2,
     theorem2_bound,
@@ -68,7 +67,6 @@ __all__ = [
     "RangeError",
     "TranscriptionError",
     "TruncationFailureError",
-    "VerifyParams",
     "WeightSequence",
     "apply",
     "central_moments",

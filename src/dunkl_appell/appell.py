@@ -32,10 +32,10 @@ operands of one shape: one division for the tail bounds and the term ratios,
 one cumulative product for the terms and, per side, one cumulative sum for
 the running totals; each row ends at its own first term that meets its
 side's bound, a last column past B ends every side, and a row with a side
-that ends there is grown again with B doubled.  Lower sides are left empty
-when every mode of a batch is index 0, and a batch of windows that are the
-mode alone skips the arrays.  Every operation runs along a row in a fixed
-order, so a row's window is the same bit for bit in any batch and alone.
+that ends there is grown again with B doubled; a lower side whose mode is
+index 0 ends at once, and a batch of windows that are the mode alone skips
+the arrays.  Every operation runs along a row in a fixed order, so a row's
+window is the same bit for bit in any batch and alone.
 """
 
 from __future__ import annotations
@@ -336,10 +336,10 @@ def _sides(nx, m, tol, mu2, block):
     side and [1, r] its lower side, column c the term c places from the
     mode, scaled to 1 there (column 0); then the column where each upper
     and each lower side ends, and each window's sum.  Every side ends in
-    the last column, past the block, if in no column before it.  The ends
-    of lower sides are not searched when every mode is index 0, which
-    leaves them empty.  Every operation works along a row in a fixed order,
-    so a row's results do not depend on the others.
+    the last column, past the block, if in no column before it; a lower
+    side whose mode is index 0 ends in column 0, where its tail bound is 0.
+    Every operation works along a row in a fixed order, so a row's results
+    do not depend on the others.
     """
     rows = len(nx)
     if not block:  # every window is the mode alone
@@ -365,7 +365,6 @@ def _sides(nx, m, tol, mu2, block):
     c = np.arange(w, dtype=float)
     h = spread[1:3]
     h += c * _SIGN
-    lower = any(m)  # lower sides have terms unless every mode is index 0
     if mu2:
         # d(h) = h + 2*mu*theta(h): theta alternates along a side, so
         # 2*mu*theta(h) is |2*mu*theta(first h) - 2*mu*theta(c)|, 0 or 2*mu
@@ -378,7 +377,7 @@ def _sides(nx, m, tol, mu2, block):
         # the tail bound going down uses h + 2*mu, but 0 at index 0, which
         # has no terms below it (h > 0 before 2*mu is added)
         low = h[1]
-        below = low > 0.0 if lower and min(m) <= block else None
+        below = low > 0.0 if min(m) <= block else None
         low += mu2
         if below is not None:
             low *= below
@@ -398,8 +397,6 @@ def _sides(nx, m, tol, mu2, block):
     half = spread[-1]
     first = np.arange(0, rows * w, w)
     up, top = _ends(terms[0], uq[0], room[0], half, first)
-    if not lower:
-        return terms, up, np.zeros(rows, int), top
     # The lower side's sum continues from the upper one's; column 0 of the
     # lower terms (the mode again) is not part of the window.
     terms[1, :, 0] = top

@@ -9,12 +9,13 @@ measures of f:
                            with s = omega2 ** (1/4), on x in [0, a]
 
 where omega2 is the operator's second central moment at x.  Each bound is
-one rule of omega2 that checks its inputs once; the theoremN_bound functions
-and the verifier share it.  The verifier sweeps a grid, compares actual
-error against the selected bound, and flags violations beyond a small
-rounding slack.  It takes every modulus in closed form from the registry
-(see ``verify``).  ``modulus1`` and ``modulus2`` estimate a modulus from f
-on a grid window, a lower estimate returned as a plain float.
+one rule of omega2 that checks its inputs, points included, once; the
+theoremN_bound functions and the verifier share it, and a point mass
+(omega2 = 0) takes the same formula.  The verifier sweeps a grid, compares
+actual error against the selected bound, and flags violations beyond a
+small rounding slack.  It takes every modulus in closed form from the
+registry (see ``verify``).  ``modulus1`` and ``modulus2`` estimate a modulus
+from f on a grid window, a lower estimate returned as a plain float.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ from .errors import ConfigurationError, DomainError, EvaluationError
 from .functions import FunctionEntry
 
 MARGIN_SLACK = 1e-9
-_S_FLOOR = 1e-8
+# How far a second-modulus point may lie past interval_end: a grid's rounding.
+EDGE_SLACK = 1e-12
 
 # Nodes a modulus grid may hold (about 250 MB).
 MAX_GRID_NODES = 2**22
@@ -135,8 +137,8 @@ class BoundInputs:
     sup_norm: float = 0.0
 
 
-# A rule maps omega2 at a point to (bound, BoundInputs, s_floored).
-_Rule = Callable[[float], Tuple[float, BoundInputs, bool]]
+# A rule maps omega2 at a point to (bound, BoundInputs).
+_Rule = Callable[[float], Tuple[float, BoundInputs]]
 
 
 def _t2(n: int, w: float) -> _Rule:
@@ -145,7 +147,7 @@ def _t2(n: int, w: float) -> _Rule:
     def rule(omega2: float):
         lambda_n = math.sqrt(n * omega2)
         inputs = BoundInputs("T2", s=omega2 ** 0.25, lambda_n=lambda_n)
-        return (1.0 + lambda_n) * w, inputs, False
+        return (1.0 + lambda_n) * w, inputs
 
     return rule
 
@@ -156,24 +158,23 @@ def _t3(M: float, beta: float) -> _Rule:
         raise DomainError(f"Hoelder exponent must lie in (0, 1], got {beta}")
     _positive("Hoelder constant M", M)
     inputs = BoundInputs("T3", M=M, beta=beta)
-    return lambda omega2: (M * omega2 ** (beta / 2.0), inputs, False)
+    return lambda omega2: (M * omega2 ** (beta / 2.0), inputs)
 
 
-def _t4(a: float, w2: Callable[[float], float], sup_norm: float) -> _Rule:
-    """Second-modulus rule on [0, a] with s = omega2 ** (1/4)."""
+def _t4(a: float, w2: Callable, sup_norm: float, xs: Sequence[float]) -> _Rule:
+    """Second-modulus rule on [0, a] with s = omega2 ** (1/4), for points xs
+    that lie at most EDGE_SLACK past a (else DomainError)."""
     _positive("interval end", a)
     if not 0.0 <= sup_norm < math.inf:
         raise DomainError(f"sup norm must be finite and nonnegative, got {sup_norm}")
+    top = max(xs, default=0.0)
+    if not top <= a + EDGE_SLACK:
+        raise DomainError(f"x={top} lies past interval_end={a}; the bound holds on [0, a]")
 
     def rule(omega2: float):
         s = omega2 ** 0.25
-        inputs = BoundInputs("T4", s=s, a=a, sup_norm=sup_norm)
-        if s == 0.0:
-            # Degenerate point mass: the modulus factor is evaluated at a
-            # small floor instead of zero, and the sup-norm term drops out.
-            return 0.75 * (2.0 + a) * w2(_S_FLOOR), inputs, True
         bound = 0.75 * (2.0 + a + s * s) * w2(s) + (2.0 * s * s / a) * sup_norm
-        return bound, inputs, False
+        return bound, BoundInputs("T4", s=s, a=a, sup_norm=sup_norm)
 
     return rule
 
@@ -199,10 +200,11 @@ def theorem4_bound(
     w2_provider: Callable[[float], float],
     sup_norm: float,
 ) -> float:
-    """Second-modulus bound on [0, interval_end] with s = omega2 ** (1/4)."""
-    rule = _t4(interval_end, w2_provider, sup_norm)
-    if not (0.0 <= x <= interval_end):
-        raise DomainError(f"x={x} outside [0, {interval_end}]")
+    """Second-modulus bound on [0, interval_end] with s = omega2 ** (1/4);
+    x may lie EDGE_SLACK past interval_end, as in ``verify``.  At a point
+    mass (omega2 = 0) w2_provider is called at s = 0: the bound is
+    0.75 * (2 + interval_end) * w2(0), 0 for every registry entry."""
+    rule = _t4(interval_end, w2_provider, sup_norm, [x])
     return rule(central_moments(spec, x).omega2)[0]
 
 
@@ -217,7 +219,6 @@ class BoundPoint:
     omega1: float
     omega2: float
     inputs: BoundInputs
-    s_floored: bool = False
 
 
 @dataclass(frozen=True)
@@ -245,21 +246,10 @@ class BoundReport:
         return self.violations == 0
 
 
-@dataclass(frozen=True)
-class VerifyParams:
-    """Inputs for a verification run.  An unset Hoelder pair (M, beta)
-    falls back to registry metadata; a pair must be given whole.  M and beta
-    belong to T3 and interval_end to T4; any other theorem rejects them."""
-
-    M: Optional[float] = None
-    beta: Optional[float] = None
-    interval_end: Optional[float] = None
-
-
-def _default_window(grid: Sequence[float], n: int) -> Tuple[float, float]:
-    # Wide enough that operator nodes carrying non-negligible weight lie
-    # inside the window a window-local modulus is taken on.
-    return (0.0, max(grid, default=0.0) + 3.0 / math.sqrt(n) + 1.0)
+def _window_end(grid: Sequence[float], n: int) -> float:
+    # The end b of the window (0, b) a window-local modulus is taken on:
+    # operator nodes carrying non-negligible weight lie inside it.
+    return max(grid, default=0.0) + 3.0 / math.sqrt(n) + 1.0
 
 
 def verify(
@@ -267,7 +257,10 @@ def verify(
     entry: FunctionEntry,
     theorem: str,
     grid: Sequence[float],
-    params: VerifyParams = VerifyParams(),
+    *,
+    M: Optional[float] = None,
+    beta: Optional[float] = None,
+    interval_end: Optional[float] = None,
 ) -> BoundReport:
     """Check actual operator error against one theorem's bound on a grid.
 
@@ -276,15 +269,14 @@ def verify(
     + 3/sqrt(n) + 1) with the report labeled a window-local consistency
     check (the theorem needs the modulus on the whole half line).  T4 takes
     ``analytic_modulus2``.  An entry without the modulus its theorem needs
-    raises ConfigurationError, as a missing Hoelder pair does.
+    raises ConfigurationError, as a missing Hoelder pair does.  M and beta
+    belong to T3 (a pair given whole, else the entry's) and interval_end to
+    T4 (needed; a point past it is checked as in ``theorem4_bound``).
     """
     if theorem not in ("T2", "T3", "T4"):
         raise ConfigurationError(f"unknown theorem {theorem!r}; expected T2, T3 or T4")
-    foreign = [
-        name
-        for name, owner in (("M", "T3"), ("beta", "T3"), ("interval_end", "T4"))
-        if getattr(params, name) is not None and owner != theorem
-    ]
+    given = (("M", M, "T3"), ("beta", beta, "T3"), ("interval_end", interval_end, "T4"))
+    foreign = [name for name, value, owner in given if value is not None and owner != theorem]
     if foreign:
         raise ConfigurationError(
             f"theorem {theorem} takes no {' or '.join(foreign)}; M and beta "
@@ -299,26 +291,24 @@ def verify(
             w_at_delta = entry.analytic_modulus(delta)
         elif entry.window_modulus is not None:
             source = WINDOW_LOCAL
-            w_at_delta = entry.window_modulus(delta, _default_window(grid, spec.n)[1])
+            w_at_delta = entry.window_modulus(delta, _window_end(grid, spec.n))
         else:
             raise ConfigurationError(f"function {entry.name!r} has no modulus for T2")
         rule = _t2(spec.n, w_at_delta)
     elif theorem == "T3":
-        if (params.M is None) != (params.beta is None):
+        if (M is None) != (beta is None):
             raise ConfigurationError(
-                f"the Hoelder bound needs both M and beta, got M={params.M}, "
-                f"beta={params.beta}"
+                f"the Hoelder bound needs both M and beta, got M={M}, beta={beta}"
             )
-        holder = (params.M, params.beta) if params.M is not None else entry.holder
+        holder = (M, beta) if M is not None else entry.holder
         if holder is None:
             raise ConfigurationError(
                 f"function {entry.name!r} has no Hoelder pair and none was given"
             )
         rule = _t3(*holder)
     else:  # T4
-        if params.interval_end is None:
+        if interval_end is None:
             raise ConfigurationError("the second-modulus bound needs interval_end")
-        a = params.interval_end
         if entry.sup_norm is None:
             raise ConfigurationError(
                 f"function {entry.name!r} is unbounded; the second-modulus "
@@ -326,18 +316,14 @@ def verify(
             )
         if entry.analytic_modulus2 is None:
             raise ConfigurationError(f"function {entry.name!r} has no second modulus for T4")
-        rule = _t4(a, entry.analytic_modulus2, entry.sup_norm)
-        if max(grid, default=0.0) > a + 1e-12:
-            raise ConfigurationError(
-                f"grid extends past interval_end={a}; the bound only holds on [0, a]"
-            )
+        rule = _t4(interval_end, entry.analytic_modulus2, entry.sup_norm, grid)
 
     points = []
     for x, kf in zip(grid, apply(spec, f, grid).tolist()):
         cm = central_moments(spec, x)
         fx = f(x)
         actual = abs(kf - fx)
-        bound, inputs, s_floored = rule(cm.omega2)
+        bound, inputs = rule(cm.omega2)
         points.append(
             BoundPoint(
                 x=x,
@@ -349,7 +335,6 @@ def verify(
                 omega1=cm.omega1,
                 omega2=cm.omega2,
                 inputs=inputs,
-                s_floored=s_floored,
             )
         )
     return BoundReport(

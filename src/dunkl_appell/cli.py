@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from .appell import AppellFamily
-from .bounds import VerifyParams, verify
+from .bounds import verify
 from .dunkl import DunklContext
 from .engine import OperatorSpec, apply, central_moments
 from .errors import ConfigurationError, DunklApproxError
@@ -190,8 +190,8 @@ def _converge_rows(cfg: RunConfig, entry, spec: OperatorSpec, xs: List[float]):
 
 
 def _bounds_rows(cfg: RunConfig, entry, spec: OperatorSpec, xs: List[float]):
-    params = VerifyParams(M=cfg.M, beta=cfg.beta, interval_end=cfg.interval_end)
-    rep = verify(spec, entry, cfg.theorem, xs, params)
+    rep = verify(spec, entry, cfg.theorem, xs, M=cfg.M, beta=cfg.beta,
+                 interval_end=cfg.interval_end)
     print(
         f"# {rep.theorem} {rep.function} n={rep.n}: "
         f"min margin {rep.min_margin:.6g}, violations {rep.violations} "

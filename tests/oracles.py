@@ -4,7 +4,8 @@ Apart from the marked section at the end, nothing here shares a computation
 path with the package: the generalized
 factorial goes through log-gamma closed forms, the exponential through
 log-space brute-force partial sums, family polynomials through the
-explicit binomial-style expansion, the weight window through the
+explicit binomial-style expansion, the operator on f through the direct
+sum of the weights in mpmath, the weight window through the
 term-by-term loop the package's block growth replaced, the first and second
 moduli through the per-call loops over shifts that the sliding-window form
 and the shared running maxima replaced, rho's positive series through the
@@ -106,6 +107,46 @@ def weight_brute(coeffs, mu: float, n: int, x: float, i: int) -> float:
         q_over_gamma += coeffs[k] * u
     q1 = sum(coeffs)
     return q_over_gamma / (q1 * emu_brute(mu, nx))
+
+
+def apply_mp(coeffs, mu: float, n: int, x: float, fs, dps: int = 40):
+    """K f(x), x > 0, for each f of fs (mpmath functions) by the direct sum.
+
+    The weights come from the definition in the ``appell`` docstring: the
+    weight at index i is sum_j c_(i-j) u_j / (Q(1) e_mu(n*x)) with u_j =
+    (n*x)**j / gamma_mu(j) from ``ln_gamma_mu`` with mpmath's log-gamma, at
+    the node (i + 2 mu theta(i)) / n.  j runs within 12 sqrt(n*x) + 40 + 2 mu
+    of floor(n*x), where each edge term is below 1e-30 of the sum (asserted),
+    and the weights are normalized by their own sum.  They are built once
+    and every f is summed against them at dps digits.  Returns
+    (values as floats, the largest |f| on the nodes as floats, the node count).
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        mu_mp, nx = mp.mpf(mu), mp.mpf(n) * mp.mpf(x)
+        mode, reach = math.floor(n * x), int(12.0 * math.sqrt(n * x) + 40.0 + 2.0 * mu)
+        lo = max(0, mode - reach)
+        log_nx = mp.log(nx)
+        u = [
+            mp.exp(j * log_nx - ln_gamma_mu(mu_mp, j, mp.loggamma, mp.log))
+            for j in range(lo, mode + reach + 1)
+        ]
+        total = mp.fsum(u)
+        assert u[-1] < 1e-30 * total and (lo == 0 or u[0] < 1e-30 * total)
+        w = [mp.mpf(0)] * (len(u) + len(coeffs) - 1)
+        for k, c in enumerate(coeffs):
+            if c:
+                for j, uj in enumerate(u):
+                    w[j + k] += c * uj
+        norm = mp.fsum(w)
+        t = [(i + 2 * mu_mp * (i & 1)) / n for i in range(lo, lo + len(w))]
+        values, sups = [], []
+        for f in fs:
+            ft = [f(v) for v in t]
+            values.append(float(mp.fsum(a * b for a, b in zip(w, ft)) / norm))
+            sups.append(float(max(abs(v) for v in ft)))
+        return values, sups, len(w)
 
 
 def grid(start: float, stop: float, step: float):

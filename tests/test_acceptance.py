@@ -17,7 +17,6 @@ from dunkl_appell import (
     DunklContext,
     OperatorSpec,
     PowerSeries,
-    VerifyParams,
     apply,
     central_moments,
     dunkl_exp,
@@ -217,9 +216,9 @@ def test_c8_bound_verification(capsys, monkeypatch):
     for n in (10, 40, 160):
         assert verify(unit_spec(0.5, n), lookup("sinx"), "T2", xs).violations == 0
         assert verify(unit_spec(0.5, n), lookup("sqrtx"), "T3", xs,
-                      VerifyParams(M=1.0, beta=0.5)).violations == 0
+                      M=1.0, beta=0.5).violations == 0
         assert verify(gh_spec(0.5, 0.5, 1, n), lookup("cosx"), "T4", xs,
-                      VerifyParams(interval_end=2.0)).violations == 0
+                      interval_end=2.0).violations == 0
     # negative control: a deliberately shrunken modulus must produce
     # violations both in the library and through the CLI exit code
     shrink_sinx_modulus(monkeypatch)

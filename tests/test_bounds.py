@@ -9,7 +9,6 @@ from dunkl_appell import (
     DomainError,
     DunklContext,
     OperatorSpec,
-    VerifyParams,
     apply,
     central_moments,
     modulus1,
@@ -19,7 +18,7 @@ from dunkl_appell import (
     theorem4_bound,
     verify,
 )
-from dunkl_appell import bounds
+from dunkl_appell import BUILTIN_REGISTRY, bounds
 from dunkl_appell.bounds import ANALYTIC, WINDOW_LOCAL
 from dunkl_appell.functions import FunctionEntry, lookup
 
@@ -257,13 +256,20 @@ class TestTheorem4Bound:
         assert bound == pytest.approx(2.0 * s2 / 2.0, rel=1e-12)
         assert abs(apply(spec, lambda t: 1.0, 1.0) - 1.0) <= bound
 
-    def test_degenerate_scale_uses_floor(self):
-        # omega2 = 0 at x = 0 for the unit family: the modulus factor is
-        # evaluated at a tiny floor and the sup-norm term drops
-        spec = unit_spec(0.0, 10)
-        w2 = lookup("cosx").analytic_modulus2
+    @pytest.mark.parametrize(
+        "name", [e.name for e in BUILTIN_REGISTRY.values() if e.analytic_modulus2]
+    )
+    def test_point_mass_takes_the_general_formula(self, name):
+        # omega2 = 0 at x = 0 for the unit family at mu = 0, a point mass:
+        # the bound is 0.75 (2 + a) w2(0), which is 0, and K f(0) = f(0)
+        spec, entry = unit_spec(0.0, 10), lookup(name)
+        w2 = entry.analytic_modulus2
+        assert central_moments(spec, 0.0).omega2 == 0.0
         bound = theorem4_bound(spec, 0.0, 2.0, w2, 1.0)
-        assert bound == pytest.approx(0.75 * 4.0 * w2(1e-8), rel=1e-12)
+        assert bound == 0.75 * (2.0 + 2.0) * w2(0.0) == 0.0
+        if entry.sup_norm is not None:
+            rep = verify(spec, entry, "T4", [0.0], interval_end=2.0)
+            assert rep.passed and rep.points[0].bound == 0.0
 
     def test_domain_validation(self):
         spec = unit_spec(0.0, 10)
@@ -308,7 +314,7 @@ class TestVerify:
             lookup("cosx"),
             "T4",
             self.XS,
-            VerifyParams(interval_end=2.0),
+            interval_end=2.0,
         )
         assert rep.passed
 
@@ -325,7 +331,7 @@ class TestVerify:
         # window and labels the report window-local
         entry = lookup("square")
         rep = verify(unit_spec(0.5, n), entry, "T2", xs)
-        w = entry.window_modulus(1.0 / math.sqrt(n), bounds._default_window(xs, n)[1])
+        w = entry.window_modulus(1.0 / math.sqrt(n), bounds._window_end(xs, n))
         assert rep.modulus_source == WINDOW_LOCAL and rep.passed
         assert [p.bound for p in rep.points] == [
             (1.0 + p.inputs.lambda_n) * w for p in rep.points
@@ -335,7 +341,7 @@ class TestVerify:
     def test_square_window_modulus_at_least_grid_estimate(self, n):
         # The grid misses the maximizing pair (b - delta, b) by at most one
         # step in each end, and w(t^2; d) on [0, b] grows with b and d.
-        lo, b = bounds._default_window(self.XS, n)
+        lo, b = 0.0, bounds._window_end(self.XS, n)
         delta, step = 1.0 / math.sqrt(n), 1e-3
         w = lookup("square").window_modulus
         est = modulus1(lambda t: t * t, delta, (lo, b), grid_step=step)
@@ -345,27 +351,27 @@ class TestVerify:
         with pytest.raises(ConfigurationError):
             verify(unit_spec(0.0, 10), lookup("square"), "T3", self.XS)
 
-    @pytest.mark.parametrize("params", [VerifyParams(M=0.001), VerifyParams(beta=1.0)])
+    @pytest.mark.parametrize("params", [dict(M=0.001), dict(beta=1.0)])
     def test_lone_hoelder_value_is_rejected(self, params):
         # half a pair must not fall back silently to the registry's pair
         with pytest.raises(ConfigurationError, match="both M and beta"):
-            verify(unit_spec(0.5, 10), lookup("sinx"), "T3", self.XS, params)
+            verify(unit_spec(0.5, 10), lookup("sinx"), "T3", self.XS, **params)
 
     @pytest.mark.parametrize(
         "theorem, params, named",
         [
-            ("T2", VerifyParams(M=0.001), "M"),
-            ("T2", VerifyParams(beta=1.0), "beta"),
-            ("T2", VerifyParams(interval_end=2.0), "interval_end"),
-            ("T2", VerifyParams(M=0.001, interval_end=0.1), "M or interval_end"),
-            ("T3", VerifyParams(M=1.0, beta=1.0, interval_end=2.0), "interval_end"),
-            ("T4", VerifyParams(M=1.0, interval_end=2.0), "M"),
-            ("T4", VerifyParams(beta=1.0, interval_end=2.0), "beta"),
+            ("T2", dict(M=0.001), "M"),
+            ("T2", dict(beta=1.0), "beta"),
+            ("T2", dict(interval_end=2.0), "interval_end"),
+            ("T2", dict(M=0.001, interval_end=0.1), "M or interval_end"),
+            ("T3", dict(M=1.0, beta=1.0, interval_end=2.0), "interval_end"),
+            ("T4", dict(M=1.0, interval_end=2.0), "M"),
+            ("T4", dict(beta=1.0, interval_end=2.0), "beta"),
         ],
     )
     def test_another_theorems_input_is_rejected(self, theorem, params, named):
         with pytest.raises(ConfigurationError, match=f"{theorem} takes no {named};"):
-            verify(unit_spec(0.5, 10), lookup("cosx"), theorem, self.XS, params)
+            verify(unit_spec(0.5, 10), lookup("cosx"), theorem, self.XS, **params)
 
     def test_nan_modulus_counts_as_violation(self):
         # NaN compares false against the slack, so a NaN bound used to pass
@@ -378,18 +384,18 @@ class TestVerify:
     @pytest.mark.parametrize(
         "name, theorem, params, error",
         [
-            ("square", "T3", VerifyParams(), ConfigurationError),  # no Hoelder pair
-            ("sinx", "T3", VerifyParams(M=-1.0, beta=1.0), DomainError),
-            ("sinx", "T4", VerifyParams(interval_end=0.0), DomainError),
-            ("sin_bare", "T2", VerifyParams(), ConfigurationError),  # no modulus
-            ("sin_bare", "T4", VerifyParams(interval_end=2.0), ConfigurationError),  # no w2
+            ("square", "T3", dict(), ConfigurationError),  # no Hoelder pair
+            ("sinx", "T3", dict(M=-1.0, beta=1.0), DomainError),
+            ("sinx", "T4", dict(interval_end=0.0), DomainError),
+            ("sin_bare", "T2", dict(), ConfigurationError),  # no modulus
+            ("sin_bare", "T4", dict(interval_end=2.0), ConfigurationError),  # no w2
         ],
     )
     def test_empty_grid_gets_the_same_checks(self, name, theorem, params, error):
         # an empty grid used to return a passing report before any check
         entry = FunctionEntry(name, math.sin, sup_norm=1.0) if name == "sin_bare" else lookup(name)
         with pytest.raises(error):
-            verify(gh_spec(0.5, 0.5, 1, 10), entry, theorem, [], params)
+            verify(gh_spec(0.5, 0.5, 1, 10), entry, theorem, [], **params)
 
     def test_unbounded_function_rejected_for_second_modulus(self):
         with pytest.raises(ConfigurationError, match="unbounded"):
@@ -398,18 +404,22 @@ class TestVerify:
                 lookup("sqrtx"),
                 "T4",
                 self.XS,
-                VerifyParams(interval_end=2.0),
+                interval_end=2.0,
             )
 
     def test_grid_outside_interval_rejected(self):
-        with pytest.raises(ConfigurationError):
-            verify(
-                unit_spec(0.0, 10),
-                lookup("cosx"),
-                "T4",
-                [0.0, 3.0],
-                VerifyParams(interval_end=2.0),
-            )
+        # verify and theorem4_bound share one check: a point may lie 1e-12
+        # past interval_end (a grid's rounding), and no further
+        spec, entry = unit_spec(0.0, 10), lookup("cosx")
+        for x, a, accepted in [(2.0 + 1e-13, 2.0, True), (3.0, 2.0, False)]:
+            if accepted:
+                assert verify(spec, entry, "T4", [0.0, x], interval_end=a).passed
+                assert theorem4_bound(spec, x, a, entry.analytic_modulus2, 1.0) > 0.0
+                continue
+            with pytest.raises(DomainError, match="past interval_end"):
+                verify(spec, entry, "T4", [0.0, x], interval_end=a)
+            with pytest.raises(DomainError, match="past interval_end"):
+                theorem4_bound(spec, x, a, entry.analytic_modulus2, 1.0)
 
     def test_unknown_theorem(self):
         with pytest.raises(ConfigurationError):

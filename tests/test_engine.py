@@ -30,6 +30,7 @@ from dunkl_appell.engine import exp_ratio, nodes
 
 from conftest import batches_hex
 from oracles import (
+    apply_mp,
     block_windows,
     closed_form_printed,
     contract_masked,
@@ -194,6 +195,44 @@ class TestApplyGrid:
         apply(spec, math.sin, [0.0, 0.5])
         with pytest.raises(TruncationFailureError, match=r"n\*x = 3000\b"):
             apply(spec, math.sin, [0.0, 0.5, 30.0])
+
+
+class TestApplyMpOracle:
+    """apply against the direct sum of its weights in 40-digit mpmath."""
+
+    @staticmethod
+    def funcs(x):
+        # (f for apply, the same f in mpmath)
+        mp = pytest.importorskip("mpmath")
+        return [
+            (math.sin, mp.sin),
+            (lambda t: math.exp(-t), lambda t: mp.exp(-t)),
+            (lambda t: abs(t - x), lambda t: abs(t - x)),
+            (math.sqrt, mp.sqrt),
+        ]
+
+    @pytest.mark.parametrize("mu", [0.0, 1e-6, 0.5, 1.3, 100.0])
+    def test_within_the_mass_budget(self, mu):
+        ctx = DunklContext(mu)
+        families = (
+            AppellFamily.from_coefficients(ctx, [1.0]),
+            AppellFamily.gould_hopper(ctx, 0.5, 1),
+            AppellFamily.from_coefficients(ctx, [1.0, 0.0, 0.0, 0.0, 0.5]),
+        )
+        for family in families:
+            for n, x in ((10, 0.05), (40, 0.75), (1000, 1.0)):  # n*x = 0.5, 30, 1e3
+                spec = OperatorSpec(family=family, n=n)
+                pairs = self.funcs(x)
+                want, sups, count = apply_mp(family.Q.coeffs, mu, n, x, [g for _, g in pairs])
+                # apply's window leaves out at most tol of the mass (tol/2 a
+                # side), and renormalizing moves K f by at most that mass
+                # times max|f| + |K f| <= 2 max|f|; its two sums, each of
+                # fewer than count products and terms, add at most count eps
+                # relative each
+                tol = engine._point_tol(spec, x)
+                for (f, _), value, sup in zip(pairs, want, sups):
+                    budget = (2.0 * tol + 2.0 * count * EPS) * sup
+                    assert abs(apply(spec, f, x) - value) <= budget, (n, x, f)
 
 
 class TestApplyCorrelation:
