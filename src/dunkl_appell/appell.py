@@ -117,6 +117,11 @@ class AppellFamily:
     x >= 0) and 'unverified' otherwise; ``windows``, and so every weight and
     ``apply``, rejects unverified families.
 
+    The constructor finds the support with one C-level pass
+    (``itertools.compress``) and positivity with ``min``; ``gould_hopper``
+    knows both from the coefficients it wrote and skips those passes.  Both
+    hand them to ``_fill``, which takes Q_at_1 and fills the slots.
+
     The engine fills on first use (Q never changes) ``_functionals``, Q's
     functionals; ``_arrays``, its coefficients and widest support gap; and
     ``_last_moments``, the last closed-form moments with their key.
@@ -133,8 +138,23 @@ class AppellFamily:
             raise NotAppellGeneratorError(
                 "not an Appell generator: constant coefficient is zero"
             )
-        # the indices whose coefficient is truthy, i.e. nonzero, at C level
-        support = tuple(compress(range(len(cs)), cs))
+        # the indices whose coefficient is truthy, i.e. nonzero, at C level;
+        # Q's coefficients are finite, so the least decides positivity and
+        # -0.0 >= 0.0
+        self._fill(
+            ctx,
+            Q,
+            tuple(compress(range(len(cs)), cs)),
+            POSITIVE_BY_COEFFICIENTS if min(cs) >= 0.0 else UNVERIFIED,
+        )
+
+    def _fill(
+        self, ctx: DunklContext, Q: PowerSeries, support: tuple, positivity: str
+    ) -> None:
+        """Fill the slots from Q, the indices of its nonzero coefficients in
+        increasing order, and its positivity; Q_at_1 is the sum over the
+        support from the top index down, and must be finite and positive."""
+        cs = Q.coeffs
         q1 = 0.0  # Horner's Q(1) with its zero steps left out
         for i in reversed(support):
             q1 += cs[i]
@@ -149,12 +169,8 @@ class AppellFamily:
         self.Q = Q
         self.support = support
         self.Q_at_1 = q1
+        self.positivity = positivity
         self._functionals = self._arrays = self._last_moments = None
-        # Q's coefficients are finite, so the least decides; -0.0 >= 0.0
-        if min(cs) >= 0.0:
-            self.positivity = POSITIVE_BY_COEFFICIENTS
-        else:
-            self.positivity = UNVERIFIED
 
     @classmethod
     def from_coefficients(
@@ -178,35 +194,68 @@ class AppellFamily:
         of Q(1).  The stored degree follows from a and d (32 at a = 0.5,
         d = 1; 260 at a = 50).  An a for which exp(a) overflows raises
         RangeError.  a = 0 gives the constant generator (the plain
-        Dunkl-Szasz weights), exact and not truncated; a > 0 keeps every
-        coefficient nonnegative, so positivity is proven by inspection.
+        Dunkl-Szasz weights), exact and not truncated.
+
+        d must be an integer >= 1: a Python int, or a numpy integer, which is
+        taken as the equal int; a float (even 1.0, NaN or inf) or a bool
+        raises DomainError.  A generator that would store more than
+        MAX_WINDOW (read at call time) coefficients raises RangeError naming
+        a and d before any coefficient list of that length is made.
+
+        The loop appends a term only where term * q, the term itself, is
+        positive, and every term is a finite float, so the family takes
+        its support as the multiples of d+1 below the stored length and its
+        positivity as proven, and its series skips the constructor's checks.
         """
         if not 0.0 <= a < math.inf:
             raise DomainError(
                 f"exponent coefficient must be finite and >= 0, got {a}"
             )
+        if type(d) is not int:  # bool is a subclass of int, so not this type
+            if not isinstance(d, np.integer):
+                raise DomainError(f"exponent gap d must be an integer >= 1, got {d!r}")
+            d = int(d)
         if d < 1:
             raise DomainError(f"exponent gap must be a positive integer, got {d}")
+        a = float(a)  # so that a numpy a still gives Python float terms
         step = d + 1
         terms, term, total = [1.0], 1.0, 1.0  # a**k / k! for k = 0, 1, ...
         k, q = 1, a  # terms so far; the next term's ratio to the last, a / k
-        i = step  # the next nonzero index, k * step
-        # rest bound term * q / (1 - q) when q < 1, weighted by i**2
-        while q >= 1.0 or term * q / (1.0 - q) * (i * i) > _HALF_ULP * total:
-            term *= q
-            terms.append(term)
-            total += term
-            if total == math.inf:
-                raise RangeError(
-                    f"Gould-Hopper generator exp({a} t^{step}) leaves double "
-                    "range at t = 1"
-                )
-            k += 1
-            i += step
-            q = a / k
+        if step < MAX_WINDOW:
+            i = step  # the next nonzero index, k * step
+            # rest bound term * q / (1 - q) when q < 1, weighted by i**2
+            while q >= 1.0 or term * q / (1.0 - q) * (i * i) > _HALF_ULP * total:
+                term *= q
+                terms.append(term)
+                total += term
+                if total == math.inf:
+                    raise RangeError(
+                        f"Gould-Hopper generator exp({a} t^{step}) leaves double "
+                        "range at t = 1"
+                    )
+                k += 1
+                i += step
+                q = a / k
+        elif q >= 1.0 or q / (1.0 - q) * min(step, 2**511) ** 2 > _HALF_ULP:
+            # A second term would sit past the limit, and the loop's first
+            # test takes one: with the index capped at 2**511, so that its
+            # square converts to a double, only a = 0 fails that test still.
+            k = 2
+        if (k - 1) * step >= MAX_WINDOW:
+            raise RangeError(
+                f"Gould-Hopper generator exp({a} t^{step}) needs more than "
+                f"MAX_WINDOW = {MAX_WINDOW} stored coefficients (a = {a}, d = {d})"
+            )
         coeffs = [0.0] * ((k - 1) * step + 1)
         coeffs[::step] = terms
-        return cls(ctx, PowerSeries(ctx, coeffs))
+        family = cls.__new__(cls)
+        family._fill(
+            ctx,
+            PowerSeries._of(ctx, tuple(coeffs)),
+            tuple(range(0, len(coeffs), step)),
+            POSITIVE_BY_COEFFICIENTS,
+        )
+        return family
 
     def weights(self, n: int, x: float, tol: float = 1e-12) -> WeightSequence:
         """Operator weights at (n, x) from a window of u_j around the mode.

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from .appell import AppellFamily
-from .bounds import verify
+from .bounds import MAX_GRID_NODES, verify
 from .dunkl import DunklContext
 from .engine import OperatorSpec, apply, central_moments
 from .errors import ConfigurationError, DunklApproxError
@@ -83,16 +83,28 @@ class RunConfig:
                 raise ConfigurationError(
                     f"--x-grid start {start} exceeds stop {stop}"
                 )
-            if (stop - start) / step == math.inf:
-                raise ConfigurationError(f"--x-grid {self.x_grid} spans too many steps")
+            # counted without building the grid; the span overflows to inf
+            span = _grid_span(start, stop, step)
+            if not span < MAX_GRID_NODES:
+                count = math.floor(span) + 1 if span < math.inf else span
+                raise ConfigurationError(
+                    f"--x-grid {self.x_grid} holds {count} points, more than "
+                    f"the limit of {MAX_GRID_NODES}"
+                )
         if not 0.0 < self.tol < math.inf:
             raise ConfigurationError(f"--tol must be positive and finite, got {self.tol}")
 
 
+def _grid_span(start: float, stop: float, step: float) -> float:
+    """(stop - start) / step plus a slack of 1e-9, which keeps the point at
+    stop where the quotient rounds low; its floor is the grid's last k."""
+    return (stop - start) / step + 1e-9
+
+
 def grid_points(start: float, stop: float, step: float) -> List[float]:
-    """Inclusive grid start + k * step, k = 0, 1, ...; a slack of 1e-9 of
-    a step keeps the point at stop where (stop - start) / step rounds low."""
-    last = math.floor((stop - start) / step + 1e-9)
+    """Inclusive grid start + k * step, k = 0, 1, ... up to the floor of
+    ``_grid_span``."""
+    last = math.floor(_grid_span(start, stop, step))
     return [start + k * step for k in range(last + 1)]
 
 

@@ -24,20 +24,30 @@ class PowerSeries:
     Construction converts each coefficient with float() and rejects an
     empty list or a non-finite coefficient (DomainError); both checks run
     as single mapped passes over the coefficients.  A non-numeric
-    coefficient raises what float() raises (TypeError or ValueError).
+    coefficient raises what float() raises (TypeError or ValueError).  The
+    checked tuple goes to ``_of``, the one place that fills the slots; a
+    builder that has itself produced a nonempty tuple of finite floats (the
+    Gould-Hopper generator) hands it to ``_of`` directly.
     """
 
     __slots__ = ("ctx", "coeffs")
 
-    def __init__(self, ctx: DunklContext, coeffs: Iterable[float]):
+    def __new__(cls, ctx: DunklContext, coeffs: Iterable[float]):
         # float() and isfinite mapped at C level: one pass each, no frames
         cs = tuple(map(float, coeffs))
         if not cs:
             raise DomainError("a power series needs at least one coefficient")
         if not all(map(math.isfinite, cs)):
             raise DomainError("power series coefficients must be finite")
+        return cls._of(ctx, cs)
+
+    @classmethod
+    def _of(cls, ctx: DunklContext, cs: tuple) -> "PowerSeries":
+        """The series on cs, a nonempty tuple of finite floats, unchecked."""
+        self = object.__new__(cls)
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "coeffs", cs)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("PowerSeries is immutable")

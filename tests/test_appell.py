@@ -17,6 +17,7 @@ from dunkl_appell import (
 )
 from dunkl_appell import appell
 from dunkl_appell.appell import POSITIVE_BY_COEFFICIENTS, UNVERIFIED
+from dunkl_appell.engine import OperatorSpec, central_moments
 
 from conftest import batches_hex, window_hex
 from oracles import (
@@ -91,6 +92,24 @@ class TestConstruction:
         assert fam.positivity == UNVERIFIED
 
 
+def _slot_hex(v):
+    """A family slot with every float as its hex string."""
+    if isinstance(v, float):
+        return v.hex()
+    if isinstance(v, PowerSeries):
+        return (v.ctx, [c.hex() for c in v.coeffs])
+    return v
+
+
+def _moments_hex(fam, x):
+    """central_moments at n = 1000 as hex strings, or the error it raises."""
+    try:
+        cm = central_moments(OperatorSpec(fam, 1000), x)
+    except RangeError as exc:
+        return repr(exc)
+    return cm.omega1.hex(), cm.omega2.hex()
+
+
 class TestGouldHopper:
     def test_zero_coefficient_gives_unit(self):
         fam = AppellFamily.gould_hopper(DunklContext(0.5), 0.0, 3)
@@ -163,6 +182,15 @@ class TestGouldHopper:
         assert [c.hex() for c in fam.Q.coeffs] == [c.hex() for c in coeffs]
         assert fam.Q_at_1.hex() == q1.hex()
         assert fam.positivity == POSITIVE_BY_COEFFICIENTS
+        # the handed-over support and the skipped checks give the family the
+        # generic constructor builds, slot for slot
+        assert fam.support == tuple(range(0, len(coeffs), d + 1))
+        ctx = fam.ctx
+        generic = AppellFamily(ctx, PowerSeries(ctx, coeffs))
+        for slot in AppellFamily.__slots__:
+            assert _slot_hex(getattr(fam, slot)) == _slot_hex(getattr(generic, slot)), slot
+        for nx in (0.0, 20.0, 1e6):
+            assert _moments_hex(fam, nx / 1000) == _moments_hex(generic, nx / 1000), nx
 
     @pytest.mark.parametrize("d", [1, 7])
     @pytest.mark.parametrize("a", [710.0, 1e300])
@@ -172,10 +200,42 @@ class TestGouldHopper:
         with pytest.raises(RangeError, match="double range"):
             AppellFamily.gould_hopper(DunklContext(0.5), a, d)
 
-    @pytest.mark.parametrize("a, d", [(-0.1, 1), (-5e-324, 2), (math.inf, 1), (math.nan, 3), (0.5, 0), (0.5, -1)])
+    @pytest.mark.parametrize("a, d", [
+        (-0.1, 1), (-5e-324, 2), (math.inf, 1), (math.nan, 3), (0.5, 0), (0.5, -1),
+        # d is an integer, as n is for OperatorSpec: no float, no bool
+        (0.5, 1.0), (0.5, 1.5), (0.5, math.nan), (0.5, math.inf), (0.5, True),
+    ])
     def test_domain_errors_kept(self, a, d):
         with pytest.raises(DomainError):
             AppellFamily.gould_hopper(DunklContext(0.5), a, d)
+
+    def test_numpy_integer_gap_is_the_equal_int(self):
+        fam = AppellFamily.gould_hopper(DunklContext(0.5), 0.5, np.int64(2))
+        ref = AppellFamily.gould_hopper(DunklContext(0.5), 0.5, 2)
+        assert [c.hex() for c in fam.Q.coeffs] == [c.hex() for c in ref.Q.coeffs]
+        assert fam.support == ref.support
+
+    @pytest.mark.parametrize("a, d", [(0.5, 2**70), (50.0, 2**70), (5e-324, 10**400)])
+    def test_gap_past_the_window_limit_raises(self, a, d):
+        # 2**70 used to reach the coefficient list's allocation and raise
+        # OverflowError; the second term alone would sit at index d + 1
+        with pytest.raises(RangeError, match=rf"a = {a}, d = {d}\)"):
+            AppellFamily.gould_hopper(DunklContext(0.5), a, d)
+
+    @pytest.mark.parametrize("a, d", [(0.0, 2**70), (0.0, 10**400), (1e-300, 2**70)])
+    def test_gap_past_the_window_limit_with_one_term(self, a, d):
+        # the tail test takes no second term: a = 0, or a * (d+1)**2 below
+        # half an ulp, so the generator is the constant one whatever d is
+        fam = AppellFamily.gould_hopper(DunklContext(0.5), a, d)
+        assert fam.Q.coeffs == (1.0,) and fam.support == (0,)
+
+    def test_stored_length_checked_against_the_limit_at_call_time(self, monkeypatch):
+        # a = 0.5, d = 1 stores 33 coefficients
+        monkeypatch.setattr(appell, "MAX_WINDOW", 33)
+        assert len(AppellFamily.gould_hopper(DunklContext(0.5), 0.5, 1).Q.coeffs) == 33
+        monkeypatch.setattr(appell, "MAX_WINDOW", 32)
+        with pytest.raises(RangeError, match="MAX_WINDOW = 32"):
+            AppellFamily.gould_hopper(DunklContext(0.5), 0.5, 1)
 
 
 class TestPolynomials:
@@ -263,9 +323,10 @@ class TestWeights:
             fam.weights(1, 1.0)
 
     def test_full_window_raises_naming_nx(self, monkeypatch):
-        # the mass at n*x = 2 needs far more than three terms of the window
-        monkeypatch.setattr(appell, "MAX_WINDOW", 3)
+        # the mass at n*x = 2 needs far more than three terms of the window;
+        # the family is built first, as its 33 coefficients exceed the limit too
         fam = AppellFamily.gould_hopper(DunklContext(0.5), 0.5, 1)
+        monkeypatch.setattr(appell, "MAX_WINDOW", 3)
         with pytest.raises(TruncationFailureError, match=r"n\*x = 2\b"):
             fam.weights(1, 2.0, tol=1e-12)
 

@@ -463,6 +463,8 @@ class TestErrors:
         ("--x-grid", "nan:1:0.1"),
         ("--x-grid", "0:1:inf"),
         ("--x-grid", "-1e308:1e308:1"),  # (stop - start) / step overflows
+        ("--x-grid", "0:1e12:1e-6"),  # 1e18 points used to start building
+        ("--x-grid", "0:4194304:1"),  # one point past MAX_GRID_NODES
         ("--x", "inf"),
         ("--x", "nan"),
         ("--tol", "inf"),
@@ -473,6 +475,16 @@ class TestErrors:
         # infinite tolerance dropped most of the weight mass
         with pytest.raises(ConfigurationError, match=flag):
             parse_config(["moments", "--n", "5", flag, value])
+
+    def test_grid_of_max_grid_nodes_points_accepted(self):
+        cfg = parse_config(["moments", "--n", "5", "--x-grid", "0:4194303:1"])
+        assert cfg.x_grid == (0.0, 4194303.0, 1.0)
+
+    def test_grid_cap_counts_without_building(self, capsys):
+        code, out, err = run_cli(capsys, "moments", "--n", "5", "--x-grid", "0:1e12:1e-6")
+        assert code == 1 and out == ""
+        assert err.startswith("error: --x-grid") and err.count("\n") == 1
+        assert "1000000000000000001 points" in err
 
     def test_bad_flag(self, capsys):
         code, _, err = run_cli(capsys, "moments", "--frobnicate", "1")
@@ -502,6 +514,16 @@ class TestErrors:
         )
         assert code == 1
         assert err.startswith(f"error: {error}:")
+
+    def test_gould_hopper_gap_past_the_window_limit(self, capsys):
+        # d = 2**70 used to end in an OverflowError traceback
+        code, _, err = run_cli(
+            capsys, "moments", "--family", "gould-hopper", "--gh-d", str(2**70),
+            "--n", "5", "--x", "1",
+        )
+        assert code == 1
+        assert err.startswith("error: RangeError:") and err.count("\n") == 1
+        assert f"d = {2**70}" in err
 
     def test_degree_cap_is_not_an_option(self, capsys, tmp_path):
         argv = ("moments", "--family", "gould-hopper", "--n", "5", "--x", "1")
