@@ -48,7 +48,7 @@ from typing import Iterator, List, Sequence
 import numpy as np
 
 # Unused here; kept because the benchmark's tracer wraps appell.dunkl_exp.
-from .dunkl import DunklContext, dunkl_exp  # noqa: F401
+from .dunkl import DunklContext, _nonnegative_real, dunkl_exp  # noqa: F401
 from .errors import (
     DomainError,
     NormalizationError,
@@ -196,28 +196,18 @@ class AppellFamily:
         RangeError.  a = 0 gives the constant generator (the plain
         Dunkl-Szasz weights), exact and not truncated.
 
-        d must be an integer >= 1: a Python int, or a numpy integer, which is
-        taken as the equal int; a float (even 1.0, NaN or inf) or a bool
-        raises DomainError.  A generator that would store more than
-        MAX_WINDOW (read at call time) coefficients raises RangeError naming
-        a and d before any coefficient list of that length is made.
+        a must be a finite real >= 0 and d an integer >= 1 (``_positive_int``),
+        else DomainError.  A generator that would store more than MAX_WINDOW
+        (read at call time) coefficients raises RangeError naming a and d
+        before any coefficient list of that length is made.
 
         The loop appends a term only where term * q, the term itself, is
         positive, and every term is a finite float, so the family takes
         its support as the multiples of d+1 below the stored length and its
         positivity as proven, and its series skips the constructor's checks.
         """
-        if not 0.0 <= a < math.inf:
-            raise DomainError(
-                f"exponent coefficient must be finite and >= 0, got {a}"
-            )
-        if type(d) is not int:  # bool is a subclass of int, so not this type
-            if not isinstance(d, np.integer):
-                raise DomainError(f"exponent gap d must be an integer >= 1, got {d!r}")
-            d = int(d)
-        if d < 1:
-            raise DomainError(f"exponent gap must be a positive integer, got {d}")
-        a = float(a)  # so that a numpy a still gives Python float terms
+        a = _nonnegative_real("exponent coefficient a", a)  # a float: float terms
+        d = _positive_int("exponent gap d", d)
         step = d + 1
         terms, term, total = [1.0], 1.0, 1.0  # a**k / k! for k = 0, 1, ...
         k, q = 1, a  # terms so far; the next term's ratio to the last, a / k
@@ -288,16 +278,15 @@ class AppellFamily:
         (read at call time) terms, rows times 2*B + 1 for its widest first
         block B; a point whose window alone needs more raises
         TruncationFailureError.  A family whose positivity is unverified
-        raises DomainError.  The inputs are checked when the first batch is
-        taken.
+        raises DomainError, as an n that ``_positive_int`` refuses does.  The
+        inputs are checked when the first batch is taken.
         """
         if self.positivity != POSITIVE_BY_COEFFICIENTS:
             raise DomainError(
                 "family positivity is unverified: Q has a negative coefficient, "
                 "so its operator weights need not be nonnegative"
             )
-        if n < 1:
-            raise DomainError(f"operator scale n must be >= 1, got {n}")
+        n = _positive_int("operator scale n", n)
         x = np.asarray(x, dtype=float)
         if x.ndim != 1 or len(tol) != len(x):
             raise DomainError(
@@ -344,6 +333,19 @@ class AppellFamily:
                 for r, window in zip(at, self._rows(n, *pick, block)):
                     out[r] = window
         return out
+
+
+def _positive_int(name: str, value) -> int:
+    """value as an int >= 1, the rule for a scale n and a gap d: a Python
+    int, or a numpy integer taken as the equal int; anything else (a float,
+    even 2.0, a bool) or a value below 1 raises DomainError."""
+    if type(value) is not int:  # bool is a subclass of int, so not this type
+        if not isinstance(value, np.integer):
+            raise DomainError(f"{name} must be an integer >= 1, got {value!r}")
+        value = int(value)
+    if value < 1:
+        raise DomainError(f"{name} must be an integer >= 1, got {value!r}")
+    return value
 
 
 def _first_block(nx: float, x: float, tol: float) -> int:

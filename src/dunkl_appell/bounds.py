@@ -15,7 +15,8 @@ theoremN_bound functions and the verifier share it, and a point mass
 actual error against the selected bound, and flags violations beyond a
 small rounding slack.  It takes every modulus in closed form from the
 registry (see ``verify``).  ``modulus1`` and ``modulus2`` estimate a modulus
-from f on a grid window, a lower estimate returned as a plain float.
+from f on a grid window, a lower estimate returned as a plain float; that
+grid, like the CLI's --x-grid, comes from ``grid_points``.
 """
 
 from __future__ import annotations
@@ -47,22 +48,31 @@ def _positive(name: str, value: float) -> None:
         raise DomainError(f"{name} must be finite and positive, got {value}")
 
 
-def _grid_values(f, lo: float, hi: float, step: float):
-    """f at the grid nodes lo + k * step up to hi; more than MAX_GRID_NODES
-    nodes raise DomainError before f runs."""
+def grid_points(lo: float, hi: float, step: float) -> List[float]:
+    """The inclusive grid lo + k * step, k = 0, 1, ... up to the floor of
+    (hi - lo) / step + 1e-9, a slack that keeps hi where the quotient rounds
+    low: the grid of --x-grid and of the modulus windows.  A step that is
+    not finite and positive, lo > hi, or more than MAX_GRID_NODES points
+    (read at call time, counted before any is built) raise DomainError."""
+    _positive("grid step", step)
     if not lo <= hi:
         raise DomainError(f"window ({lo}, {hi}) holds no point")
-    span = (hi - lo) / step + 1e-9
+    span = (hi - lo) / step + 1e-9  # inf past double range, nan for (inf, inf)
     if not span < MAX_GRID_NODES:
+        count = math.floor(span) + 1 if span < math.inf else span
         raise DomainError(
-            f"the grid on ({lo}, {hi}) at step {step} holds {span + 1:.4g} "
-            f"nodes, more than the limit of {MAX_GRID_NODES}"
+            f"the grid on ({lo}, {hi}) at step {step} holds {count} nodes, "
+            f"more than the limit of {MAX_GRID_NODES}"
         )
-    count = int(math.floor(span)) + 1
-    xs = lo + step * np.arange(count)
-    fv = np.array([f(float(x)) for x in xs], dtype=float)
+    return [lo + k * step for k in range(math.floor(span) + 1)]
+
+
+def _grid_values(f, lo: float, hi: float, step: float):
+    """f at ``grid_points(lo, hi, step)``, whose checks run before f does."""
+    xs = grid_points(lo, hi, step)
+    fv = np.array([f(x) for x in xs], dtype=float)
     if not np.all(np.isfinite(fv)):
-        bad = xs[~np.isfinite(fv)][0]
+        bad = xs[int(np.argmin(np.isfinite(fv)))]
         raise EvaluationError(f"function is non-finite on the window, near x={bad}")
     return fv
 

@@ -24,17 +24,16 @@ import csv
 import functools
 import io
 import json
-import math
 import re
 import sys
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from .appell import AppellFamily
-from .bounds import MAX_GRID_NODES, verify
+from .bounds import grid_points, verify
 from .dunkl import DunklContext
 from .engine import OperatorSpec, apply, central_moments
-from .errors import ConfigurationError, DunklApproxError
+from .errors import ConfigurationError, DomainError, DunklApproxError
 from .functions import lookup
 
 COLUMNS = ("x", "n", "Kf", "f", "abs_err", "omega1", "omega2", "bound", "margin", "theorem")
@@ -61,51 +60,6 @@ class RunConfig:
     M: Optional[float] = None
     beta: Optional[float] = None
     interval_end: Optional[float] = None
-
-    def validate(self):
-        if self.mode not in _MODES:
-            raise ConfigurationError(f"unknown mode {self.mode!r}")
-        if not self.n_list:
-            raise ConfigurationError("--n must list at least one operator scale")
-        if any(n < 1 for n in self.n_list):
-            raise ConfigurationError(f"--n entries must be >= 1, got {self.n_list}")
-        if self.x is not None and not math.isfinite(self.x):
-            raise ConfigurationError(f"--x must be finite, got {self.x}")
-        if self.x_grid is not None:
-            start, stop, step = self.x_grid
-            if not all(map(math.isfinite, self.x_grid)):
-                raise ConfigurationError(
-                    f"--x-grid start, stop and step must be finite, got {self.x_grid}"
-                )
-            if step <= 0.0:
-                raise ConfigurationError(f"--x-grid step must be positive, got {step}")
-            if start > stop:
-                raise ConfigurationError(
-                    f"--x-grid start {start} exceeds stop {stop}"
-                )
-            # counted without building the grid; the span overflows to inf
-            span = _grid_span(start, stop, step)
-            if not span < MAX_GRID_NODES:
-                count = math.floor(span) + 1 if span < math.inf else span
-                raise ConfigurationError(
-                    f"--x-grid {self.x_grid} holds {count} points, more than "
-                    f"the limit of {MAX_GRID_NODES}"
-                )
-        if not 0.0 < self.tol < math.inf:
-            raise ConfigurationError(f"--tol must be positive and finite, got {self.tol}")
-
-
-def _grid_span(start: float, stop: float, step: float) -> float:
-    """(stop - start) / step plus a slack of 1e-9, which keeps the point at
-    stop where the quotient rounds low; its floor is the grid's last k."""
-    return (stop - start) / step + 1e-9
-
-
-def grid_points(start: float, stop: float, step: float) -> List[float]:
-    """Inclusive grid start + k * step, k = 0, 1, ... up to the floor of
-    ``_grid_span``."""
-    last = math.floor(_grid_span(start, stop, step))
-    return [start + k * step for k in range(last + 1)]
 
 
 # ---------------------------------------------------------------- reports
@@ -161,7 +115,10 @@ def _build_family(cfg: RunConfig) -> AppellFamily:
 
 def _x_values(cfg: RunConfig) -> List[float]:
     if cfg.x_grid is not None:
-        return grid_points(*cfg.x_grid)
+        try:
+            return grid_points(*cfg.x_grid)
+        except DomainError as exc:
+            raise ConfigurationError(f"--x-grid: {exc}") from None
     if cfg.x is not None:
         return [cfg.x]
     raise ConfigurationError("provide --x or --x-grid")
@@ -237,28 +194,30 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigurationError(message)
 
 
-def _parse_n_list(raw: str) -> List[int]:
-    try:
-        return [int(tok) for tok in raw.split(",") if tok]
-    except ValueError:
-        raise ConfigurationError(f"--n must be comma-separated integers, got {raw!r}") from None
+# The converters check syntax only.  They raise ArgumentTypeError, whose text
+# argparse shows after the flag, as _file_value does after the --config key.
 
 
-def _parse_coeffs(raw: str) -> List[float]:
-    try:
-        return [float(tok) for tok in raw.split(",") if tok]
-    except ValueError:
-        raise ConfigurationError(f"--coeffs must be comma-separated reals, got {raw!r}") from None
+def _comma_list(convert, kind: str):
+    def parse(raw: str) -> list:
+        try:
+            values = [convert(tok) for tok in raw.split(",") if tok]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"must be comma-separated {kind}, got {raw!r}") from None
+        if not values:
+            raise argparse.ArgumentTypeError(f"must list at least one value, got {raw!r}")
+        return values
+
+    return parse
 
 
 def _parse_grid(raw: str) -> Tuple[float, float, float]:
-    parts = raw.split(":")
-    if len(parts) != 3:
-        raise ConfigurationError(f"--x-grid must be start:stop:step, got {raw!r}")
     try:
-        return (float(parts[0]), float(parts[1]), float(parts[2]))
-    except ValueError:
-        raise ConfigurationError(f"--x-grid must be start:stop:step, got {raw!r}") from None
+        start, stop, step = map(float, raw.split(":"))
+    except ValueError:  # not three parts, or a part that is not a number
+        raise argparse.ArgumentTypeError(f"must be start:stop:step, got {raw!r}") from None
+    return start, stop, step
 
 
 # (flag, RunConfig field, converter, choices).  A --config file takes the
@@ -268,8 +227,8 @@ _FLAGS = (
     ("--family", "family", str, ("unit", "gould-hopper", "custom-coeffs")),
     ("--gh-a", "gh_a", float, None),
     ("--gh-d", "gh_d", int, None),
-    ("--coeffs", "coeffs", _parse_coeffs, None),
-    ("--n", "n_list", _parse_n_list, None),
+    ("--coeffs", "coeffs", _comma_list(float, "reals"), None),
+    ("--n", "n_list", _comma_list(int, "integers"), None),
     ("--x", "x", float, None),
     ("--x-grid", "x_grid", _parse_grid, None),
     ("--f", "function", str, None),
@@ -309,7 +268,7 @@ def _file_value(key: str, value):
         value = (":" if key == "x_grid" else ",").join(str(v) for v in value)
     try:
         converted = convert(str(value))
-    except (ValueError, ConfigurationError) as exc:
+    except (ValueError, argparse.ArgumentTypeError) as exc:
         raise ConfigurationError(
             f"--config key {key!r} ({flag}) has an invalid value {value!r}: {exc}"
         ) from None
@@ -346,22 +305,22 @@ def parse_config(argv: Optional[Sequence[str]] = None) -> RunConfig:
             (k, _file_value(k, v)) for k, v in file_conf.items() if v is not None
         )
     merged.update(provided)  # flags win over the config file
-    cfg = RunConfig(mode=mode, **merged)
-    cfg.validate()
-    return cfg
+    return RunConfig(mode=mode, **merged)
 
 
 def run(cfg: RunConfig) -> int:
-    """Run one validated configuration (see the module docstring); returns
-    the process exit code."""
+    """Run one configuration (see the module docstring); returns the
+    process exit code.  Each value is checked once, where the library takes
+    it; the grid, the family and every operator are made before the first
+    row, so a bad one fails before any work or summary line."""
     if cfg.mode == "bounds" and cfg.theorem is None:
         raise ConfigurationError("--theorem is required for bounds")
     entry = None if cfg.mode == "moments" else _target(cfg)
-    family = _build_family(cfg)
     xs = _x_values(cfg)
+    family = _build_family(cfg)
+    specs = [OperatorSpec(family=family, n=n, tol=cfg.tol) for n in cfg.n_list]
     rows, violations = [], 0
-    for n in cfg.n_list:
-        spec = OperatorSpec(family=family, n=n, tol=cfg.tol)
+    for spec in specs:
         got, bad = _MODES[cfg.mode](cfg, entry, spec, xs)
         rows += got
         violations += bad

@@ -52,13 +52,21 @@ class DunklContext:
     __slots__ = ("mu",)
 
     def __init__(self, mu: float):
-        mu = float(mu)
-        if not 0.0 <= mu < math.inf:
-            raise DomainError(f"mu must be a finite real >= 0, got {mu}")
-        self.mu = mu
+        self.mu = _nonnegative_real("mu", mu)
 
     def __repr__(self):
         return f"DunklContext(mu={self.mu!r})"
+
+
+def _nonnegative_real(name: str, value) -> float:
+    """value as a float that is finite and >= 0, else DomainError."""
+    try:
+        x = float(value)
+    except OverflowError:  # an int past double range
+        x = math.inf if value > 0 else -math.inf
+    if not 0.0 <= x < math.inf:
+        raise DomainError(f"{name} must be a finite real >= 0, got {x}")
+    return x
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ from typing import Callable, List
 
 import numpy as np
 
-from .appell import AppellFamily
+from .appell import AppellFamily, _positive_int
 from .dunkl import dunkl_exp_neg_ratio
 from .errors import DomainError, EvaluationError, RangeError, TranscriptionError
 
@@ -46,10 +46,9 @@ _N_OVERFLOW = 2**1024 - 2**970
 class OperatorSpec:
     """A family plus the scale n and the weights' mass tolerance.
 
-    n must be an integer >= 1: a Python int, or a numpy integer, which is
-    stored as the equal int.  A float (even 2.0, NaN or inf), a bool, or an
-    n that rounds past double range (n*x would raise OverflowError) raises
-    DomainError.
+    n must be an integer >= 1 (``appell._positive_int``; a numpy integer is
+    stored as the equal int) below double range, where n*x would raise
+    OverflowError; any other n raises DomainError.
     """
 
     family: AppellFamily
@@ -57,16 +56,14 @@ class OperatorSpec:
     tol: float = 1e-12
 
     def __post_init__(self):
-        n = self.n
-        if type(n) is not int:  # bool is a subclass of int, so not this type
-            if not isinstance(n, np.integer):
-                raise DomainError(f"operator scale n must be an integer >= 1, got {n!r}")
-            object.__setattr__(self, "n", int(n))
-        if not 1 <= self.n < _N_OVERFLOW:
+        n = _positive_int("operator scale n", self.n)
+        if not n < _N_OVERFLOW:
             raise DomainError(
                 f"operator scale n must be an integer >= 1 below double range, "
                 f"got {n!r}"
             )
+        if n is not self.n:
+            object.__setattr__(self, "n", n)
         if not 0.0 < self.tol < math.inf:
             raise DomainError(f"tolerance must be finite and positive, got {self.tol}")
 
@@ -344,8 +341,8 @@ def _closed_form(spec: OperatorSpec, x: float):
     returns it, skipping rho, the functionals and the check it passed for
     these inputs.  A raise stores nothing; threads need no lock.
     """
-    if x < 0.0:
-        raise DomainError(f"evaluation point must be >= 0, got {x}")
+    if not 0.0 <= x < math.inf:
+        raise DomainError(f"evaluation point must be finite and >= 0, got {x}")
     x = float(x) + 0.0  # one key and result type for 1 and 1.0, -0.0 and 0.0, np.float64
     family, n, tol = spec.family, spec.n, min(1e-15, spec.tol)
     last = family._last_moments

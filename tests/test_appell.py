@@ -204,6 +204,8 @@ class TestGouldHopper:
         (-0.1, 1), (-5e-324, 2), (math.inf, 1), (math.nan, 3), (0.5, 0), (0.5, -1),
         # d is an integer, as n is for OperatorSpec: no float, no bool
         (0.5, 1.0), (0.5, 1.5), (0.5, math.nan), (0.5, math.inf), (0.5, True),
+        # an int a past double range raised a bare OverflowError from float()
+        pytest.param(10**400, 1, id="int-a-1e400"), pytest.param(-10**400, 1, id="int-a--1e400"),
     ])
     def test_domain_errors_kept(self, a, d):
         with pytest.raises(DomainError):
@@ -359,6 +361,25 @@ class TestWeights:
         for tol in (0.0, math.inf, math.nan):
             with pytest.raises(DomainError):
                 fam.weights(1, 1.0, tol=tol)
+
+    @pytest.mark.parametrize("n", [2.5, True, 0, np.float64(3.0)])
+    def test_scale_takes_the_integer_rule(self, n):
+        # windows checked only n < 1, so weights(2.5, x) and weights(True, x)
+        # went through
+        fam = AppellFamily.gould_hopper(DunklContext(0.5), 0.5, 1)
+        with pytest.raises(DomainError, match="scale n must be an integer >= 1"):
+            fam.weights(n, 1.0)
+        with pytest.raises(DomainError, match="scale n must be an integer >= 1"):
+            list(fam.windows(n, [1.0], [1e-12]))
+
+    def test_numpy_integer_scale_is_the_equal_int(self):
+        fam = AppellFamily.gould_hopper(DunklContext(0.5), 0.5, 1)
+        got, ref = fam.weights(np.int64(3), 1.0), fam.weights(3, 1.0)
+        assert got.start == ref.start
+        assert [w.hex() for w in got.weights.tolist()] == [w.hex() for w in ref.weights.tolist()]
+        assert batches_hex(fam.windows(np.int64(3), [1.0], [1e-12])) == batches_hex(
+            fam.windows(3, [1.0], [1e-12])
+        )
 
     def test_parallel_generation_matches_serial(self):
         from concurrent.futures import ThreadPoolExecutor

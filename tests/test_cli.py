@@ -13,7 +13,7 @@ from dunkl_appell import (
     central_moments,
     moments_closed,
 )
-from dunkl_appell import appell, cli
+from dunkl_appell import appell, bounds, cli
 from dunkl_appell.cli import COLUMNS, RunConfig, emit, grid_points, main, parse_config
 
 from conftest import shrink_sinx_modulus
@@ -85,6 +85,19 @@ class TestGridPoints:
             want.append(x)
             x = start + len(want) * step
         assert grid_points(start, stop, step) == want
+
+    @pytest.mark.parametrize("grid", ["0:2:0.1", "0.3:2.4:0.05", "10:45:0.125"])
+    def test_rows_sit_on_the_modulus_nodes(self, capsys, grid):
+        # --x-grid and a modulus window of the same start, stop and step
+        # take one grid rule, so their points agree bit for bit
+        start, stop, step = map(float, grid.split(":"))
+        nodes = []
+        bounds.modulus1(lambda t: nodes.append(t) or t, 1.0, (start, stop), grid_step=step)
+        code, out, _ = run_cli(capsys, "eval", "--f", "id", "--n", "5", "--x-grid", grid)
+        assert code == 0
+        xs = [float(row["x"]) for row in parse_csv(out)]
+        assert [x.hex() for x in xs] == [t.hex() for t in nodes]
+        assert [x.hex() for x in grid_points(start, stop, step)] == [t.hex() for t in nodes]
 
     @pytest.mark.parametrize("mode", ["eval", "converge"])
     @pytest.mark.parametrize("grid", ["0:4e-9:1e-9", "0:1e-14:2.5e-15"])
@@ -458,7 +471,7 @@ class TestErrors:
         assert code == 1
         assert "x-grid" in err
 
-    @pytest.mark.parametrize("flag, value", [
+    _NON_FINITE = pytest.mark.parametrize("flag, value", [
         ("--x-grid", "0:inf:1"),
         ("--x-grid", "nan:1:0.1"),
         ("--x-grid", "0:1:inf"),
@@ -470,21 +483,78 @@ class TestErrors:
         ("--tol", "inf"),
         ("--tol", "nan"),
     ])
-    def test_non_finite_values_rejected(self, flag, value):
+    # (--config key, the name its error gives the input): the CLI names the
+    # grid, which bounds.grid_points checks; OperatorSpec and the closed
+    # form name the tolerance and the point
+    _INPUTS = {"--x-grid": ("x_grid", "--x-grid"), "--x": ("x", "evaluation point"),
+               "--tol": ("tol", "tolerance")}
+
+    @staticmethod
+    def one_error_line(code, out, err, named):
+        assert code == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and named in lines[0]
+
+    @_NON_FINITE
+    def test_non_finite_values_rejected(self, capsys, flag, value):
         # an infinite stop used to make grid_points append forever, and an
         # infinite tolerance dropped most of the weight mass
-        with pytest.raises(ConfigurationError, match=flag):
-            parse_config(["moments", "--n", "5", flag, value])
+        code, out, err = run_cli(capsys, "moments", "--n", "5", "--x", "1", flag, value)
+        self.one_error_line(code, out, err, self._INPUTS[flag][1])
 
-    def test_grid_of_max_grid_nodes_points_accepted(self):
+    @_NON_FINITE
+    def test_non_finite_config_values_rejected(self, capsys, tmp_path, flag, value):
+        key, named = self._INPUTS[flag]
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"n_list": [5], "x": 1, key: value}))
+        code, out, err = run_cli(capsys, "moments", "--config", str(path))
+        self.one_error_line(code, out, err, named)
+
+    def test_grid_of_max_grid_nodes_points_accepted(self, capsys, monkeypatch):
         cfg = parse_config(["moments", "--n", "5", "--x-grid", "0:4194303:1"])
         assert cfg.x_grid == (0.0, 4194303.0, 1.0)
+        # the cap is bounds.MAX_GRID_NODES, read at call time: 8 points pass
+        # under a cap of 8, and 9 do not
+        monkeypatch.setattr(bounds, "MAX_GRID_NODES", 8)
+        code, out, _ = run_cli(capsys, "moments", "--n", "5", "--x-grid", "0:7:1")
+        assert code == 0 and len(parse_csv(out)) == 8
+        code, out, err = run_cli(capsys, "moments", "--n", "5", "--x-grid", "0:8:1")
+        self.one_error_line(code, out, err, "holds 9 nodes, more than the limit of 8")
 
     def test_grid_cap_counts_without_building(self, capsys):
         code, out, err = run_cli(capsys, "moments", "--n", "5", "--x-grid", "0:1e12:1e-6")
         assert code == 1 and out == ""
         assert err.startswith("error: --x-grid") and err.count("\n") == 1
-        assert "1000000000000000001 points" in err
+        assert "1000000000000000001 nodes" in err
+
+    @pytest.mark.parametrize("flag, value, conf", [
+        ("--n", "a", {"n_list": "a"}),
+        ("--n", ",", {"n_list": []}),
+        ("--coeffs", "1,a", {"coeffs": [1, "a"]}),
+        ("--x-grid", "0:1", {"x_grid": [0, 1]}),
+    ])
+    def test_syntax_error_names_its_flag(self, capsys, tmp_path, flag, value, conf):
+        # argparse showed "invalid _parse_n_list value: 'a'": a converter's
+        # ValueError hid its message, which only --config printed
+        code, out, err = run_cli(capsys, "moments", "--n", "5", "--x", "1", flag, value)
+        self.one_error_line(code, out, err, f"argument {flag}: must ")
+        assert "_parse_" not in err
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(conf))
+        code, out, err = run_cli(capsys, "moments", "--x", "1", "--config", str(path))
+        self.one_error_line(code, out, err, f"({flag}) has an invalid value")
+        assert err.split(": ", 2)[2].startswith("must ")
+
+    @pytest.mark.parametrize("argv", [
+        ("bounds", "--theorem", "T2", "--f", "sinx", "--n", "20,0", "--x-grid", "0:1:0.5"),
+        ("moments", "--n", "5,0", "--x", "1"),
+        ("eval", "--f", "sinx", "--n", "20", "--x-grid", "0:1:0.5", "--tol", "nan"),
+    ])
+    def test_bad_scale_fails_before_the_first_row(self, capsys, argv):
+        # every operator is built before the first row, so bounds prints no
+        # summary for n = 20 before the error at n = 0
+        code, out, err = run_cli(capsys, *argv)
+        self.one_error_line(code, out, err, "error: DomainError: ")
 
     def test_bad_flag(self, capsys):
         code, _, err = run_cli(capsys, "moments", "--frobnicate", "1")

@@ -34,7 +34,11 @@ class TestContext:
         with pytest.raises(DomainError):
             DunklContext(float("nan"))
 
-    @pytest.mark.parametrize("mu", [-0.2, -1e-300, -0.49, math.inf])
+    @pytest.mark.parametrize("mu", [
+        -0.2, -1e-300, -0.49, math.inf,
+        # an int past double range raised a bare OverflowError from float()
+        pytest.param(10**400, id="int-1e400"), pytest.param(-10**400, id="int--1e400"),
+    ])
     def test_requires_finite_nonnegative_mu(self, mu):
         with pytest.raises(DomainError, match="mu must be a finite real >= 0"):
             DunklContext(mu)
