@@ -233,8 +233,9 @@ class AppellFamily:
             k = 2
         if (k - 1) * step >= MAX_WINDOW:
             raise RangeError(
-                f"Gould-Hopper generator exp({a} t^{step}) needs more than "
-                f"MAX_WINDOW = {MAX_WINDOW} stored coefficients (a = {a}, d = {d})"
+                f"Gould-Hopper generator exp({a} t^{_int_text(step)}) needs more than "
+                f"MAX_WINDOW = {MAX_WINDOW} stored coefficients "
+                f"(a = {a}, d = {_int_text(d)})"
             )
         coeffs = [0.0] * ((k - 1) * step + 1)
         coeffs[::step] = terms
@@ -344,8 +345,18 @@ def _positive_int(name: str, value) -> int:
             raise DomainError(f"{name} must be an integer >= 1, got {value!r}")
         value = int(value)
     if value < 1:
-        raise DomainError(f"{name} must be an integer >= 1, got {value!r}")
+        raise DomainError(f"{name} must be an integer >= 1, got {_int_text(value)}")
     return value
+
+
+def _int_text(value: int) -> str:
+    """An int for an error message: its digits, or its size where it has
+    more digits than Python converts to text (4,300 by default)."""
+    try:
+        return repr(value)
+    except ValueError:
+        sign = "negative " if value < 0 else ""
+        return f"<{sign}int of {value.bit_length()} bits>"
 
 
 def _first_block(nx: float, x: float, tol: float) -> int:

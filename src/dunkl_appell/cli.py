@@ -114,6 +114,8 @@ def _build_family(cfg: RunConfig) -> AppellFamily:
 
 
 def _x_values(cfg: RunConfig) -> List[float]:
+    if cfg.x_grid is not None and cfg.x is not None:
+        raise ConfigurationError("give --x or --x-grid, not both")
     if cfg.x_grid is not None:
         try:
             return grid_points(*cfg.x_grid)

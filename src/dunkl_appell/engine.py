@@ -22,6 +22,9 @@ combinations of them that the moment formulas use at every (n, x); one
 evaluation of the ratio then yields m1, m2, omega1 and omega2 together,
 each with the bits of its printed formula.  The family keeps the last such
 evaluation, so ``moments_closed`` and ``central_moments`` share it.
+
+``QFunctionals`` and ``CentralMoments`` are named tuples, built
+positionally, so a fresh family pays no dataclass constructor per call.
 """
 
 from __future__ import annotations
@@ -29,11 +32,11 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, List
+from typing import Callable, List, NamedTuple
 
 import numpy as np
 
-from .appell import AppellFamily, _positive_int
+from .appell import AppellFamily, _int_text, _positive_int
 from .dunkl import dunkl_exp_neg_ratio
 from .errors import DomainError, EvaluationError, RangeError, TranscriptionError
 
@@ -60,7 +63,7 @@ class OperatorSpec:
         if not n < _N_OVERFLOW:
             raise DomainError(
                 f"operator scale n must be an integer >= 1 below double range, "
-                f"got {n!r}"
+                f"got {_int_text(n)}"
             )
         if n is not self.n:
             object.__setattr__(self, "n", n)
@@ -68,8 +71,7 @@ class OperatorSpec:
             raise DomainError(f"tolerance must be finite and positive, got {self.tol}")
 
 
-@dataclass(frozen=True)
-class QFunctionals:
+class QFunctionals(NamedTuple):
     """The ten scalar functionals of Q the moment formulas consume.
 
     q1    = Q(1)            qm1  = Q(-1)
@@ -78,6 +80,8 @@ class QFunctionals:
     lq1   = (LQ)(1)         lqm1 = (LQ)(-1)      with L the Dunkl operator
     dlq1  = (LQ)'(1)        ldq1 = (LQ')(1)
     llq1  = (LLQ)(1)
+
+    An immutable named tuple: ``_fields`` lists the names in this order.
     """
 
     q1: float
@@ -92,9 +96,9 @@ class QFunctionals:
     llq1: float
 
 
-@dataclass(frozen=True)
-class CentralMoments:
-    """First and second central moments at one (n, x), with provenance."""
+class CentralMoments(NamedTuple):
+    """First and second central moments at one (n, x), with provenance; a
+    named tuple like ``QFunctionals``."""
 
     omega1: float
     omega2: float
@@ -251,9 +255,13 @@ def q_functionals(family: AppellFamily) -> QFunctionals:
     pass walks only ``family.support``, the indices of the nonzero
     coefficients (a zero term leaves every sum unchanged), so a Gould-Hopper
     generator costs one step per term of its exponential, not per stored
-    coefficient.  q1 is ``family.Q_at_1``, the normalizer the weights use.
-    One code path serves every generator; hand-derived specializations live
-    only in tests.
+    coefficient.  Where two sums take equal terms, one product serves both:
+    d(i) = i at even i pairs Q'(1) with (LQ)(1), Q'(-1) with (LQ)(-1), Q''(1)
+    with (LQ)'(1) and (LQ')(1) with (LLQ)(1); d(i-1) = i - 1 at odd i pairs
+    Q''(1) with (LQ')(1) and (LQ)'(1) with (LLQ)(1).  Each sum keeps its
+    terms and their order, so every value keeps its bits.  q1 is
+    ``family.Q_at_1``, the normalizer the weights use.  One code path serves
+    every generator; hand-derived specializations live only in tests.
     """
     mu2 = 2.0 * family.ctx.mu
     qm1 = dq1 = dqm1 = ddq1 = lq1 = lqm1 = dlq1 = ldq1 = llq1 = 0.0
@@ -261,31 +269,39 @@ def q_functionals(family: AppellFamily) -> QFunctionals:
     for i in reversed(family.support):
         c = coeffs[i]
         ic = i * c
+        below = i - 1
         if i & 1:  # (-1)**i = -1, d(i) = i + 2 mu, d(i-1) = i - 1
             dc = (i + mu2) * c
-            below = i - 1.0
             qm1 -= c
+            dq1 += ic
             dqm1 += ic
+            lq1 += dc
             lqm1 += dc
-        else:  # (-1)**i = 1, d(i) = i, d(i-1) = i - 1 + 2 mu
-            dc = ic
-            below = i - 1 + mu2
+            t = below * ic  # i d(i-1) c_i = (i-1) i c_i
+            ddq1 += t
+            ldq1 += t
+            t = below * dc  # d(i) d(i-1) c_i = (i-1) d(i) c_i
+            dlq1 += t
+            llq1 += t
+        else:  # (-1)**i = 1, d(i) = i, d(i-1) = i - 1 + 2 mu: dc = ic
             qm1 += c
+            dq1 += ic
+            lq1 += ic
             dqm1 -= ic
-            lqm1 -= dc
-        dq1 += ic
-        ddq1 += (i - 1) * ic
-        lq1 += dc
-        dlq1 += (i - 1) * dc
-        ldq1 += below * ic
-        llq1 += below * dc
-    values = (qm1, dq1, dqm1, ddq1, lq1, lqm1, dlq1, ldq1, llq1)
-    if not all(map(math.isfinite, values)):
+            lqm1 -= ic
+            t = below * ic  # (i-1) d(i) c_i = (i-1) i c_i
+            ddq1 += t
+            dlq1 += t
+            t = (below + mu2) * ic  # i d(i-1) c_i = d(i) d(i-1) c_i
+            ldq1 += t
+            llq1 += t
+    F = QFunctionals(family.Q_at_1, qm1, dq1, dqm1, ddq1, lq1, lqm1, dlq1, ldq1, llq1)
+    if not all(map(math.isfinite, F)):
         raise RangeError(
             f"a Q-functional left double range (degree {len(coeffs) - 1}, "
             f"mu={family.ctx.mu})"
         )
-    return QFunctionals(family.Q_at_1, *values)
+    return F
 
 
 def _functionals(family: AppellFamily):
@@ -400,7 +416,7 @@ def central_moments(spec: OperatorSpec, x: float) -> CentralMoments:
                 f"omega2 = {omega2!r} is materially negative at (n={spec.n}, x={x})"
             )
         omega2 = 0.0
-    return CentralMoments(omega1=omega1, omega2=omega2, source="closed-form")
+    return CentralMoments(omega1, omega2, "closed-form")
 
 
 def central_moments_series(spec: OperatorSpec, x: float) -> CentralMoments:
@@ -409,4 +425,4 @@ def central_moments_series(spec: OperatorSpec, x: float) -> CentralMoments:
     omega2 = apply(spec, lambda t: (t - x) ** 2, x)
     if -1e-12 <= omega2 < 0.0:
         omega2 = 0.0
-    return CentralMoments(omega1=omega1, omega2=omega2, source="series-summed")
+    return CentralMoments(omega1, omega2, "series-summed")

@@ -224,6 +224,14 @@ class TestGouldHopper:
         with pytest.raises(RangeError, match=rf"a = {a}, d = {d}\)"):
             AppellFamily.gould_hopper(DunklContext(0.5), a, d)
 
+    @pytest.mark.parametrize(
+        "d, error", [(10**5000, RangeError), (-10**5000, DomainError)], ids=["1e5000", "-1e5000"]
+    )
+    def test_gap_of_more_digits_than_python_prints(self, d, error):
+        # the message formatted d itself and raised Python's ValueError
+        with pytest.raises(error, match=f"<(negative )?int of {d.bit_length()} bits>"):
+            AppellFamily.gould_hopper(DunklContext(0.5), 0.5, d)
+
     @pytest.mark.parametrize("a, d", [(0.0, 2**70), (0.0, 10**400), (1e-300, 2**70)])
     def test_gap_past_the_window_limit_with_one_term(self, a, d):
         # the tail test takes no second term: a = 0, or a * (d+1)**2 below

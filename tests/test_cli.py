@@ -499,16 +499,34 @@ class TestErrors:
     def test_non_finite_values_rejected(self, capsys, flag, value):
         # an infinite stop used to make grid_points append forever, and an
         # infinite tolerance dropped most of the weight mass
-        code, out, err = run_cli(capsys, "moments", "--n", "5", "--x", "1", flag, value)
+        point = () if flag == "--x-grid" else ("--x", "1")  # not both: an error of its own
+        code, out, err = run_cli(capsys, "moments", "--n", "5", *point, flag, value)
         self.one_error_line(code, out, err, self._INPUTS[flag][1])
 
     @_NON_FINITE
     def test_non_finite_config_values_rejected(self, capsys, tmp_path, flag, value):
         key, named = self._INPUTS[flag]
         path = tmp_path / "run.json"
-        path.write_text(json.dumps({"n_list": [5], "x": 1, key: value}))
+        conf = {"n_list": [5], key: value}
+        if key != "x_grid":
+            conf.setdefault("x", 1)  # not both: an error of its own
+        path.write_text(json.dumps(conf))
         code, out, err = run_cli(capsys, "moments", "--config", str(path))
         self.one_error_line(code, out, err, named)
+
+    @pytest.mark.parametrize("conf, flags", [
+        (None, ["--x", "3", "--x-grid", "0:1:0.5"]),
+        ({"x": 3, "x_grid": [0, 1, 0.5]}, []),
+        ({"x_grid": [0, 1, 0.5]}, ["--x", "3"]),
+    ], ids=["flags", "config", "flag-and-config"])
+    def test_point_and_grid_together_rejected(self, capsys, tmp_path, conf, flags):
+        # --x was dropped without a word and the grid's rows printed
+        if conf is not None:
+            path = tmp_path / "run.json"
+            path.write_text(json.dumps(conf))
+            flags = ["--config", str(path), *flags]
+        code, out, err = run_cli(capsys, "moments", "--n", "5", *flags)
+        self.one_error_line(code, out, err, "--x or --x-grid")
 
     def test_grid_of_max_grid_nodes_points_accepted(self, capsys, monkeypatch):
         cfg = parse_config(["moments", "--n", "5", "--x-grid", "0:4194303:1"])

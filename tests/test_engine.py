@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 import sys
@@ -10,6 +9,7 @@ import pytest
 
 from dunkl_appell import (
     AppellFamily,
+    CentralMoments,
     DomainError,
     DunklContext,
     EvaluationError,
@@ -211,6 +211,20 @@ class TestApplyMpOracle:
             (math.sqrt, mp.sqrt),
         ]
 
+    @staticmethod
+    def assert_within_budget(family, n, x, pairs):
+        spec = OperatorSpec(family=family, n=n)
+        mu = family.ctx.mu
+        want, sups, count = apply_mp(family.Q.coeffs, mu, n, x, [g for _, g in pairs])
+        # apply's window leaves out at most tol of the mass (tol/2 a side),
+        # and renormalizing moves K f by at most that mass times max|f| +
+        # |K f| <= 2 max|f|; its two sums, each of fewer than count products
+        # and terms, add at most count eps relative each
+        tol = engine._point_tol(spec, x)
+        for (f, _), value, sup in zip(pairs, want, sups):
+            budget = (2.0 * tol + 2.0 * count * EPS) * sup
+            assert abs(apply(spec, f, x) - value) <= budget, (n, x, f)
+
     @pytest.mark.parametrize("mu", [0.0, 1e-6, 0.5, 1.3, 100.0])
     def test_within_the_mass_budget(self, mu):
         ctx = DunklContext(mu)
@@ -221,18 +235,19 @@ class TestApplyMpOracle:
         )
         for family in families:
             for n, x in ((10, 0.05), (40, 0.75), (1000, 1.0)):  # n*x = 0.5, 30, 1e3
-                spec = OperatorSpec(family=family, n=n)
-                pairs = self.funcs(x)
-                want, sups, count = apply_mp(family.Q.coeffs, mu, n, x, [g for _, g in pairs])
-                # apply's window leaves out at most tol of the mass (tol/2 a
-                # side), and renormalizing moves K f by at most that mass
-                # times max|f| + |K f| <= 2 max|f|; its two sums, each of
-                # fewer than count products and terms, add at most count eps
-                # relative each
-                tol = engine._point_tol(spec, x)
-                for (f, _), value, sup in zip(pairs, want, sups):
-                    budget = (2.0 * tol + 2.0 * count * EPS) * sup
-                    assert abs(apply(spec, f, x) - value) <= budget, (n, x, f)
+                self.assert_within_budget(family, n, x, self.funcs(x))
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("mu", [0.5, 1.3, 100.0])
+    def test_larger_window_within_the_mass_budget(self, mu):
+        # n*x = 1e4: windows of about 1,500 terms, out of tier-1's time
+        ctx = DunklContext(mu)
+        for family in (
+            AppellFamily.from_coefficients(ctx, [1.0]),
+            AppellFamily.gould_hopper(ctx, 0.5, 1),
+        ):
+            sin, _, dist, _ = self.funcs(1.0)
+            self.assert_within_budget(family, 10_000, 1.0, [sin, dist])
 
 
 class TestApplyCorrelation:
@@ -341,6 +356,12 @@ class TestOperatorSpec:
         with pytest.raises(DomainError, match="scale n must be an integer >= 1 below double range"):
             unit_spec(0.5, n)
 
+    @pytest.mark.parametrize("n", [10**5000, -10**5000], ids=["1e5000", "-1e5000"])
+    def test_scale_of_more_digits_than_python_prints(self, n):
+        # the message formatted n itself and raised Python's ValueError
+        with pytest.raises(DomainError, match=f"got <(negative )?int of {n.bit_length()} bits>"):
+            unit_spec(0.5, n)
+
     def test_largest_scale_below_double_range(self):
         n = 2**1024 - 2**970 - 1  # float(n) rounds down to the largest double
         assert central_moments(unit_spec(0.5, n), 1.0).omega2 == 1.0 / float(n)
@@ -382,6 +403,36 @@ class TestQFunctionals:
             F = q_functionals(fam)
             expected = F.dq1 + mu * (F.q1 - F.qm1)
             assert abs(F.lq1 - expected) <= 1e-12 * max(1.0, abs(expected))
+
+
+class TestRecords:
+    """QFunctionals and CentralMoments are immutable named tuples whose
+    fields keep their names and order."""
+
+    def test_fields_in_order(self):
+        assert QFunctionals._fields == (
+            "q1", "qm1", "dq1", "dqm1", "ddq1", "lq1", "lqm1", "dlq1", "ldq1", "llq1"
+        )
+        assert CentralMoments._fields == ("omega1", "omega2", "source")
+
+    def test_returned_by_every_entry_point(self):
+        spec = gh_spec(0.5, 0.5, 1, 20)
+        F = q_functionals(spec.family)
+        assert type(F) is QFunctionals
+        assert F == tuple(getattr(F, name) for name in QFunctionals._fields)
+        for cm, source in (
+            (central_moments(spec, 0.7), "closed-form"),
+            (central_moments_series(spec, 0.7), "series-summed"),
+        ):
+            assert type(cm) is CentralMoments
+            assert cm == (cm.omega1, cm.omega2, source)
+
+    @pytest.mark.parametrize("name", ["q1", "omega2", "extra"])
+    def test_refuse_attribute_assignment(self, name):
+        spec = gh_spec(0.5, 0.5, 1, 20)
+        for record in (q_functionals(spec.family), central_moments(spec, 0.7)):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0.0)
 
 
 class TestQFunctionalsPass:
@@ -440,7 +491,7 @@ class TestQFunctionalsPass:
         # measured (7.4 eps at a = 50).  The cut tail adds under half an ulp.
         F = q_functionals(AppellFamily.gould_hopper(DunklContext(mu), a, d))
         exact = gould_hopper_functionals(mu, a, d)
-        assert set(exact) == {f.name for f in dataclasses.fields(QFunctionals)}
+        assert set(exact) == set(QFunctionals._fields)
         for name, value in exact.items():
             bound = 4 * math.sqrt(a + 1.0) * EPS * exact[AT_PLUS_ONE.get(name, name)]
             assert abs(getattr(F, name) - value) <= bound, name
@@ -770,8 +821,8 @@ class TestBitIdentity:
         ref = self.dense(fam)
         assert fam.Q_at_1.hex() == fam.Q.eval(1.0).hex() == ref.q1.hex()
         F = q_functionals(fam)
-        for field in dataclasses.fields(QFunctionals):
-            assert getattr(F, field.name).hex() == getattr(ref, field.name).hex(), field.name
+        for name in QFunctionals._fields:
+            assert getattr(F, name).hex() == getattr(ref, name).hex(), name
 
     @pytest.mark.parametrize("name", BIT_FAMILIES)
     @pytest.mark.parametrize("mu", BIT_MUS)
@@ -785,6 +836,28 @@ class TestBitIdentity:
                 got = engine._closed_form(spec, x)
                 want = closed_form_printed(ref, mu, n, x, exp_ratio(spec, x))
                 assert [v.hex() for v in got] == [v.hex() for v in want], (n, x)
+
+    def test_fresh_gould_hopper_sweep(self):
+        # The far-field domain, a fresh family per point: mu in [0, 2], a in
+        # (0, 1], d in {1, 2, 3}, n*x log-uniform in [1e3, 1e6], and every
+        # tenth point at n*x in [0.5, 18], below rho's crossover (19 to 26
+        # for mu in [1e-6, 2])
+        from dunkl_appell import dunkl
+
+        rng = random.Random(25)
+        for k in range(300):
+            mu, a, d = rng.uniform(0.0, 2.0), 1.0 - rng.random(), rng.choice((1, 2, 3))
+            nx = rng.uniform(0.5, 18.0) if k % 10 == 0 else 10.0 ** rng.uniform(3.0, 6.0)
+            n = rng.randint(1_000, 1_000_000)
+            x = nx / n
+            if k % 10 == 0 and mu > 0.0:
+                assert not dunkl._expansion_exact(mu, n * x, 1e-15), (mu, nx)
+            spec = gh_spec(mu, a, d, n)
+            ref = self.dense(spec.family)
+            want = closed_form_printed(ref, mu, n, x, exp_ratio(spec, x))[2:]
+            cm = central_moments(spec, x)
+            got = [cm.omega1.hex(), cm.omega2.hex()]
+            assert got == [v.hex() for v in want], (k, mu, a, d, n, x)
 
     def test_grid_straddles_rho_crossover(self, monkeypatch):
         from dunkl_appell import dunkl
