@@ -122,9 +122,10 @@ class AppellFamily:
     knows both from the coefficients it wrote and skips those passes.  Both
     hand them to ``_fill``, which takes Q_at_1 and fills the slots.
 
-    The engine fills on first use (Q never changes) ``_functionals``, Q's
-    functionals; ``_arrays``, its coefficients and widest support gap; and
-    ``_last_moments``, the last closed-form moments with their key.
+    The engine fills on first use (Q never changes) ``_functionals``, the
+    moments' coefficients from Q's parity sums; ``_arrays``, its
+    coefficients and widest support gap; and ``_last_moments``, the last
+    closed-form moments with their key.
     """
 
     __slots__ = (
@@ -189,8 +190,8 @@ class AppellFamily:
         the series at t = 1, bounded by term * q / (1 - q) with q = a/(k+1)
         < 1 the largest later ratio and weighted by the square of the next
         nonzero index, is below half an ulp of the running sum.  The weight
-        covers the second-order Q-functionals, which put a factor of about
-        i**2 on coefficient i, so all ten are exact to rounding at the scale
+        covers the second-order parity sums, which put a factor of about
+        i**2 on coefficient i, so all six are exact to rounding at the scale
         of Q(1).  The stored degree follows from a and d (32 at a = 0.5,
         d = 1; 260 at a = 50).  An a for which exp(a) overflows raises
         RangeError.  a = 0 gives the constant generator (the plain
@@ -279,15 +280,15 @@ class AppellFamily:
         (read at call time) terms, rows times 2*B + 1 for its widest first
         block B; a point whose window alone needs more raises
         TruncationFailureError.  A family whose positivity is unverified
-        raises DomainError, as an n that ``_positive_int`` refuses does.  The
-        inputs are checked when the first batch is taken.
+        raises DomainError, as an n that ``_scale`` refuses does.  The inputs
+        are checked when the first batch is taken.
         """
         if self.positivity != POSITIVE_BY_COEFFICIENTS:
             raise DomainError(
                 "family positivity is unverified: Q has a negative coefficient, "
                 "so its operator weights need not be nonnegative"
             )
-        n = _positive_int("operator scale n", n)
+        n = _scale(n)
         x = np.asarray(x, dtype=float)
         if x.ndim != 1 or len(tol) != len(x):
             raise DomainError(
@@ -347,6 +348,24 @@ def _positive_int(name: str, value) -> int:
     if value < 1:
         raise DomainError(f"{name} must be an integer >= 1, got {_int_text(value)}")
     return value
+
+
+# The least integer whose float overflows (it rounds up to 2**1024), where n*x
+# raises OverflowError; a constant, since Python folds no int this wide.
+_N_OVERFLOW = 2**1024 - 2**970
+
+
+def _scale(n) -> int:
+    """n as an operator scale, the rule of ``OperatorSpec`` and ``windows``:
+    an integer >= 1 by ``_positive_int``, below ``_N_OVERFLOW``; else
+    DomainError."""
+    n = _positive_int("operator scale n", n)
+    if not n < _N_OVERFLOW:
+        raise DomainError(
+            f"operator scale n must be an integer >= 1 below double range, "
+            f"got {_int_text(n)}"
+        )
+    return n
 
 
 def _int_text(value: int) -> str:

@@ -5,23 +5,57 @@ nodes (i + 2*mu*theta(i))/n with the family's weights.  ``apply`` never
 forms them: it sums f against Q's coefficients once per batch of points,
 then against each point's window of terms.  The first and second raw
 moments, and the central moments omega1 and omega2, also have closed forms
-assembled from ten scalar functionals of the generating series Q (values
-and ordinary/Dunkl derivatives at +-1) plus the exponential ratio
-e_mu(-nx)/e_mu(nx).  Both routes are implemented; they serve as mutual
-oracles, and the two algebraically identical expressions for omega2 are
-checked against each other on every fresh evaluation.
+in Q and the exponential ratio rho = e_mu(-nx)/e_mu(nx).  Both routes are
+implemented; they serve as mutual oracles, and the two algebraically
+identical expressions for omega2 are checked against each other on every
+fresh evaluation.
+
+The paper prints the closed forms in ten functionals of the generating
+series Q: its values and its ordinary and Dunkl derivatives at +-1.  With
+L the Dunkl operator and mu2 = 2 mu,
+
+    omega1 = ((1 - rho) Q'(1) + rho (LQ)(1)) / (Q(1) n),     m1 = x + omega1
+    m2     = x**2 + (2 Q'(1) + Q(1) + mu2 Q(-1) rho) x / (Q(1) n) + S
+    omega2 = (1 + 2 rho (mu Q(-1) + Q'(1) - (LQ)(1)) / Q(1)) x / n + S
+    S      = ((LQ)(1) rho + curv (1 - rho) + (LLQ)(1) + mu2 (LQ)(-1)) / (Q(1) n**2)
+    curv   = 2 Q''(1) - (LQ)'(1) - (LQ')(1) + Q'(1) - mu2 Q'(-1)
+
+Q enters all ten only through six sums that do not depend on mu.  L maps
+t**i to d(i) t**(i-1), d(i) = i + mu2 theta(i), theta(i) = 1 at odd i.
+With the falling factorial i^(j) = i (i-1) ... (i-j+1), let E_j be the sum
+of i^(j) c_i over even i and O_j the same sum over odd i, j = 0, 1, 2.
+Since d(i) = i at even i, d(i) - i = mu2 at odd i, and d(i-1) - (i-1) = mu2
+at even i, term by term
+
+    Q(1)      = E0 + O0              Q(-1)    = E0 - O0
+    Q'(1)     = E1 + O1              Q'(-1)   = O1 - E1
+    Q''(1)    = E2 + O2
+    (LQ)(+-1) = Q'(+-1) + mu2 O0     (LQ)'(1) = Q''(1) + mu2 (O1 - O0)
+    (LQ')(1)  = Q''(1) + mu2 E1      (LLQ)(1) = Q''(1) + mu2 (O1 - O0 + E1)
+
+So curv = Q'(1) - mu2 (2 O1 - O0), whose Q''(1) terms cancel; (LLQ)(1) +
+mu2 (LQ)(-1) = Q''(1) + mu2 (2 O1 - O0) + mu2**2 O0; mu Q(-1) + Q'(1) -
+(LQ)(1) = mu (E0 - 3 O0); and the printed formulas become
+
+    omega1 = (Q'(1) + mu2 rho O0) / (Q(1) n)
+    S      = (Q'(1) + Q''(1) + mu2**2 O0 + 2 mu2 rho O1) / (Q(1) n**2)
+    m2     = x**2 + (Q(1) + 2 Q'(1) + mu2 rho (E0 - O0)) x / (Q(1) n) + S
+    omega2 = (Q(1) + mu2 rho (E0 - 3 O0)) x / (Q(1) n) + S
+
+S keeps no cancelling terms, and a generator with no odd powers (O_j = 0,
+every Gould-Hopper family with d odd) has omega1 = (Q'(1)/Q(1))/n exactly,
+whatever x and mu.
 
 The closed forms cost a bounded amount at every n*x.  The ratio comes from
 ``dunkl_exp_neg_ratio``: exp(-2nx) at mu = 0, a positive series below a
 crossover set by the expansion's own error bounds, and a large-argument
-Bessel expansion above it; nothing is flushed to zero.  The Q-functionals
-come from one pass over Q's support (the indices of its nonzero
-coefficients, which the family records), each a fixed linear form in the
-coefficients.  They are computed once per family and kept on it, with the
-combinations of them that the moment formulas use at every (n, x); one
-evaluation of the ratio then yields m1, m2, omega1 and omega2 together,
-each with the bits of its printed formula.  The family keeps the last such
-evaluation, so ``moments_closed`` and ``central_moments`` share it.
+Bessel expansion above it; nothing is flushed to zero.  The six sums come
+from one pass over Q's support (the indices of its nonzero coefficients,
+which the family records).  They are computed once per family and kept on
+it, with the coefficients above that do not depend on (n, x), each divided
+by Q(1); one evaluation of the ratio then yields m1, m2, omega1 and omega2
+together.  The family keeps the last such evaluation, so ``moments_closed``
+and ``central_moments`` share it.
 
 ``QFunctionals`` and ``CentralMoments`` are named tuples, built
 positionally, so a fresh family pays no dataclass constructor per call.
@@ -36,22 +70,18 @@ from typing import Callable, List, NamedTuple
 
 import numpy as np
 
-from .appell import AppellFamily, _int_text, _positive_int
-from .dunkl import dunkl_exp_neg_ratio
+from .appell import AppellFamily, _scale
+from .dunkl import _nonnegative_real, dunkl_exp_neg_ratio
 from .errors import DomainError, EvaluationError, RangeError, TranscriptionError
-
-# The least integer whose float overflows (it rounds up to 2**1024); n*x
-# raises OverflowError from there on.
-_N_OVERFLOW = 2**1024 - 2**970
 
 
 @dataclass(frozen=True)
 class OperatorSpec:
     """A family plus the scale n and the weights' mass tolerance.
 
-    n must be an integer >= 1 (``appell._positive_int``; a numpy integer is
-    stored as the equal int) below double range, where n*x would raise
-    OverflowError; any other n raises DomainError.
+    n must be an integer >= 1 below double range (``appell._scale``; a
+    numpy integer is stored as the equal int), and tol a finite real > 0
+    (stored as a float); anything else raises DomainError.
     """
 
     family: AppellFamily
@@ -59,41 +89,32 @@ class OperatorSpec:
     tol: float = 1e-12
 
     def __post_init__(self):
-        n = _positive_int("operator scale n", self.n)
-        if not n < _N_OVERFLOW:
-            raise DomainError(
-                f"operator scale n must be an integer >= 1 below double range, "
-                f"got {_int_text(n)}"
-            )
+        n = _scale(self.n)
         if n is not self.n:
             object.__setattr__(self, "n", n)
-        if not 0.0 < self.tol < math.inf:
-            raise DomainError(f"tolerance must be finite and positive, got {self.tol}")
+        tol = _nonnegative_real("tolerance", self.tol)
+        if not tol > 0.0:
+            raise DomainError(f"tolerance must be finite and positive, got {tol}")
+        if tol is not self.tol:
+            object.__setattr__(self, "tol", tol)
 
 
 class QFunctionals(NamedTuple):
-    """The ten scalar functionals of Q the moment formulas consume.
+    """Q's six parity sums: with c_i Q's coefficients, e0, e1 and e2 sum
+    c_i, i c_i and i (i-1) c_i over even i, and o0, o1 and o2 over odd i.
 
-    q1    = Q(1)            qm1  = Q(-1)
-    dq1   = Q'(1)           dqm1 = Q'(-1)
-    ddq1  = Q''(1)
-    lq1   = (LQ)(1)         lqm1 = (LQ)(-1)      with L the Dunkl operator
-    dlq1  = (LQ)'(1)        ldq1 = (LQ')(1)
-    llq1  = (LLQ)(1)
-
-    An immutable named tuple: ``_fields`` lists the names in this order.
+    None depends on mu, and Q enters the closed-form moments only through
+    them and Q(1) (the module docstring derives the paper's ten functionals
+    from them).  An immutable named tuple: ``_fields`` lists the names in
+    this order.
     """
 
-    q1: float
-    qm1: float
-    dq1: float
-    dqm1: float
-    ddq1: float
-    lq1: float
-    lqm1: float
-    dlq1: float
-    ldq1: float
-    llq1: float
+    e0: float
+    e1: float
+    e2: float
+    o0: float
+    o1: float
+    o2: float
 
 
 class CentralMoments(NamedTuple):
@@ -238,146 +259,107 @@ def _non_finite(fv: np.ndarray, t: np.ndarray, n: int, x: float) -> None:
 
 
 def q_functionals(family: AppellFamily) -> QFunctionals:
-    """All ten Q-functionals in one pass over Q's coefficients.
+    """Q's six parity sums in one pass over its support.
 
-    Each functional is a fixed linear form in the coefficients c_i.  With
-    d(i) = i + 2*mu*theta(i), the factor the Dunkl operator puts on t**i:
-
-        Q(-1)     = sum (-1)**i c_i            Q''(1)   = sum i (i-1) c_i
-        Q'(+-1)   = sum i (+-1)**(i-1) c_i     (LQ)'(1) = sum (i-1) d(i) c_i
-        (LQ)(+-1) = sum d(i) (+-1)**(i-1) c_i  (LQ')(1) = sum i d(i-1) c_i
-                                               (LLQ)(1) = sum d(i) d(i-1) c_i
-
-    Every product is formed in the order ``PowerSeries.derivative`` and
-    ``dunkl_derivative`` form their coefficients, and the sums run from the
-    top coefficient down as Horner's scheme at +-1 does, so the values equal
-    the transforms' composition while no intermediate series is built.  The
-    pass walks only ``family.support``, the indices of the nonzero
-    coefficients (a zero term leaves every sum unchanged), so a Gould-Hopper
-    generator costs one step per term of its exponential, not per stored
-    coefficient.  Where two sums take equal terms, one product serves both:
-    d(i) = i at even i pairs Q'(1) with (LQ)(1), Q'(-1) with (LQ)(-1), Q''(1)
-    with (LQ)'(1) and (LQ')(1) with (LLQ)(1); d(i-1) = i - 1 at odd i pairs
-    Q''(1) with (LQ')(1) and (LQ)'(1) with (LLQ)(1).  Each sum keeps its
-    terms and their order, so every value keeps its bits.  q1 is
-    ``family.Q_at_1``, the normalizer the weights use.  One code path serves
-    every generator; hand-derived specializations live only in tests.
+    The pass walks ``family.support``, the indices of the nonzero
+    coefficients (a zero term leaves every sum unchanged), from the top
+    index down, so a Gould-Hopper generator costs one step per term of its
+    exponential, not per stored coefficient.  Term i adds c_i, i c_i and
+    (i - 1) (i c_i) to the sums of its parity.  A sum past double range is
+    returned as it is; the closed form reports the moments it makes
+    non-finite.
     """
-    mu2 = 2.0 * family.ctx.mu
-    qm1 = dq1 = dqm1 = ddq1 = lq1 = lqm1 = dlq1 = ldq1 = llq1 = 0.0
+    e0 = e1 = e2 = o0 = o1 = o2 = 0.0
     coeffs = family.Q.coeffs
     for i in reversed(family.support):
         c = coeffs[i]
         ic = i * c
-        below = i - 1
-        if i & 1:  # (-1)**i = -1, d(i) = i + 2 mu, d(i-1) = i - 1
-            dc = (i + mu2) * c
-            qm1 -= c
-            dq1 += ic
-            dqm1 += ic
-            lq1 += dc
-            lqm1 += dc
-            t = below * ic  # i d(i-1) c_i = (i-1) i c_i
-            ddq1 += t
-            ldq1 += t
-            t = below * dc  # d(i) d(i-1) c_i = (i-1) d(i) c_i
-            dlq1 += t
-            llq1 += t
-        else:  # (-1)**i = 1, d(i) = i, d(i-1) = i - 1 + 2 mu: dc = ic
-            qm1 += c
-            dq1 += ic
-            lq1 += ic
-            dqm1 -= ic
-            lqm1 -= ic
-            t = below * ic  # (i-1) d(i) c_i = (i-1) i c_i
-            ddq1 += t
-            dlq1 += t
-            t = (below + mu2) * ic  # i d(i-1) c_i = d(i) d(i-1) c_i
-            ldq1 += t
-            llq1 += t
-    F = QFunctionals(family.Q_at_1, qm1, dq1, dqm1, ddq1, lq1, lqm1, dlq1, ldq1, llq1)
-    if not all(map(math.isfinite, F)):
-        raise RangeError(
-            f"a Q-functional left double range (degree {len(coeffs) - 1}, "
-            f"mu={family.ctx.mu})"
-        )
-    return F
+        if i & 1:
+            o0 += c
+            o1 += ic
+            o2 += (i - 1) * ic
+        else:
+            e0 += c
+            e1 += ic
+            e2 += (i - 1) * ic
+    return QFunctionals(e0, e1, e2, o0, o1, o2)
 
 
 def _functionals(family: AppellFamily):
-    """The family's Q-functionals F and the closed forms' coefficients that do
-    not depend on (n, x), computed on first use and kept on it.
+    """The closed form's coefficients that do not depend on (n, x), from the
+    parity sums of ``q_functionals``; computed on first use and kept on the
+    family.
 
-    Returns (F, curv, const, lead, odd, skew): with mu2 = 2 mu,
+    Returns (w1, a, lead, skew1, skew2, s0, s1), each divided by Q(1) =
+    ``family.Q_at_1`` once formed, so that no point forms Q(1) n: with mu2 =
+    2 mu and a = mu2 O0 before that division,
 
-        curv  = 2 Q''(1) - (LQ)'(1) - (LQ')(1) + Q'(1) - mu2 Q'(-1)
-        const = (LLQ)(1) + mu2 (LQ)(-1)
-        lead  = 2 Q'(1) + Q(1)
-        odd   = mu Q(-1) + Q'(1) - (LQ)(1)
-        skew  = mu2 Q(-1)
+        w1    = Q'(1) = E1 + O1        lead  = Q(1) + 2 Q'(1)
+        skew1 = mu2 E0 - a             skew2 = mu2 E0 - 3 a
+        s1    = 2 mu2 O1               s0    = Q'(1) + Q''(1) + mu2 a
 
-    each formed in the order the printed formulas form it, so every moment
-    keeps its bits.  Threads that race here compute equal values and store
-    one tuple in one attribute, so no lock is needed.
+    Every mu term multiplies mu2 into one sum before sums are combined, so
+    mu = 0 gives zeros wherever the sums are finite, never 0 * inf.
+    Threads that race here compute equal values and store one tuple in one
+    attribute, so no lock is needed.
     """
     cached = family._functionals
     if cached is None:
-        F = q_functionals(family)
-        mu = family.ctx.mu
-        mu2 = 2.0 * mu
+        e0, e1, e2, o0, o1, o2 = q_functionals(family)
+        mu2 = 2.0 * family.ctx.mu
+        q1, dq1, a, even = family.Q_at_1, e1 + o1, mu2 * o0, mu2 * e0
         cached = family._functionals = (
-            F,
-            2.0 * F.ddq1 - F.dlq1 - F.ldq1 + F.dq1 - mu2 * F.dqm1,
-            F.llq1 + mu2 * F.lqm1,
-            2.0 * F.dq1 + F.q1,
-            mu * F.qm1 + F.dq1 - F.lq1,
-            mu2 * F.qm1,
+            dq1 / q1,
+            a / q1,
+            (q1 + 2.0 * dq1) / q1,
+            (even - a) / q1,
+            (even - 3.0 * a) / q1,
+            (dq1 + (e2 + o2) + mu2 * a) / q1,
+            2.0 * mu2 * o1 / q1,
         )
     return cached
 
 
 def _closed_form(spec: OperatorSpec, x: float):
-    """(m1, m2, omega1, omega2) from one evaluation of rho and the functionals.
+    """(m1, m2, omega1, omega2) from one evaluation of rho and the family's
+    coefficients (``_functionals``, already divided by Q(1)), by the module
+    docstring's formulas:
 
-    With rho = e_mu(-nx)/e_mu(nx) and the coefficients of ``_functionals``:
+        omega1 = (w1 + rho a) / n,      m1 = x + omega1
+        S      = (s0 + rho s1) / n**2
+        m2     = x**2 + (lead + rho skew1) x / n + S
+        omega2 = (1 + rho skew2) x / n + S
 
-        omega1 = ((1 - rho) Q'(1) + rho (LQ)(1)) / (Q(1) n),   m1 = x + omega1
-        m2     = x**2 + (lead + skew rho) x / (Q(1) n) + S
-        omega2 = (1 + 2 rho odd / Q(1)) x / n + S
-        S      = (LQ)(1) rho / (Q(1) n**2) + curv (1 - rho) / (Q(1) n**2)
-                 + const / (Q(1) n**2)
+    Raw moments that are not finite (x*x past double range, or a generator
+    whose coefficients are) raise RangeError naming (n, x).  omega2 is then
+    checked against m2 - 2*x*m1 + x**2; the two are algebraically identical,
+    so any disagreement beyond rounding indicates a transcription bug and
+    raises.
 
-    The three terms of S are formed once and shared.  omega2 is computed
-    from its own printed formula and recomputed as m2 - 2*x*m1 + x**2; the
-    two are algebraically identical, so any disagreement beyond rounding
-    indicates a transcription bug and raises.
-
-    x is taken as float(x) + 0.0.  The family keeps the last result whole,
-    as (n, x, tol, moments) with tol = min(1e-15, spec.tol); an equal key
-    returns it, skipping rho, the functionals and the check it passed for
-    these inputs.  A raise stores nothing; threads need no lock.
+    x is read by ``dunkl._nonnegative_real`` and taken as float(x) + 0.0.
+    The family keeps the last result whole, as (n, x, tol, moments) with
+    tol = min(1e-15, spec.tol); an equal key returns it, skipping rho, the
+    functionals and the checks it passed for these inputs.  A raise stores
+    nothing; threads need no lock.
     """
-    if not 0.0 <= x < math.inf:
-        raise DomainError(f"evaluation point must be finite and >= 0, got {x}")
-    x = float(x) + 0.0  # one key and result type for 1 and 1.0, -0.0 and 0.0, np.float64
+    x = _nonnegative_real("evaluation point", x) + 0.0  # one key for -0.0 and 0.0
     family, n, tol = spec.family, spec.n, min(1e-15, spec.tol)
     last = family._last_moments
     if last is not None and last[0] == n and last[1] == x and last[2] == tol:
         return last[3]
-    F, curv, const, lead, odd, skew = _functionals(family)
+    w1, a, lead, skew1, skew2, s0, s1 = _functionals(family)
     rho = dunkl_exp_neg_ratio(family.ctx, n * x, tol=tol)
-    q1n = F.q1 * n
-    q1nn = q1n * n
-    stay = 1.0 - rho
-    lq1 = F.lq1
-    omega1 = (stay * F.dq1 + rho * lq1) / q1n
+    omega1 = (w1 + rho * a) / n
     m1 = x + omega1
-    s1 = lq1 * rho / q1nn
-    s2 = curv * stay / q1nn
-    s3 = const / q1nn
+    s = (s0 + rho * s1) / n / n
     xx = x * x
-    m2 = xx + (lead + skew * rho) * x / q1n + s1 + s2 + s3
-    omega2 = (1.0 + 2.0 * rho * odd / F.q1) * x / n + s1 + s2 + s3
+    m2 = xx + (lead + rho * skew1) * x / n + s
+    if not (math.isfinite(m1) and math.isfinite(m2)):
+        raise RangeError(
+            f"raw moments left double range: m1 = {m1!r}, m2 = {m2!r} at "
+            f"(n={n}, x={x}, mu={family.ctx.mu})"
+        )
+    omega2 = (1.0 + rho * skew2) * x / n + s
     combined = m2 - 2.0 * x * m1 + xx
     # The combination cancels x**2-sized terms, so allow a rounding floor
     # proportional to the quantities that cancel.
@@ -385,7 +367,7 @@ def _closed_form(spec: OperatorSpec, x: float):
     diff = abs(omega2 - combined)
     if not diff <= 1e-10 * max(abs(omega2), abs(combined)) + floor:  # NaN fails
         raise TranscriptionError(
-            f"formula transcription error: omega2 printed form {omega2!r} vs "
+            f"formula transcription error: omega2 formula {omega2!r} vs "
             f"moment combination {combined!r} at (n={n}, x={x}, mu={family.ctx.mu})"
         )
     family._last_moments = last = (n, x, tol, (m1, m2, omega1, omega2))

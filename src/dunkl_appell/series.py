@@ -22,8 +22,9 @@ class PowerSeries:
     """A series tied to a context, with its coefficients as a tuple of floats.
 
     Construction converts each coefficient with float() and rejects an
-    empty list or a non-finite coefficient (DomainError); both checks run
-    as single mapped passes over the coefficients.  A non-numeric
+    empty list or a non-finite coefficient, an int past double range
+    included (DomainError); both checks run as single mapped passes over
+    the coefficients.  A non-numeric
     coefficient raises what float() raises (TypeError or ValueError).  The
     checked tuple goes to ``_of``, the one place that fills the slots; a
     builder that has itself produced a nonempty tuple of finite floats (the
@@ -34,7 +35,10 @@ class PowerSeries:
 
     def __new__(cls, ctx: DunklContext, coeffs: Iterable[float]):
         # float() and isfinite mapped at C level: one pass each, no frames
-        cs = tuple(map(float, coeffs))
+        try:
+            cs = tuple(map(float, coeffs))
+        except OverflowError:  # an int past double range
+            raise DomainError("power series coefficients must be finite") from None
         if not cs:
             raise DomainError("a power series needs at least one coefficient")
         if not all(map(math.isfinite, cs)):

@@ -13,11 +13,12 @@ loop as it stood before its constants were hoisted, the Gould-Hopper
 coefficients through their tail loop as it stood before its locals were
 kept, and the Gould-Hopper Q-functionals through closed forms of
 exp(a t**(d+1)) and the difference form of the Dunkl operator.  For
-bit-identity checks, Q(1), the Q-functionals and the closed-form moments
-are also kept as they were computed before the package walked only Q's
-support and hoisted the per-family terms: Horner's scheme over every
-coefficient, the dense functional pass with its zero test, and the printed
-moment formulas written out in full.  The weight windows and apply's sum
+bit-identity checks, Q(1) and Q's parity sums are also kept as a dense
+pass over every stored coefficient: Horner's scheme for Q(1), the six sums
+without the support.  The ten functionals the paper prints are kept as the
+dense pass that formed each of them directly, and as a map from the six
+sums; the printed moment formulas are written out in full, in any number
+type, so that they run at 50 digits.  The weight windows and apply's sum
 are kept as the block kernel and the masked contraction computed them
 before the kernel's columns were spread over its rows and a cluster's nodes
 were taken as one interval.
@@ -194,7 +195,7 @@ def gould_hopper_functionals(mu: float, a: float, d: int) -> dict:
 
     Built from g, g' and g'' at +-1 and the difference form of the Dunkl
     operator, Lg(t) = g'(t) + mu (g(t) - g(-t)) / t, at 50 digits; the keys
-    are the ``QFunctionals`` field names.  With h = Lg:
+    are those of ``classical_functionals``.  With h = Lg:
 
         h(+-1)   = g'(+-1) + mu (g(1) - g(-1))
         h'(1)    = g''(1) + mu (g'(1) + g'(-1) - g(1) + g(-1))
@@ -324,10 +325,65 @@ def horner_at_one(coeffs) -> float:
     return acc
 
 
+def parity_sums_dense(coeffs):
+    """Q's six parity sums (e0, e1, e2, o0, o1, o2) by one pass over every
+    stored coefficient from the top down, zeros included: term i adds c_i,
+    i c_i and (i - 1) (i c_i) to the sums of its parity.  Pass mpmath
+    numbers to sum them at mpmath's working precision."""
+    e0 = e1 = e2 = o0 = o1 = o2 = 0.0
+    for i in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[i]
+        ic = i * c
+        if i & 1:
+            o0 += c
+            o1 += ic
+            o2 += (i - 1) * ic
+        else:
+            e0 += c
+            e1 += ic
+            e2 += (i - 1) * ic
+    return e0, e1, e2, o0, o1, o2
+
+
+def classical_functionals(sums, q1, mu, minus=-1.0) -> dict:
+    """The ten Q-functionals the printed moment formulas use, from the six
+    parity sums and Q(1), by the identities of the ``engine`` docstring.
+
+    The keys: q1 = Q(1), qm1 = Q(-1), dq1 = Q'(1), dqm1 = Q'(-1), ddq1 =
+    Q''(1), lq1 = (LQ)(1), lqm1 = (LQ)(-1), dlq1 = (LQ)'(1), ldq1 = (LQ')(1),
+    llq1 = (LLQ)(1), with L the Dunkl operator.  With minus = +1 and the
+    sums of |c_i| every difference becomes a sum: the magnitude of the
+    terms each value is formed from, the scale of its rounding error.
+    """
+    e0, e1, e2, o0, o1, o2 = sums
+    mu2 = 2 * mu
+    dq1, ddq1, dqm1 = e1 + o1, e2 + o2, o1 + minus * e1
+    return {
+        "q1": q1, "qm1": e0 + minus * o0, "dq1": dq1, "dqm1": dqm1, "ddq1": ddq1,
+        "lq1": dq1 + mu2 * o0, "lqm1": dqm1 + mu2 * o0,
+        "dlq1": ddq1 + mu2 * (o1 + minus * o0), "ldq1": ddq1 + mu2 * e1,
+        "llq1": ddq1 + mu2 * (o1 + minus * o0 + e1),
+    }
+
+
+def closed_form_magnitudes(sums, q1: float, mu: float, n, x: float, rho: float):
+    """For (m1, m2, omega1, omega2): the magnitude of the terms the closed
+    form of the ``engine`` docstring forms each from, given the parity sums
+    of |c_i|, so every difference is taken as a sum."""
+    e0, e1, e2, o0, o1, o2 = sums
+    mu2 = 2.0 * mu
+    q1n = q1 * n
+    s = (e1 + o1 + e2 + o2 + mu2 * mu2 * o0 + 2.0 * mu2 * rho * o1) / (q1n * n)
+    omega1 = (e1 + o1 + mu2 * rho * o0) / q1n
+    m2 = x * x + (q1 + 2.0 * (e1 + o1) + mu2 * rho * (e0 + o0)) * x / q1n + s
+    return x + omega1, m2, omega1, (q1 + mu2 * rho * (e0 + 3.0 * o0)) * x / q1n + s
+
+
 def q_functionals_dense(coeffs, mu: float) -> dict:
-    """The nine Q-functionals other than Q(1), by one pass over every
-    stored coefficient from the top down that skips zero coefficients by
-    test; the keys are the ``QFunctionals`` field names."""
+    """The nine Q-functionals other than Q(1), each formed directly from
+    its coefficients d(i), by one pass over every stored coefficient from
+    the top down that skips zero coefficients by test; the keys are those
+    of ``classical_functionals``."""
     mu2 = 2.0 * mu
     qm1 = dq1 = dqm1 = ddq1 = lq1 = lqm1 = dlq1 = ldq1 = llq1 = 0.0
     for i, c in zip(range(len(coeffs) - 1, -1, -1), reversed(coeffs)):
@@ -358,10 +414,11 @@ def q_functionals_dense(coeffs, mu: float) -> dict:
     }
 
 
-def closed_form_printed(F, mu: float, n, x: float, rho: float):
+def closed_form_printed(F, mu, n, x, rho):
     """(m1, m2, omega1, omega2) from the printed formulas, every
-    combination of the functionals F (attributes named as in
-    ``QFunctionals``) formed afresh in each formula."""
+    combination of the functionals F (attributes named as the keys of
+    ``classical_functionals``) formed afresh in each formula.  Pass mpmath
+    numbers to evaluate them at mpmath's working precision."""
     omega1 = ((1.0 - rho) * F.dq1 + rho * F.lq1) / (F.q1 * n)
     m1 = x + omega1
     m2 = (

@@ -380,6 +380,17 @@ class TestWeights:
         with pytest.raises(DomainError, match="scale n must be an integer >= 1"):
             list(fam.windows(n, [1.0], [1e-12]))
 
+    @pytest.mark.parametrize("n", [2**1024 - 2**970, 10**400], ids=["rounds-up", "1e400"])
+    def test_scale_past_double_range_is_refused_as_by_operator_spec(self, n):
+        # only OperatorSpec applied the double-range guard, so n * x raised
+        # a bare OverflowError here
+        fam = AppellFamily.gould_hopper(DunklContext(0.5), 0.5, 1)
+        below = "scale n must be an integer >= 1 below double range"
+        with pytest.raises(DomainError, match=below):
+            fam.weights(n, 1.0)
+        with pytest.raises(DomainError, match=below):
+            list(fam.windows(n, [1.0], [1e-12]))
+
     def test_numpy_integer_scale_is_the_equal_int(self):
         fam = AppellFamily.gould_hopper(DunklContext(0.5), 0.5, 1)
         got, ref = fam.weights(np.int64(3), 1.0), fam.weights(3, 1.0)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dunkl_appell import DomainError, DunklContext, PowerSeries
+from dunkl_appell import AppellFamily, DomainError, DunklContext, PowerSeries
 
 from oracles import exp_series, gamma_mu_closed_form, multiply, product_rule_rhs, reflect
 
@@ -42,6 +42,14 @@ class TestConstruction:
         coeffs[at] = bad
         with pytest.raises(DomainError, match="finite"):
             PowerSeries(CTX0, coeffs)
+
+    @pytest.mark.parametrize("big", [10**400, -10**400])
+    def test_rejects_an_int_past_double_range(self, big):
+        # float() raised a bare OverflowError
+        with pytest.raises(DomainError, match="finite"):
+            PowerSeries(CTX0, [1.0, big])
+        with pytest.raises(DomainError, match="finite"):
+            AppellFamily.from_coefficients(CTX0, [big])
 
     def test_rejects_empty_iterables(self):
         for empty in ([], (), iter(()), (c for c in ())):
