@@ -101,7 +101,7 @@ class AppellFamily:
     """A validated generating series Q plus derived family machinery.
 
     ``support`` holds, in increasing order, the indices of Q's nonzero
-    coefficients (-0.0 counts as zero), recorded once at construction;
+    coefficients (-0.0 counts as zero), recorded once;
     ``Q_at_1``, the normalizer every weight and moment divides by, is the
     running sum of those coefficients from the top index down.  At t = 1
     Horner's step acc*1 + c is acc + c, and a zero coefficient leaves acc
@@ -118,19 +118,31 @@ class AppellFamily:
     ``apply``, rejects unverified families.
 
     The constructor finds the support with one C-level pass
-    (``itertools.compress``) and positivity with ``min``; ``gould_hopper``
-    knows both from the coefficients it wrote and skips those passes.  Both
-    hand them to ``_fill``, which takes Q_at_1 and fills the slots.
+    (``itertools.compress``) and positivity with ``min``, and hands Q and
+    its support to ``_fill``, which takes Q_at_1 and fills those slots.
 
     The engine fills on first use (Q never changes) ``_functionals``, the
     moments' coefficients from Q's parity sums; ``_arrays``, its
     coefficients and widest support gap; and ``_last_moments``, the last
     closed-form moments with their key.
+
+    A ``gould_hopper`` family is built in two steps.  Construction runs the
+    tail loop, which checks a and d, and keeps its terms and gap in
+    ``_terms``; it sets ctx and positivity and fills ``_functionals`` from
+    the generator's closed form, so moments need nothing more.  Q, support
+    and Q_at_1 are properties over the slots ``_Q``, ``_support`` and
+    ``_Q_at_1``, which stay None until one of the three is first read:
+    ``_build`` then lays the terms out at every (d+1)-th index of the
+    coefficient tuple and fills all three through ``_fill``, keeping every
+    other slot.  A family from the constructor has ``_terms`` None.  Every
+    other attribute is a plain slot, so the moments' reads cost nothing
+    more; a class-level ``__getattr__`` would instead add about 25 ns to
+    every read of every attribute.
     """
 
     __slots__ = (
-        "ctx", "Q", "support", "positivity", "Q_at_1",
-        "_functionals", "_arrays", "_last_moments",
+        "ctx", "positivity", "_Q", "_support", "_Q_at_1",
+        "_functionals", "_arrays", "_last_moments", "_terms",
     )
 
     def __init__(self, ctx: DunklContext, Q: PowerSeries):
@@ -139,22 +151,18 @@ class AppellFamily:
             raise NotAppellGeneratorError(
                 "not an Appell generator: constant coefficient is zero"
             )
-        # the indices whose coefficient is truthy, i.e. nonzero, at C level;
+        self.ctx = ctx
         # Q's coefficients are finite, so the least decides positivity and
         # -0.0 >= 0.0
-        self._fill(
-            ctx,
-            Q,
-            tuple(compress(range(len(cs)), cs)),
-            POSITIVE_BY_COEFFICIENTS if min(cs) >= 0.0 else UNVERIFIED,
-        )
+        self.positivity = POSITIVE_BY_COEFFICIENTS if min(cs) >= 0.0 else UNVERIFIED
+        self._functionals = self._arrays = self._last_moments = self._terms = None
+        # the indices whose coefficient is truthy, i.e. nonzero, at C level
+        self._fill(Q, tuple(compress(range(len(cs)), cs)))
 
-    def _fill(
-        self, ctx: DunklContext, Q: PowerSeries, support: tuple, positivity: str
-    ) -> None:
-        """Fill the slots from Q, the indices of its nonzero coefficients in
-        increasing order, and its positivity; Q_at_1 is the sum over the
-        support from the top index down, and must be finite and positive."""
+    def _fill(self, Q: PowerSeries, support: tuple) -> None:
+        """Fill Q, support and Q_at_1 from Q and the indices of its nonzero
+        coefficients in increasing order; Q_at_1 is the sum over the support
+        from the top index down, and must be finite and positive."""
         cs = Q.coeffs
         q1 = 0.0  # Horner's Q(1) with its zero steps left out
         for i in reversed(support):
@@ -166,12 +174,38 @@ class AppellFamily:
                 f"normalization undefined: Q(1) = {q1} is not positive; for a Q "
                 "with every coefficient <= 0 pass -Q, which gives the same operator"
             )
-        self.ctx = ctx
-        self.Q = Q
-        self.support = support
-        self.Q_at_1 = q1
-        self.positivity = positivity
-        self._functionals = self._arrays = self._last_moments = None
+        self._Q, self._support, self._Q_at_1 = Q, support, q1
+
+    def _build(self) -> None:
+        """Fill a Gould-Hopper family's Q, support and Q_at_1 from the tail
+        loop's terms, laid out at every (d+1)-th index."""
+        terms, step = self._terms
+        coeffs = [0.0] * ((len(terms) - 1) * step + 1)
+        coeffs[::step] = terms
+        self._fill(
+            PowerSeries._of(self.ctx, tuple(coeffs)), tuple(range(0, len(coeffs), step))
+        )
+
+    @property
+    def Q(self) -> PowerSeries:
+        """The generating series."""
+        if self._Q is None:
+            self._build()
+        return self._Q
+
+    @property
+    def support(self) -> tuple:
+        """The indices of Q's nonzero coefficients, in increasing order."""
+        if self._support is None:
+            self._build()
+        return self._support
+
+    @property
+    def Q_at_1(self) -> float:
+        """Q(1), the normalizer of every weight and moment."""
+        if self._Q_at_1 is None:
+            self._build()
+        return self._Q_at_1
 
     @classmethod
     def from_coefficients(
@@ -206,6 +240,16 @@ class AppellFamily:
         positive, and every term is a finite float, so the family takes
         its support as the multiples of d+1 below the stored length and its
         positivity as proven, and its series skips the constructor's checks.
+
+        What is built when: the loop, and so every error above, runs here;
+        the family keeps its terms and d+1, and its ``_functionals`` come
+        from ``_gould_hopper_functionals``, the closed form of the uncut
+        exp(a t**(d+1)), so the engine's moments never read the coefficients
+        (the cut tail moves the coefficients' own sums by under half an ulp
+        of Q(1)).  The coefficient tuple, the support and Q_at_1 are built,
+        bit for bit as the constructor would from the same coefficients, on
+        the first read of any of them (``apply``, ``weights``,
+        ``q_functionals`` or a caller).
         """
         a = _nonnegative_real("exponent coefficient a", a)  # a float: float terms
         d = _positive_int("exponent gap d", d)
@@ -238,15 +282,13 @@ class AppellFamily:
                 f"MAX_WINDOW = {MAX_WINDOW} stored coefficients "
                 f"(a = {a}, d = {_int_text(d)})"
             )
-        coeffs = [0.0] * ((k - 1) * step + 1)
-        coeffs[::step] = terms
         family = cls.__new__(cls)
-        family._fill(
-            ctx,
-            PowerSeries._of(ctx, tuple(coeffs)),
-            tuple(range(0, len(coeffs), step)),
-            POSITIVE_BY_COEFFICIENTS,
-        )
+        family.ctx = ctx
+        family.positivity = POSITIVE_BY_COEFFICIENTS
+        family._terms = terms, step
+        family._functionals = _gould_hopper_functionals(a, step, ctx.mu)
+        family._Q = family._support = family._Q_at_1 = None
+        family._arrays = family._last_moments = None
         return family
 
     def weights(self, n: int, x: float, tol: float = 1e-12) -> WeightSequence:
@@ -335,6 +377,44 @@ class AppellFamily:
                 for r, window in zip(at, self._rows(n, *pick, block)):
                     out[r] = window
         return out
+
+
+def _gould_hopper_functionals(a: float, m: int, mu: float) -> tuple:
+    """The closed form's coefficients (``engine._functionals``) of the
+    generator Q = exp(a t**m), each divided by Q(1) = e**a, without forming
+    e**a.
+
+    Q'(s) = a m s**(m-1) Q(s) and Q''(s) = (a m (m-1) s**(m-2) + (a m
+    s**(m-1))**2) Q(s), and the parity sums are E_j = (Q^(j)(1) + (-1)**j
+    Q^(j)(-1))/2 and O_j = (Q^(j)(1) - (-1)**j Q^(j)(-1))/2.  At even m, Q is
+    even: O_j = 0 and E_j = Q^(j)(1).  At odd m, Q(-1)/Q(1) = r = e**(-2a),
+    so E0/Q(1) = (1 + r)/2, O0/Q(1) = (1 - r)/2 = -expm1(-2a)/2 and O1/Q(1)
+    = a m (1 + r)/2.  With w1 = Q'(1)/Q(1) = a m and mu2 = 2 mu, the values
+    in ``_functionals``' order are
+
+        w1 = a m                     odd = mu2 O0/Q(1) (0 at even m)
+        lead = 1 + 2 w1              s0 = w1 (m + w1) + mu2 odd
+        skew1 = mu2 r, skew2 = mu2 (2r - 1), s1 = mu2 w1 (1 + r) at odd m;
+        skew1 = skew2 = mu2, s1 = 0 at even m.
+
+    skew1 is mu2 (E0 - O0)/Q(1), formed from r itself: as mu2 (cosh a -
+    sinh a)/e**a it loses every digit by a = 50.  a = 0 is the constant
+    generator whatever m is, so a m is never formed there (m may be past
+    double range); for a > 0 the tail loop has bounded m.
+    """
+    mu2 = 2.0 * mu
+    if not a:
+        return 0.0, 0.0, 1.0, mu2, mu2, 0.0, 0.0
+    w1 = a * m
+    s0 = w1 * (m + w1)
+    if m & 1:
+        r = math.exp(-2.0 * a)
+        odd = -mu2 * math.expm1(-2.0 * a) / 2.0
+        return (
+            w1, odd, 1.0 + 2.0 * w1, mu2 * r, mu2 * (2.0 * r - 1.0),
+            s0 + mu2 * odd, mu2 * w1 * (1.0 + r),
+        )
+    return w1, 0.0, 1.0 + 2.0 * w1, mu2, mu2, s0, 0.0
 
 
 def _positive_int(name: str, value) -> int:

@@ -59,11 +59,14 @@ class DunklContext:
 
 
 def _nonnegative_real(name: str, value) -> float:
-    """value as a float that is finite and >= 0, else DomainError."""
+    """value as a float that is finite and >= 0, else DomainError, also for a
+    value that float() refuses (None, or a str it cannot read)."""
     try:
         x = float(value)
     except OverflowError:  # an int past double range
         x = math.inf if value > 0 else -math.inf
+    except (TypeError, ValueError):
+        raise DomainError(f"{name} must be a finite real >= 0, got {value!r}") from None
     if not 0.0 <= x < math.inf:
         raise DomainError(f"{name} must be a finite real >= 0, got {x}")
     return x

@@ -46,16 +46,36 @@ S keeps no cancelling terms, and a generator with no odd powers (O_j = 0,
 every Gould-Hopper family with d odd) has omega1 = (Q'(1)/Q(1))/n exactly,
 whatever x and mu.
 
+The paper's application, the Gould-Hopper generator Q = exp(a t**m) with
+m = d+1, has every moment in closed form in (a, m, mu) and rho, since each
+Q^(j)(+-1) is Q(+-1) times a polynomial in a and Q(-1)/Q(1) is 1 at even m
+and r = e**(-2a) at odd m:
+
+    m even:  omega1 = a m / n
+             omega2 = (1 + mu2 rho) x / n + (a m**2 + (a m)**2) / n**2
+    m odd:   omega1 = (a m + mu rho (1 - r)) / n
+             omega2 = (1 + mu2 rho (2r - 1)) x / n
+                      + (a m**2 + (a m)**2 + mu2**2 (1 - r)/2
+                         + mu2 rho a m (1 + r)) / n**2
+
+and m1 = x + omega1.  So omega1 = a (d+1)/n for odd d at every x and mu.
+``AppellFamily.gould_hopper`` fills the family's closed-form coefficients
+(``_functionals``) from these forms (``appell._gould_hopper_functionals``),
+each already divided by Q(1) = e**a, so its moments never read Q's
+coefficients and stay finite where the sums themselves pass double range
+(a = 700).
+
 The closed forms cost a bounded amount at every n*x.  The ratio comes from
 ``dunkl_exp_neg_ratio``: exp(-2nx) at mu = 0, a positive series below a
 crossover set by the expansion's own error bounds, and a large-argument
-Bessel expansion above it; nothing is flushed to zero.  The six sums come
-from one pass over Q's support (the indices of its nonzero coefficients,
-which the family records).  They are computed once per family and kept on
-it, with the coefficients above that do not depend on (n, x), each divided
-by Q(1); one evaluation of the ratio then yields m1, m2, omega1 and omega2
-together.  The family keeps the last such evaluation, so ``moments_closed``
-and ``central_moments`` share it.
+Bessel expansion above it; nothing is flushed to zero.  For every family
+but a Gould-Hopper one, the six sums come from one pass over Q's support
+(the indices of its nonzero coefficients, which the family records).  They
+are computed once per family and kept on it, with the coefficients above
+that do not depend on (n, x), each divided by Q(1); one evaluation of the
+ratio then yields m1, m2, omega1 and omega2 together.  The family keeps
+the last such evaluation, so ``moments_closed`` and ``central_moments``
+share it.
 
 ``QFunctionals`` and ``CentralMoments`` are named tuples, built
 positionally, so a fresh family pays no dataclass constructor per call.
@@ -288,7 +308,8 @@ def q_functionals(family: AppellFamily) -> QFunctionals:
 def _functionals(family: AppellFamily):
     """The closed form's coefficients that do not depend on (n, x), from the
     parity sums of ``q_functionals``; computed on first use and kept on the
-    family.
+    family.  A Gould-Hopper family arrives with them filled from its
+    generator's closed form (``appell._gould_hopper_functionals``).
 
     Returns (w1, a, lead, skew1, skew2, s0, s1), each divided by Q(1) =
     ``family.Q_at_1`` once formed, so that no point forms Q(1) n: with mu2 =

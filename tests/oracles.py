@@ -11,8 +11,9 @@ moduli through the per-call loops over shifts that the sliding-window form
 and the shared running maxima replaced, rho's positive series through the
 loop as it stood before its constants were hoisted, the Gould-Hopper
 coefficients through their tail loop as it stood before its locals were
-kept, and the Gould-Hopper Q-functionals through closed forms of
-exp(a t**(d+1)) and the difference form of the Dunkl operator.  For
+kept, and the Gould-Hopper Q-functionals and parity sums through closed
+forms of exp(a t**(d+1)), the first with the difference form of the Dunkl
+operator, the second without a cancelling difference.  For
 bit-identity checks, Q(1) and Q's parity sums are also kept as a dense
 pass over every stored coefficient: Horner's scheme for Q(1), the six sums
 without the support.  The ten functionals the paper prints are kept as the
@@ -234,6 +235,51 @@ def gould_hopper_functionals(mu: float, a: float, d: int) -> dict:
             "llq1": dlq1 + mu * (lq1 - lqm1),
         }
         return {k: float(v) for k, v in values.items()}
+
+
+def gould_hopper_dps(a: float) -> int:
+    """The digits at which ``gould_hopper_sums`` works: 50 more than the
+    2a / ln(10) that a difference of two sums down to r = e**(-2a) cancels
+    (E0 - O0 = r), so such a difference, taken at these digits, keeps 50."""
+    return 50 + math.ceil(2.0 * a / math.log(10.0))
+
+
+def gould_hopper_sums(a: float, d: int):
+    """The six parity sums (e0, e1, e2, o0, o1, o2) of the untruncated
+    generator g(t) = exp(a t**m), m = d+1, each divided by g(1) = e**a, as
+    mpmath numbers of ``gould_hopper_dps(a)`` digits.
+
+    From E_j = (g^(j)(1) + (-1)**j g^(j)(-1))/2 and O_j = (g^(j)(1) -
+    (-1)**j g^(j)(-1))/2, with g'(s) = a m s**(m-1) g(s) and g''(s) = (a m
+    (m-1) s**(m-2) + (a m s**(m-1))**2) g(s).  At even m, g is even, so O_j
+    = 0 and E_j = g^(j)(1)/g(1).  At odd m, g(-1)/g(1) = r = e**(-2a), and
+    every sum is written with positive terms only, 1 - r taken as
+    -expm1(-2a), so no digit cancels at any a: with p = a m, P = p (m-1)
+    and R = p**2,
+
+        e0 = (1 + r)/2    e1 = p (1 - r)/2    e2 = (P (1 - r) + R (1 + r))/2
+        o0 = (1 - r)/2    o1 = p (1 + r)/2    o2 = (P (1 + r) + R (1 - r))/2
+
+    A difference of them still cancels: skew1 = 2 mu (E0 - O0)/Q(1) is 2 mu
+    r, 44 digits below its terms at a = 50 (a cosh/sinh form at 50 digits
+    is off by 1.6e-8 there).  Take such differences at the same digits.
+    """
+    import mpmath as mp
+
+    with mp.workdps(gould_hopper_dps(a)):
+        m = d + 1
+        a = mp.mpf(a)
+        p = a * m
+        P, R = p * (m - 1), p * p
+        if m % 2 == 0:
+            zero = mp.mpf(0)
+            return mp.mpf(1), p, P + R, zero, zero, zero
+        r = mp.exp(-2 * a)
+        plus, minus = 1 + r, -mp.expm1(-2 * a)
+        return (
+            plus / 2, p * minus / 2, (P * minus + R * plus) / 2,
+            minus / 2, p * plus / 2, (P * plus + R * minus) / 2,
+        )
 
 
 def modulus1_loop(f, delta: float, window, step: float) -> float:

@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+import re
 
 import mpmath as mp
 import numpy as np
@@ -15,9 +17,9 @@ from dunkl_appell import (
     RangeError,
     TruncationFailureError,
 )
-from dunkl_appell import appell
+from dunkl_appell import appell, engine
 from dunkl_appell.appell import POSITIVE_BY_COEFFICIENTS, UNVERIFIED
-from dunkl_appell.engine import OperatorSpec, central_moments
+from dunkl_appell.engine import OperatorSpec, apply, central_moments
 
 from conftest import batches_hex, window_hex
 from oracles import (
@@ -170,6 +172,12 @@ class TestGouldHopper:
             )
             assert tail <= 2.0**-53 * mp.exp(a)
 
+    @pytest.mark.parametrize("a", ["a", None])
+    def test_value_float_refuses_is_a_domain_error(self, a):
+        # float()'s ValueError and TypeError escaped bare
+        with pytest.raises(DomainError, match=re.escape(f"exponent coefficient a must be a finite real >= 0, got {a!r}")):
+            AppellFamily.gould_hopper(DunklContext(0.5), a, 1)
+
     def test_bad_gap_rejected(self):
         with pytest.raises(DomainError):
             AppellFamily.gould_hopper(DunklContext(0.0), 0.5, 0)
@@ -183,14 +191,23 @@ class TestGouldHopper:
         assert fam.Q_at_1.hex() == q1.hex()
         assert fam.positivity == POSITIVE_BY_COEFFICIENTS
         # the handed-over support and the skipped checks give the family the
-        # generic constructor builds, slot for slot
+        # generic constructor builds, slot for slot, but for the two slots
+        # the generic family has not: _functionals, the generator's closed
+        # form (TestGouldHopperClosedForm holds it to the generic family's
+        # moments), and _terms, the loop's terms and gap
         assert fam.support == tuple(range(0, len(coeffs), d + 1))
         ctx = fam.ctx
         generic = AppellFamily(ctx, PowerSeries(ctx, coeffs))
         for slot in AppellFamily.__slots__:
-            assert _slot_hex(getattr(fam, slot)) == _slot_hex(getattr(generic, slot)), slot
+            if slot not in ("_functionals", "_terms"):
+                assert _slot_hex(getattr(fam, slot)) == _slot_hex(getattr(generic, slot)), slot
+        terms, step = fam._terms
+        assert step == d + 1 and [t.hex() for t in terms] == [c.hex() for c in coeffs[::step]]
+        # the moments read no coefficient: a family whose tuple is not built
+        # gives the same bits
         for nx in (0.0, 20.0, 1e6):
-            assert _moments_hex(fam, nx / 1000) == _moments_hex(generic, nx / 1000), nx
+            fresh = AppellFamily.gould_hopper(ctx, a, d)
+            assert _moments_hex(fam, nx / 1000) == _moments_hex(fresh, nx / 1000), nx
 
     @pytest.mark.parametrize("d", [1, 7])
     @pytest.mark.parametrize("a", [710.0, 1e300])
@@ -246,6 +263,63 @@ class TestGouldHopper:
         monkeypatch.setattr(appell, "MAX_WINDOW", 32)
         with pytest.raises(RangeError, match="MAX_WINDOW = 32"):
             AppellFamily.gould_hopper(DunklContext(0.5), 0.5, 1)
+
+
+class TestDeferredTuple:
+    """A Gould-Hopper family builds its coefficient tuple, support and Q(1)
+    on the first read of any of them, as the tail loop gives them, and
+    keeps every other slot."""
+
+    CASES = [(0.0, 1), (1e-300, 3), (0.5, 1), (0.5, 2), (5.0, 3), (50.0, 7), (700.0, 1)]
+
+    @staticmethod
+    def unbuilt(fam):
+        return fam._Q is fam._support is fam._Q_at_1 is None
+
+    @pytest.mark.parametrize("a, d", CASES)
+    def test_slots_match_the_tail_loop_in_any_read_order(self, a, d):
+        coeffs, q1 = gould_hopper_loop(a, d)
+        want = {
+            "Q": [c.hex() for c in coeffs],
+            "support": tuple(range(0, len(coeffs), d + 1)),
+            "Q_at_1": q1.hex(),
+            "positivity": POSITIVE_BY_COEFFICIENTS,
+        }
+        for order in itertools.permutations(want):
+            fam = AppellFamily.gould_hopper(DunklContext(0.5), a, d)
+            assert self.unbuilt(fam)
+            for slot in order:
+                got = getattr(fam, slot)
+                got = [c.hex() for c in got.coeffs] if slot == "Q" else got
+                got = got.hex() if slot == "Q_at_1" else got
+                assert got == want[slot], (order, slot)
+            assert fam.Q.ctx is fam.ctx
+
+    @pytest.mark.parametrize("a, d", CASES)
+    def test_moments_first_build_nothing_and_keep_their_result(self, a, d, monkeypatch):
+        fam = AppellFamily.gould_hopper(DunklContext(0.5), a, d)
+        spec = OperatorSpec(fam, 1000)
+        first = central_moments(spec, 1.5)
+        assert self.unbuilt(fam)
+        functionals, last = fam._functionals, fam._last_moments
+        assert fam.Q_at_1 > 0.0  # the build
+        assert fam._functionals is functionals and fam._last_moments is last
+        calls = []
+        monkeypatch.setattr(engine, "dunkl_exp_neg_ratio", lambda *args, **kw: calls.append(args))
+        assert central_moments(spec, 1.5) == first and calls == []
+
+    @pytest.mark.parametrize("a, d", [(0.5, 1), (1.3, 2), (5.0, 3)])
+    def test_apply_after_moments_is_apply_on_a_fresh_family(self, a, d):
+        xs = [0.0, 0.05, 1.0, 30.0]
+        for mu in (0.0, 0.5):
+            fam = AppellFamily.gould_hopper(DunklContext(mu), a, d)
+            for x in xs:
+                central_moments(OperatorSpec(fam, 20), x)
+            got = apply(OperatorSpec(fam, 20), math.sin, xs)
+            fresh = AppellFamily.gould_hopper(DunklContext(mu), a, d)
+            want = apply(OperatorSpec(fresh, 20), math.sin, xs)
+            assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
+            assert fam._arrays is not None  # apply kept its arrays next to the moments
 
 
 class TestPolynomials:

@@ -43,6 +43,15 @@ class TestContext:
         with pytest.raises(DomainError, match="mu must be a finite real >= 0"):
             DunklContext(mu)
 
+    @pytest.mark.parametrize("mu", ["a", "", None, [0.5], object()])
+    def test_value_float_refuses_is_a_domain_error(self, mu):
+        # float()'s ValueError and TypeError escaped bare
+        with pytest.raises(DomainError, match=re.escape(f"mu must be a finite real >= 0, got {mu!r}")):
+            DunklContext(mu)
+
+    def test_a_str_float_reads_is_accepted(self):
+        assert DunklContext("1").mu == 1.0
+
     def test_negative_zero_is_accepted(self):
         assert DunklContext(-0.0).mu == 0.0
 

@@ -39,7 +39,9 @@ from oracles import (
     closed_form_printed,
     contract_masked,
     emu_brute,
+    gould_hopper_dps,
     gould_hopper_functionals,
+    gould_hopper_sums,
     horner_at_one,
     parity_sums_dense,
     q_functionals_dense,
@@ -369,6 +371,19 @@ class TestOperatorSpec:
         # 0 < 10**400 < inf held, so the spec was made and apply overflowed
         with pytest.raises(DomainError, match="tolerance"):
             unit_spec(0.5, 5, tol=tol)
+
+    @pytest.mark.parametrize("bad", ["a", None])
+    def test_a_value_float_refuses_is_a_domain_error(self, bad):
+        # float()'s ValueError and TypeError escaped bare from the real rule
+        spec = unit_spec(0.5, 5)
+        with pytest.raises(DomainError, match=re.escape(f"tolerance must be a finite real >= 0, got {bad!r}")):
+            unit_spec(0.5, 5, tol=bad)
+        with pytest.raises(DomainError, match=re.escape(f"evaluation point must be a finite real >= 0, got {bad!r}")):
+            central_moments(spec, bad)
+        assert spec.family._last_moments is None
+        # a str that float() reads stays an input
+        assert unit_spec(0.5, 5, tol="1e-10").tol == 1e-10
+        assert central_moments(spec, "1") == central_moments(spec, 1.0)
 
     def test_tolerance_is_stored_as_a_float(self):
         spec = unit_spec(0.5, 5, tol=np.float64(1e-10))
@@ -701,8 +716,8 @@ class TestCentralMoments:
 
     def test_omega1_of_an_even_generator_is_exact(self):
         # Gould-Hopper with d odd has no odd powers, so O0 = 0 and n*omega1 =
-        # Q'(1)/Q(1) at every (mu, n, x): omega1 is that quotient over n, bit
-        # for bit
+        # Q'(1)/Q(1) = a (d+1) at every (mu, n, x): omega1 is that product
+        # over n, bit for bit
         rng = random.Random(26)
         for _ in range(3000):
             mu, a, d = rng.uniform(0.0, 2.0), 1.0 - rng.random(), rng.choice((1, 3, 5))
@@ -712,7 +727,7 @@ class TestCentralMoments:
             fam = spec.family
             F = q_functionals(fam)
             assert F.o0 == F.o1 == 0.0
-            want = (F.e1 + F.o1) / fam.Q_at_1 / n
+            want = a * (d + 1) / n
             assert central_moments(spec, x).omega1 == want, (mu, a, d, n, x)
 
 
@@ -760,6 +775,185 @@ class TestLargeArguments:
         closed = central_moments(spec, x).omega2
         summed = central_moments_series(spec, x).omega2
         assert abs(closed - summed) <= 1e-8 * summed
+
+
+GH_AS = [0.0, 1e-300, 1e-3, 0.3466, 0.5, 1.0, 5.0, 50.0, 700.0]  # 0.3466: skew2 near 0
+GH_DS = [1, 2, 3, 4, 7]
+# and gaps near MAX_WINDOW = 2**20: two terms at d = 2**19, one at 2**40
+GH_CASES = [(a, d) for a in GH_AS for d in GH_DS] + [(1e-20, 2**19), (1e-300, 2**40)]
+GH_MUS = [0.0, 1e-6, 0.5, 1.3, 5.0]
+GH_NS = [1, 1000, 10**6, 10**12]
+GH_NX = [0.0, 0.3, 20.0, 1e3, 1e6]
+U = 2.0**-53  # half an ulp of 1: one rounding, relative
+TINY = 2.0**-1074  # the subnormal spacing: one rounding of a subnormal result
+
+# Roundings in each value of ``appell._gould_hopper_functionals``, counting
+# exp and expm1 as two (C math libraries keep them within one ulp): w1 =
+# a m one; odd = -mu2 expm1(-2a)/2 three (the halving is exact); lead =
+# 1 + 2 w1 two; skew1 = mu2 r three; skew2 = mu2 (2r - 1) four, of the
+# magnitude mu2 (2r + 1), since 2r - 1 crosses 0 near a = ln(2)/2; s0 =
+# w1 (m + w1) + mu2 odd five; s1 = mu2 w1 (1 + r) five.
+GH_ROUNDINGS = (1, 3, 2, 3, 4, 5, 5)
+
+
+def gh_exact(a, d, mu):
+    """The seven closed-form coefficients from ``oracles.gould_hopper_sums``
+    by the ``engine._functionals`` definitions, and the magnitudes of the
+    terms ``appell._gould_hopper_functionals`` forms each from, at 50
+    digits: every value but skew2 is a product or sum of nonnegative
+    terms, its own magnitude; skew2 = mu2 (2r - 1) has mu2 (2r + 1), with
+    r = Q(-1)/Q(1) = e0 - o0."""
+    import mpmath as mp
+
+    with mp.workdps(gould_hopper_dps(a)):  # mu2 e0 - odd = mu2 r cancels
+        e0, e1, e2, o0, o1, o2 = gould_hopper_sums(a, d)
+        mu2 = 2 * mp.mpf(mu)
+        w1, odd = e1 + o1, mu2 * o0
+        values = (w1, odd, 1 + 2 * w1, mu2 * e0 - odd, mu2 * e0 - 3 * odd,
+                  w1 + e2 + o2 + mu2 * odd, 2 * mu2 * o1)
+        magnitudes = values[:4] + (mu2 * (2 * (e0 - o0) + 1),) + values[5:]
+    return values, magnitudes
+
+
+def gh_exact_moments(F, M, n, x, rho):
+    """omega1 and omega2 by ``engine._closed_form``'s formulas from the
+    exact coefficients F, each with the magnitude of its terms from M."""
+    w1, odd, _, _, skew2, s0, s1 = F
+    omega1 = (w1 + rho * odd) / n  # nonnegative terms: its own magnitude
+    omega2 = (1 + rho * skew2) * x / n + (s0 + rho * s1) / n / n
+    return omega1, omega2, omega1, (1 + rho * M[4]) * x / n + (s0 + rho * s1) / n / n
+
+
+class TestGouldHopperClosedForm:
+    """A Gould-Hopper family's moments come from its generator's closed form
+    (``appell._gould_hopper_functionals``), held to the untruncated
+    generator at 50 digits (``oracles.gould_hopper_sums``) and to the
+    coefficient pass on the family's own coefficient tuple."""
+
+    @pytest.mark.parametrize("a, d", [(0.5, 1), (0.5, 2), (1.3, 4), (5.0, 2)])
+    def test_oracle_is_the_series_summed(self, a, d):
+        # the parity sums of sum_k a**k t**(k m) / k! over e**a, summed term
+        # by term at 50 digits
+        mp = pytest.importorskip("mpmath")
+        m = d + 1
+        with mp.workdps(gould_hopper_dps(a)):
+            want = [mp.mpf(0)] * 6
+            for k in range(200):
+                i, c = k * m, mp.mpf(a) ** k / mp.factorial(k)
+                for j, f in enumerate((1, i, i * (i - 1))):
+                    want[j + 3 * (i & 1)] += f * c
+            got = gould_hopper_sums(a, d)
+            for g, w in zip(got, want):
+                assert abs(g - w / mp.exp(a)) <= mp.mpf(10) ** -45 * (1 + abs(g))
+
+    @pytest.mark.parametrize("a, d", GH_CASES)
+    def test_functionals_match_the_oracle(self, a, d):
+        mp = pytest.importorskip("mpmath")
+        for mu in GH_MUS:
+            fam = AppellFamily.gould_hopper(DunklContext(mu), a, d)
+            with mp.workdps(50):
+                values, magnitudes = gh_exact(a, d, mu)
+                for k, (got, want, scale) in enumerate(zip(fam._functionals, values, magnitudes)):
+                    assert type(got) is float
+                    if scale == 0:  # no odd powers, or mu = 0
+                        assert got == 0.0, (k, mu)
+                    else:
+                        # a value below double range (mu2 r at a = 700) rounds to 0
+                        assert abs(got - want) <= GH_ROUNDINGS[k] * (U * scale + TINY), (k, mu)
+
+    @pytest.mark.parametrize("a, d", GH_CASES)
+    def test_moments_match_the_oracle(self, a, d):
+        # omega1 = (w1 + rho odd)/n adds three roundings to the coefficients'
+        # (six in all); omega2 = (1 + rho skew2) x/n + (s0 + rho s1)/n/n adds
+        # seven to s1's five (twelve in all), each of the magnitude of the
+        # terms, or of the subnormal spacing where a result is subnormal (a =
+        # 1e-300 at n = 1e6); rho is the engine's own
+        mp = pytest.importorskip("mpmath")
+        for mu in GH_MUS:
+            fam = AppellFamily.gould_hopper(DunklContext(mu), a, d)
+            with mp.workdps(50):
+                F, M = gh_exact(a, d, mu)
+                for n in GH_NS:
+                    spec = OperatorSpec(family=fam, n=n)
+                    for nx in GH_NX:
+                        x = nx / n
+                        cm = central_moments(spec, x)
+                        want1, want2, scale1, scale2 = gh_exact_moments(
+                            F, M, n, mp.mpf(x), mp.mpf(exp_ratio(spec, x))
+                        )
+                        assert abs(cm.omega1 - want1) <= 6 * (U * scale1 + TINY), (mu, n, nx)
+                        assert abs(cm.omega2 - want2) <= 12 * (U * scale2 + TINY), (mu, n, nx)
+                        if d % 2:
+                            assert cm.omega1 == a * (d + 1) / n, (mu, n, nx)
+
+    @pytest.mark.parametrize("a, d", GH_CASES)
+    def test_agrees_with_the_coefficient_pass(self, a, d):
+        # Against the same family's tuple through the generic constructor,
+        # whose moments the coefficient pass gives.  The budget adds
+        # - the pass's roundings against the tuple's exact sums, (N + 10)
+        #   half-ulps of ``closed_form_magnitudes`` as in
+        #   ``assert_closed_form_within_rounding``;
+        # - the closed form's against the untruncated generator, as above;
+        # - the tuple's own distance from the untruncated generator: the cut
+        #   tail, below half an ulp of Q(1) in every sum the i**2 weight
+        #   covers, so half an ulp of each sum over Q(1), and the ratio
+        #   recurrence's roundings, which the sums over Q(1) share but for
+        #   a spread of at most 2 U sqrt(Var(w) Var(k)) under the Poisson
+        #   weights c_k / Q(1), w the sum's factor: four more half-ulps of
+        #   each term, and one for Q(1) itself.
+        # Past double range of its sums (a = 700) the pass raises; the
+        # closed form does not.
+        mp = pytest.importorskip("mpmath")
+        coeffs = AppellFamily.gould_hopper(DunklContext(0.0), a, d).Q.coeffs
+        abs_sums = parity_sums_dense([abs(c) for c in coeffs])
+        for mu in GH_MUS:
+            ctx = DunklContext(mu)
+            fam = AppellFamily.gould_hopper(ctx, a, d)
+            generic = AppellFamily(ctx, fam.Q)
+            N = len(generic.support)
+            mu2 = 2.0 * mu
+            with mp.workdps(50):
+                F, M = gh_exact(a, d, mu)
+            for n in GH_NS:
+                spec, pass_spec = OperatorSpec(fam, n), OperatorSpec(generic, n)
+                for nx in GH_NX:
+                    x = nx / n
+                    cm = central_moments(spec, x)
+                    if a == 700.0:
+                        with pytest.raises(RangeError, match="double range"):
+                            central_moments(pass_spec, x)
+                        continue
+                    ref = central_moments(pass_spec, x)
+                    rho = exp_ratio(spec, x)
+                    scale = closed_form_magnitudes(abs_sums, generic.Q_at_1, mu, n, x, rho)
+                    with mp.workdps(50):
+                        _, _, scale1, scale2 = (float(v) for v in gh_exact_moments(F, M, n, x, rho))
+                    tail1 = U * (1.0 + mu2 * rho) / n
+                    tail2 = U * ((2.0 + mu2 * mu2 + 2.0 * mu2 * rho) / n + 4.0 * mu2 * rho * x) / n
+                    budget1 = (N + 10) * U * scale[2] + (6 + 5) * (U * scale1 + TINY) + tail1
+                    budget2 = (N + 10) * U * scale[3] + (12 + 5) * (U * scale2 + TINY) + tail2
+                    assert abs(cm.omega1 - ref.omega1) <= budget1, (mu, n, nx)
+                    assert abs(cm.omega2 - ref.omega2) <= budget2, (mu, n, nx)
+
+    def test_moments_where_the_sums_pass_double_range(self):
+        # e2 of exp(700 t**2) is about 2e310: the coefficient pass raised
+        # RangeError (m2 = inf), where every moment is of order one
+        fam = AppellFamily.gould_hopper(DunklContext(0.5), 700.0, 1)
+        cm = central_moments(OperatorSpec(fam, n=10**6), 2.0)
+        assert cm.omega1 == 700 * 2 / 1e6
+        assert math.isfinite(cm.omega2) and abs(cm.omega2 - 3.96e-6) <= 1e-8
+        with pytest.raises(RangeError, match=r"m2 = inf"):
+            central_moments(OperatorSpec(AppellFamily(fam.ctx, fam.Q), n=10**6), 2.0)
+
+    @pytest.mark.parametrize("d", [1, 2, 10**400])
+    def test_zero_exponent_is_the_constant_generator(self, d):
+        # a = 0 at every d, one past double range included: the unit
+        # family's coefficients, bit for bit, and no a * (d+1) formed
+        for mu in GH_MUS:
+            ctx = DunklContext(mu)
+            fam = AppellFamily.gould_hopper(ctx, 0.0, d)
+            unit = engine._functionals(AppellFamily.from_coefficients(ctx, [1.0]))
+            assert [v.hex() for v in fam._functionals] == [v.hex() for v in unit]
 
 
 # Families whose supports are full, sparse, or hold signed zeros and
@@ -932,12 +1126,17 @@ class TestEvaluationCounts:
 
     def test_functionals_built_once_per_family(self, monkeypatch):
         calls = self.counting(monkeypatch, "q_functionals")
-        spec = gh_spec(0.5, 0.5, 1, 30)
+        coeffs = [1.0, 0.5, 0.25]
+        spec = OperatorSpec(AppellFamily.from_coefficients(DunklContext(0.5), coeffs), 30)
         for x in (0.0, 0.5, 1.2):
             central_moments(spec, x)
             moments_closed(OperatorSpec(family=spec.family, n=7), x)
         assert len(calls) == 1
-        central_moments(gh_spec(0.5, 0.5, 1, 30), 1.2)  # a new family
+        # a new family
+        central_moments(OperatorSpec(AppellFamily.from_coefficients(DunklContext(0.5), coeffs), 30), 1.2)
+        assert len(calls) == 2
+        # a Gould-Hopper family arrives with its functionals: no pass at all
+        central_moments(gh_spec(0.5, 0.5, 1, 30), 1.2)
         assert len(calls) == 2
 
 
