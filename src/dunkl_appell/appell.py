@@ -74,6 +74,9 @@ BATCH_TERMS = 2**15
 # rest of its series is below this fraction of the sum so far.
 _HALF_ULP = 2.0**-53
 
+# 2e: past k = 2e a, a Gould-Hopper term a**k / k! is at most 2**-k.
+_TWO_E = 2.0 * math.e
+
 # A window's upper side grows up from the mode, its lower side down.
 _SIGN = np.array([1.0, -1.0]).reshape(2, 1, 1)
 
@@ -126,13 +129,15 @@ class AppellFamily:
     coefficients and widest support gap; and ``_last_moments``, the last
     closed-form moments with their key.
 
-    A ``gould_hopper`` family is built in two steps.  Construction runs the
-    tail loop, which checks a and d, and keeps its terms and gap in
-    ``_terms``; it sets ctx and positivity and fills ``_functionals`` from
-    the generator's closed form, so moments need nothing more.  Q, support
-    and Q_at_1 are properties over the slots ``_Q``, ``_support`` and
-    ``_Q_at_1``, which stay None until one of the three is first read:
-    ``_build`` then lays the terms out at every (d+1)-th index of the
+    A ``gould_hopper`` family is built in two steps.  Construction checks a
+    and d, sets ctx and positivity and fills ``_functionals`` from the
+    generator's closed form, so moments need nothing more.  It runs the
+    tail loop only where a closed-form bound cannot rule out the loop's
+    errors, keeping its terms and gap in ``_terms``; elsewhere ``_terms``
+    holds the pending (a, d+1, limit).  Q, support and Q_at_1 are
+    properties over the slots ``_Q``, ``_support`` and ``_Q_at_1``, which
+    stay None until one of the three is first read: ``_build`` then runs a
+    pending loop, lays the terms out at every (d+1)-th index of the
     coefficient tuple and fills all three through ``_fill``, keeping every
     other slot.  A family from the constructor has ``_terms`` None.  Every
     other attribute is a plain slot, so the moments' reads cost nothing
@@ -178,7 +183,11 @@ class AppellFamily:
 
     def _build(self) -> None:
         """Fill a Gould-Hopper family's Q, support and Q_at_1 from the tail
-        loop's terms, laid out at every (d+1)-th index."""
+        loop's terms, laid out at every (d+1)-th index; a loop still pending
+        runs first, with the limit read at construction."""
+        if len(self._terms) == 3:  # (a, d+1, limit): the loop is pending
+            a, step, limit = self._terms
+            self._terms = _gould_hopper_terms(a, step, limit), step
         terms, step = self._terms
         coeffs = [0.0] * ((len(terms) - 1) * step + 1)
         coeffs[::step] = terms
@@ -219,17 +228,11 @@ class AppellFamily:
         """Family with generator exp(a * t**(d+1)), cut where its tail rounds away.
 
         Nonzero coefficients sit at multiples of d+1 with values a**k / k!,
-        each the last times a/k.  They are appended in one pass, which keeps
-        the last term, its index and their running sum, until the rest of
-        the series at t = 1, bounded by term * q / (1 - q) with q = a/(k+1)
-        < 1 the largest later ratio and weighted by the square of the next
-        nonzero index, is below half an ulp of the running sum.  The weight
-        covers the second-order parity sums, which put a factor of about
-        i**2 on coefficient i, so all six are exact to rounding at the scale
-        of Q(1).  The stored degree follows from a and d (32 at a = 0.5,
-        d = 1; 260 at a = 50).  An a for which exp(a) overflows raises
-        RangeError.  a = 0 gives the constant generator (the plain
-        Dunkl-Szasz weights), exact and not truncated.
+        from ``_gould_hopper_terms``, the tail loop.  The stored degree
+        follows from a and d (32 at a = 0.5, d = 1; 260 at a = 50).  An a
+        for which exp(a) overflows raises RangeError.  a = 0 gives the
+        constant generator (the plain Dunkl-Szasz weights), exact and not
+        truncated.
 
         a must be a finite real >= 0 and d an integer >= 1 (``_positive_int``),
         else DomainError.  A generator that would store more than MAX_WINDOW
@@ -241,51 +244,43 @@ class AppellFamily:
         its support as the multiples of d+1 below the stored length and its
         positivity as proven, and its series skips the constructor's checks.
 
-        What is built when: the loop, and so every error above, runs here;
-        the family keeps its terms and d+1, and its ``_functionals`` come
-        from ``_gould_hopper_functionals``, the closed form of the uncut
-        exp(a t**(d+1)), so the engine's moments never read the coefficients
-        (the cut tail moves the coefficients' own sums by under half an ulp
-        of Q(1)).  The coefficient tuple, the support and Q_at_1 are built,
-        bit for bit as the constructor would from the same coefficients, on
-        the first read of any of them (``apply``, ``weights``,
-        ``q_functionals`` or a caller).
+        What is built when: a and d are checked here, and the family's
+        ``_functionals`` come from ``_gould_hopper_functionals``, the closed
+        form of the uncut exp(a t**(d+1)), so the engine's moments never read
+        the coefficients (the cut tail moves the coefficients' own sums by
+        under half an ulp of Q(1)).  The loop can raise only two ways: its
+        running sum reaches inf, or its k terms need (k-1)(d+1) >= MAX_WINDOW.
+        Where a closed-form test rules both out, the family keeps a, d+1 and
+        the MAX_WINDOW read here in ``_terms``, and the loop runs, with that
+        limit, on the first read of Q, support or Q_at_1, so that build never
+        raises; elsewhere the loop runs here, raising every error above, and
+        ``_terms`` keeps its terms and d+1.  Either way the coefficient tuple,
+        the support and Q_at_1 are built, bit for bit as the constructor
+        would from the same coefficients, on the first read of any of them
+        (``apply``, ``weights``, ``q_functionals`` or a caller).
+
+        The test is a < 709 and K (d+1) <= min(MAX_WINDOW, 2**20) with K =
+        ceil(2e a) + 110.  The sum is below e**a (times 1 + k ulps) < e**709
+        = 8.2e307.  At k >= 2e a, k! >= (k/e)**k gives a**k/k! <= (e a/k)**k
+        <= 2**-k, the ratio q = a/k is at most 1/(2e), so the rest bound is
+        at most 1.23 a**k/k!, and k(d+1) <= K(d+1) <= 2**20 bounds the
+        weight i**2 by 2**40.  So when the loop holds k = K terms (K >= 2e a,
+        the 110 covering the rounding of 2e a), its stop test's left side is
+        at most 1.23 * 2**-110 * 2**40 < 2**-69, far below half an ulp of a
+        sum >= 1 even with the k roundings of each term: it has stopped with
+        k <= K terms, and (k-1)(d+1) < K (d+1) <= MAX_WINDOW.
         """
         a = _nonnegative_real("exponent coefficient a", a)  # a float: float terms
         d = _positive_int("exponent gap d", d)
         step = d + 1
-        terms, term, total = [1.0], 1.0, 1.0  # a**k / k! for k = 0, 1, ...
-        k, q = 1, a  # terms so far; the next term's ratio to the last, a / k
-        if step < MAX_WINDOW:
-            i = step  # the next nonzero index, k * step
-            # rest bound term * q / (1 - q) when q < 1, weighted by i**2
-            while q >= 1.0 or term * q / (1.0 - q) * (i * i) > _HALF_ULP * total:
-                term *= q
-                terms.append(term)
-                total += term
-                if total == math.inf:
-                    raise RangeError(
-                        f"Gould-Hopper generator exp({a} t^{step}) leaves double "
-                        "range at t = 1"
-                    )
-                k += 1
-                i += step
-                q = a / k
-        elif q >= 1.0 or q / (1.0 - q) * min(step, 2**511) ** 2 > _HALF_ULP:
-            # A second term would sit past the limit, and the loop's first
-            # test takes one: with the index capped at 2**511, so that its
-            # square converts to a double, only a = 0 fails that test still.
-            k = 2
-        if (k - 1) * step >= MAX_WINDOW:
-            raise RangeError(
-                f"Gould-Hopper generator exp({a} t^{_int_text(step)}) needs more than "
-                f"MAX_WINDOW = {MAX_WINDOW} stored coefficients "
-                f"(a = {a}, d = {_int_text(d)})"
-            )
         family = cls.__new__(cls)
         family.ctx = ctx
         family.positivity = POSITIVE_BY_COEFFICIENTS
-        family._terms = terms, step
+        limit = MAX_WINDOW
+        if a < 709.0 and (math.ceil(_TWO_E * a) + 110) * step <= min(limit, 2**20):
+            family._terms = a, step, limit  # the loop cannot raise: run it later
+        else:
+            family._terms = _gould_hopper_terms(a, step, limit), step
         family._functionals = _gould_hopper_functionals(a, step, ctx.mu)
         family._Q = family._support = family._Q_at_1 = None
         family._arrays = family._last_moments = None
@@ -377,6 +372,50 @@ class AppellFamily:
                 for r, window in zip(at, self._rows(n, *pick, block)):
                     out[r] = window
         return out
+
+
+def _gould_hopper_terms(a: float, step: int, limit: int) -> list:
+    """The tail loop: the nonzero coefficients a**k / k! of exp(a t**step),
+    k = 0, 1, ..., each the last times a/k.
+
+    They are appended in one pass, which keeps the last term, its index and
+    their running sum, until the rest of the series at t = 1, bounded by
+    term * q / (1 - q) with q = a/(k+1) < 1 the largest later ratio and
+    weighted by the square of the next nonzero index, is below half an ulp
+    of the running sum.  The weight covers the second-order parity sums,
+    which put a factor of about i**2 on coefficient i, so all six are exact
+    to rounding at the scale of Q(1).  A sum that reaches inf, or k terms
+    with (k-1) step >= limit, raise RangeError.
+    """
+    terms, term, total = [1.0], 1.0, 1.0  # a**k / k! for k = 0, 1, ...
+    k, q = 1, a  # terms so far; the next term's ratio to the last, a / k
+    if step < limit:
+        i = step  # the next nonzero index, k * step
+        # rest bound term * q / (1 - q) when q < 1, weighted by i**2
+        while q >= 1.0 or term * q / (1.0 - q) * (i * i) > _HALF_ULP * total:
+            term *= q
+            terms.append(term)
+            total += term
+            if total == math.inf:
+                raise RangeError(
+                    f"Gould-Hopper generator exp({a} t^{step}) leaves double "
+                    "range at t = 1"
+                )
+            k += 1
+            i += step
+            q = a / k
+    elif q >= 1.0 or q / (1.0 - q) * min(step, 2**511) ** 2 > _HALF_ULP:
+        # A second term would sit past the limit, and the loop's first
+        # test takes one: with the index capped at 2**511, so that its
+        # square converts to a double, only a = 0 fails that test still.
+        k = 2
+    if (k - 1) * step >= limit:
+        raise RangeError(
+            f"Gould-Hopper generator exp({a} t^{_int_text(step)}) needs more than "
+            f"MAX_WINDOW = {limit} stored coefficients "
+            f"(a = {a}, d = {_int_text(step - 1)})"
+        )
+    return terms
 
 
 def _gould_hopper_functionals(a: float, m: int, mu: float) -> tuple:

@@ -151,8 +151,22 @@ class BoundInputs:
 _Rule = Callable[[float], Tuple[float, BoundInputs]]
 
 
+def _modulus(theorem: str, value: float) -> float:
+    """A modulus value a rule takes: finite and >= 0, else DomainError
+    naming the theorem (a nan or negative value gave a nan or negative
+    bound)."""
+    if not 0.0 <= value < math.inf:
+        raise DomainError(
+            f"theorem {theorem} needs a modulus value that is finite and >= 0, "
+            f"got {value}"
+        )
+    return value
+
+
 def _t2(n: int, w: float) -> _Rule:
-    """First-modulus rule, given the modulus value w = w(f; 1/sqrt(n))."""
+    """First-modulus rule, given the modulus value w = w(f; 1/sqrt(n)),
+    checked by ``_modulus``."""
+    _modulus("T2", w)
 
     def rule(omega2: float):
         lambda_n = math.sqrt(n * omega2)
@@ -173,7 +187,8 @@ def _t3(M: float, beta: float) -> _Rule:
 
 def _t4(a: float, w2: Callable, sup_norm: float, xs: Sequence[float]) -> _Rule:
     """Second-modulus rule on [0, a] with s = omega2 ** (1/4), for points xs
-    that lie at most EDGE_SLACK past a (else DomainError)."""
+    that lie at most EDGE_SLACK past a (else DomainError); each value w2(s)
+    is checked by ``_modulus``."""
     _positive("interval end", a)
     if not 0.0 <= sup_norm < math.inf:
         raise DomainError(f"sup norm must be finite and nonnegative, got {sup_norm}")
@@ -183,7 +198,8 @@ def _t4(a: float, w2: Callable, sup_norm: float, xs: Sequence[float]) -> _Rule:
 
     def rule(omega2: float):
         s = omega2 ** 0.25
-        bound = 0.75 * (2.0 + a + s * s) * w2(s) + (2.0 * s * s / a) * sup_norm
+        w = _modulus("T4", w2(s))
+        bound = 0.75 * (2.0 + a + s * s) * w + (2.0 * s * s / a) * sup_norm
         return bound, BoundInputs("T4", s=s, a=a, sup_norm=sup_norm)
 
     return rule

@@ -28,7 +28,8 @@ class PowerSeries:
     coefficient raises what float() raises (TypeError or ValueError).  The
     checked tuple goes to ``_of``, the one place that fills the slots; a
     builder that has itself produced a nonempty tuple of finite floats (the
-    Gould-Hopper generator) hands it to ``_of`` directly.
+    Gould-Hopper generator) hands it to ``_of`` directly, as pickle and
+    ``copy`` do (``__reduce__``).
     """
 
     __slots__ = ("ctx", "coeffs")
@@ -55,6 +56,11 @@ class PowerSeries:
 
     def __setattr__(self, name, value):
         raise AttributeError("PowerSeries is immutable")
+
+    def __reduce__(self):
+        # pickle and copy rebuild through _of: __new__ needs its arguments,
+        # and __setattr__ refuses the default slot-by-slot restore
+        return type(self)._of, (self.ctx, self.coeffs)
 
     def __len__(self) -> int:
         return len(self.coeffs)

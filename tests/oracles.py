@@ -333,10 +333,10 @@ def ratio_series_loop(mu: float, y: float, tol: float) -> float:
             den /= 1e280
 
 
-def gould_hopper_loop(a: float, d: int):
-    """The coefficients of exp(a t**(d+1)) by the tail loop that reads the
-    last term and the count of terms from the list in every step and takes
-    the rest bound from a helper, and Horner's value of them at t = 1.
+def gould_hopper_loop_terms(a: float, d: int):
+    """The nonzero coefficients of exp(a t**(d+1)) by the tail loop that
+    reads the last term and the count of terms from the list in every step
+    and takes the rest bound from a helper.
 
     Appends a**k / k!, each the last times a/k, until the rest at t = 1,
     term * q / (1 - q) with q = a/(k+1) (unbounded when q >= 1), times the
@@ -355,6 +355,13 @@ def gould_hopper_loop(a: float, d: int):
         if total == math.inf:
             raise OverflowError(f"exp({a} t^{d + 1}) leaves double range at t = 1")
         q = a / len(terms)
+    return terms
+
+
+def gould_hopper_loop(a: float, d: int):
+    """The coefficients of exp(a t**(d+1)), ``gould_hopper_loop_terms`` at
+    every (d+1)-th index, and Horner's value of them at t = 1."""
+    terms = gould_hopper_loop_terms(a, d)
     coeffs = [0.0] * ((len(terms) - 1) * (d + 1) + 1)
     coeffs[:: d + 1] = terms
     q1 = 0.0

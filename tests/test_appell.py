@@ -1,11 +1,16 @@
+import copy
 import itertools
 import math
+import pickle
 import random
 import re
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dunkl_appell import (
     AppellFamily,
@@ -29,6 +34,7 @@ from oracles import (
     gamma_mu_closed_form,
     gould_hopper_functionals,
     gould_hopper_loop,
+    gould_hopper_loop_terms,
     ln_gamma_mu,
     multiply,
     poisson_weight,
@@ -322,6 +328,133 @@ class TestDeferredTuple:
             assert fam._arrays is not None  # apply kept its arrays next to the moments
 
 
+def _loop_bound(a):
+    """K(a) = ceil(2e a) + 110, the bound on the tail loop's term count
+    that ``gould_hopper`` derives."""
+    return math.ceil(2.0 * math.e * a) + 110
+
+
+class TestDeferredLoop:
+    """Construction runs the tail loop only where the closed-form bound
+    cannot rule out its errors; elsewhere the first read of Q, support or
+    Q_at_1 runs it, with the MAX_WINDOW read at construction."""
+
+    @given(
+        a=st.floats(0.0, 720.0),
+        d=st.integers(1, 2**21),
+        limit=st.sampled_from([64, 2**20]),
+    )
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @example(a=0.5, d=5000, limit=2**20)  # deferred
+    @example(a=3.2, d=8191, limit=2**20)  # deferred: K (d+1) = 2**20
+    @example(a=3.2, d=8192, limit=2**20)  # one past it: eager
+    @example(a=0.5, d=100_000, limit=2**20)  # eager, past the limit
+    @example(a=708.99, d=1, limit=2**20)  # deferred, the last a below 709
+    @example(a=709.5, d=1, limit=2**20)  # eager, e**a still finite
+    @example(a=710.0, d=1, limit=2**20)  # eager, e**a past double range
+    @example(a=0.0, d=2**21, limit=64)  # the constant generator at any gap
+    @example(a=0.5, d=1, limit=64)  # 33 coefficients fit
+    def test_guard_is_sound(self, a, d, limit):
+        try:
+            terms = gould_hopper_loop_terms(a, d)
+        except OverflowError:
+            terms = None
+        loop_raises = terms is None or (len(terms) - 1) * (d + 1) >= limit
+        ctx = DunklContext(0.5)
+        with mock.patch.object(appell, "MAX_WINDOW", limit):
+            if loop_raises:
+                with pytest.raises(RangeError):
+                    AppellFamily.gould_hopper(ctx, a, d)
+                return
+            fam = AppellFamily.gould_hopper(ctx, a, d)
+        if len(fam._terms) == 3:  # deferred: the bound holds
+            assert len(terms) <= _loop_bound(a)
+        loop = mock.Mock(side_effect=AssertionError("the tail loop ran"))
+        with mock.patch.object(appell, "_gould_hopper_terms", loop):
+            central_moments(OperatorSpec(fam, 1000), 1.5)
+        assert fam._Q is fam._support is fam._Q_at_1 is None
+        # the build keeps the limit read at construction, so never raises
+        coeffs, q1 = gould_hopper_loop(a, d)
+        with mock.patch.object(appell, "MAX_WINDOW", 1):
+            assert [c.hex() for c in fam.Q.coeffs] == [c.hex() for c in coeffs]
+        assert fam.support == tuple(range(0, len(coeffs), d + 1))
+        assert fam.Q_at_1.hex() == q1.hex()
+        assert fam._terms == (terms, d + 1)
+
+    @pytest.mark.parametrize("a, d, deferred", [
+        (0.5, 1, True), (1.0, 3, True), (50.0, 7, True), (700.0, 1, True),
+        (0.5, 5000, True), (0.5, 10_000, False), (709.0, 1, False),
+        (0.0, 2**70, False),
+    ])
+    def test_construction_runs_the_loop_only_where_the_bound_fails(self, a, d, deferred):
+        # far-field's families (a in (0, 1], d in {1, 2, 3}) defer the loop
+        loop = mock.Mock(wraps=appell._gould_hopper_terms)
+        with mock.patch.object(appell, "_gould_hopper_terms", loop):
+            fam = AppellFamily.gould_hopper(DunklContext(0.5), a, d)
+            assert loop.call_count == (0 if deferred else 1)
+            if deferred:
+                assert fam._terms == (a, d + 1, appell.MAX_WINDOW)
+            fam.Q_at_1
+            fam.support
+            assert loop.call_count == 1
+
+    @pytest.mark.parametrize("a", [0.0, 0.5, 3.2, 10.0, 50.0, 300.0, 708.9])
+    def test_term_count_within_the_bound_at_the_widest_deferred_gap(self, a):
+        # the widest gap the guard defers at, where the weight i**2 is largest
+        step = 2**20 // _loop_bound(a)
+        terms = gould_hopper_loop_terms(a, step - 1)
+        assert len(terms) <= _loop_bound(a)
+        fam = AppellFamily.gould_hopper(DunklContext(0.0), a, step - 1)
+        assert len(fam._terms) == 3 and fam.Q.coeffs[::step] == tuple(terms)
+
+
+class TestRoundTrip:
+    """pickle and copy.deepcopy rebuild a series through ``PowerSeries._of``,
+    so every family and spec holding one round-trips."""
+
+    @staticmethod
+    def families(ctx):
+        built = AppellFamily.gould_hopper(ctx, 0.5, 1)
+        built.Q  # the tuple is built
+        return {
+            "unit": AppellFamily.from_coefficients(ctx, [1.0]),
+            "coeffs": AppellFamily.from_coefficients(ctx, [1.0, 0.5, 0.25]),
+            "gh-built": built,
+            "gh-unbuilt": AppellFamily.gould_hopper(ctx, 0.5, 1),
+            "gh-eager": AppellFamily.gould_hopper(ctx, 0.5, 10_000),
+        }
+
+    @pytest.mark.parametrize("copier", [
+        lambda obj: pickle.loads(pickle.dumps(obj)), copy.deepcopy,
+    ], ids=["pickle", "deepcopy"])
+    @pytest.mark.parametrize("name", ["unit", "coeffs", "gh-built", "gh-unbuilt", "gh-eager"])
+    def test_family_and_spec_round_trip(self, name, copier):
+        xs = [0.0, 0.05, 1.0, 3.0]
+        for mu in (0.0, 0.5):
+            ctx = DunklContext(mu)
+            spec = OperatorSpec(self.families(ctx)[name], 20)
+            copies = [OperatorSpec(copier(spec.family), 20), copier(spec)]
+            unbuilt = spec.family._Q is None
+            assert unbuilt == (name in ("gh-unbuilt", "gh-eager"))
+            want_m = [central_moments(spec, x) for x in xs]
+            want_a = apply(spec, math.sin, xs).tobytes()
+            for got in copies:
+                assert (got.family._Q is None) == unbuilt  # the copy keeps the state
+                assert type(got.family.Q) is PowerSeries and got.family.Q == spec.family.Q
+                assert got.family.ctx.mu == mu
+                got_m = [central_moments(got, x) for x in xs]
+                assert [m.omega1.hex() for m in got_m] == [m.omega1.hex() for m in want_m]
+                assert [m.omega2.hex() for m in got_m] == [m.omega2.hex() for m in want_m]
+                assert apply(got, math.sin, xs).tobytes() == want_a
+
+    def test_series_round_trip(self):
+        Q = PowerSeries(DunklContext(0.3), [1.0, 0.5, 0.25])
+        for got in (pickle.loads(pickle.dumps(Q)), copy.deepcopy(Q)):
+            assert got == Q and type(got.coeffs) is tuple
+            with pytest.raises(AttributeError, match="immutable"):
+                got.coeffs = (1.0,)
+
+
 class TestPolynomials:
     def test_constant_polynomial(self):
         fam = AppellFamily.from_coefficients(DunklContext(0.3), [2.5, 1.0])
@@ -408,7 +541,8 @@ class TestWeights:
 
     def test_full_window_raises_naming_nx(self, monkeypatch):
         # the mass at n*x = 2 needs far more than three terms of the window;
-        # the family is built first, as its 33 coefficients exceed the limit too
+        # the family's 33 coefficients exceed the limit too, but its deferred
+        # build runs under the MAX_WINDOW read at construction
         fam = AppellFamily.gould_hopper(DunklContext(0.5), 0.5, 1)
         monkeypatch.setattr(appell, "MAX_WINDOW", 3)
         with pytest.raises(TruncationFailureError, match=r"n\*x = 2\b"):

@@ -195,6 +195,13 @@ class TestTheorem2Bound:
         assert theorem2_bound(spec, 0.0, w) == w(0.2)
         assert apply(spec, math.sin, 0.0) == 0.0
 
+    @pytest.mark.parametrize("value", [math.nan, -1.0, -5e-324, math.inf])
+    def test_modulus_value_must_be_finite_and_nonnegative(self, value):
+        # nan gave a nan bound, -1.0 a negative one (-2.01 at n = 20, x = 1)
+        with pytest.raises(DomainError, match=rf"theorem T2 needs .* got {value}"):
+            theorem2_bound(unit_spec(0.5, 20), 1.0, lambda d: value)
+        assert theorem2_bound(unit_spec(0.5, 20), 1.0, lambda d: -0.0) == 0.0
+
 
 class TestTheorem3Bound:
     def test_exponent_validation(self):
@@ -270,6 +277,12 @@ class TestTheorem4Bound:
         if entry.sup_norm is not None:
             rep = verify(spec, entry, "T4", [0.0], interval_end=2.0)
             assert rep.passed and rep.points[0].bound == 0.0
+
+    @pytest.mark.parametrize("value", [math.nan, -1.0, -5e-324, math.inf])
+    def test_modulus_value_must_be_finite_and_nonnegative(self, value):
+        # nan gave a nan bound, -1.0 a negative one
+        with pytest.raises(DomainError, match=rf"theorem T4 needs .* got {value}"):
+            theorem4_bound(unit_spec(0.5, 20), 1.0, 2.0, lambda s: value, 1.0)
 
     def test_domain_validation(self):
         spec = unit_spec(0.0, 10)
@@ -373,13 +386,32 @@ class TestVerify:
         with pytest.raises(ConfigurationError, match=f"{theorem} takes no {named};"):
             verify(unit_spec(0.5, 10), lookup("cosx"), theorem, self.XS, **params)
 
-    def test_nan_modulus_counts_as_violation(self):
-        # NaN compares false against the slack, so a NaN bound used to pass
-        entry = FunctionEntry("nanmod", math.sin, analytic_modulus=lambda d: math.nan)
-        rep = verify(unit_spec(0.5, 10), entry, "T2", self.XS)
-        assert rep.violations == len(self.XS)
-        assert not rep.passed
-        assert math.isnan(rep.min_margin)
+    @pytest.mark.parametrize("theorem, value", [
+        ("T2", math.nan), ("T2", -1.0), ("T2", math.inf),
+        ("T4", math.nan), ("T4", -1.0), ("T4", math.inf),
+    ])
+    def test_nan_modulus_is_a_domain_error(self, theorem, value):
+        # a NaN modulus gave NaN margins (counted as violations, exit 2) and
+        # a negative one negative bounds; the rule now refuses the value
+        if theorem == "T2":
+            entry = FunctionEntry("badmod", math.sin, analytic_modulus=lambda d: value)
+            params = {}
+        else:
+            entry = FunctionEntry(
+                "badmod", math.sin, analytic_modulus2=lambda s: value, sup_norm=1.0
+            )
+            params = dict(interval_end=2.0)
+        with pytest.raises(DomainError, match=f"theorem {theorem} needs a modulus"):
+            verify(unit_spec(0.5, 10), entry, theorem, self.XS, **params)
+
+    def test_nan_margin_counts_as_violation(self):
+        # NaN compares false against the slack, so a NaN margin fails
+        point = bounds.BoundPoint(
+            x=1.0, kf=math.nan, fx=0.0, actual_error=math.nan, bound=1.0,
+            margin=math.nan, omega1=0.0, omega2=0.1, inputs=bounds.BoundInputs("T2"),
+        )
+        rep = bounds.BoundReport("T2", 10, "f", ANALYTIC, [point])
+        assert rep.violations == 1 and not rep.passed and math.isnan(rep.min_margin)
 
     @pytest.mark.parametrize(
         "name, theorem, params, error",
