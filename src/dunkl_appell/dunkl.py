@@ -214,7 +214,8 @@ def _ratio_expansion(mu: float, y: float, tol: float) -> float:
     num = -g  # sum of -k g_k
     den = 1.0 + mu * g  # sum of mu g_k, plus 1
     k = 1.0
-    while abs(k * g) > tol * abs(num) or abs(mu * g) > tol * abs(den):
+    # k, mu > 0, so k |g| and mu |g| are |k g| and |mu g| bit for bit
+    while k * (ag := abs(g)) > tol * abs(num) or mu * ag > tol * abs(den):
         factor = (k - mu) * (k + mu)
         scale = (k + 1.0) * two_y
         if k > mu and factor >= scale:
@@ -289,7 +290,8 @@ def dunkl_exp_neg_ratio(ctx: DunklContext, y: float, tol: float = 1e-15) -> floa
     mu = ctx.mu
     if mu == 0.0:
         return math.exp(-2.0 * y)
-    tol = max(tol, _EPS)
+    if tol < _EPS:
+        tol = _EPS
     route = _ratio_expansion if _expansion_exact(mu, y, tol) else _ratio_series
     rho = route(mu, y, tol)
     if not rho < math.inf:  # inf or NaN

@@ -72,20 +72,23 @@ Bessel expansion above it; nothing is flushed to zero.  For every family
 but a Gould-Hopper one, the six sums come from one pass over Q's support
 (the indices of its nonzero coefficients, which the family records).  They
 are computed once per family and kept on it, with the coefficients above
-that do not depend on (n, x), each divided by Q(1); one evaluation of the
+that do not depend on (n, x), each divided by Q(1); the pass takes Q's
+coefficients over the least power of two above Q(1) when Q(1) >= 1, so
+sums of the order of Q(1) stay in double range.  One evaluation of the
 ratio then yields m1, m2, omega1 and omega2 together.  The family keeps
 the last such evaluation, so ``moments_closed`` and ``central_moments``
 share it.
 
-``QFunctionals`` and ``CentralMoments`` are named tuples, built
-positionally, so a fresh family pays no dataclass constructor per call.
+``OperatorSpec``, ``QFunctionals`` and ``CentralMoments`` are named
+tuples, so a fresh spec or result pays no dataclass constructor per call:
+each unpacks, indexes and equals a plain tuple, and ``OperatorSpec`` runs
+its checks in ``__new__``, which ``_make`` and ``_replace`` go through.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from typing import Callable, List, NamedTuple
 
 import numpy as np
@@ -95,28 +98,34 @@ from .dunkl import _nonnegative_real, dunkl_exp_neg_ratio
 from .errors import DomainError, EvaluationError, RangeError, TranscriptionError
 
 
-@dataclass(frozen=True)
-class OperatorSpec:
-    """A family plus the scale n and the weights' mass tolerance.
-
-    n must be an integer >= 1 below double range (``appell._scale``; a
-    numpy integer is stored as the equal int), and tol a finite real > 0
-    (stored as a float); anything else raises DomainError.
-    """
-
+class _SpecFields(NamedTuple):
     family: AppellFamily
     n: int
     tol: float = 1e-12
 
-    def __post_init__(self):
-        n = _scale(self.n)
-        if n is not self.n:
-            object.__setattr__(self, "n", n)
-        tol = _nonnegative_real("tolerance", self.tol)
+
+class OperatorSpec(_SpecFields):
+    """A family plus the scale n and the weights' mass tolerance.
+
+    n must be an integer >= 1 below double range (``appell._scale``; a
+    numpy integer is stored as the equal int), and tol a finite real > 0
+    (stored as a float); anything else raises DomainError.  An immutable
+    named tuple whose every construction, ``_make`` and ``_replace`` (and
+    so pickle and copy) included, runs these checks.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, family: AppellFamily, n: int, tol: float = 1e-12):
+        n = _scale(n)
+        tol = _nonnegative_real("tolerance", tol)
         if not tol > 0.0:
             raise DomainError(f"tolerance must be finite and positive, got {tol}")
-        if tol is not self.tol:
-            object.__setattr__(self, "tol", tol)
+        return tuple.__new__(cls, (family, n, tol))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 class QFunctionals(NamedTuple):
@@ -279,20 +288,25 @@ def _non_finite(fv: np.ndarray, t: np.ndarray, n: int, x: float) -> None:
 
 
 def q_functionals(family: AppellFamily) -> QFunctionals:
-    """Q's six parity sums in one pass over its support.
+    """Q's six parity sums, from ``_parity_sums`` at scale 1.0, so each is
+    Q's raw sum.  A sum past double range is returned as it is."""
+    return QFunctionals(*_parity_sums(family, 1.0))
+
+
+def _parity_sums(family: AppellFamily, scale: float):
+    """The six parity sums (e0, e1, e2, o0, o1, o2) of Q's coefficients,
+    each taken times scale, in one pass over its support.
 
     The pass walks ``family.support``, the indices of the nonzero
     coefficients (a zero term leaves every sum unchanged), from the top
     index down, so a Gould-Hopper generator costs one step per term of its
-    exponential, not per stored coefficient.  Term i adds c_i, i c_i and
-    (i - 1) (i c_i) to the sums of its parity.  A sum past double range is
-    returned as it is; the closed form reports the moments it makes
-    non-finite.
+    exponential, not per stored coefficient.  Term i adds c, i c and
+    (i - 1) (i c) to the sums of its parity, with c = c_i scale.
     """
     e0 = e1 = e2 = o0 = o1 = o2 = 0.0
     coeffs = family.Q.coeffs
     for i in reversed(family.support):
-        c = coeffs[i]
+        c = coeffs[i] * scale
         ic = i * c
         if i & 1:
             o0 += c
@@ -302,14 +316,14 @@ def q_functionals(family: AppellFamily) -> QFunctionals:
             e0 += c
             e1 += ic
             e2 += (i - 1) * ic
-    return QFunctionals(e0, e1, e2, o0, o1, o2)
+    return e0, e1, e2, o0, o1, o2
 
 
 def _functionals(family: AppellFamily):
-    """The closed form's coefficients that do not depend on (n, x), from the
-    parity sums of ``q_functionals``; computed on first use and kept on the
-    family.  A Gould-Hopper family arrives with them filled from its
-    generator's closed form (``appell._gould_hopper_functionals``).
+    """The closed form's coefficients that do not depend on (n, x), from
+    Q's parity sums; computed on first use and kept on the family.  A
+    Gould-Hopper family arrives with them filled from its generator's
+    closed form (``appell._gould_hopper_functionals``).
 
     Returns (w1, a, lead, skew1, skew2, s0, s1), each divided by Q(1) =
     ``family.Q_at_1`` once formed, so that no point forms Q(1) n: with mu2 =
@@ -319,6 +333,15 @@ def _functionals(family: AppellFamily):
         skew1 = mu2 E0 - a             skew2 = mu2 E0 - 3 a
         s1    = 2 mu2 O1               s0    = Q'(1) + Q''(1) + mu2 a
 
+    Only their quotients by Q(1) are used, so the pass takes every
+    coefficient times 2**-e, where Q(1) = m 2**e with 0.5 <= m < 1 and e > 0
+    (no scaling up), and divides by Q(1) 2**-e = m: the sums stay in double
+    range whenever they are of the order of Q(1), as for exp(700 t**2),
+    whose E2 is about 2e310.  A power of two scales exactly, so each value
+    keeps the bits of the unscaled formula wherever no scaled term falls
+    below 2**-1022, which takes a term below Q(1) 2**-1021; where one does,
+    only values below 2**-1021 were seen to move, by a few of their ulps.
+
     Every mu term multiplies mu2 into one sum before sums are combined, so
     mu = 0 gives zeros wherever the sums are finite, never 0 * inf.
     Threads that race here compute equal values and store one tuple in one
@@ -326,9 +349,12 @@ def _functionals(family: AppellFamily):
     """
     cached = family._functionals
     if cached is None:
-        e0, e1, e2, o0, o1, o2 = q_functionals(family)
+        q1 = family.Q_at_1
+        e = math.frexp(q1)[1]
+        scale = 2.0**-e if e > 0 else 1.0
+        e0, e1, e2, o0, o1, o2 = _parity_sums(family, scale)
         mu2 = 2.0 * family.ctx.mu
-        q1, dq1, a, even = family.Q_at_1, e1 + o1, mu2 * o0, mu2 * e0
+        q1, dq1, a, even = q1 * scale, e1 + o1, mu2 * o0, mu2 * e0
         cached = family._functionals = (
             dq1 / q1,
             a / q1,
@@ -364,7 +390,9 @@ def _closed_form(spec: OperatorSpec, x: float):
     nothing; threads need no lock.
     """
     x = _nonnegative_real("evaluation point", x) + 0.0  # one key for -0.0 and 0.0
-    family, n, tol = spec.family, spec.n, min(1e-15, spec.tol)
+    family, n, tol = spec
+    if tol > 1e-15:
+        tol = 1e-15
     last = family._last_moments
     if last is not None and last[0] == n and last[1] == x and last[2] == tol:
         return last[3]
@@ -419,7 +447,7 @@ def central_moments(spec: OperatorSpec, x: float) -> CentralMoments:
                 f"omega2 = {omega2!r} is materially negative at (n={spec.n}, x={x})"
             )
         omega2 = 0.0
-    return CentralMoments(omega1, omega2, "closed-form")
+    return tuple.__new__(CentralMoments, (omega1, omega2, "closed-form"))
 
 
 def central_moments_series(spec: OperatorSpec, x: float) -> CentralMoments:

@@ -9,7 +9,8 @@ sum of the weights in mpmath, the weight window through the
 term-by-term loop the package's block growth replaced, the first and second
 moduli through the per-call loops over shifts that the sliding-window form
 and the shared running maxima replaced, rho's positive series through the
-loop as it stood before its constants were hoisted, the Gould-Hopper
+loop as it stood before its constants were hoisted, rho's large-argument
+expansion through the loop whose test formed |k g| and |mu g| per term, the Gould-Hopper
 coefficients through their tail loop as it stood before its locals were
 kept, and the Gould-Hopper Q-functionals and parity sums through closed
 forms of exp(a t**(d+1)), the first with the difference form of the Dunkl
@@ -331,6 +332,30 @@ def ratio_series_loop(mu: float, y: float, tol: float) -> float:
             term /= 1e280
             num /= 1e280
             den /= 1e280
+
+
+def ratio_expansion_loop(mu: float, y: float, tol: float) -> float:
+    """rho by the large-argument Bessel expansion, with the loop test that
+    forms |k g| and |mu g| from each term g, and the same raise where the
+    terms turn to grow before they fall below tol."""
+    two_y = 2.0 * y
+    g = -(0.5 * mu) / y
+    num = -g
+    den = 1.0 + mu * g
+    k = 1.0
+    while abs(k * g) > tol * abs(num) or abs(mu * g) > tol * abs(den):
+        factor = (k - mu) * (k + mu)
+        scale = (k + 1.0) * two_y
+        if k > mu and factor >= scale:
+            raise RangeError(
+                f"rho's large-argument expansion diverges at y={y} (mu={mu}) "
+                f"before its terms fall below tol={tol}"
+            )
+        g *= factor / scale
+        k += 1.0
+        num -= k * g
+        den += mu * g
+    return num / den
 
 
 def gould_hopper_loop_terms(a: float, d: int):

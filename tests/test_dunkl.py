@@ -2,6 +2,8 @@ import math
 import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dunkl_appell import (
     DomainError,
@@ -13,7 +15,13 @@ from dunkl_appell import (
 )
 from dunkl_appell import dunkl
 
-from oracles import emu_brute, gamma_mu, gamma_mu_closed_form, ratio_series_loop
+from oracles import (
+    emu_brute,
+    gamma_mu,
+    gamma_mu_closed_form,
+    ratio_expansion_loop,
+    ratio_series_loop,
+)
 
 
 @pytest.mark.parametrize("i,expected", [(0, 0), (7, 1), (2, 0), (1, 1), (100, 0)])
@@ -299,6 +307,40 @@ class TestNegRatioOracle:
     )
     def test_series_matches_pre_hoist_loop(self, mu, y, tol):
         assert dunkl._ratio_series(mu, y, tol) == ratio_series_loop(mu, y, tol)
+
+    @given(
+        mu=st.floats(1e-6, 10.0),
+        # where in [y_c, 1e12] on a log scale, or far-field's n*x itself
+        place=st.one_of(st.floats(0.0, 1.0), st.floats(1e3, 1e6)),
+        tol=st.sampled_from([2.220446049250313e-16, 1e-15, 1e-12]),
+    )
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @example(mu=1e-6, place=1e3, tol=1e-15)
+    @example(mu=10.0, place=1e6, tol=1e-15)
+    @example(mu=0.5, place=0.0, tol=1e-15)  # the crossover itself
+    @example(mu=10.0, place=1.0, tol=2.220446049250313e-16)  # y = 1e12
+    def test_expansion_matches_the_frozen_loop(self, mu, place, tol):
+        # The loop test reads |g| once per term: k |g| and mu |g| equal
+        # |k g| and |mu g| for k, mu > 0, so every y the rule routes to the
+        # expansion gives the loop's rho bit for bit.
+        y_c = _crossover(mu, tol)[1]
+        y = place if place >= 1e3 else y_c * (1e12 / y_c) ** place
+        assert dunkl._expansion_exact(mu, y, tol)
+        assert dunkl._ratio_expansion(mu, y, tol).hex() == ratio_expansion_loop(mu, y, tol).hex()
+
+    @given(
+        mu=st.floats(1e-6, 10.0),
+        y=st.one_of(st.floats(0.0, 1e12), st.floats(1e3, 1e6)),
+        tol=st.floats(5e-324, 2.220446049250313e-16, exclude_max=True),
+    )
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @example(mu=0.5, y=19.5, tol=1e-300)
+    @example(mu=0.5, y=1e6, tol=5e-324)
+    def test_tolerance_below_eps_is_eps(self, mu, y, tol):
+        # tol is floored at machine epsilon by a comparison, on both routes
+        ctx = DunklContext(mu)
+        want = dunkl_exp_neg_ratio(ctx, y, tol=2.220446049250313e-16)
+        assert dunkl_exp_neg_ratio(ctx, y, tol=tol).hex() == want.hex()
 
     @pytest.mark.parametrize("mu", TINY)
     @pytest.mark.parametrize(

@@ -394,6 +394,45 @@ class TestOperatorSpec:
         n = 2**1024 - 2**970 - 1  # float(n) rounds down to the largest double
         assert central_moments(unit_spec(0.5, n), 1.0).omega2 == 1.0 / float(n)
 
+    def test_fields_cannot_be_assigned(self):
+        spec = unit_spec(0.5, 5)
+        for name, value in (("n", 7), ("tol", 1e-10), ("family", None), ("other", 1)):
+            with pytest.raises(AttributeError):
+                setattr(spec, name, value)
+        assert spec.n == 5 and spec.tol == 1e-12 and not hasattr(spec, "other")
+
+    def test_replace_and_make_run_the_checks(self):
+        spec = unit_spec(0.5, 5)
+        for bad in ({"n": 0}, {"n": 2.0}, {"tol": math.nan}, {"tol": 0.0}):
+            with pytest.raises(DomainError):
+                spec._replace(**bad)
+        for bad in ((spec.family, 0, 1e-12), (spec.family, 5, math.nan)):
+            with pytest.raises(DomainError):
+                OperatorSpec._make(bad)
+        wider = spec._replace(n=np.int64(7), tol=np.float64(1e-10))
+        assert type(wider) is OperatorSpec and wider.family is spec.family
+        assert type(wider.n) is int and wider.n == 7
+        assert type(wider.tol) is float and wider.tol == 1e-10
+        assert OperatorSpec._make((spec.family, np.int32(5), 1e-12)) == spec
+
+    def test_equal_fields_give_equal_specs(self):
+        fam = AppellFamily.from_coefficients(DunklContext(0.5), [1.0, 0.5])
+        spec = OperatorSpec(fam, 5)
+        same = [OperatorSpec(family=fam, n=5), OperatorSpec(fam, 5, 1e-12),
+                OperatorSpec(fam, n=np.int64(5), tol=1e-12)]
+        for other in same:
+            assert other == spec and hash(other) == hash(spec)
+        assert spec != OperatorSpec(fam, 6) and spec != OperatorSpec(fam, 5, 1e-10)
+        # a named tuple: it unpacks, indexes and equals a plain tuple
+        family, n, tol = spec
+        assert (family, n, tol) == spec == (fam, 5, 1e-12)
+        assert spec[0] is fam and spec[1:] == (5, 1e-12)
+        assert spec._fields == ("family", "n", "tol")
+
+    def test_repr_names_the_fields(self):
+        spec = unit_spec(0.5, 5)
+        assert repr(spec) == f"OperatorSpec(family={spec.family!r}, n=5, tol=1e-12)"
+
     @pytest.mark.parametrize("n", [np.int64(10), np.int32(10), np.uint8(10)])
     def test_numpy_integer_scale_is_the_equal_int(self, n):
         spec, ref = gh_spec(0.5, 0.5, 1, n), gh_spec(0.5, 0.5, 1, 10)
@@ -586,16 +625,32 @@ class TestQFunctionalsPass:
 
     def test_overflow_raises_range_error(self):
         # Q = 1 + 1e308 t: its sums are finite and do not depend on mu, but
-        # at mu = 5 the moments leave double range (4 mu**2 O0 = 1e310)
-        ctx = DunklContext(5.0)
+        # at mu = 1e155 the moments leave double range (S holds mu2**2 O0 /
+        # Q(1) = 4e310)
+        ctx = DunklContext(1e155)
         fam = AppellFamily(ctx, PowerSeries(ctx, [1.0, 1e308]))
         assert q_functionals(fam) == (1.0, 0.0, 0.0, 1e308, 1e308, 0.0)
         spec = OperatorSpec(family=fam, n=3)
         for x in (0.0, 0.5, 40.0):
             for entry in (central_moments, moments_closed):
-                with pytest.raises(RangeError, match=re.escape(f"(n=3, x={x}, mu=5.0)")):
+                with pytest.raises(RangeError, match=re.escape(f"(n=3, x={x}, mu=1e+155)")):
                     entry(spec, x)
             assert fam._last_moments is None
+
+    def test_sums_of_the_order_of_q1_pass_double_range(self):
+        # At mu = 5 the same generator's moments are of order 100, but the
+        # unscaled pass formed 4 mu**2 O0 = 1e310 and raised RangeError.  A
+        # power-of-two multiple of Q gives the same operator, and Q 2**-1000
+        # kept its sums in range before the pass took the coefficients over
+        # 2**-e, Q(1) = m 2**e: both give the same moments bit for bit.
+        ctx = DunklContext(5.0)
+        fam = AppellFamily(ctx, PowerSeries(ctx, [1.0, 1e308]))
+        small = AppellFamily(ctx, PowerSeries(ctx, [2.0**-1000, 1e308 * 2.0**-1000]))
+        for x in (0.0, 0.5, 40.0):
+            got, want = moments_closed(OperatorSpec(fam, 3), x), moments_closed(OperatorSpec(small, 3), x)
+            assert [v.hex() for v in got] == [v.hex() for v in want]
+            assert central_moments(OperatorSpec(fam, 3), x) == central_moments(OperatorSpec(small, 3), x)
+        assert central_moments(OperatorSpec(fam, 3), 0.0) == (11 / 3, 121 / 9, "closed-form")
 
 
 class TestMomentsClosed:
@@ -682,15 +737,16 @@ class TestCentralMoments:
 
     def test_non_finite_raw_moments_raise_range_error(self, monkeypatch):
         # x*x overflows from x = 1.34e154 (the check used to report a
-        # transcription error on the nan it made), and Q = 1 + 1e308 t at
-        # mu = 0 makes m2 = inf, which the check's floor let through
+        # transcription error on the nan it made), and Q = 1 + 1e308 t -
+        # 1e308 t**2 at mu = 0 makes m2 non-finite, which the check's floor
+        # let through for m2 = inf
         spec = unit_spec(0.5, 1)
         with pytest.raises(RangeError, match=r"\(n=1, x=1e\+200, mu=0\.5\)"):
             central_moments(spec, 1e200)
-        fam = AppellFamily.from_coefficients(DunklContext(0.0), [1.0, 1e308])
-        wide = OperatorSpec(family=fam, n=2)
-        for x in (0.0, 1e-300, 0.5, 1e200):  # Q(1) + 2 Q'(1) = 3e308
-            with pytest.raises(RangeError, match=re.escape(f"(n=2, x={x}, mu=0.0)")):
+        fam = AppellFamily.from_coefficients(DunklContext(0.0), [1.0, 1e308, -1e308])
+        wide = OperatorSpec(family=fam, n=1)
+        for x in (0.0, 1e-300, 0.5, 1e200):  # Q(1) = 1, Q'(1) + Q''(1) = -3e308
+            with pytest.raises(RangeError, match=re.escape(f"(n=1, x={x}, mu=0.0)")):
                 moments_closed(wide, x)
             assert fam._last_moments is None
         # a rho of NaN makes the raw moments NaN
@@ -901,11 +957,13 @@ class TestGouldHopperClosedForm:
         #   a spread of at most 2 U sqrt(Var(w) Var(k)) under the Poisson
         #   weights c_k / Q(1), w the sum's factor: four more half-ulps of
         #   each term, and one for Q(1) itself.
-        # Past double range of its sums (a = 700) the pass raises; the
-        # closed form does not.
+        # The magnitudes are formed from the sums over 2**-k, Q(1) = m 2**k,
+        # as the pass forms them, so a = 700, whose sums pass double range,
+        # is held to the same budget.
         mp = pytest.importorskip("mpmath")
-        coeffs = AppellFamily.gould_hopper(DunklContext(0.0), a, d).Q.coeffs
-        abs_sums = parity_sums_dense([abs(c) for c in coeffs])
+        base = AppellFamily.gould_hopper(DunklContext(0.0), a, d)
+        coeffs, k = base.Q.coeffs, math.frexp(base.Q_at_1)[1]
+        abs_sums = parity_sums_dense([math.ldexp(abs(c), -k) for c in coeffs])
         for mu in GH_MUS:
             ctx = DunklContext(mu)
             fam = AppellFamily.gould_hopper(ctx, a, d)
@@ -919,13 +977,10 @@ class TestGouldHopperClosedForm:
                 for nx in GH_NX:
                     x = nx / n
                     cm = central_moments(spec, x)
-                    if a == 700.0:
-                        with pytest.raises(RangeError, match="double range"):
-                            central_moments(pass_spec, x)
-                        continue
                     ref = central_moments(pass_spec, x)
                     rho = exp_ratio(spec, x)
-                    scale = closed_form_magnitudes(abs_sums, generic.Q_at_1, mu, n, x, rho)
+                    q1 = math.ldexp(generic.Q_at_1, -k)
+                    scale = closed_form_magnitudes(abs_sums, q1, mu, n, x, rho)
                     with mp.workdps(50):
                         _, _, scale1, scale2 = (float(v) for v in gh_exact_moments(F, M, n, x, rho))
                     tail1 = U * (1.0 + mu2 * rho) / n
@@ -937,13 +992,25 @@ class TestGouldHopperClosedForm:
 
     def test_moments_where_the_sums_pass_double_range(self):
         # e2 of exp(700 t**2) is about 2e310: the coefficient pass raised
-        # RangeError (m2 = inf), where every moment is of order one
+        # RangeError (m2 = inf), where every moment is of order one.  It now
+        # sums the coefficients over 2**1011 (Q(1) = 1.01e304) and agrees
+        # with the closed form in a within the rounding budget of
+        # ``test_gould_hopper_closed_forms``: the coefficients' ratio
+        # recurrence, at most 1.03 sqrt(a + 1) eps, and (N + 4) / 2 eps for
+        # the pass over the N terms, relative to the moments (every term
+        # is positive).
         fam = AppellFamily.gould_hopper(DunklContext(0.5), 700.0, 1)
         cm = central_moments(OperatorSpec(fam, n=10**6), 2.0)
         assert cm.omega1 == 700 * 2 / 1e6
         assert math.isfinite(cm.omega2) and abs(cm.omega2 - 3.96e-6) <= 1e-8
-        with pytest.raises(RangeError, match=r"m2 = inf"):
-            central_moments(OperatorSpec(AppellFamily(fam.ctx, fam.Q), n=10**6), 2.0)
+        generic = AppellFamily(fam.ctx, fam.Q)
+        budget = (4 * math.sqrt(701.0) + (len(generic.support) + 4) / 2) * EPS
+        for n in (10, 10**6):
+            for x in (0.0, 0.5, 2.0):
+                want = central_moments(OperatorSpec(fam, n), x)
+                got = central_moments(OperatorSpec(generic, n), x)
+                assert abs(got.omega1 - want.omega1) <= budget * want.omega1, (n, x)
+                assert abs(got.omega2 - want.omega2) <= budget * want.omega2, (n, x)
 
     @pytest.mark.parametrize("d", [1, 2, 10**400])
     def test_zero_exponent_is_the_constant_generator(self, d):
@@ -1125,7 +1192,7 @@ class TestEvaluationCounts:
                 assert cm.omega2.hex() == serial[x].omega2.hex()
 
     def test_functionals_built_once_per_family(self, monkeypatch):
-        calls = self.counting(monkeypatch, "q_functionals")
+        calls = self.counting(monkeypatch, "_parity_sums")
         coeffs = [1.0, 0.5, 0.25]
         spec = OperatorSpec(AppellFamily.from_coefficients(DunklContext(0.5), coeffs), 30)
         for x in (0.0, 0.5, 1.2):
