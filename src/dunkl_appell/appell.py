@@ -22,28 +22,30 @@ same way).
 
 One kernel, ``windows``, grows the windows of a batch of points at one n,
 and every weight comes from it: ``weights`` convolves one point's window
-with Q, and the engine's ``apply`` correlates f with Q once per batch
-instead.  It refuses a family whose positivity is unverified; for the others
-Q's coefficients and the terms are nonnegative, so no weight is negative and
-none is clamped.  Both sides of every window are rows of one set of numpy
-arrays, B = 8*sqrt(n*x) + 40 terms out from the mode for the batch's largest
-n*x, with each row's values spread over it so that every operation meets
-operands of one shape: one division for the tail bounds and the term ratios,
+with Q, and the engine's ``apply`` correlates f with Q once per cluster of
+a batch instead, reading each window from the kernel's arrays (a
+``WindowBatch``).  It refuses a family whose positivity is unverified; for
+the others Q's coefficients and the terms are nonnegative, so no weight is
+negative and none is clamped.  Both sides of every window are rows of one
+set of arrays, B = 8*sqrt(n*x) + 40 terms out from the mode for the batch's
+largest n*x, each row's values spread over it so that every operation meets
+operands of one shape: one division for the tail bounds and term ratios,
 one cumulative product for the terms and, per side, one cumulative sum for
-the running totals; each row ends at its own first term that meets its
-side's bound, a last column past B ends every side, and a row with a side
-that ends there is grown again with B doubled; a lower side whose mode is
-index 0 ends at once, and a batch of windows that are the mode alone skips
-the arrays.  Every operation runs along a row in a fixed order, so a row's
-window is the same bit for bit in any batch and alone.
+the running totals.  Each row ends at its first term that meets its side's
+bound; a last column past B ends every side, and a batch with a side that
+ends there is grown again with B doubled.  A lower side whose mode is index
+0 ends at once; a batch of windows that are the mode alone skips the arrays.
+Every operation runs along a row in a fixed order, so a row's window is the
+same bit for bit in any batch and alone.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import compress
-from typing import Iterator, List, Sequence
+from typing import Iterable, Iterator, List, Sequence
 
 import numpy as np
 
@@ -126,7 +128,8 @@ class AppellFamily:
 
     The engine fills on first use (Q never changes) ``_functionals``, the
     moments' coefficients from Q's parity sums; ``_arrays``, its
-    coefficients and widest support gap; and ``_last_moments``, the last
+    coefficients, the widest gap and last index of its support and Q(1),
+    for ``apply``; and ``_last_moments``, the last
     closed-form moments with their key.
 
     A ``gould_hopper`` family is built in two steps.  Construction checks a
@@ -307,18 +310,17 @@ class AppellFamily:
 
     def windows(
         self, n: int, x: Sequence[float], tol: Sequence[float]
-    ) -> Iterator[List[tuple]]:
+    ) -> Iterator["WindowBatch"]:
         """The weight window at scale n of every point of x, in batches.
 
-        tol holds one mass tolerance per point.  Yields, for consecutive
-        runs of points, a list of each point's window (lo, upper terms,
+        tol holds one mass tolerance per point.  Yields, for consecutive runs
+        of points, a ``WindowBatch`` of each point's window (lo, upper terms,
         lower terms, total): the terms from the mode up and from the mode - 1
-        down to index lo, and their sum.  A run holds at most MAX_WINDOW
-        (read at call time) terms, rows times 2*B + 1 for its widest first
-        block B; a point whose window alone needs more raises
-        TruncationFailureError.  A family whose positivity is unverified
-        raises DomainError, as an n that ``_scale`` refuses does.  The inputs
-        are checked when the first batch is taken.
+        down to index lo, and their sum.  A run holds at most MAX_WINDOW (read
+        at call time) terms, rows times 2*B + 1 for its widest first block B;
+        a point whose window alone needs more raises TruncationFailureError.
+        An unverified family or an n that ``_scale`` refuses raises
+        DomainError.  The inputs are checked when the first batch is taken.
         """
         if self.positivity != POSITIVE_BY_COEFFICIENTS:
             raise DomainError(
@@ -336,42 +338,55 @@ class AppellFamily:
         nx = [n * v for v in x]
         blocks = list(map(_first_block, nx, x, tol))
         for a, b, block in _batches(blocks):
-            yield self._rows(n, x[a:b], nx[a:b], tol[a:b], block)
+            yield from self._rows(n, x[a:b], nx[a:b], tol[a:b], block)
 
-    def _rows(self, n, x, nx, tol, block) -> List[tuple]:
-        """The windows at points x from one pass of block terms per side;
-        rows with a side that runs past it are redone with twice the block."""
+    def _rows(self, n, x, nx, tol, block) -> Iterable["WindowBatch"]:
+        """The windows at points x from one pass of block terms per side, as one
+        batch, or lazily, where a side runs past the block, in the batches of
+        twice it; rows are checked one by one where a check of all fails."""
         modes = list(map(math.floor, nx))
         terms, up, down, total = _sides(nx, modes, tol, 2.0 * self.ctx.mu, block)
-        out, redo = [], []
-        for r, (mode, a, b, t) in enumerate(
-            zip(modes, up.tolist(), down.tolist(), total.tolist())
-        ):
-            if not t < math.inf:  # terms past double range before a side ended
-                raise RangeError(
-                    f"weight window terms left double range at n*x = {nx[r]:.6g} "
-                    f"(mu={self.ctx.mu}, n={n}, x={x[r]})"
-                )
-            ok = a <= block and b <= block  # both sides ended within the block
-            if ok and a + b < MAX_WINDOW:
-                out.append((mode - b, terms[0, r, : a + 1], terms[1, r, 1 : b + 1], t))
-            elif ok or block == MAX_WINDOW - 1:
-                raise TruncationFailureError(
-                    f"truncation failure: the weight window reached {MAX_WINDOW} "
-                    f"terms before its tail mass fell below tol {tol[r]:.3e} at "
-                    f"n*x = {nx[r]:.6g} (n={n}, x={x[r]})"
-                )
-            else:
-                redo.append(r)
-                out.append(None)
-        if redo:
-            block = min(2 * block, MAX_WINDOW - 1)
-            for a, b, _ in _batches([block] * len(redo)):
-                at = redo[a:b]
-                pick = [x[r] for r in at], [nx[r] for r in at], [tol[r] for r in at]
-                for r, window in zip(at, self._rows(n, *pick, block)):
-                    out[r] = window
-        return out
+        up, down, total = up.tolist(), down.tolist(), total.tolist()
+        a, b = max(up), max(down)
+        if not (sum(total) < math.inf and a <= block and b <= block and a + b < MAX_WINDOW):
+            for r, (a, b, t) in enumerate(zip(up, down, total)):
+                if not t < math.inf:  # terms past double range before a side ended
+                    raise RangeError(
+                        f"weight window terms left double range at n*x = {nx[r]:.6g} "
+                        f"(mu={self.ctx.mu}, n={n}, x={x[r]})"
+                    )
+                ok = a <= block and b <= block  # both sides ended within the block
+                if a + b >= MAX_WINDOW if ok else block == MAX_WINDOW - 1:
+                    raise TruncationFailureError(
+                        f"truncation failure: the weight window reached {MAX_WINDOW} "
+                        f"terms before its tail mass fell below tol {tol[r]:.3e} at "
+                        f"n*x = {nx[r]:.6g} (n={n}, x={x[r]})"
+                    )
+            if max(max(up), max(down)) > block:
+                block = min(2 * block, MAX_WINDOW - 1)
+                return (batch for a, b, _ in _batches([block] * len(x))
+                        for batch in self._rows(n, x[a:b], nx[a:b], tol[a:b], block))
+        return [WindowBatch(list(map(operator.sub, modes, down)), up, down, total, terms)]
+
+
+class WindowBatch:
+    """The windows of a run of points as ``_sides`` left them: row r's starts
+    at lo[r], its upper terms are terms[0, r, :up[r] + 1], its lower terms
+    terms[1, r, 1:down[r] + 1] and their sum total[r].  No window is cut until
+    read; iterating gives each as (lo, upper terms, lower terms, total)."""
+
+    __slots__ = ("lo", "up", "down", "total", "terms")
+
+    def __init__(self, *fields):
+        self.lo, self.up, self.down, self.total, self.terms = fields
+
+    def __len__(self) -> int:
+        return len(self.lo)
+
+    def __iter__(self):
+        upper, lower = self.terms
+        for r, (lo, a, b, t) in enumerate(zip(self.lo, self.up, self.down, self.total)):
+            yield lo, upper[r, : a + 1], lower[r, 1 : b + 1], t
 
 
 def _gould_hopper_terms(a: float, step: int, limit: int) -> list:
@@ -518,7 +533,7 @@ def _batches(blocks: List[int]) -> Iterator[tuple]:
     limit = min(BATCH_TERMS, MAX_WINDOW)
     start, top = 0, 0
     for k, block in enumerate(blocks):
-        wide = max(top, block)
+        wide = block if block > top else top
         if k > start and (k - start + 1) * (2 * wide + 1) > limit:
             yield start, k, top
             start, wide = k, block

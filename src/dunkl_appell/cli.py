@@ -24,6 +24,7 @@ import csv
 import functools
 import io
 import json
+import operator
 import re
 import sys
 from dataclasses import dataclass, field
@@ -65,14 +66,11 @@ class RunConfig:
 # ---------------------------------------------------------------- reports
 
 
-def _fmt_cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, str):
-        return v
-    if isinstance(v, int):
-        return str(v)
-    return f"{v:.17g}"
+# A row's cells in column order, and a cell's text by its type, one C call
+# each: "%.17g" % v is format(v, ".17g") for every float, "".format(None) "".
+_CELLS = operator.itemgetter(*COLUMNS)
+_CELL_TEXT = {float: "%.17g".__mod__, int: str, bool: str, str: str, type(None): "".format}
+_DIGITS = "{:.17g}".format
 
 
 def emit(rows: List[dict], fmt: str, destination: Optional[str]) -> None:
@@ -81,7 +79,7 @@ def emit(rows: List[dict], fmt: str, destination: Optional[str]) -> None:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(COLUMNS)
-        writer.writerows([_fmt_cell(r[c]) for c in COLUMNS] for r in rows)
+        writer.writerows([_CELL_TEXT.get(type(v), _DIGITS)(v) for v in _CELLS(r)] for r in rows)
         text = buf.getvalue()
     else:
         text = json.dumps(rows, indent=2) + "\n"
@@ -135,13 +133,16 @@ def _target(cfg: RunConfig):
 # One builder per mode: the rows at one scale and their bound violations.
 
 
-def _eval_rows(cfg: RunConfig, entry, spec: OperatorSpec, xs: List[float]):
+def _errors(entry, spec: OperatorSpec, xs: List[float]):
+    """K f, f and |K f - f| at the points xs, as three lists."""
     f = entry.evaluator
-    rows = []
-    for x, kf in zip(xs, apply(spec, f, xs).tolist()):
-        fx = f(x)
-        rows.append(dict(_ROW, x=x, n=spec.n, Kf=kf, f=fx, abs_err=abs(kf - fx)))
-    return rows, 0
+    kf, fx = apply(spec, f, xs).tolist(), list(map(f, xs))  # f at the nodes, then at xs
+    return kf, fx, list(map(abs, map(operator.sub, kf, fx)))
+
+
+def _eval_rows(cfg: RunConfig, entry, spec: OperatorSpec, xs: List[float]):
+    return [dict(_ROW, x=x, n=spec.n, Kf=k, f=v, abs_err=e)
+            for x, k, v, e in zip(xs, *_errors(entry, spec, xs))], 0
 
 
 def _moments_rows(cfg: RunConfig, entry, spec: OperatorSpec, xs: List[float]):
@@ -155,9 +156,10 @@ def _moments_rows(cfg: RunConfig, entry, spec: OperatorSpec, xs: List[float]):
 
 
 def _converge_rows(cfg: RunConfig, entry, spec: OperatorSpec, xs: List[float]):
+    kf, fx, err = _errors(entry, spec, xs)
     # max keeps the first of equal errors, as a strict > scan does
-    rows, _ = _eval_rows(cfg, entry, spec, xs)
-    return [max(rows, key=lambda row: row["abs_err"])], 0
+    r = max(range(len(xs)), key=err.__getitem__)
+    return [dict(_ROW, x=xs[r], n=spec.n, Kf=kf[r], f=fx[r], abs_err=err[r])], 0
 
 
 def _bounds_rows(cfg: RunConfig, entry, spec: OperatorSpec, xs: List[float]):

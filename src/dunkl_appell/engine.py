@@ -2,10 +2,11 @@
 
 The operator attached to a family F at scale n averages a function over the
 nodes (i + 2*mu*theta(i))/n with the family's weights.  ``apply`` never
-forms them: it sums f against Q's coefficients once per batch of points,
-then against each point's window of terms.  The first and second raw
-moments, and the central moments omega1 and omega2, also have closed forms
-in Q and the exponential ratio rho = e_mu(-nx)/e_mu(nx).  Both routes are
+forms them: it sums f against Q's coefficients once per cluster of
+overlapping windows of a batch from ``AppellFamily.windows``, then against
+each window's terms in the kernel's arrays.  The first and second raw
+moments and the central moments omega1 and omega2 also have closed forms in
+Q and the exponential ratio rho = e_mu(-nx)/e_mu(nx).  Both routes are
 implemented; they serve as mutual oracles, and the two algebraically
 identical expressions for omega2 are checked against each other on every
 fresh evaluation.
@@ -46,24 +47,11 @@ S keeps no cancelling terms, and a generator with no odd powers (O_j = 0,
 every Gould-Hopper family with d odd) has omega1 = (Q'(1)/Q(1))/n exactly,
 whatever x and mu.
 
-The paper's application, the Gould-Hopper generator Q = exp(a t**m) with
-m = d+1, has every moment in closed form in (a, m, mu) and rho, since each
-Q^(j)(+-1) is Q(+-1) times a polynomial in a and Q(-1)/Q(1) is 1 at even m
-and r = e**(-2a) at odd m:
-
-    m even:  omega1 = a m / n
-             omega2 = (1 + mu2 rho) x / n + (a m**2 + (a m)**2) / n**2
-    m odd:   omega1 = (a m + mu rho (1 - r)) / n
-             omega2 = (1 + mu2 rho (2r - 1)) x / n
-                      + (a m**2 + (a m)**2 + mu2**2 (1 - r)/2
-                         + mu2 rho a m (1 + r)) / n**2
-
-and m1 = x + omega1.  So omega1 = a (d+1)/n for odd d at every x and mu.
-``AppellFamily.gould_hopper`` fills the family's closed-form coefficients
-(``_functionals``) from these forms (``appell._gould_hopper_functionals``),
-each already divided by Q(1) = e**a, so its moments never read Q's
-coefficients and stay finite where the sums themselves pass double range
-(a = 700).
+The paper's application, the Gould-Hopper generator exp(a t**(d+1)), has
+every moment in closed form in (a, d, mu) and rho (see the README and
+``appell._gould_hopper_functionals``, which fills its family's
+``_functionals`` each already divided by Q(1) = e**a), so its moments never
+read Q's coefficients and stay finite where their sums pass double range.
 
 The closed forms cost a bounded amount at every n*x.  The ratio comes from
 ``dunkl_exp_neg_ratio``: exp(-2nx) at mu = 0, a positive series below a
@@ -78,11 +66,6 @@ sums of the order of Q(1) stay in double range.  One evaluation of the
 ratio then yields m1, m2, omega1 and omega2 together.  The family keeps
 the last such evaluation, so ``moments_closed`` and ``central_moments``
 share it.
-
-``OperatorSpec``, ``QFunctionals`` and ``CentralMoments`` are named
-tuples, so a fresh spec or result pays no dataclass constructor per call:
-each unpacks, indexes and equals a plain tuple, and ``OperatorSpec`` runs
-its checks in ``__new__``, which ``_make`` and ``_replace`` go through.
 """
 
 from __future__ import annotations
@@ -178,23 +161,19 @@ def nodes(spec: OperatorSpec, count: int, start: int = 0) -> np.ndarray:
 def apply(spec: OperatorSpec, f: Callable[[float], float], x):
     """Evaluate the operator on f at a point x, or at every point of a 1-D grid.
 
-    A float x gives a float and a sequence a float array; a float is the
-    one-point grid.  With the terms u_j of a window (``AppellFamily.windows``)
-    and Q's coefficients c_k, K f(x) = sum_j u_j g_j / (Q(1) sum_j u_j),
-    where g_j = sum_k c_k f(t_(j+k)) does not depend on x: each batch of
-    windows shares one correlation of f with Q.  f is called once per
-    distinct node of nonzero weight in a batch, in increasing index order,
-    and each value equals the value at that point alone bit for bit.  A
-    non-finite value of f raises EvaluationError naming the first such node
-    in index order; finite values whose weighted sum leaves double range
-    raise RangeError naming n and the point.
-
-    The weight emission's mass tolerance only bounds the zeroth-moment
-    truncation error; for growing targets like t or t**2 the omitted tail
-    picks up a factor of the node value at the cutoff.  The mass tolerance
-    is therefore derated, point by point, by the square of an a-priori
-    estimate of that node, floored where cumulative-mass rounding noise
-    would start to bite.
+    A float x gives a float and a sequence a float array, on one path.  With
+    the terms u_j of a window (``AppellFamily.windows``) and Q's
+    coefficients c_k, K f(x) = sum_j u_j g_j / (Q(1) sum_j u_j), where g_j =
+    sum_k c_k f(t_(j+k)) does not depend on x: the windows of a cluster
+    share one correlation of f with Q.  f is called once per distinct node
+    of nonzero weight in a batch, in increasing index order, and each value
+    equals the value at that point alone bit for bit.  f's values are read
+    as numpy reads floats, and whatever f or that reading raises passes
+    through: a str that is no number raises ValueError, a complex TypeError,
+    and '1.5' is 1.5.  A value read as non-finite (None is nan) raises
+    EvaluationError naming the first such node in index order; finite values
+    whose weighted sum leaves double range raise RangeError naming n and
+    the point.  Each point's mass tolerance is ``_point_tol``'s.
     """
     points = np.asarray(x, dtype=float)
     if points.ndim > 1:
@@ -203,88 +182,92 @@ def apply(spec: OperatorSpec, f: Callable[[float], float], x):
     xs = grid.tolist()
     tol = [_point_tol(spec, t) for t in xs]
     values = []
-    for windows in spec.family.windows(spec.n, grid, tol):
-        values += _contract(spec, f, windows, xs[len(values) :])
+    for batch in spec.family.windows(spec.n, grid, tol):
+        values += _contract(spec, f, batch, xs[len(values) :])
     return np.array(values) if points.ndim else values[0]
 
 
 def _point_tol(spec: OperatorSpec, x: float) -> float:
-    """The mass tolerance for apply at x, derated for the largest node."""
-    n = spec.n
-    # max(.., 0): a point with n*x < 0 is rejected by the weights
-    node_cut = x + (8.0 * math.sqrt(max(n * x, 0.0) + 1.0) + 40.0) / n
-    tol = max(spec.tol / (1.0 + node_cut * node_cut), 5e-14)
-    return min(tol, spec.tol)
+    """spec.tol over the square of the a-priori largest node at x (f's tail
+    can grow like t**2), floored at 5e-14, or spec.tol if smaller."""
+    _, n, tol = spec
+    nx = n * x  # a point with n*x < 0 is rejected by the weights
+    node_cut = x + (8.0 * math.sqrt((nx if nx > 0.0 else 0.0) + 1.0) + 40.0) / n
+    derated = tol / (1.0 + node_cut * node_cut)
+    return derated if derated > 5e-14 else min(5e-14, tol)
 
 
-def _contract(spec: OperatorSpec, f, windows, x) -> List[float]:
+def _contract(spec: OperatorSpec, f, batch, x) -> List[float]:
     """The value at every window of one batch, at points x, from f
-    correlated with Q.
-
-    Rows whose nodes [lo, hi + last index of Q's support] meet share a
-    cluster's arrays; they are one interval unless a window is narrower
-    than Q's widest gap, and g is 0.0 at the nodes no window reaches.
-    """
+    correlated with Q.  Rows whose nodes [lo, hi + last index of Q's support]
+    meet share a cluster's arrays, one interval unless a window of the batch
+    is narrower than Q's widest gap (then g is 0.0 where no window reaches);
+    rows go in lo order, sorted only where they are not."""
     family = spec.family
-    support = family.support
-    if family._arrays is None:  # Q's coefficients and the widest gap in its support
+    if family._arrays is None:  # Q's coefficients, support gap and top index, Q(1)
+        support = family.support
         gap = max(map(operator.sub, support[1:], support), default=1)
-        family._arrays = np.array(family.Q.coeffs), gap
-    c, gap = family._arrays
-    deg, top = len(c) - 1, support[-1]
-    clusters = []  # [first index, last window index, rows as (r, lo, hi)]
-    for lo, r in sorted((w[0], r) for r, w in enumerate(windows)):
-        hi = lo + len(windows[r][1]) + len(windows[r][2]) - 1
-        if not clusters or lo > clusters[-1][1] + top + 1:
-            clusters.append([lo, hi, []])
-        clusters[-1][1] = max(clusters[-1][1], hi)
-        clusters[-1][2].append((r, lo, hi))
-    values = [0.0] * len(windows)
-    for first, last, rows in clusters:
+        family._arrays = np.array(family.Q.coeffs), gap, support[-1], family.Q_at_1
+    c, gap, top, q1 = family._arrays
+    deg, lo, up, down = len(c) - 1, batch.lo, batch.up, batch.down
+    rows = range(len(lo)) if lo == sorted(lo) else sorted(range(len(lo)), key=lo.__getitem__)
+    ends, last = [], -2 - top  # (end, reach) of each cluster: a row past it starts one
+    for k, r in enumerate(rows):
+        if lo[r] > last + top + 1 and k:
+            ends.append((k, last))
+        hi = lo[r] + up[r] + down[r]
+        last = hi if hi > last else last
+    ends.append((len(lo), last))
+    holes = gap > 1 and min(map(operator.add, up, down)) < gap - 1  # a window is narrower
+    values, s = [0.0] * len(lo), 0
+    for e, last in ends:
+        first = lo[rows[s]]
         span = last - first + 1 + deg
         used = slice(0, last - first + 1 + top)
-        if any(hi - lo < gap - 1 for _, lo, hi in rows):  # a window leaves holes
+        if holes:  # f only where a window reaches, then, in every cluster of the batch
             mask = np.zeros(span, bool)
-            for _, lo, hi in rows:
-                if hi - lo >= gap - 1:  # the window spans Q's widest gap
-                    mask[lo - first : hi - first + top + 1] = True
+            for r in rows[s:e]:
+                a, hi = lo[r], lo[r] + up[r] + down[r]
+                if hi - a >= gap - 1:  # the window spans Q's widest gap
+                    mask[a - first : hi - first + top + 1] = True
                 else:
-                    mask[np.add.outer(np.arange(lo, hi + 1) - first, support)] = True
+                    mask[np.add.outer(np.arange(a, hi + 1) - first, family.support)] = True
             used = mask.nonzero()[0]
         t = nodes(spec, span, first)[used]
         ft = fv = np.fromiter(map(f, t.tolist()), float, len(t))
         if len(ft) < span:
             fv = np.zeros(span)
             fv[used] = ft
-        _weighted_sums(fv, c, first, rows, windows, family.Q_at_1, values)
-        for r, _, _ in rows:
-            if not math.isfinite(values[r]):
-                _non_finite(ft, t, spec.n, x[r])
+        if not math.isfinite(_weighted_sums(fv, c, first, q1, batch, rows[s:e], values)):
+            bad = np.isfinite(ft).argmin()  # the first non-finite value of f, else 0
+            if not math.isfinite(ft[bad]):
+                raise EvaluationError(f"target function returned non-finite value "
+                                      f"{ft[bad]} at node {t[bad]}")
+            for r in rows[s:e]:
+                if not math.isfinite(values[r]):
+                    raise RangeError(f"K f left double range at n={spec.n}, x={x[r]}, "
+                                     "with every value of f finite")
+        s = e
     return values
 
 
 # A sum past double range shows as a non-finite value that _contract reports.
 @np.errstate(over="ignore", invalid="ignore")
-def _weighted_sums(fv, c, first, rows, windows, q1, values) -> None:
-    """K f at a cluster's rows from f at its nodes, fv from index first on."""
+def _weighted_sums(fv, c, first, q1, batch, rows, values) -> float:
+    """K f into values at a cluster's rows of batch, fv from index first on; their sum."""
     g = np.correlate(fv, c, "valid")
-    for r, lo, _ in rows:
-        _, up, down, total = windows[r]
-        mode = lo - first + len(down)
-        value = up @ g[mode : mode + len(up)] + down @ g[lo - first : mode][::-1]
-        values[r] = float(value) / (q1 * total)
-
-
-def _non_finite(fv: np.ndarray, t: np.ndarray, n: int, x: float) -> None:
-    """Raise for a non-finite K f at (n, x): EvaluationError at the first
-    non-finite value of f, else RangeError for their weighted sum."""
-    finite = np.isfinite(fv)
-    if not finite.all():
-        bad = finite.argmin()
-        raise EvaluationError(
-            f"target function returned non-finite value {fv[bad]} at node {t[bad]}"
-        )
-    raise RangeError(f"K f left double range at n={n}, x={x}, with every value of f finite")
+    width, terms = batch.terms.shape[2], batch.terms.ravel()
+    half, out = len(terms) // 2, 0.0  # where the lower sides start
+    lo, up, down, total = batch.lo, batch.up, batch.down, batch.total
+    for r in rows:
+        a, b, o = up[r], down[r], r * width
+        mode = lo[r] - first + b
+        value = terms[o : o + a + 1] @ g[mode : mode + a + 1]
+        # an empty lower side's product is 0.0, which the sum adds as it is
+        value += terms[half + o + 1 : half + o + b + 1] @ g[mode - b : mode][::-1] if b else 0.0
+        values[r] = value = float(value) / (q1 * total[r])
+        out += value
+    return out
 
 
 def q_functionals(family: AppellFamily) -> QFunctionals:

@@ -30,7 +30,11 @@ def window_hex(window):
 
 
 def batches_hex(batches):
-    return [[window_hex(w) for w in batch] for batch in batches]
+    """Every window of a sequence of batches, in order, by ``window_hex``,
+    as the one batch of a list.  Batch boundaries are left out: where a
+    point's side runs past its first block, ``AppellFamily.windows`` yields
+    its run again in the batches of the doubled block, not as one batch."""
+    return [[window_hex(w) for batch in batches for w in batch]]
 
 
 def pytest_terminal_summary(terminalreporter):

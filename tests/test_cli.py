@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -15,6 +16,7 @@ from dunkl_appell import (
 )
 from dunkl_appell import appell, bounds, cli
 from dunkl_appell.cli import COLUMNS, RunConfig, emit, grid_points, main, parse_config
+from dunkl_appell.functions import BUILTIN_REGISTRY
 
 from conftest import shrink_sinx_modulus
 
@@ -267,6 +269,51 @@ class TestConvergeIsEvalReduced:
         assert [int(r["n"]) for r in got] == sorted(int(r["n"]) for r in got)
         if "const1" in argv:
             assert all(float(r["x"]) == 0.0 and float(r["abs_err"]) == 0.0 for r in got)
+
+
+class TestConvergeWithNanErrors:
+    """A nan |K f - f| wins converge's row only where it comes first, as in
+    a strict > scan of eval's rows."""
+
+    @pytest.mark.parametrize("at", [0, 2])
+    def test_nan_row(self, capsys, monkeypatch, at):
+        # n = 20, mu = 0.5: the grid points 0.013 + 0.11 k are no nodes, so
+        # only f(x) itself is nan there, not K f
+        grid = grid_points(0.013, 0.5, 0.11)
+        f = lambda t: math.nan if t == grid[at] else math.sin(t)
+        monkeypatch.setitem(
+            BUILTIN_REGISTRY, "sinx", dataclasses.replace(BUILTIN_REGISTRY["sinx"], evaluator=f)
+        )
+        argv = ("--mu", "0.5", "--f", "sinx", "--n", "20", "--x-grid", "0.013:0.5:0.11")
+        _, out, _ = run_cli(capsys, "eval", *argv)
+        lines = out.splitlines()[1:]
+        worst = max(range(len(lines)), key=lambda k: float(lines[k].split(",")[4]))
+        code, got, _ = run_cli(capsys, "converge", *argv)
+        assert code == 0 and got.splitlines()[1:] == [lines[worst]]
+        assert ("nan" in lines[worst]) == (at == 0)
+
+
+class TestEmitText:
+    """CSV cells are "" for None, str() for an int or a str, and format(v,
+    ".17g") for a float, whatever its value."""
+
+    FLOATS = [math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, 2.2250738585072014e-308,
+              0.1, 1 / 3, 123456789.12345679, 9007199254740993.0, 1.7976931348623157e308]
+
+    def test_cells(self, capsys):
+        rows = [
+            dict(cli._ROW, x=v, n=20, Kf=-v, f=None, abs_err=v / 3, theorem="T2")
+            for v in self.FLOATS
+        ] + [dict(cli._ROW, x=0.5, n=10**30, theorem=None, margin=-1e-300)]
+        emit(rows, "csv", None)
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == HEADER
+        want = [
+            ",".join((format(v, ".17g"), "20", format(-v, ".17g"), "", format(v / 3, ".17g"),
+                      "", "", "", "", "T2"))
+            for v in self.FLOATS
+        ] + ["0.5," + str(10**30) + ",,,,,,," + format(-1e-300, ".17g") + ","]
+        assert lines[1:] == want
 
 
 class TestBoundsMode:

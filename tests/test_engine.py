@@ -8,6 +8,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dunkl_appell import (
     AppellFamily,
@@ -1397,6 +1399,72 @@ class TestKernelBitIdentity:
         want = (i + 2.0 * mu * (i & 1)) / 7 if mu else i / 7
         got = nodes(spec, 9, start)
         assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
+
+
+class TestApplyProperty:
+    """On drawn grids (unsorted, with duplicates, x = 0, windows far apart,
+    n*x up to 1e6) of the sparse generator, with a tolerance that can make a
+    side run past its first block, apply equals the frozen block kernel and
+    masked contraction, and each grid value the value at that point alone,
+    by ``float.hex``."""
+
+    @given(
+        mu=st.sampled_from([0.0, 0.5, 1.3]),
+        n=st.integers(min_value=1, max_value=1000),
+        nxs=st.lists(
+            st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.floats(1.0, 1e3), st.floats(1e3, 1e6)),
+            min_size=1, max_size=5,
+        ),
+        repeats=st.integers(min_value=0, max_value=2),
+        tol=st.sampled_from([1e-12, 1e-40]),
+    )
+    @example(mu=0.5, n=1, nxs=[800.0, 0.0, 3.0, 1e6], repeats=2, tol=1e-40)
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    def test_apply_equals_the_frozen_kernel_and_each_point(self, mu, n, nxs, repeats, tol):
+        fam = kernel_family(mu, "sparse")
+        spec = OperatorSpec(family=fam, n=n, tol=tol)
+        xs = [nx / n for nx in nxs]
+        xs += xs[:repeats]  # duplicates
+        f = lambda t: math.cos(3.0 * t) - 0.25
+        tols = [engine._point_tol(spec, x) for x in xs]
+        want = []
+        for batch in block_windows(mu, n, xs, tols, appell.MAX_WINDOW, appell.BATCH_TERMS):
+            want += contract_masked(mu, n, fam.Q.coeffs, f, batch)
+        got = [v.hex() for v in apply(spec, f, xs).tolist()]
+        assert got == [v.hex() for v in want]
+        assert got == [apply(spec, f, x).hex() for x in xs]
+
+    def test_example_takes_a_second_pass(self):
+        # the explicit example's n*x = 800 at tol 1e-40 runs past 8 sqrt(800) + 40
+        spec = OperatorSpec(family=kernel_family(0.5, "sparse"), n=1, tol=1e-40)
+        (window,) = next(spec.family.windows(1, [800.0], [engine._point_tol(spec, 800.0)]))
+        assert max(len(window[1]), len(window[2])) > 8.0 * math.sqrt(800.0) + 41
+
+
+class TestTargetValuesPassThrough:
+    """f's values are read as numpy reads floats, and whatever f or that
+    reading raises passes through, on a float and on a grid alike."""
+
+    @pytest.mark.parametrize("x", [1.0, [0.5, 1.0]])
+    def test_what_reading_a_value_raises_passes_through(self, x):
+        spec = unit_spec(0.5, 20)
+        with pytest.raises(ValueError, match="could not convert string to float: 'abc'"):
+            apply(spec, lambda t: "abc", x)
+        with pytest.raises(TypeError, match="complex"):
+            apply(spec, lambda t: 1j, x)
+        with pytest.raises(ZeroDivisionError):
+            apply(spec, lambda t: 1.0 / 0.0, x)
+
+    @pytest.mark.parametrize("x", [1.0, [0.5, 1.0]])
+    def test_none_reads_as_nan(self, x):
+        with pytest.raises(EvaluationError, match="non-finite value nan at node 0.0$"):
+            apply(unit_spec(0.5, 20), lambda t: None, x)
+
+    @pytest.mark.parametrize("x", [1.0, [0.5, 1.0]])
+    def test_a_numeric_str_reads_as_its_number(self, x):
+        spec = unit_spec(0.5, 20)
+        got = np.asarray(apply(spec, lambda t: "1.5", x))
+        assert got.tobytes() == np.asarray(apply(spec, lambda t: 1.5, x)).tobytes()
 
 
 class TestSumPastDoubleRange:
