@@ -126,31 +126,31 @@ class AppellFamily:
     (``itertools.compress``) and positivity with ``min``, and hands Q and
     its support to ``_fill``, which takes Q_at_1 and fills those slots.
 
-    The engine fills on first use (Q never changes) ``_functionals``, the
-    moments' coefficients from Q's parity sums; ``_arrays``, its
-    coefficients, the widest gap and last index of its support and Q(1),
-    for ``apply``; and ``_last_moments``, the last
-    closed-form moments with their key.
+    The engine fills on first use (Q never changes) ``_jet``, Q's parity
+    sums and Q(1) times one factor, the moments' mu-free input;
+    ``_functionals``, the moments' coefficients formed from it; ``_arrays``,
+    its coefficients, the widest gap and last index of its support and
+    Q(1), for ``apply``; and ``_last_moments``, the last closed-form moments
+    with their key.
 
     A ``gould_hopper`` family is built in two steps.  Construction checks a
-    and d, sets ctx and positivity and fills ``_functionals`` from the
-    generator's closed form, so moments need nothing more.  It runs the
-    tail loop only where a closed-form bound cannot rule out the loop's
-    errors, keeping its terms and gap in ``_terms``; elsewhere ``_terms``
-    holds the pending (a, d+1, limit).  Q, support and Q_at_1 are
-    properties over the slots ``_Q``, ``_support`` and ``_Q_at_1``, which
-    stay None until one of the three is first read: ``_build`` then runs a
-    pending loop, lays the terms out at every (d+1)-th index of the
-    coefficient tuple and fills all three through ``_fill``, keeping every
-    other slot.  A family from the constructor has ``_terms`` None.  Every
-    other attribute is a plain slot, so the moments' reads cost nothing
-    more; a class-level ``__getattr__`` would instead add about 25 ns to
-    every read of every attribute.
+    and d, sets ctx and positivity and fills ``_jet`` from the generator's
+    closed form, so moments need nothing more.  It runs the tail loop only
+    where a closed-form bound cannot rule out the loop's errors, keeping its
+    terms and gap in ``_terms``; elsewhere ``_terms`` holds the pending (a,
+    d+1, limit).  Q, support and Q_at_1 are properties over the slots
+    ``_Q``, ``_support`` and ``_Q_at_1``, which stay None until one of the
+    three is first read: ``_build`` then runs a pending loop, lays the terms
+    out at every (d+1)-th index of the coefficient tuple and fills all three
+    through ``_fill``, keeping every other slot.  A family from the
+    constructor has ``_terms`` None.  Every other attribute is a plain slot,
+    so the moments' reads cost nothing more; a class-level ``__getattr__``
+    would instead add about 25 ns to every read of every attribute.
     """
 
     __slots__ = (
         "ctx", "positivity", "_Q", "_support", "_Q_at_1",
-        "_functionals", "_arrays", "_last_moments", "_terms",
+        "_jet", "_functionals", "_arrays", "_last_moments", "_terms",
     )
 
     def __init__(self, ctx: DunklContext, Q: PowerSeries):
@@ -163,7 +163,7 @@ class AppellFamily:
         # Q's coefficients are finite, so the least decides positivity and
         # -0.0 >= 0.0
         self.positivity = POSITIVE_BY_COEFFICIENTS if min(cs) >= 0.0 else UNVERIFIED
-        self._functionals = self._arrays = self._last_moments = self._terms = None
+        self._jet = self._functionals = self._arrays = self._last_moments = self._terms = None
         # the indices whose coefficient is truthy, i.e. nonzero, at C level
         self._fill(Q, tuple(compress(range(len(cs)), cs)))
 
@@ -248,13 +248,13 @@ class AppellFamily:
         positivity as proven, and its series skips the constructor's checks.
 
         What is built when: a and d are checked here, and the family's
-        ``_functionals`` come from ``_gould_hopper_functionals``, the closed
-        form of the uncut exp(a t**(d+1)), so the engine's moments never read
-        the coefficients (the cut tail moves the coefficients' own sums by
-        under half an ulp of Q(1)).  The loop can raise only two ways: its
-        running sum reaches inf, or its k terms need (k-1)(d+1) >= MAX_WINDOW.
-        Where a closed-form test rules both out, the family keeps a, d+1 and
-        the MAX_WINDOW read here in ``_terms``, and the loop runs, with that
+        ``_jet`` comes from ``_gould_hopper_jet``, the closed form of the
+        uncut exp(a t**(d+1)), so the engine's moments never read the
+        coefficients (the cut tail moves the coefficients' own sums by under
+        half an ulp of Q(1)).  The loop can raise only two ways: its running
+        sum reaches inf, or its k terms need (k-1)(d+1) >= MAX_WINDOW.  Where
+        a closed-form test rules both out, the family keeps a, d+1 and the
+        MAX_WINDOW read here in ``_terms``, and the loop runs, with that
         limit, on the first read of Q, support or Q_at_1, so that build never
         raises; elsewhere the loop runs here, raising every error above, and
         ``_terms`` keeps its terms and d+1.  Either way the coefficient tuple,
@@ -284,9 +284,9 @@ class AppellFamily:
             family._terms = a, step, limit  # the loop cannot raise: run it later
         else:
             family._terms = _gould_hopper_terms(a, step, limit), step
-        family._functionals = _gould_hopper_functionals(a, step, ctx.mu)
+        family._jet = _gould_hopper_jet(a, step)
         family._Q = family._support = family._Q_at_1 = None
-        family._arrays = family._last_moments = None
+        family._functionals = family._arrays = family._last_moments = None
         return family
 
     def weights(self, n: int, x: float, tol: float = 1e-12) -> WeightSequence:
@@ -328,7 +328,7 @@ class AppellFamily:
                 "so its operator weights need not be nonnegative"
             )
         n = _scale(n)
-        x = np.asarray(x, dtype=float)
+        x = _points(x)
         if x.ndim != 1 or len(tol) != len(x):
             raise DomainError(
                 f"need a 1-D grid of points and one tolerance per point, got "
@@ -433,42 +433,32 @@ def _gould_hopper_terms(a: float, step: int, limit: int) -> list:
     return terms
 
 
-def _gould_hopper_functionals(a: float, m: int, mu: float) -> tuple:
-    """The closed form's coefficients (``engine._functionals``) of the
-    generator Q = exp(a t**m), each divided by Q(1) = e**a, without forming
-    e**a.
+def _gould_hopper_jet(a: float, m: int) -> tuple:
+    """The jet (e0, e1, e2, o0, o1, o2, q1) of the uncut generator exp(a
+    t**m) over Q(1) = e**a, so q1 = 1.0, without forming e**a or taking mu.
 
-    Q'(s) = a m s**(m-1) Q(s) and Q''(s) = (a m (m-1) s**(m-2) + (a m
-    s**(m-1))**2) Q(s), and the parity sums are E_j = (Q^(j)(1) + (-1)**j
-    Q^(j)(-1))/2 and O_j = (Q^(j)(1) - (-1)**j Q^(j)(-1))/2.  At even m, Q is
-    even: O_j = 0 and E_j = Q^(j)(1).  At odd m, Q(-1)/Q(1) = r = e**(-2a),
-    so E0/Q(1) = (1 + r)/2, O0/Q(1) = (1 - r)/2 = -expm1(-2a)/2 and O1/Q(1)
-    = a m (1 + r)/2.  With w1 = Q'(1)/Q(1) = a m and mu2 = 2 mu, the values
-    in ``_functionals``' order are
+    With p = a m, P = p (m-1) and R = p**2 (Q' = p t**(m-1) Q and Q'' = (P
+    t**(m-2) + R t**(2m-2)) Q), at even m Q is even and the jet is (1, p,
+    P + R, 0, 0, 0, 1); at odd m, Q(-1)/Q(1) = r = e**(-2a) and, with 1 - r
+    taken as -expm1(-2a), every sum has positive terms only:
 
-        w1 = a m                     odd = mu2 O0/Q(1) (0 at even m)
-        lead = 1 + 2 w1              s0 = w1 (m + w1) + mu2 odd
-        skew1 = mu2 r, skew2 = mu2 (2r - 1), s1 = mu2 w1 (1 + r) at odd m;
-        skew1 = skew2 = mu2, s1 = 0 at even m.
+        e0 = (1 + r)/2    e1 = p (1 - r)/2    e2 = (P (1 - r) + R (1 + r))/2
+        o0 = (1 - r)/2    o1 = p (1 + r)/2    o2 = (P (1 + r) + R (1 - r))/2
 
-    skew1 is mu2 (E0 - O0)/Q(1), formed from r itself: as mu2 (cosh a -
-    sinh a)/e**a it loses every digit by a = 50.  a = 0 is the constant
-    generator whatever m is, so a m is never formed there (m may be past
-    double range); for a > 0 the tail loop has bounded m.
+    a = 0 is the constant generator at every m, so p is not formed there (m
+    may be past double range); for a > 0 the tail loop has bounded m.
     """
-    mu2 = 2.0 * mu
     if not a:
-        return 0.0, 0.0, 1.0, mu2, mu2, 0.0, 0.0
-    w1 = a * m
-    s0 = w1 * (m + w1)
+        return 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0
+    p = a * m
+    P, R = p * (m - 1), p * p
     if m & 1:
-        r = math.exp(-2.0 * a)
-        odd = -mu2 * math.expm1(-2.0 * a) / 2.0
+        minus, plus = -math.expm1(-2.0 * a), 1.0 + math.exp(-2.0 * a)
         return (
-            w1, odd, 1.0 + 2.0 * w1, mu2 * r, mu2 * (2.0 * r - 1.0),
-            s0 + mu2 * odd, mu2 * w1 * (1.0 + r),
+            0.5 * plus, 0.5 * (p * minus), 0.5 * (P * minus + R * plus),
+            0.5 * minus, 0.5 * (p * plus), 0.5 * (P * plus + R * minus), 1.0,
         )
-    return w1, 0.0, 1.0 + 2.0 * w1, mu2, mu2, s0, 0.0
+    return 1.0, p, P + R, 0.0, 0.0, 0.0, 1.0
 
 
 def _positive_int(name: str, value) -> int:
@@ -510,6 +500,15 @@ def _int_text(value: int) -> str:
     except ValueError:
         sign = "negative " if value < 0 else ""
         return f"<{sign}int of {value.bit_length()} bits>"
+
+
+def _points(x) -> np.ndarray:
+    """x as a float array; an int past double range raises DomainError."""
+    try:
+        return np.asarray(x, dtype=float)
+    except OverflowError:  # numpy refuses an int past double range
+        raise DomainError("evaluation point must be a finite real >= 0, got an int "
+                          "past double range") from None
 
 
 def _first_block(nx: float, x: float, tol: float) -> int:

@@ -28,6 +28,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .dunkl import _nonnegative_real
 from .engine import OperatorSpec, apply, central_moments
 from .errors import ConfigurationError, DomainError, EvaluationError
 from .functions import FunctionEntry
@@ -43,18 +44,13 @@ ANALYTIC = "analytic"
 WINDOW_LOCAL = "window-local (consistency check, not proof)"
 
 
-def _positive(name: str, value: float) -> None:
-    if not 0.0 < value < math.inf:
-        raise DomainError(f"{name} must be finite and positive, got {value}")
-
-
 def grid_points(lo: float, hi: float, step: float) -> List[float]:
     """The inclusive grid lo + k * step, k = 0, 1, ... up to the floor of
     (hi - lo) / step + 1e-9, a slack that keeps hi where the quotient rounds
     low: the grid of --x-grid and of the modulus windows.  A step that is
     not finite and positive, lo > hi, or more than MAX_GRID_NODES points
     (read at call time, counted before any is built) raise DomainError."""
-    _positive("grid step", step)
+    step = _nonnegative_real("grid step", step, positive=True)
     if not lo <= hi:
         raise DomainError(f"window ({lo}, {hi}) holds no point")
     span = (hi - lo) / step + 1e-9  # inf past double range, nan for (inf, inf)
@@ -89,8 +85,8 @@ def modulus1(
     value is a lower estimate of the true modulus: the grid can miss the
     maximizing pair by up to one step.
     """
-    _positive("delta", delta)
-    _positive("grid step", grid_step)
+    delta = _nonnegative_real("delta", delta, positive=True)
+    grid_step = _nonnegative_real("grid step", grid_step, positive=True)
     if grid_step > delta / 8.0:
         raise DomainError(
             f"grid step {grid_step} too coarse for delta={delta}; need <= delta/8"
@@ -114,8 +110,8 @@ def modulus2(
     Maximizes |f(x + 2h) - 2 f(x + h) + f(x)| over the grid for 0 < h <= s;
     the window must leave room for x + 2h.
     """
-    _positive("scale s", s)
-    _positive("grid step", grid_step)
+    s = _nonnegative_real("scale s", s, positive=True)
+    grid_step = _nonnegative_real("grid step", grid_step, positive=True)
     if grid_step > s / 8.0:
         raise DomainError(
             f"grid step {grid_step} too coarse for s={s}; need <= s/8"
@@ -180,7 +176,7 @@ def _t3(M: float, beta: float) -> _Rule:
     """Hoelder rule for a constant M > 0 and an exponent beta in (0, 1]."""
     if not (0.0 < beta <= 1.0):
         raise DomainError(f"Hoelder exponent must lie in (0, 1], got {beta}")
-    _positive("Hoelder constant M", M)
+    M = _nonnegative_real("Hoelder constant M", M, positive=True)
     inputs = BoundInputs("T3", M=M, beta=beta)
     return lambda omega2: (M * omega2 ** (beta / 2.0), inputs)
 
@@ -189,9 +185,8 @@ def _t4(a: float, w2: Callable, sup_norm: float, xs: Sequence[float]) -> _Rule:
     """Second-modulus rule on [0, a] with s = omega2 ** (1/4), for points xs
     that lie at most EDGE_SLACK past a (else DomainError); each value w2(s)
     is checked by ``_modulus``."""
-    _positive("interval end", a)
-    if not 0.0 <= sup_norm < math.inf:
-        raise DomainError(f"sup norm must be finite and nonnegative, got {sup_norm}")
+    a = _nonnegative_real("interval end", a, positive=True)
+    sup_norm = _nonnegative_real("sup norm", sup_norm)
     top = max(xs, default=0.0)
     if not top <= a + EDGE_SLACK:
         raise DomainError(f"x={top} lies past interval_end={a}; the bound holds on [0, a]")

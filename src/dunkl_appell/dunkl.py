@@ -58,17 +58,22 @@ class DunklContext:
         return f"DunklContext(mu={self.mu!r})"
 
 
-def _nonnegative_real(name: str, value) -> float:
-    """value as a float that is finite and >= 0, else DomainError, also for a
-    value that float() refuses (None, or a str it cannot read)."""
+# The real rule's two forms, indexed by its flag positive.
+_RULES = ("a finite real >= 0", "finite and positive")
+
+
+def _nonnegative_real(name: str, value, positive: bool = False) -> float:
+    """value as a float that is finite and >= 0 (> 0 if positive), else
+    DomainError, also for a value that float() refuses (None, or a str it
+    cannot read)."""
     try:
         x = float(value)
     except OverflowError:  # an int past double range
         x = math.inf if value > 0 else -math.inf
     except (TypeError, ValueError):
-        raise DomainError(f"{name} must be a finite real >= 0, got {value!r}") from None
-    if not 0.0 <= x < math.inf:
-        raise DomainError(f"{name} must be a finite real >= 0, got {x}")
+        raise DomainError(f"{name} must be {_RULES[positive]}, got {value!r}") from None
+    if not 0.0 <= x < math.inf or positive and not x:
+        raise DomainError(f"{name} must be {_RULES[positive]}, got {x}")
     return x
 
 

@@ -47,25 +47,22 @@ S keeps no cancelling terms, and a generator with no odd powers (O_j = 0,
 every Gould-Hopper family with d odd) has omega1 = (Q'(1)/Q(1))/n exactly,
 whatever x and mu.
 
-The paper's application, the Gould-Hopper generator exp(a t**(d+1)), has
-every moment in closed form in (a, d, mu) and rho (see the README and
-``appell._gould_hopper_functionals``, which fills its family's
-``_functionals`` each already divided by Q(1) = e**a), so its moments never
-read Q's coefficients and stay finite where their sums pass double range.
+Every family supplies one mu-free jet, (E0, E1, E2, O0, O1, O2, Q(1))
+times a common factor, and ``_functionals`` alone forms the coefficients
+above from it.  The jet of the paper's application, the Gould-Hopper
+generator exp(a t**(d+1)), is in closed form in (a, d) over Q(1) = e**a
+(``appell._gould_hopper_jet``; see the README), so its moments never read
+Q's coefficients and stay finite where their sums pass double range; any
+other family's comes from one pass over Q's support (``_parity_sums``).
 
 The closed forms cost a bounded amount at every n*x.  The ratio comes from
 ``dunkl_exp_neg_ratio``: exp(-2nx) at mu = 0, a positive series below a
 crossover set by the expansion's own error bounds, and a large-argument
-Bessel expansion above it; nothing is flushed to zero.  For every family
-but a Gould-Hopper one, the six sums come from one pass over Q's support
-(the indices of its nonzero coefficients, which the family records).  They
-are computed once per family and kept on it, with the coefficients above
-that do not depend on (n, x), each divided by Q(1); the pass takes Q's
-coefficients over the least power of two above Q(1) when Q(1) >= 1, so
-sums of the order of Q(1) stay in double range.  One evaluation of the
-ratio then yields m1, m2, omega1 and omega2 together.  The family keeps
-the last such evaluation, so ``moments_closed`` and ``central_moments``
-share it.
+Bessel expansion above it; nothing is flushed to zero.  The jet and the
+coefficients above that do not depend on (n, x), each divided by Q(1), are
+computed once per family and kept on it.  One evaluation of the ratio then
+yields m1, m2, omega1 and omega2 together.  The family keeps the last such
+evaluation, so ``moments_closed`` and ``central_moments`` share it.
 """
 
 from __future__ import annotations
@@ -76,7 +73,7 @@ from typing import Callable, List, NamedTuple
 
 import numpy as np
 
-from .appell import AppellFamily, _scale
+from .appell import AppellFamily, _points, _scale
 from .dunkl import _nonnegative_real, dunkl_exp_neg_ratio
 from .errors import DomainError, EvaluationError, RangeError, TranscriptionError
 
@@ -175,7 +172,7 @@ def apply(spec: OperatorSpec, f: Callable[[float], float], x):
     whose weighted sum leaves double range raise RangeError naming n and
     the point.  Each point's mass tolerance is ``_point_tol``'s.
     """
-    points = np.asarray(x, dtype=float)
+    points = _points(x)
     if points.ndim > 1:
         raise DomainError(f"x must be a float or a 1-D sequence, got shape {points.shape}")
     grid = points.reshape(-1)
@@ -303,14 +300,14 @@ def _parity_sums(family: AppellFamily, scale: float):
 
 
 def _functionals(family: AppellFamily):
-    """The closed form's coefficients that do not depend on (n, x), from
-    Q's parity sums; computed on first use and kept on the family.  A
-    Gould-Hopper family arrives with them filled from its generator's
-    closed form (``appell._gould_hopper_functionals``).
+    """The closed form's coefficients that do not depend on (n, x), the one
+    place they are formed, from the family's jet (e0, e1, e2, o0, o1, o2,
+    q1): a Gould-Hopper family's from ``appell._gould_hopper_jet``, any
+    other's from ``_parity_sums`` on first use.  Both are kept on the family.
 
-    Returns (w1, a, lead, skew1, skew2, s0, s1), each divided by Q(1) =
-    ``family.Q_at_1`` once formed, so that no point forms Q(1) n: with mu2 =
-    2 mu and a = mu2 O0 before that division,
+    Returns (w1, a, lead, skew1, skew2, s0, s1), each divided by the jet's
+    q1 once formed, so that no point forms Q(1) n: with mu2 = 2 mu and a =
+    mu2 O0 before that division,
 
         w1    = Q'(1) = E1 + O1        lead  = Q(1) + 2 Q'(1)
         skew1 = mu2 E0 - a             skew2 = mu2 E0 - 3 a
@@ -318,7 +315,7 @@ def _functionals(family: AppellFamily):
 
     Only their quotients by Q(1) are used, so the pass takes every
     coefficient times 2**-e, where Q(1) = m 2**e with 0.5 <= m < 1 and e > 0
-    (no scaling up), and divides by Q(1) 2**-e = m: the sums stay in double
+    (no scaling up), and q1 is Q(1) 2**-e = m: the sums stay in double
     range whenever they are of the order of Q(1), as for exp(700 t**2),
     whose E2 is about 2e310.  A power of two scales exactly, so each value
     keeps the bits of the unscaled formula wherever no scaled term falls
@@ -332,12 +329,15 @@ def _functionals(family: AppellFamily):
     """
     cached = family._functionals
     if cached is None:
-        q1 = family.Q_at_1
-        e = math.frexp(q1)[1]
-        scale = 2.0**-e if e > 0 else 1.0
-        e0, e1, e2, o0, o1, o2 = _parity_sums(family, scale)
+        jet = family._jet
+        if jet is None:
+            q1 = family.Q_at_1
+            e = math.frexp(q1)[1]
+            scale = 2.0**-e if e > 0 else 1.0
+            jet = family._jet = (*_parity_sums(family, scale), q1 * scale)
+        e0, e1, e2, o0, o1, o2, q1 = jet
         mu2 = 2.0 * family.ctx.mu
-        q1, dq1, a, even = q1 * scale, e1 + o1, mu2 * o0, mu2 * e0
+        dq1, a, even = e1 + o1, mu2 * o0, mu2 * e0
         cached = family._functionals = (
             dq1 / q1,
             a / q1,

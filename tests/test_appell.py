@@ -198,14 +198,15 @@ class TestGouldHopper:
         assert fam.positivity == POSITIVE_BY_COEFFICIENTS
         # the handed-over support and the skipped checks give the family the
         # generic constructor builds, slot for slot, but for the two slots
-        # the generic family has not: _functionals, the generator's closed
-        # form (TestGouldHopperClosedForm holds it to the generic family's
-        # moments), and _terms, the loop's terms and gap
+        # the generic family has not: _jet, the generator's closed form
+        # (TestGouldHopperClosedForm holds it to the untruncated generator
+        # and its moments to the generic family's), and _terms, the loop's
+        # terms and gap
         assert fam.support == tuple(range(0, len(coeffs), d + 1))
         ctx = fam.ctx
         generic = AppellFamily(ctx, PowerSeries(ctx, coeffs))
         for slot in AppellFamily.__slots__:
-            if slot not in ("_functionals", "_terms"):
+            if slot not in ("_jet", "_terms"):
                 assert _slot_hex(getattr(fam, slot)) == _slot_hex(getattr(generic, slot)), slot
         terms, step = fam._terms
         assert step == d + 1 and [t.hex() for t in terms] == [c.hex() for c in coeffs[::step]]

@@ -25,6 +25,8 @@ from dunkl_appell.functions import FunctionEntry, lookup
 from conftest import shrink_sinx_modulus
 from oracles import grid, modulus1_loop, modulus2_loop
 
+HUGE = pytest.param(10**400, id="1e400")  # an int past double range
+
 
 def unit_spec(mu, n):
     return OperatorSpec(family=AppellFamily.from_coefficients(DunklContext(mu), [1.0]), n=n)
@@ -125,7 +127,7 @@ class TestGridNodeLimit:
             modulus1(math.sin, 0.5, (0.0, math.inf))
 
 
-@pytest.mark.parametrize("value", [0.0, -1e-3, math.nan, math.inf])
+@pytest.mark.parametrize("value", [0.0, -1e-3, math.nan, math.inf, HUGE, "x"])
 @pytest.mark.parametrize("modulus", [modulus1, modulus2])
 @pytest.mark.parametrize("argument", ["scale", "grid_step"])
 def test_non_positive_or_non_finite_arguments_rejected(value, modulus, argument):
@@ -134,6 +136,14 @@ def test_non_positive_or_non_finite_arguments_rejected(value, modulus, argument)
     scale, step = (value, 1e-3) if argument == "scale" else (0.1, value)
     with pytest.raises(DomainError, match="finite and positive"):
         modulus(math.sin, scale, (0.0, 2.0), grid_step=step)
+
+
+@pytest.mark.parametrize("step", [0.0, -1e-3, math.nan, math.inf, HUGE, "x"])
+def test_grid_step_must_be_finite_and_positive(step):
+    # a step past double range raised OverflowError from (hi - lo) / step
+    with pytest.raises(DomainError, match="grid step must be finite and positive"):
+        bounds.grid_points(0.0, 1.0, step)
+    assert bounds.grid_points(0.0, 1.0, "0.5") == [0.0, 0.5, 1.0]
 
 
 class TestModulus2:
@@ -212,10 +222,17 @@ class TestTheorem3Bound:
         with pytest.raises(DomainError):
             theorem3_bound(spec, 1.0, 0.0, 0.5)
 
-    @pytest.mark.parametrize("M", [-1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("M", [-1.0, math.nan, math.inf, HUGE, "x", None])
     def test_constant_must_be_finite_and_positive(self, M):
+        # 10**400 raised OverflowError from M * omega2**(beta/2), and a str
+        # TypeError from the comparison
         with pytest.raises(DomainError, match="Hoelder constant"):
             theorem3_bound(unit_spec(0.5, 10), 1.0, M, 0.5)
+
+    def test_constant_is_read_by_the_real_rule(self):
+        spec = unit_spec(0.5, 10)
+        want = theorem3_bound(spec, 1.0, 1.0, 0.5)
+        assert theorem3_bound(spec, 1.0, "1", 0.5) == theorem3_bound(spec, 1.0, 1, 0.5) == want
 
     def test_lipschitz_case_dominates_first_central_moment(self):
         # beta = 1: the bound sqrt(omega2) dominates |omega1|
@@ -295,13 +312,18 @@ class TestTheorem4Bound:
 
     @pytest.mark.parametrize(
         "interval_end, sup_norm",
-        [(0.0, 1.0), (math.nan, 1.0), (math.inf, 1.0), (2.0, math.nan), (2.0, math.inf)],
+        [(0.0, 1.0), (math.nan, 1.0), (math.inf, 1.0), (2.0, math.nan), (2.0, math.inf),
+         pytest.param(10**400, 1.0, id="1e400-1.0"), pytest.param(2.0, 10**400, id="2.0-1e400"),
+         ("x", 1.0), (2.0, None)],
     )
     def test_inputs_must_be_finite(self, interval_end, sup_norm):
-        # x = 0 lies in [0, a] for a = inf; a = 0 used to divide by zero
+        # x = 0 lies in [0, a] for a = inf; a = 0 used to divide by zero;
+        # 10**400 raised OverflowError, from a + EDGE_SLACK and from the bound
         spec = gh_spec(0.5, 0.5, 1, 10)
         with pytest.raises(DomainError):
             theorem4_bound(spec, 0.0, interval_end, lambda s: 0.0, sup_norm)
+        with pytest.raises(DomainError):
+            theorem4_bound(spec, 1.0, interval_end, lambda s: 0.0, sup_norm)
 
 
 class TestVerify:

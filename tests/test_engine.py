@@ -768,9 +768,17 @@ class TestCentralMoments:
 
     @pytest.mark.parametrize("x", [10**400, -10**400])
     def test_point_past_double_range_is_a_domain_error(self, x):
-        # an int past double range passed 0 <= x < inf, and float(x) raised
+        # an int past double range passed 0 <= x < inf, and float(x) raised;
+        # apply's np.asarray raised OverflowError, for the point and a grid
+        # that holds it
+        spec = unit_spec(0.5, 3)
         with pytest.raises(DomainError, match="evaluation point"):
-            central_moments(unit_spec(0.5, 3), x)
+            central_moments(spec, x)
+        for points in (x, [0.5, x], (x, 1.0)):
+            with pytest.raises(DomainError, match="evaluation point"):
+                apply(spec, math.sin, points)
+        with pytest.raises(DomainError, match="evaluation point"):
+            spec.family.weights(3, x)
 
     def test_omega1_of_an_even_generator_is_exact(self):
         # Gould-Hopper with d odd has no odd powers, so O0 = 0 and n*omega1 =
@@ -845,22 +853,24 @@ GH_NX = [0.0, 0.3, 20.0, 1e3, 1e6]
 U = 2.0**-53  # half an ulp of 1: one rounding, relative
 TINY = 2.0**-1074  # the subnormal spacing: one rounding of a subnormal result
 
-# Roundings in each value of ``appell._gould_hopper_functionals``, counting
-# exp and expm1 as two (C math libraries keep them within one ulp): w1 =
-# a m one; odd = -mu2 expm1(-2a)/2 three (the halving is exact); lead =
-# 1 + 2 w1 two; skew1 = mu2 r three; skew2 = mu2 (2r - 1) four, of the
-# magnitude mu2 (2r + 1), since 2r - 1 crosses 0 near a = ln(2)/2; s0 =
-# w1 (m + w1) + mu2 odd five; s1 = mu2 w1 (1 + r) five.
-GH_ROUNDINGS = (1, 3, 2, 3, 4, 5, 5)
+# Roundings in each sum of ``appell._gould_hopper_jet`` (e0, e1, e2, o0, o1,
+# o2), counting exp and expm1 as two (C math libraries keep them within one
+# ulp) and the halvings as exact: with p = a m one, P = p (m-1) two, R = p**2
+# three, minus = -expm1(-2a) two and plus = 1 + e**(-2a) three, e0 = plus/2
+# three, e1 = p minus/2 four, e2 = (P minus + R plus)/2 eight, o0 = minus/2
+# two, o1 = p plus/2 five and o2 = (P plus + R minus)/2 seven.  Every sum has
+# nonnegative terms, so its magnitude is its value; at even m the sums are
+# 1, p, P + R and three zeros, with fewer roundings.  Its q1 is 1.0 exactly.
+GH_ROUNDINGS = (3, 4, 8, 2, 5, 7)
 
 
 def gh_exact(a, d, mu):
     """The seven closed-form coefficients from ``oracles.gould_hopper_sums``
     by the ``engine._functionals`` definitions, and the magnitudes of the
-    terms ``appell._gould_hopper_functionals`` forms each from, at 50
-    digits: every value but skew2 is a product or sum of nonnegative
-    terms, its own magnitude; skew2 = mu2 (2r - 1) has mu2 (2r + 1), with
-    r = Q(-1)/Q(1) = e0 - o0."""
+    terms each is formed from, at 50 digits: every value but skew1 and
+    skew2 is a product or sum of nonnegative terms, its own magnitude;
+    skew1 = mu2 (e0 - o0) has mu2 (e0 + o0), and skew2 = mu2 (2r - 1) has
+    mu2 (2r + 1), with r = Q(-1)/Q(1) = e0 - o0."""
     import mpmath as mp
 
     with mp.workdps(gould_hopper_dps(a)):  # mu2 e0 - odd = mu2 r cancels
@@ -869,7 +879,7 @@ def gh_exact(a, d, mu):
         w1, odd = e1 + o1, mu2 * o0
         values = (w1, odd, 1 + 2 * w1, mu2 * e0 - odd, mu2 * e0 - 3 * odd,
                   w1 + e2 + o2 + mu2 * odd, 2 * mu2 * o1)
-        magnitudes = values[:4] + (mu2 * (2 * (e0 - o0) + 1),) + values[5:]
+        magnitudes = values[:3] + (mu2 * (e0 + o0), mu2 * (2 * (e0 - o0) + 1)) + values[5:]
     return values, magnitudes
 
 
@@ -883,10 +893,10 @@ def gh_exact_moments(F, M, n, x, rho):
 
 
 class TestGouldHopperClosedForm:
-    """A Gould-Hopper family's moments come from its generator's closed form
-    (``appell._gould_hopper_functionals``), held to the untruncated
-    generator at 50 digits (``oracles.gould_hopper_sums``) and to the
-    coefficient pass on the family's own coefficient tuple."""
+    """A Gould-Hopper family's moments come from its generator's closed-form
+    jet (``appell._gould_hopper_jet``), held to the untruncated generator at
+    50 digits (``oracles.gould_hopper_sums``) and to the coefficient pass on
+    the family's own coefficient tuple."""
 
     @pytest.mark.parametrize("a, d", [(0.5, 1), (0.5, 2), (1.3, 4), (5.0, 2)])
     def test_oracle_is_the_series_summed(self, a, d):
@@ -904,28 +914,64 @@ class TestGouldHopperClosedForm:
             for g, w in zip(got, want):
                 assert abs(g - w / mp.exp(a)) <= mp.mpf(10) ** -45 * (1 + abs(g))
 
-    @pytest.mark.parametrize("a, d", GH_CASES)
+    @pytest.mark.parametrize("a, d", GH_CASES + [pytest.param(0.0, 10**400, id="0.0-1e400")])
     def test_functionals_match_the_oracle(self, a, d):
+        # Q's functionals, its parity sums over Q(1) (the jet): one tuple
+        # of floats at every mu, each sum within its GH_ROUNDINGS of the
+        # untruncated generator's and q1 = 1.0; at a = 0 the constant
+        # generator's, with no a (d+1) formed for d past double range
+        mp = pytest.importorskip("mpmath")
+        jet = appell._gould_hopper_jet(a, d + 1)
+        assert len(jet) == 7 and all(type(v) is float for v in jet) and jet[6] == 1.0
+        for mu in GH_MUS:
+            fam = AppellFamily.gould_hopper(DunklContext(mu), a, d)
+            assert [v.hex() for v in fam._jet] == [v.hex() for v in jet], mu
+        with mp.workdps(50):
+            for k, (got, want) in enumerate(zip(jet, gould_hopper_sums(a, d))):
+                if want == 0:  # no odd powers, or a = 0
+                    assert got == 0.0, k
+                else:
+                    # a sum below double range (e1 at a = 1e-300) rounds to 0
+                    assert abs(got - want) <= GH_ROUNDINGS[k] * (U * want + TINY), k
+
+    @pytest.mark.parametrize("a, d", GH_CASES)
+    def test_raw_moments_match_the_oracle(self, a, d):
+        # m1 = x + (w1 + rho odd)/n and m2 = x**2 + (lead + rho skew1) x/n +
+        # (s0 + rho s1)/n/n from the coefficients ``engine._functionals``
+        # forms on the jet, whose roundings add to the jet's (GH_ROUNDINGS):
+        # w1 = e1 + o1 six, odd = mu2 o0 three, lead = 1 + 2 w1 seven, skew1
+        # = mu2 e0 - odd five (of the magnitude mu2 (e0 + o0)), s0 = w1 +
+        # (e2 + o2) + mu2 odd eleven, s1 = 2 mu2 o1 six.  The moments' own
+        # operations then give m1 nine and m2 fifteen, each of the magnitude
+        # of the terms, or of the subnormal spacing; rho is the engine's own
         mp = pytest.importorskip("mpmath")
         for mu in GH_MUS:
             fam = AppellFamily.gould_hopper(DunklContext(mu), a, d)
             with mp.workdps(50):
-                values, magnitudes = gh_exact(a, d, mu)
-                for k, (got, want, scale) in enumerate(zip(fam._functionals, values, magnitudes)):
-                    assert type(got) is float
-                    if scale == 0:  # no odd powers, or mu = 0
-                        assert got == 0.0, (k, mu)
-                    else:
-                        # a value below double range (mu2 r at a = 700) rounds to 0
-                        assert abs(got - want) <= GH_ROUNDINGS[k] * (U * scale + TINY), (k, mu)
+                (w1, odd, lead, skew1, _, s0, s1), M = gh_exact(a, d, mu)
+                for n in GH_NS:
+                    spec = OperatorSpec(family=fam, n=n)
+                    for nx in GH_NX:
+                        x = nx / n
+                        _, m1, m2 = moments_closed(spec, x)
+                        X, rho = mp.mpf(x), mp.mpf(exp_ratio(spec, x))
+                        want1 = X + (w1 + rho * odd) / n  # nonnegative terms
+                        s = (s0 + rho * s1) / n / n
+                        want2 = X * X + (lead + rho * skew1) * X / n + s
+                        scale2 = X * X + (lead + rho * M[3]) * X / n + s
+                        assert abs(m1 - want1) <= 9 * (U * want1 + TINY), (mu, n, nx)
+                        assert abs(m2 - want2) <= 15 * (U * scale2 + TINY), (mu, n, nx)
 
     @pytest.mark.parametrize("a, d", GH_CASES)
     def test_moments_match_the_oracle(self, a, d):
         # omega1 = (w1 + rho odd)/n adds three roundings to the coefficients'
-        # (six in all); omega2 = (1 + rho skew2) x/n + (s0 + rho s1)/n/n adds
-        # seven to s1's five (twelve in all), each of the magnitude of the
-        # terms, or of the subnormal spacing where a result is subnormal (a =
-        # 1e-300 at n = 1e6); rho is the engine's own
+        # and omega2 = (1 + rho skew2) x/n + (s0 + rho s1)/n/n seven, each of
+        # the magnitude of the terms, or of the subnormal spacing where a
+        # result is subnormal (a = 1e-300 at n = 1e6); rho is the engine's
+        # own.  The budgets, six and twelve, were counted when the closed
+        # form gave w1 in one rounding and s1 in five; formed from the jet
+        # (``test_raw_moments_match_the_oracle`` counts it) they use at
+        # most 2.4 and 3.5 of them
         mp = pytest.importorskip("mpmath")
         for mu in GH_MUS:
             fam = AppellFamily.gould_hopper(DunklContext(mu), a, d)
@@ -1022,7 +1068,7 @@ class TestGouldHopperClosedForm:
             ctx = DunklContext(mu)
             fam = AppellFamily.gould_hopper(ctx, 0.0, d)
             unit = engine._functionals(AppellFamily.from_coefficients(ctx, [1.0]))
-            assert [v.hex() for v in fam._functionals] == [v.hex() for v in unit]
+            assert [v.hex() for v in engine._functionals(fam)] == [v.hex() for v in unit]
 
 
 # Families whose supports are full, sparse, or hold signed zeros and
@@ -1204,7 +1250,7 @@ class TestEvaluationCounts:
         # a new family
         central_moments(OperatorSpec(AppellFamily.from_coefficients(DunklContext(0.5), coeffs), 30), 1.2)
         assert len(calls) == 2
-        # a Gould-Hopper family arrives with its functionals: no pass at all
+        # a Gould-Hopper family arrives with its jet: no pass at all
         central_moments(gh_spec(0.5, 0.5, 1, 30), 1.2)
         assert len(calls) == 2
 
