@@ -72,6 +72,13 @@ MAX_WINDOW = 2**20
 # at n*x near 1e6 ran 1.3-1.6x slower and held four times the memory.
 BATCH_TERMS = 2**15
 
+# Points from which a grid, or a cluster of rows in ``engine.apply``, runs its
+# per-point steps as whole-array expressions: below it numpy's fixed cost per
+# call outweighs Python's per point (the three steps break even at about 28,
+# 33 and 48 points).  Measured, not an option; both forms give the same bits
+# and raise the same errors.
+ROWS = 64
+
 # Half an ulp of 1: a Gould-Hopper generator stops once the index-weighted
 # rest of its series is below this fraction of the sum so far.
 _HALF_ULP = 2.0**-53
@@ -336,7 +343,8 @@ class AppellFamily:
             )
         x, tol = x.tolist(), list(tol)
         nx = [n * v for v in x]
-        blocks = list(map(_first_block, nx, x, tol))
+        blocks = _first_blocks(nx, x, tol)
+        tol = list(map(float, tol))  # each read by the real rule, so float() takes it
         for a, b, block in _batches(blocks):
             yield from self._rows(n, x[a:b], nx[a:b], tol[a:b], block)
 
@@ -511,18 +519,40 @@ def _points(x) -> np.ndarray:
                           "past double range") from None
 
 
-def _first_block(nx: float, x: float, tol: float) -> int:
+def _first_block(nx: float, x: float, tol) -> int:
     """Check a point and its tolerance, and give the terms per side of its
-    window's first pass: none if the window is the mode alone."""
+    window's first pass: none if the window is the mode alone.  A tol other
+    than a float in (0, inf) is read by ``_nonnegative_real`` (finite and
+    positive)."""
     if not 0.0 <= nx < math.inf:
         raise DomainError(f"evaluation point must be >= 0 with n*x finite, got {x}")
-    if not 0.0 < tol < math.inf:
-        raise DomainError(f"mass tolerance must be finite and positive, got {tol}")
+    if type(tol) is not float or not 0.0 < tol < math.inf:
+        tol = _nonnegative_real("mass tolerance", tol, positive=True)
     # Below n*x = 1 the lower side is empty, and the upper one may end at
     # the mode: the test of ``_sides`` at its column 0, where u = 1, q = n*x.
     if nx < 1.0 and nx <= tol / 2 * (1.0 - nx):
         return 0
     return min(int(8.0 * math.sqrt(nx)) + 40, MAX_WINDOW - 1)
+
+
+def _first_blocks(nx: List[float], x: List[float], tol: list) -> list:
+    """``_first_block`` at every point.  At ROWS points or more, whole-array
+    expressions take the same steps, where every tolerance converts as
+    float() reads it and every check passes; otherwise the scalar form runs,
+    so the first bad point raises its error."""
+    if len(x) >= ROWS:
+        try:
+            t = np.fromiter(tol, float, len(tol))  # float() of each; None is nan
+        except (TypeError, ValueError, OverflowError):
+            t = np.array([math.nan])  # fails the check below, for the scalar form
+        v = np.array(nx)
+        if ((0.0 <= v) & (v < math.inf) & (0.0 < t) & (t < math.inf)).all():
+            blocks = np.minimum(8.0 * np.sqrt(v), MAX_WINDOW).astype(int) + 40
+            blocks = np.minimum(blocks, MAX_WINDOW - 1)
+            with np.errstate(over="ignore"):  # -inf, as in the scalar form
+                blocks[(v < 1.0) & (v <= t / 2 * (1.0 - v))] = 0
+            return blocks.tolist()
+    return list(map(_first_block, nx, x, tol))
 
 
 def _batches(blocks: List[int]) -> Iterator[tuple]:

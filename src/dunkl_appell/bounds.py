@@ -47,13 +47,16 @@ WINDOW_LOCAL = "window-local (consistency check, not proof)"
 def grid_points(lo: float, hi: float, step: float) -> List[float]:
     """The inclusive grid lo + k * step, k = 0, 1, ... up to the floor of
     (hi - lo) / step + 1e-9, a slack that keeps hi where the quotient rounds
-    low: the grid of --x-grid and of the modulus windows.  A step that is
-    not finite and positive, lo > hi, or more than MAX_GRID_NODES points
-    (read at call time, counted before any is built) raise DomainError."""
+    low: the grid of --x-grid and of the modulus windows.  lo and hi must
+    be finite reals and step finite and positive (``_nonnegative_real``); a
+    value they refuse, lo > hi, or more than MAX_GRID_NODES points (read at
+    call time, counted before any is built) raise DomainError."""
+    lo = _nonnegative_real("grid start", lo, signed=True)
+    hi = _nonnegative_real("grid end", hi, signed=True)
     step = _nonnegative_real("grid step", step, positive=True)
     if not lo <= hi:
         raise DomainError(f"window ({lo}, {hi}) holds no point")
-    span = (hi - lo) / step + 1e-9  # inf past double range, nan for (inf, inf)
+    span = (hi - lo) / step + 1e-9  # inf past double range
     if not span < MAX_GRID_NODES:
         count = math.floor(span) + 1 if span < math.inf else span
         raise DomainError(
@@ -173,8 +176,10 @@ def _t2(n: int, w: float) -> _Rule:
 
 
 def _t3(M: float, beta: float) -> _Rule:
-    """Hoelder rule for a constant M > 0 and an exponent beta in (0, 1]."""
-    if not (0.0 < beta <= 1.0):
+    """Hoelder rule for a constant M > 0 and an exponent beta in (0, 1],
+    each read by ``_nonnegative_real`` first."""
+    beta = _nonnegative_real("Hoelder exponent", beta, signed=True)
+    if not 0.0 < beta <= 1.0:
         raise DomainError(f"Hoelder exponent must lie in (0, 1], got {beta}")
     M = _nonnegative_real("Hoelder constant M", M, positive=True)
     inputs = BoundInputs("T3", M=M, beta=beta)

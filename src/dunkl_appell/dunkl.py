@@ -58,22 +58,25 @@ class DunklContext:
         return f"DunklContext(mu={self.mu!r})"
 
 
-# The real rule's two forms, indexed by its flag positive.
-_RULES = ("a finite real >= 0", "finite and positive")
+# The real rule's three forms: its flag positive indexes the first two, and
+# the third is its flag signed.
+_RULES = ("a finite real >= 0", "finite and positive", "a finite real")
 
 
-def _nonnegative_real(name: str, value, positive: bool = False) -> float:
-    """value as a float that is finite and >= 0 (> 0 if positive), else
-    DomainError, also for a value that float() refuses (None, or a str it
-    cannot read)."""
+def _nonnegative_real(name: str, value, positive: bool = False, signed: bool = False) -> float:
+    """value as a float that is finite and >= 0 (> 0 if positive, of either
+    sign if signed), else DomainError, also for a value that float()
+    refuses (None, or a str it cannot read)."""
     try:
         x = float(value)
     except OverflowError:  # an int past double range
         x = math.inf if value > 0 else -math.inf
     except (TypeError, ValueError):
-        raise DomainError(f"{name} must be {_RULES[positive]}, got {value!r}") from None
+        rule = _RULES[2 if signed else positive]
+        raise DomainError(f"{name} must be {rule}, got {value!r}") from None
     if not 0.0 <= x < math.inf or positive and not x:
-        raise DomainError(f"{name} must be {_RULES[positive]}, got {x}")
+        if not (signed and -math.inf < x < math.inf):
+            raise DomainError(f"{name} must be {_RULES[2 if signed else positive]}, got {x}")
     return x
 
 
@@ -140,12 +143,11 @@ def dunkl_exp(ctx: DunklContext, x: float, tol: float = 1e-15) -> ExpEvaluation:
     a few ulps.  No such identity exists for mu != 0, where the alternating
     sum is used and the same absolute-error behavior applies.  The ratio
     e_mu(-y)/e_mu(y) does not go through this function: see
-    ``dunkl_exp_neg_ratio``.
+    ``dunkl_exp_neg_ratio``.  x, a finite real, and tol, finite and
+    positive, are read by ``_nonnegative_real``.
     """
-    if not math.isfinite(x):
-        raise DomainError(f"e_mu argument must be finite, got {x}")
-    if not 0.0 < tol < math.inf:
-        raise DomainError(f"tolerance must be finite and positive, got {tol}")
+    x = _nonnegative_real("e_mu argument", x, signed=True)
+    tol = _nonnegative_real("tolerance", tol, positive=True)
     if x == 0.0:
         return ExpEvaluation(value=1.0, terms_used=1, tail_bound=0.0)
     if ctx.mu == 0.0 and x < 0.0:
@@ -284,12 +286,13 @@ def dunkl_exp_neg_ratio(ctx: DunklContext, y: float, tol: float = 1e-15) -> floa
     truncation tolerance of either sum (floored at machine epsilon); the
     result is within a few ulps (at most 5.5e-15 relative measured).  A rho
     that is not finite raises RangeError: the series' sums overflow from
-    about mu = 1e29 on.
+    about mu = 1e29 on.  A tol other than a float in (0, inf) is read by
+    ``_nonnegative_real`` (finite and positive).
     """
     if not 0.0 <= y < math.inf:
         raise DomainError(f"ratio argument must be finite and nonnegative, got {y}")
-    if not 0.0 < tol < math.inf:
-        raise DomainError(f"tolerance must be finite and positive, got {tol}")
+    if type(tol) is not float or not 0.0 < tol < math.inf:
+        tol = _nonnegative_real("tolerance", tol, positive=True)
     if y == 0.0:
         return 1.0
     mu = ctx.mu

@@ -73,6 +73,7 @@ from typing import Callable, List, NamedTuple
 
 import numpy as np
 
+from . import appell
 from .appell import AppellFamily, _points, _scale
 from .dunkl import _nonnegative_real, dunkl_exp_neg_ratio
 from .errors import DomainError, EvaluationError, RangeError, TranscriptionError
@@ -177,7 +178,7 @@ def apply(spec: OperatorSpec, f: Callable[[float], float], x):
         raise DomainError(f"x must be a float or a 1-D sequence, got shape {points.shape}")
     grid = points.reshape(-1)
     xs = grid.tolist()
-    tol = [_point_tol(spec, t) for t in xs]
+    tol = _grid_tol(spec, grid) if len(xs) >= appell.ROWS else [_point_tol(spec, t) for t in xs]
     values = []
     for batch in spec.family.windows(spec.n, grid, tol):
         values += _contract(spec, f, batch, xs[len(values) :])
@@ -192,6 +193,18 @@ def _point_tol(spec: OperatorSpec, x: float) -> float:
     node_cut = x + (8.0 * math.sqrt((nx if nx > 0.0 else 0.0) + 1.0) + 40.0) / n
     derated = tol / (1.0 + node_cut * node_cut)
     return derated if derated > 5e-14 else min(5e-14, tol)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # as the scalar form: inf or nan
+def _grid_tol(spec: OperatorSpec, x: np.ndarray) -> List[float]:
+    """``_point_tol`` at every point of x, by whole-array expressions of the
+    same operations in the same order, so the same bits; a nan n*x reaches
+    sqrt, not 0.0, but makes the node cut nan either way."""
+    _, n, tol = spec
+    n = float(n)  # what Python's int-float arithmetic converts n to
+    node_cut = x + (8.0 * np.sqrt(np.maximum(n * x, 0.0) + 1.0) + 40.0) / n
+    derated = tol / (1.0 + node_cut * node_cut)
+    return np.where(derated > 5e-14, derated, min(5e-14, tol)).tolist()
 
 
 def _contract(spec: OperatorSpec, f, batch, x) -> List[float]:
@@ -251,16 +264,50 @@ def _contract(spec: OperatorSpec, f, batch, x) -> List[float]:
 # A sum past double range shows as a non-finite value that _contract reports.
 @np.errstate(over="ignore", invalid="ignore")
 def _weighted_sums(fv, c, first, q1, batch, rows, values) -> float:
-    """K f into values at a cluster's rows of batch, fv from index first on; their sum."""
+    """K f into values at a cluster's rows of batch, fv from index first on;
+    their sum.
+
+    One rule for every window: each side is summed in order from the mode
+    outward, starting from +0.0, and the value is (upper + lower) / (Q(1)
+    total).  Row by row, numpy's dot product sums in that order where an
+    operand has a negative stride (BLAS's ddot, which it takes otherwise,
+    splits the sum): the lower side reads g backwards, and the upper side
+    reads it through gr, a reversed copy viewed backwards.  A cluster of
+    ROWS rows or more takes, per side, one gather of g as wide as the
+    cluster's widest side, one product and one cumulative sum along the rows
+    (the same roundings in the same order) and reads each row's sum at its
+    end; the lower side's column 0, the mode again, is 0.0 there, its start.
+    An upper sum of -0.0 (every product -0.0) then meets a lower one of
+    +0.0, which makes the value +0.0 as the rule does.
+    """
     g = np.correlate(fv, c, "valid")
+    lo, up, down, total = batch.lo, batch.up, batch.down, batch.total
+    if len(rows) >= appell.ROWS:
+        # a sorted grid's rows are a range, taken as a slice: the terms' view
+        k = slice(rows[0], rows[-1] + 1) if type(rows) is range else np.array(rows)
+        a, b, start, t = (np.array(v)[k] for v in (up, down, lo, total))
+        mode = (start - first + b)[:, None]
+        wa, wb = a.max() + 1, b.max() + 1  # the cluster's widest sides
+        j = np.arange(max(wa, wb))
+        upper = g.take(mode + j[:wa], mode="clip")
+        upper *= batch.terms[0, k, :wa]
+        lower = g.take(mode - j[:wb], mode="clip")
+        lower *= batch.terms[1, k, :wb]
+        lower[:, 0] = 0.0
+        out = np.add.accumulate(upper, 1, out=upper).take(np.arange(0, upper.size, wa) + a)
+        out += np.add.accumulate(lower, 1, out=lower).take(np.arange(0, lower.size, wb) + b)
+        out /= q1 * t
+        for r, v in zip(rows, out.tolist()):
+            values[r] = v
+        return float(out.sum())
+    gr = g[::-1].copy()[::-1]
     width, terms = batch.terms.shape[2], batch.terms.ravel()
     half, out = len(terms) // 2, 0.0  # where the lower sides start
-    lo, up, down, total = batch.lo, batch.up, batch.down, batch.total
     for r in rows:
         a, b, o = up[r], down[r], r * width
         mode = lo[r] - first + b
-        value = terms[o : o + a + 1] @ g[mode : mode + a + 1]
-        # an empty lower side's product is 0.0, which the sum adds as it is
+        value = terms[o : o + a + 1] @ gr[mode : mode + a + 1]
+        # an empty lower side's sum is +0.0, which the value adds as it is
         value += terms[half + o + 1 : half + o + b + 1] @ g[mode - b : mode][::-1] if b else 0.0
         values[r] = value = float(value) / (q1 * total[r])
         out += value

@@ -642,8 +642,9 @@ def contract_masked(mu: float, n: int, coeffs, f, windows):
     of a cluster were taken as one interval: a bool mask of the nodes each
     window reaches through Q's support, f at its nonzero entries scattered
     into zeros, one correlation with Q's coefficients per cluster of
-    overlapping windows and two dot products per window over Q(1), by
-    Horner's scheme, times the window's sum."""
+    overlapping windows and, per window, each side summed in a plain
+    Python loop from the mode outward, starting from +0.0, the value being
+    (upper + lower) over Q(1), by Horner's scheme, times the window's sum."""
     import numpy as np
 
     mu2 = 2.0 * mu
@@ -672,12 +673,16 @@ def contract_masked(mu: float, n: int, coeffs, f, windows):
         t = (i + mu2 * (i & 1)) / n if mu2 else i / n
         fv = np.zeros(len(used))
         fv[k] = np.fromiter(map(f, t.tolist()), float, len(t))
-        g = np.correlate(fv, c, "valid")
+        g = np.correlate(fv, c, "valid").tolist()
         for r, lo, _ in rows:
             _, up, down, total = windows[r]
             mode = lo - first + len(down)
-            value = up @ g[mode : mode + len(up)] + down @ g[lo - first : mode][::-1]
-            values[r] = float(value) / (q1 * total)
+            upper = lower = 0.0
+            for j, u in enumerate(up.tolist()):
+                upper += u * g[mode + j]
+            for j, u in enumerate(down.tolist(), 1):
+                lower += u * g[mode - j]
+            values[r] = (upper + lower) / (q1 * total)
     return values
 
 

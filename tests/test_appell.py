@@ -812,6 +812,34 @@ class TestWeightRows:
             with pytest.raises(ValueError):
                 ws.weights[0] = 1.0
 
+    @pytest.mark.parametrize("size", [1, 129], ids=["point", "grid"])  # 129 > ROWS
+    @pytest.mark.parametrize("bad, message", [
+        pytest.param(10**400, "got inf", id="1e400"),
+        ("x", "got 'x'"), (None, "got None"), (0, "got 0.0"), (math.nan, "got nan"),
+    ])
+    def test_tolerance_is_read_by_the_real_rule(self, size, bad, message):
+        # 10**400 raised OverflowError on the first batch and a str TypeError
+        fam = self.family(0.5, (0.5, 1))
+        xs = [k / 16 for k in range(size)]
+        tols = [1e-12] * size
+        tols[-1] = bad
+        with pytest.raises(DomainError, match=f"mass tolerance must be finite and positive, {message}"):
+            list(fam.windows(3, xs, tols))
+        want = self.rows(fam.windows(3, xs, [1e-3] * size))
+        assert self.rows(fam.windows(3, xs, ["1e-3"] * size)) == want
+        assert self.rows(fam.windows(3, xs, [np.float32(0.5)] * size)) == self.rows(
+            fam.windows(3, xs, [0.5] * size))
+
+    @pytest.mark.parametrize("limit", [1, 33, 2**20])
+    def test_first_blocks_take_the_same_steps_in_both_forms(self, monkeypatch, limit):
+        monkeypatch.setattr(appell, "MAX_WINDOW", limit)
+        nx = [0.0, 1e-300, 1e-5, 0.5, 0.999, 1.0, 7.3, 600.0, 1e6, 1e300, 1.7e308]
+        tols = [1e-12, 1.0, 1e-40, 2.0, 0.5, 1e-300, 5e-14, 1e-12, 1e-25, 1e-12, 1e300]
+        scalar = [appell._first_block(v, v, t) for v, t in zip(nx, tols)]
+        assert scalar[:2] == [0, 0] and scalar[-1] == limit - 1
+        monkeypatch.setattr(appell, "ROWS", 1)
+        assert appell._first_blocks(nx, nx, tols) == scalar
+
     def test_validation(self):
         fam = self.family(0.0, "unit")
         bad = [

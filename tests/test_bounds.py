@@ -123,8 +123,12 @@ class TestGridNodeLimit:
         assert calls == []
 
     def test_an_unbounded_window_is_refused(self):
-        with pytest.raises(DomainError, match="holds inf nodes"):
+        # an infinite end is refused by the real rule, and a finite window
+        # whose node count passes double range by the count
+        with pytest.raises(DomainError, match="grid end must be a finite real, got inf"):
             modulus1(math.sin, 0.5, (0.0, math.inf))
+        with pytest.raises(DomainError, match="holds inf nodes"):
+            modulus1(math.sin, 0.5, (-1e308, 1e308))
 
 
 @pytest.mark.parametrize("value", [0.0, -1e-3, math.nan, math.inf, HUGE, "x"])
@@ -144,6 +148,28 @@ def test_grid_step_must_be_finite_and_positive(step):
     with pytest.raises(DomainError, match="grid step must be finite and positive"):
         bounds.grid_points(0.0, 1.0, step)
     assert bounds.grid_points(0.0, 1.0, "0.5") == [0.0, 0.5, 1.0]
+
+
+@pytest.mark.parametrize("lo, hi", [
+    pytest.param(0.0, 10**400, id="hi-1e400"),
+    pytest.param(-10**400, 0.0, id="lo--1e400"),
+    (0.0, math.nan), (-math.inf, 0.0), ("x", 1.0), (0.0, None),
+])
+def test_grid_ends_must_be_finite_reals(lo, hi):
+    # an int past double range raised OverflowError from (hi - lo) / step
+    with pytest.raises(DomainError, match="grid (start|end) must be a finite real"):
+        bounds.grid_points(lo, hi, 1.0)
+
+
+def test_grid_ends_may_be_negative_and_are_read_by_the_real_rule():
+    assert bounds.grid_points(-1, 1, 0.5) == [-1.0, -0.5, 0.0, 0.5, 1.0]
+    assert bounds.grid_points("-1", "1", "0.5") == [-1.0, -0.5, 0.0, 0.5, 1.0]
+
+
+def test_modulus_window_end_past_double_range_is_a_domain_error():
+    # it raised OverflowError
+    with pytest.raises(DomainError, match="grid end must be a finite real, got inf"):
+        modulus1(abs, 0.5, (0, 10**400))
 
 
 class TestModulus2:
@@ -228,6 +254,18 @@ class TestTheorem3Bound:
         # TypeError from the comparison
         with pytest.raises(DomainError, match="Hoelder constant"):
             theorem3_bound(unit_spec(0.5, 10), 1.0, M, 0.5)
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, HUGE, "x", None])
+    def test_exponent_must_be_a_finite_real(self, beta):
+        with pytest.raises(DomainError, match="Hoelder exponent"):
+            theorem3_bound(unit_spec(0.5, 10), 1.0, 1.0, beta)
+
+    def test_exponent_is_read_by_the_real_rule(self):
+        # '0.5' raised TypeError from the (0, 1] comparison
+        spec = unit_spec(0.5, 10)
+        want = theorem3_bound(spec, 1.0, 1.0, 0.5)
+        assert theorem3_bound(spec, 1.0, 1.0, "0.5") == want
+        assert theorem3_bound(spec, 1.0, 1.0, 1) == theorem3_bound(spec, 1.0, 1.0, 1.0)
 
     def test_constant_is_read_by_the_real_rule(self):
         spec = unit_spec(0.5, 10)

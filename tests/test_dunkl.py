@@ -151,6 +151,25 @@ class TestDunklExp:
             with pytest.raises(DomainError):
                 dunkl_exp(ctx, 1.0, tol=tol)
 
+    @pytest.mark.parametrize("x, tol, message", [
+        pytest.param(1.0, 10**400, "tolerance must be finite and positive, got inf", id="tol-1e400"),
+        pytest.param(10**400, 1e-15, "e_mu argument must be a finite real, got inf", id="x-1e400"),
+        pytest.param(-10**400, 1e-15, "e_mu argument must be a finite real, got -inf", id="x--1e400"),
+        pytest.param(1.0, "x", "tolerance must be finite and positive, got 'x'", id="tol-str"),
+        pytest.param(None, 1e-15, "e_mu argument must be a finite real, got None", id="x-None"),
+    ])
+    def test_inputs_are_read_by_the_real_rule(self, x, tol, message):
+        # the ints raised OverflowError and a str tol TypeError
+        with pytest.raises(DomainError, match=re.escape(message)):
+            dunkl_exp(DunklContext(0.5), x, tol=tol)
+
+    @pytest.mark.parametrize("mu", [0.0, 0.5])
+    def test_readable_inputs_are_their_floats(self, mu):
+        ctx = DunklContext(mu)
+        assert dunkl_exp(ctx, 1.0, tol="1e-3") == dunkl_exp(ctx, 1.0, tol=1e-3)
+        assert dunkl_exp(ctx, "-2.5") == dunkl_exp(ctx, -2.5)
+        assert dunkl_exp(ctx, 3) == dunkl_exp(ctx, 3.0)
+
     def test_overflow_raises(self):
         with pytest.raises(RangeError):
             dunkl_exp(DunklContext(0.0), 800.0)
@@ -185,6 +204,17 @@ class TestNegRatio:
         for tol in (0.0, math.inf, math.nan):
             with pytest.raises(DomainError):
                 dunkl_exp_neg_ratio(DunklContext(0.5), 5.0, tol=tol)
+
+    @pytest.mark.parametrize("mu", [0.0, 0.5])
+    def test_tolerance_is_read_by_the_real_rule(self, mu):
+        # 10**400 raised OverflowError and '1e-3' TypeError
+        ctx = DunklContext(mu)
+        for tol in (10**400, "x", None, -1):
+            with pytest.raises(DomainError, match="tolerance must be finite and positive"):
+                dunkl_exp_neg_ratio(ctx, 30.0, tol=tol)
+        want = dunkl_exp_neg_ratio(ctx, 30.0, tol=1e-3)
+        assert dunkl_exp_neg_ratio(ctx, 30.0, tol="1e-3") == want
+        assert dunkl_exp_neg_ratio(ctx, 30.0, tol=1) == dunkl_exp_neg_ratio(ctx, 30.0, tol=1.0)
 
 
 def _bessel_ratio(mu, y):

@@ -1339,6 +1339,10 @@ KERNEL_NX = [0.0, 1e-5, 0.5, 1.0, 2.0, 20.0, 600.0, 1e6]
 KERNEL_TOLS = [1e-12, 5e-14, 1e-25, 1e-40]
 KERNEL_FAMILIES = ["unit", "gh(0.5,1)", "sparse", "trailing-zero", "signed-zeros"]
 
+# ``appell.ROWS`` for each form of apply's per-point steps: at 1 every grid
+# and cluster takes the array form, above every grid here the scalar one.
+FORMS = {"array": 1, "scalar": 10**9}
+
 
 def kernel_family(mu, name):
     if name == "sparse":  # Q = 1 + 0.5 t^4: a gap of 4 in its support
@@ -1407,7 +1411,7 @@ class TestKernelBitIdentity:
 
     @pytest.mark.parametrize("name", KERNEL_FAMILIES)
     @pytest.mark.parametrize("mu", KERNEL_MUS)
-    def test_apply(self, mu, name):
+    def test_apply(self, mu, name, monkeypatch):
         fam = kernel_family(mu, name)
         f = lambda t: math.cos(3.0 * t) - 0.25
         for n in (1, 20):
@@ -1417,13 +1421,15 @@ class TestKernelBitIdentity:
             want = []
             for batch in self.frozen(mu, n, xs, tols):
                 want += contract_masked(mu, n, fam.Q.coeffs, f, batch)
-            got = apply(spec, f, xs)
-            assert [v.hex() for v in got.tolist()] == [v.hex() for v in want], n
-            for x, v in zip(xs, want):
-                assert apply(spec, f, x).hex() == v.hex(), (n, x)
+            for form, rows in FORMS.items():
+                monkeypatch.setattr(appell, "ROWS", rows)
+                got = apply(spec, f, xs)
+                assert [v.hex() for v in got.tolist()] == [v.hex() for v in want], (n, form)
+                for x, v in zip(xs, want):
+                    assert apply(spec, f, x).hex() == v.hex(), (n, x, form)
 
     @pytest.mark.parametrize("mu", KERNEL_MUS)
-    def test_apply_where_windows_are_shorter_than_the_gap(self, mu):
+    def test_apply_where_windows_are_shorter_than_the_gap(self, mu, monkeypatch):
         # Q = 1 + 0.5 t^4 at n*x near 0: windows of one to three terms, so
         # the nodes a window reaches through Q's support leave holes
         fam = kernel_family(mu, "sparse")
@@ -1435,7 +1441,39 @@ class TestKernelBitIdentity:
         want = []
         for batch in batches:
             want += contract_masked(mu, 1, fam.Q.coeffs, math.sin, batch)
-        assert [v.hex() for v in apply(spec, math.sin, xs).tolist()] == [v.hex() for v in want]
+        for form, rows in FORMS.items():
+            monkeypatch.setattr(appell, "ROWS", rows)
+            got = apply(spec, math.sin, xs).tolist()
+            assert [v.hex() for v in got] == [v.hex() for v in want], form
+            assert [apply(spec, math.sin, x).hex() for x in xs] == [v.hex() for v in want], form
+
+    @pytest.mark.parametrize("name", ["unit", "gh(0.5,1)", "sparse"])
+    @pytest.mark.parametrize("mu", [0.0, 0.5, 1.3])
+    def test_a_grid_above_rows(self, mu, name):
+        # the default ROWS: 129 dyadic points, one batch and cluster at n = 7,
+        # several at n = 300, against the frozen forms and each point alone
+        fam = kernel_family(mu, name)
+        f = lambda t: math.cos(3.0 * t) - 0.25
+        xs = [k / 64 for k in range(129)]
+        assert len(xs) >= appell.ROWS
+        for n in (7, 300):
+            spec = OperatorSpec(family=fam, n=n)
+            tols = [engine._point_tol(spec, x) for x in xs]
+            want = []
+            for batch in self.frozen(mu, n, xs, tols):
+                want += contract_masked(mu, n, fam.Q.coeffs, f, batch)
+            got = [v.hex() for v in apply(spec, f, xs).tolist()]
+            assert got == [v.hex() for v in want], n
+            assert got == [apply(spec, f, x).hex() for x in xs], n
+
+    @pytest.mark.parametrize("n", [1, 7, 10**30, 2**1000])
+    @pytest.mark.parametrize("tol", [1e-12, 1e-40, 1.0])
+    def test_grid_tol_is_point_tol(self, n, tol):
+        spec = OperatorSpec(family=kernel_family(0.5, "unit"), n=n, tol=tol)
+        xs = [0.0, -0.0, 5e-324, 1e-300, 0.37, 1.0, 600.0, 1e150, 1e300, 1.7e308,
+              math.inf, math.nan, -1.0, -1e300, -math.inf]
+        got = engine._grid_tol(spec, np.array(xs))
+        assert [v.hex() for v in got] == [engine._point_tol(spec, x).hex() for x in xs]
 
     @pytest.mark.parametrize("mu", [0.0, 0.7])
     @pytest.mark.parametrize("start", [0, 1, 6, 7])
@@ -1476,9 +1514,12 @@ class TestApplyProperty:
         want = []
         for batch in block_windows(mu, n, xs, tols, appell.MAX_WINDOW, appell.BATCH_TERMS):
             want += contract_masked(mu, n, fam.Q.coeffs, f, batch)
-        got = [v.hex() for v in apply(spec, f, xs).tolist()]
-        assert got == [v.hex() for v in want]
-        assert got == [apply(spec, f, x).hex() for x in xs]
+        for form, rows in FORMS.items():  # each grid through both forms
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(appell, "ROWS", rows)
+                got = [v.hex() for v in apply(spec, f, xs).tolist()]
+                assert got == [v.hex() for v in want], form
+                assert got == [apply(spec, f, x).hex() for x in xs], form
 
     def test_example_takes_a_second_pass(self):
         # the explicit example's n*x = 800 at tol 1e-40 runs past 8 sqrt(800) + 40
@@ -1542,6 +1583,43 @@ class TestSumPastDoubleRange:
         spec = unit_spec(0.0, 50)
         with pytest.raises(EvaluationError, match="node"):
             apply(spec, lambda t: math.inf if t > 1.0 else 1e308, 1.0)
+
+
+class TestBadPointInAGridAboveRows:
+    """A grid of more than ``appell.ROWS`` points, which takes the array
+    form, raises at a bad point the error, and the message, that the point
+    raises alone."""
+
+    @staticmethod
+    def raised(spec, f, x):
+        with pytest.raises(Exception) as caught:
+            apply(spec, f, x)
+        return type(caught.value), str(caught.value)
+
+    @pytest.mark.parametrize("bad", [-0.5, math.nan, math.inf, -math.inf])
+    def test_point(self, bad):
+        spec = gh_spec(0.5, 0.5, 1, 20)
+        xs = [k / 64 for k in range(129)]
+        assert len(xs) > appell.ROWS
+        xs[-5] = bad
+        got = self.raised(spec, math.sin, xs)
+        assert got[0] is DomainError
+        assert got == self.raised(spec, math.sin, bad)
+
+    def test_non_finite_value_of_f(self):
+        spec = gh_spec(0.5, 0.5, 1, 20)  # node 1.0 is index 20, even
+        f = lambda t: math.inf if t == 1.0 else math.sin(t)
+        xs = [k / 64 for k in range(129)]
+        got = self.raised(spec, f, xs)
+        assert got[0] is EvaluationError and "node 1.0" in got[1]
+        assert got == self.raised(spec, f, 1.0)
+
+    def test_sum_past_double_range(self):
+        spec = gh_spec(0.5, 0.5, 1, 20)
+        xs = [0.75 + k / 64 for k in range(129)]
+        got = self.raised(spec, lambda t: 1.7e308, xs)
+        assert got[0] is RangeError and "x=0.75" in got[1]
+        assert got == self.raised(spec, lambda t: 1.7e308, 0.75)
 
 
 class TestTermsPastDoubleRange:
