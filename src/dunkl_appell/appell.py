@@ -34,9 +34,9 @@ one cumulative product for the terms and, per side, one cumulative sum for
 the running totals.  Each row ends at its first term that meets its side's
 bound; a last column past B ends every side, and a batch with a side that
 ends there is grown again with B doubled.  A lower side whose mode is index
-0 ends at once; a batch of windows that are the mode alone skips the arrays.
-Every operation runs along a row in a fixed order, so a row's window is the
-same bit for bit in any batch and alone.
+0 ends at once, and a window that is the mode alone ends both sides at
+column 0.  Every operation runs along a row in a fixed order, so a row's
+window is the same bit for bit in any batch and alone.
 """
 
 from __future__ import annotations
@@ -71,13 +71,6 @@ MAX_WINDOW = 2**20
 # KB per side and row of values) stay in cache; at MAX_WINDOW terms a grid
 # at n*x near 1e6 ran 1.3-1.6x slower and held four times the memory.
 BATCH_TERMS = 2**15
-
-# Points from which a grid, or a cluster of rows in ``engine.apply``, runs its
-# per-point steps as whole-array expressions: below it numpy's fixed cost per
-# call outweighs Python's per point (the three steps break even at about 28,
-# 33 and 48 points).  Measured, not an option; both forms give the same bits
-# and raise the same errors.
-ROWS = 64
 
 # Half an ulp of 1: a Gould-Hopper generator stops once the index-weighted
 # rest of its series is below this fraction of the sum so far.
@@ -326,8 +319,8 @@ class AppellFamily:
         down to index lo, and their sum.  A run holds at most MAX_WINDOW (read
         at call time) terms, rows times 2*B + 1 for its widest first block B;
         a point whose window alone needs more raises TruncationFailureError.
-        An unverified family or an n that ``_scale`` refuses raises
-        DomainError.  The inputs are checked when the first batch is taken.
+        An unverified family, an n that ``_scale`` refuses or a tol with no
+        len(), or a str, raises DomainError, when the first batch is taken.
         """
         if self.positivity != POSITIVE_BY_COEFFICIENTS:
             raise DomainError(
@@ -336,15 +329,20 @@ class AppellFamily:
             )
         n = _scale(n)
         x = _points(x)
-        if x.ndim != 1 or len(tol) != len(x):
+        try:  # a float, None or an iterator has no len(); a str one per character
+            count = "no" if isinstance(tol, (str, bytes, bytearray)) else len(tol)
+        except TypeError:
+            count = "no"
+        if x.ndim != 1 or count != len(x):
             raise DomainError(
                 f"need a 1-D grid of points and one tolerance per point, got "
-                f"shape {x.shape} and {len(tol)} tolerances"
+                f"shape {x.shape} and {count} tolerances (a {type(tol).__name__})"
             )
-        x, tol = x.tolist(), list(tol)
+        x = x.tolist()
         nx = [n * v for v in x]
-        blocks = _first_blocks(nx, x, tol)
-        tol = list(map(float, tol))  # each read by the real rule, so float() takes it
+        blocks = list(map(_first_block, nx, x))
+        tol = [t if type(t) is float and 0.0 < t < math.inf  # else by the real rule
+               else _nonnegative_real("mass tolerance", t, positive=True) for t in tol]
         for a, b, block in _batches(blocks):
             yield from self._rows(n, x[a:b], nx[a:b], tol[a:b], block)
 
@@ -519,40 +517,11 @@ def _points(x) -> np.ndarray:
                           "past double range") from None
 
 
-def _first_block(nx: float, x: float, tol) -> int:
-    """Check a point and its tolerance, and give the terms per side of its
-    window's first pass: none if the window is the mode alone.  A tol other
-    than a float in (0, inf) is read by ``_nonnegative_real`` (finite and
-    positive)."""
+def _first_block(nx: float, x: float) -> int:
+    """Check a point and give the terms per side of its window's first pass."""
     if not 0.0 <= nx < math.inf:
         raise DomainError(f"evaluation point must be >= 0 with n*x finite, got {x}")
-    if type(tol) is not float or not 0.0 < tol < math.inf:
-        tol = _nonnegative_real("mass tolerance", tol, positive=True)
-    # Below n*x = 1 the lower side is empty, and the upper one may end at
-    # the mode: the test of ``_sides`` at its column 0, where u = 1, q = n*x.
-    if nx < 1.0 and nx <= tol / 2 * (1.0 - nx):
-        return 0
     return min(int(8.0 * math.sqrt(nx)) + 40, MAX_WINDOW - 1)
-
-
-def _first_blocks(nx: List[float], x: List[float], tol: list) -> list:
-    """``_first_block`` at every point.  At ROWS points or more, whole-array
-    expressions take the same steps, where every tolerance converts as
-    float() reads it and every check passes; otherwise the scalar form runs,
-    so the first bad point raises its error."""
-    if len(x) >= ROWS:
-        try:
-            t = np.fromiter(tol, float, len(tol))  # float() of each; None is nan
-        except (TypeError, ValueError, OverflowError):
-            t = np.array([math.nan])  # fails the check below, for the scalar form
-        v = np.array(nx)
-        if ((0.0 <= v) & (v < math.inf) & (0.0 < t) & (t < math.inf)).all():
-            blocks = np.minimum(8.0 * np.sqrt(v), MAX_WINDOW).astype(int) + 40
-            blocks = np.minimum(blocks, MAX_WINDOW - 1)
-            with np.errstate(over="ignore"):  # -inf, as in the scalar form
-                blocks[(v < 1.0) & (v <= t / 2 * (1.0 - v))] = 0
-            return blocks.tolist()
-    return list(map(_first_block, nx, x, tol))
 
 
 def _batches(blocks: List[int]) -> Iterator[tuple]:
@@ -578,17 +547,14 @@ def _sides(nx, m, tol, mu2, block):
     nx, m and tol hold each row's n*x, mode m = floor(n*x) and tolerance.
     Returns the terms, shape (2, rows, block + 2): [0, r] is row r's upper
     side and [1, r] its lower side, column c the term c places from the
-    mode, scaled to 1 there (column 0); then the column where each upper
-    and each lower side ends, and each window's sum.  Every side ends in
-    the last column, past the block, if in no column before it; a lower
-    side whose mode is index 0 ends in column 0, where its tail bound is 0.
-    Every operation works along a row in a fixed order, so a row's results
-    do not depend on the others.
+    mode, scaled to 1 there (column 0); then the column where each upper and
+    each lower side ends, and each window's sum.  A side ends in the last
+    column, past the block, if in no column before it.  At mode 0 the lower
+    side ends in column 0, its tail bound 0, and the upper one too where
+    n*x <= (tol/2) (1 - n*x).  Every operation works along a row in a fixed
+    order, so a row's results do not depend on the others.
     """
     rows = len(nx)
-    if not block:  # every window is the mode alone
-        zero = np.zeros(rows, int)
-        return np.ones((2, rows, 1)), zero, zero, np.ones(rows)
     w = block + 2  # and a last column past the block, where every side ends
     # Per-row values, spread over their rows so that every operation meets
     # operands of one shape: the pairs (n*x, h) up and (h, max(n*x, 1))

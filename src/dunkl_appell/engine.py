@@ -73,10 +73,14 @@ from typing import Callable, List, NamedTuple
 
 import numpy as np
 
-from . import appell
 from .appell import AppellFamily, _points, _scale
 from .dunkl import _nonnegative_real, dunkl_exp_neg_ratio
 from .errors import DomainError, EvaluationError, RangeError, TranscriptionError
+
+
+# Rows from which ``_weighted_sums`` sums a cluster by whole-array expressions:
+# measured, they repay numpy's fixed cost per call from about 28 rows.
+ROWS = 64
 
 
 class _SpecFields(NamedTuple):
@@ -178,7 +182,7 @@ def apply(spec: OperatorSpec, f: Callable[[float], float], x):
         raise DomainError(f"x must be a float or a 1-D sequence, got shape {points.shape}")
     grid = points.reshape(-1)
     xs = grid.tolist()
-    tol = _grid_tol(spec, grid) if len(xs) >= appell.ROWS else [_point_tol(spec, t) for t in xs]
+    tol = [_point_tol(spec, t) for t in xs]
     values = []
     for batch in spec.family.windows(spec.n, grid, tol):
         values += _contract(spec, f, batch, xs[len(values) :])
@@ -193,18 +197,6 @@ def _point_tol(spec: OperatorSpec, x: float) -> float:
     node_cut = x + (8.0 * math.sqrt((nx if nx > 0.0 else 0.0) + 1.0) + 40.0) / n
     derated = tol / (1.0 + node_cut * node_cut)
     return derated if derated > 5e-14 else min(5e-14, tol)
-
-
-@np.errstate(over="ignore", invalid="ignore")  # as the scalar form: inf or nan
-def _grid_tol(spec: OperatorSpec, x: np.ndarray) -> List[float]:
-    """``_point_tol`` at every point of x, by whole-array expressions of the
-    same operations in the same order, so the same bits; a nan n*x reaches
-    sqrt, not 0.0, but makes the node cut nan either way."""
-    _, n, tol = spec
-    n = float(n)  # what Python's int-float arithmetic converts n to
-    node_cut = x + (8.0 * np.sqrt(np.maximum(n * x, 0.0) + 1.0) + 40.0) / n
-    derated = tol / (1.0 + node_cut * node_cut)
-    return np.where(derated > 5e-14, derated, min(5e-14, tol)).tolist()
 
 
 def _contract(spec: OperatorSpec, f, batch, x) -> List[float]:
@@ -273,16 +265,17 @@ def _weighted_sums(fv, c, first, q1, batch, rows, values) -> float:
     operand has a negative stride (BLAS's ddot, which it takes otherwise,
     splits the sum): the lower side reads g backwards, and the upper side
     reads it through gr, a reversed copy viewed backwards.  A cluster of
-    ROWS rows or more takes, per side, one gather of g as wide as the
-    cluster's widest side, one product and one cumulative sum along the rows
-    (the same roundings in the same order) and reads each row's sum at its
-    end; the lower side's column 0, the mode again, is 0.0 there, its start.
-    An upper sum of -0.0 (every product -0.0) then meets a lower one of
-    +0.0, which makes the value +0.0 as the rule does.
+    ``ROWS`` rows or more, the one step of ``apply`` with an array form,
+    takes, per side, one gather of g as wide as the cluster's widest side,
+    one product and one cumulative sum along the rows (the same roundings
+    in the same order) and reads each row's sum at its end; the lower
+    side's column 0, the mode again, is 0.0 there, its start.  An upper sum
+    of -0.0 (every product -0.0) then meets a lower one of +0.0, which
+    makes the value +0.0 as the rule does.
     """
     g = np.correlate(fv, c, "valid")
     lo, up, down, total = batch.lo, batch.up, batch.down, batch.total
-    if len(rows) >= appell.ROWS:
+    if len(rows) >= ROWS:
         # a sorted grid's rows are a range, taken as a slice: the terms' view
         k = slice(rows[0], rows[-1] + 1) if type(rows) is range else np.array(rows)
         a, b, start, t = (np.array(v)[k] for v in (up, down, lo, total))

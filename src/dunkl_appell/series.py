@@ -21,10 +21,10 @@ from .errors import DomainError, RangeError
 class PowerSeries:
     """A series tied to a context, with its coefficients as a tuple of floats.
 
-    Construction converts each coefficient with float() and rejects an
-    empty list or a non-finite coefficient, an int past double range
-    included (DomainError); both checks run as single mapped passes over
-    the coefficients.  A non-numeric
+    Construction converts each coefficient with float() and rejects a str
+    or bytes (one coefficient per character), an empty list or a non-finite
+    coefficient, an int past double range included (DomainError); both
+    checks run as single mapped passes over the coefficients.  A non-numeric
     coefficient raises what float() raises (TypeError or ValueError).  The
     checked tuple goes to ``_of``, the one place that fills the slots; a
     builder that has itself produced a nonempty tuple of finite floats (the
@@ -35,6 +35,8 @@ class PowerSeries:
     __slots__ = ("ctx", "coeffs")
 
     def __new__(cls, ctx: DunklContext, coeffs: Iterable[float]):
+        if isinstance(coeffs, (str, bytes, bytearray)):
+            raise DomainError(f"a {type(coeffs).__name__} is not a sequence of coefficients")
         # float() and isfinite mapped at C level: one pass each, no frames
         try:
             cs = tuple(map(float, coeffs))

@@ -812,7 +812,7 @@ class TestWeightRows:
             with pytest.raises(ValueError):
                 ws.weights[0] = 1.0
 
-    @pytest.mark.parametrize("size", [1, 129], ids=["point", "grid"])  # 129 > ROWS
+    @pytest.mark.parametrize("size", [1, 129], ids=["point", "grid"])
     @pytest.mark.parametrize("bad, message", [
         pytest.param(10**400, "got inf", id="1e400"),
         ("x", "got 'x'"), (None, "got None"), (0, "got 0.0"), (math.nan, "got nan"),
@@ -830,16 +830,6 @@ class TestWeightRows:
         assert self.rows(fam.windows(3, xs, [np.float32(0.5)] * size)) == self.rows(
             fam.windows(3, xs, [0.5] * size))
 
-    @pytest.mark.parametrize("limit", [1, 33, 2**20])
-    def test_first_blocks_take_the_same_steps_in_both_forms(self, monkeypatch, limit):
-        monkeypatch.setattr(appell, "MAX_WINDOW", limit)
-        nx = [0.0, 1e-300, 1e-5, 0.5, 0.999, 1.0, 7.3, 600.0, 1e6, 1e300, 1.7e308]
-        tols = [1e-12, 1.0, 1e-40, 2.0, 0.5, 1e-300, 5e-14, 1e-12, 1e-25, 1e-12, 1e300]
-        scalar = [appell._first_block(v, v, t) for v, t in zip(nx, tols)]
-        assert scalar[:2] == [0, 0] and scalar[-1] == limit - 1
-        monkeypatch.setattr(appell, "ROWS", 1)
-        assert appell._first_blocks(nx, nx, tols) == scalar
-
     def test_validation(self):
         fam = self.family(0.0, "unit")
         bad = [
@@ -855,6 +845,63 @@ class TestWeightRows:
         for n, xs, tols in bad:
             with pytest.raises(DomainError):
                 list(fam.windows(n, xs, tols))
+        # a tol with no len() raised a bare TypeError, and a str was read
+        # one character per point
+        for tols in (1e-12, None, iter([1e-12]), "1", b"1", bytearray(b"1")):
+            with pytest.raises(DomainError, match="one tolerance per point"):
+                list(fam.windows(3, [1.0], tols))
         signed = AppellFamily.from_coefficients(DunklContext(0.0), [2.0, -1.0])
         with pytest.raises(DomainError, match="unverified"):
             list(signed.windows(1, [1.0], [1e-12]))
+
+
+class TestModeAlone:
+    """A window that is the mode alone comes out of the general kernel: its
+    upper side ends at column 0 where n*x <= (tol/2) * 1 * (1 - n*x), the
+    test at that column, and runs on just past that bound."""
+
+    @staticmethod
+    def family(mu, name):
+        coeffs = [1.0] if name == "unit" else [1.0, 0.0, 0.0, 0.0, 0.5]
+        return AppellFamily.from_coefficients(DunklContext(mu), coeffs)
+
+    @staticmethod
+    def last_alone(tol):
+        """The largest v with v <= (tol/2) * (1 - v), in the kernel's order."""
+        holds = lambda v: v <= tol / 2 * (1.0 - v)
+        v = tol / 2 / (1.0 + tol / 2)
+        while not holds(v):
+            v = math.nextafter(v, 0.0)
+        while holds(math.nextafter(v, 1.0)):
+            v = math.nextafter(v, 1.0)
+        return v
+
+    @pytest.mark.parametrize("tol", [1e-12, 0.5])
+    @pytest.mark.parametrize("name", ["unit", "sparse"])
+    @pytest.mark.parametrize("mu", [0.0, 0.5])
+    def test_column_0_ends_the_window(self, mu, name, tol):
+        fam = self.family(mu, name)
+        v = self.last_alone(tol)
+        past = math.nextafter(v, 1.0)
+        for nx, alone in ((0.0, True), (1e-300, True), (v, True), (past, False)):
+            ((lone,),) = fam.windows(1, [nx], [tol])
+            (batch,) = fam.windows(1, [nx, 600.0], [tol, tol])
+            for lo, upper, lower, total in (lone, next(iter(batch))):
+                assert lo == 0 and len(lower) == 0, nx
+                if alone:
+                    assert (len(upper) - 1, len(lower), total) == (0, 0, 1.0), nx
+                else:
+                    assert len(upper) - 1 >= 1, nx
+
+    @pytest.mark.parametrize("n", [1, 7, 10**6])
+    @pytest.mark.parametrize("name", ["unit", "sparse"])
+    @pytest.mark.parametrize("mu", [0.0, 0.5])
+    def test_apply_at_zero_is_q_over_q1(self, mu, name, n):
+        # the weights at x = 0 are c_k / Q(1) at nodes 0 .. deg
+        fam = self.family(mu, name)
+        spec = OperatorSpec(family=fam, n=n)
+        f = lambda t: math.cos(3.0 * t) - 0.25
+        ts = engine.nodes(spec, len(fam.Q.coeffs)).tolist()
+        want = sum(c * f(t) for c, t in zip(fam.Q.coeffs, ts)) / fam.Q_at_1
+        assert apply(spec, f, 0.0).hex() == want.hex()
+        assert apply(spec, f, [0.0, 600.0 / n])[0].hex() == want.hex()

@@ -1339,8 +1339,8 @@ KERNEL_NX = [0.0, 1e-5, 0.5, 1.0, 2.0, 20.0, 600.0, 1e6]
 KERNEL_TOLS = [1e-12, 5e-14, 1e-25, 1e-40]
 KERNEL_FAMILIES = ["unit", "gh(0.5,1)", "sparse", "trailing-zero", "signed-zeros"]
 
-# ``appell.ROWS`` for each form of apply's per-point steps: at 1 every grid
-# and cluster takes the array form, above every grid here the scalar one.
+# ``engine.ROWS`` for each form of apply's window sums: at 1 every cluster
+# takes the array form, above every grid here the scalar one.
 FORMS = {"array": 1, "scalar": 10**9}
 
 
@@ -1422,7 +1422,7 @@ class TestKernelBitIdentity:
             for batch in self.frozen(mu, n, xs, tols):
                 want += contract_masked(mu, n, fam.Q.coeffs, f, batch)
             for form, rows in FORMS.items():
-                monkeypatch.setattr(appell, "ROWS", rows)
+                monkeypatch.setattr(engine, "ROWS", rows)
                 got = apply(spec, f, xs)
                 assert [v.hex() for v in got.tolist()] == [v.hex() for v in want], (n, form)
                 for x, v in zip(xs, want):
@@ -1442,7 +1442,7 @@ class TestKernelBitIdentity:
         for batch in batches:
             want += contract_masked(mu, 1, fam.Q.coeffs, math.sin, batch)
         for form, rows in FORMS.items():
-            monkeypatch.setattr(appell, "ROWS", rows)
+            monkeypatch.setattr(engine, "ROWS", rows)
             got = apply(spec, math.sin, xs).tolist()
             assert [v.hex() for v in got] == [v.hex() for v in want], form
             assert [apply(spec, math.sin, x).hex() for x in xs] == [v.hex() for v in want], form
@@ -1455,7 +1455,7 @@ class TestKernelBitIdentity:
         fam = kernel_family(mu, name)
         f = lambda t: math.cos(3.0 * t) - 0.25
         xs = [k / 64 for k in range(129)]
-        assert len(xs) >= appell.ROWS
+        assert len(xs) >= engine.ROWS
         for n in (7, 300):
             spec = OperatorSpec(family=fam, n=n)
             tols = [engine._point_tol(spec, x) for x in xs]
@@ -1465,15 +1465,6 @@ class TestKernelBitIdentity:
             got = [v.hex() for v in apply(spec, f, xs).tolist()]
             assert got == [v.hex() for v in want], n
             assert got == [apply(spec, f, x).hex() for x in xs], n
-
-    @pytest.mark.parametrize("n", [1, 7, 10**30, 2**1000])
-    @pytest.mark.parametrize("tol", [1e-12, 1e-40, 1.0])
-    def test_grid_tol_is_point_tol(self, n, tol):
-        spec = OperatorSpec(family=kernel_family(0.5, "unit"), n=n, tol=tol)
-        xs = [0.0, -0.0, 5e-324, 1e-300, 0.37, 1.0, 600.0, 1e150, 1e300, 1.7e308,
-              math.inf, math.nan, -1.0, -1e300, -math.inf]
-        got = engine._grid_tol(spec, np.array(xs))
-        assert [v.hex() for v in got] == [engine._point_tol(spec, x).hex() for x in xs]
 
     @pytest.mark.parametrize("mu", [0.0, 0.7])
     @pytest.mark.parametrize("start", [0, 1, 6, 7])
@@ -1516,7 +1507,7 @@ class TestApplyProperty:
             want += contract_masked(mu, n, fam.Q.coeffs, f, batch)
         for form, rows in FORMS.items():  # each grid through both forms
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(appell, "ROWS", rows)
+                patch.setattr(engine, "ROWS", rows)
                 got = [v.hex() for v in apply(spec, f, xs).tolist()]
                 assert got == [v.hex() for v in want], form
                 assert got == [apply(spec, f, x).hex() for x in xs], form
@@ -1586,7 +1577,7 @@ class TestSumPastDoubleRange:
 
 
 class TestBadPointInAGridAboveRows:
-    """A grid of more than ``appell.ROWS`` points, which takes the array
+    """A grid of more than ``engine.ROWS`` points, which takes the array
     form, raises at a bad point the error, and the message, that the point
     raises alone."""
 
@@ -1600,7 +1591,7 @@ class TestBadPointInAGridAboveRows:
     def test_point(self, bad):
         spec = gh_spec(0.5, 0.5, 1, 20)
         xs = [k / 64 for k in range(129)]
-        assert len(xs) > appell.ROWS
+        assert len(xs) > engine.ROWS
         xs[-5] = bad
         got = self.raised(spec, math.sin, xs)
         assert got[0] is DomainError

@@ -64,6 +64,14 @@ class TestConstruction:
         with pytest.raises(error):
             PowerSeries(CTX0, [1.0, bad])
 
+    @pytest.mark.parametrize("text", ["12", b"12", bytearray(b"12")], ids=["str", "bytes", "bytearray"])
+    def test_rejects_text_as_the_coefficient_sequence(self, text):
+        # "12" gave 1 + 2t, and b"12" the byte values 49 + 50t
+        with pytest.raises(DomainError, match=f"a {type(text).__name__} is not a sequence of coefficients"):
+            PowerSeries(CTX0, text)
+        with pytest.raises(DomainError, match=f"a {type(text).__name__} is not a sequence of coefficients"):
+            AppellFamily.from_coefficients(CTX0, text)
+
     def test_converts_each_coefficient_to_float(self):
         for coeffs in ([1, 2, 1], np.array([1.0, 2.0, 1.0]), (c for c in (1, 2.0, 1))):
             S = PowerSeries(CTX0, coeffs)
