@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import math
 import operator
+import reprlib
 from dataclasses import dataclass
 from itertools import compress
 from typing import Iterable, Iterator, List, Sequence
@@ -508,13 +509,31 @@ def _int_text(value: int) -> str:
         return f"<{sign}int of {value.bit_length()} bits>"
 
 
+class _ShortRepr(reprlib.Repr):
+    """reprlib's cut-short repr, with an int past str's digit limit given by
+    its size (``_int_text``) where reprlib would raise ValueError."""
+
+    def repr_int(self, x, level):
+        text = _int_text(x)
+        return text if text.startswith("<") else super().repr_int(x, level)
+
+
+_short_repr = _ShortRepr().repr
+
+
 def _points(x) -> np.ndarray:
-    """x as a float array; an int past double range raises DomainError."""
+    """x as a float array; an int past double range, or a point that is no
+    real (a complex, a str float() refuses, a ragged nested list) raises
+    DomainError, whose message shows x cut short by ``_short_repr``, so a
+    long grid gives a short message."""
     try:
         return np.asarray(x, dtype=float)
     except OverflowError:  # numpy refuses an int past double range
         raise DomainError("evaluation point must be a finite real >= 0, got an int "
                           "past double range") from None
+    except (TypeError, ValueError):
+        raise DomainError("evaluation point must be a finite real >= 0, got "
+                          f"{_short_repr(x)}") from None
 
 
 def _first_block(nx: float, x: float) -> int:

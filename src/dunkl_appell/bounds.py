@@ -28,6 +28,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .appell import _points
 from .dunkl import _nonnegative_real
 from .engine import OperatorSpec, apply, central_moments
 from .errors import ConfigurationError, DomainError, EvaluationError
@@ -230,6 +231,7 @@ def theorem4_bound(
     x may lie EDGE_SLACK past interval_end, as in ``verify``.  At a point
     mass (omega2 = 0) w2_provider is called at s = 0: the bound is
     0.75 * (2 + interval_end) * w2(0), 0 for every registry entry."""
+    x = _nonnegative_real("evaluation point", x)  # as central_moments reads it
     rule = _t4(interval_end, w2_provider, sup_norm, [x])
     return rule(central_moments(spec, x).omega2)[0]
 
@@ -297,7 +299,9 @@ def verify(
     ``analytic_modulus2``.  An entry without the modulus its theorem needs
     raises ConfigurationError, as a missing Hoelder pair does.  M and beta
     belong to T3 (a pair given whole, else the entry's) and interval_end to
-    T4 (needed; a point past it is checked as in ``theorem4_bound``).
+    T4 (needed; a point past it is checked as in ``theorem4_bound``).  The
+    grid is read once as floats, as ``apply`` reads it; the checks, f and the
+    moments take those floats.
     """
     if theorem not in ("T2", "T3", "T4"):
         raise ConfigurationError(f"unknown theorem {theorem!r}; expected T2, T3 or T4")
@@ -308,6 +312,10 @@ def verify(
             f"theorem {theorem} takes no {' or '.join(foreign)}; M and beta "
             "belong to T3, interval_end to T4"
         )
+    xs = _points(grid)
+    if xs.ndim != 1:
+        raise DomainError(f"grid must be a 1-D sequence, got shape {xs.shape}")
+    grid = xs.tolist()
     f = entry.evaluator
     source = ANALYTIC
 

@@ -20,9 +20,7 @@ configuration or numeric errors.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import operator
 import re
@@ -74,13 +72,18 @@ _DIGITS = "{:.17g}".format
 
 
 def emit(rows: List[dict], fmt: str, destination: Optional[str]) -> None:
-    """Write the report rows as CSV (fixed header) or JSON (same keys)."""
+    """Write the report rows as CSV (fixed header) or JSON (same keys).
+
+    A CSV line is its cells joined by commas.  No cell of the schema (a
+    17-digit float, an int, "" or a theorem label) holds a comma, a quote or
+    a newline, so none needs quoting, and the text is what ``csv.writer``
+    writes.  A destination that cannot be written raises ConfigurationError.
+    """
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(COLUMNS)
-        writer.writerows([_CELL_TEXT.get(type(v), _DIGITS)(v) for v in _CELLS(r)] for r in rows)
-        text = buf.getvalue()
+        lines = [",".join(COLUMNS)]
+        lines += [",".join([_CELL_TEXT.get(type(v), _DIGITS)(v) for v in _CELLS(r)])
+                  for r in rows]
+        text = "\n".join(lines) + "\n"
     else:
         text = json.dumps(rows, indent=2) + "\n"
     if destination is None:

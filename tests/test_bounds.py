@@ -537,3 +537,61 @@ class TestVerify:
         assert p.omega2 == pytest.approx(0.1, rel=1e-12)
         assert p.inputs.lambda_n == pytest.approx(1.0, rel=1e-12)
         assert p.inputs.s == pytest.approx(0.1**0.25, rel=1e-12)
+
+
+# Each entry taking points, called with one bad point: a grid-taking entry
+# gets it as a one-point grid, or as the grid itself where it is a list.
+_POINT_ENTRIES = {
+    "apply": lambda spec, x: apply(spec, math.sin, x),
+    "weights": lambda spec, x: spec.family.weights(spec.n, x),
+    "windows": lambda spec, x: list(spec.family.windows(spec.n, _grid(x), [1e-12] * len(_grid(x)))),
+    "verify T2": lambda spec, x: verify(spec, lookup("sinx"), "T2", _grid(x)),
+    "verify T2 window-local": lambda spec, x: verify(spec, lookup("square"), "T2", _grid(x)),
+    "verify T3": lambda spec, x: verify(spec, lookup("sinx"), "T3", _grid(x)),
+    "verify T4": lambda spec, x: verify(spec, lookup("sinx"), "T4", _grid(x), interval_end=1.0),
+    "theorem4_bound": lambda spec, x: theorem4_bound(spec, x, 1.0, lookup("sinx").analytic_modulus2, 1.0),
+}
+
+
+def _grid(x):
+    return x if isinstance(x, list) else [x]
+
+
+@pytest.mark.parametrize("bad", [1j, object(), "abc", [[1.0], [1.0, 2.0]]],
+                         ids=["complex", "object", "str", "ragged"])
+@pytest.mark.parametrize("entry", list(_POINT_ENTRIES))
+def test_a_point_that_is_no_real_is_a_domain_error(entry, bad):
+    # numpy's TypeError or ValueError escaped bare from the point reading,
+    # and T4's interval check and T2's window end compared raw points
+    with pytest.raises(DomainError, match=r"^evaluation point must be a finite real >= 0, got "):
+        _POINT_ENTRIES[entry](unit_spec(0.5, 10), bad)
+
+
+@pytest.mark.parametrize("bad", [[0.5] * 100_000 + ["abc"], ["abc", 10**5000]],
+                         ids=["long-grid", "huge-int"])
+def test_a_bad_point_in_a_grid_gives_a_short_message(bad):
+    # the message showed the whole grid's repr, and an int past str's digit
+    # limit made that repr raise ValueError
+    with pytest.raises(DomainError, match=r"^evaluation point must be a finite real >= 0, got \[") as info:
+        apply(unit_spec(0.5, 10), math.sin, bad)
+    assert len(str(info.value)) < 200
+
+
+class TestVerifyReadsTheGridOnce:
+    """verify reads its grid once, as apply does; f and the moments get floats."""
+
+    @pytest.mark.parametrize("theorem, name, kw", [
+        ("T2", "sinx", {}), ("T2", "square", {}), ("T3", "sqrtx", {}),
+        ("T4", "sinx", {"interval_end": 2.0}),
+    ])
+    def test_a_point_float_reads_is_that_float(self, theorem, name, kw):
+        # f got the str '1.5' and raised a bare TypeError
+        spec, entry = unit_spec(0.5, 10), lookup(name)
+        got = verify(spec, entry, theorem, ["1.5", 1], **kw)
+        assert got == verify(spec, entry, theorem, [1.5, 1.0], **kw)
+        assert [type(p.x) for p in got.points] == [float, float]
+
+    @pytest.mark.parametrize("grid", [1.0, [[1.0], [2.0]]], ids=["scalar", "2-D"])
+    def test_a_grid_that_is_not_1d_is_a_domain_error(self, grid):
+        with pytest.raises(DomainError, match=r"^grid must be a 1-D sequence, got shape "):
+            verify(unit_spec(0.5, 10), lookup("sinx"), "T2", grid)

@@ -316,6 +316,95 @@ class TestEmitText:
         assert lines[1:] == want
 
 
+def csv_writer_text(rows):
+    """The reference CSV rendering: ``csv.writer`` on each row's cell texts."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(COLUMNS)
+    for row in rows:
+        writer.writerow(["" if v is None else format(v, ".17g") if isinstance(v, float) else str(v)
+                         for v in (row[c] for c in COLUMNS)])
+    return buf.getvalue()
+
+
+# one small run of every mode, bounds under each theorem
+_EVERY_MODE = {
+    "eval": ("eval", "--mu", "0.5", "--f", "sinx", "--n", "5,20", "--x-grid", "0:2:0.25"),
+    "moments": ("moments", "--mu", "0.5", "--family", "gould-hopper", "--n", "7",
+                "--x-grid", "0:2:0.25"),
+    "converge": ("converge", "--mu", "0", "--f", "sinx", "--n", "5,10", "--x-grid", "0:2:0.1"),
+    "T2": ("bounds", "--theorem", "T2", "--f", "square", "--mu", "0.5", "--n", "20",
+           "--x-grid", "0:2:0.5"),
+    "T3": ("bounds", "--theorem", "T3", "--f", "sqrtx", "--mu", "0.5", "--n", "20",
+           "--x-grid", "0:2:0.5"),
+    "T4": ("bounds", "--theorem", "T4", "--f", "sinx", "--mu", "0.5", "--interval-end", "2",
+           "--n", "20", "--x-grid", "0:2:0.5"),
+}
+_SHORT = ("moments", "--mu", "0.5", "--n", "10", "--x", "1")
+_LONG = ("moments", "--mu", "0.5", "--n", "10", "--x-grid", "0:2:0.01")
+
+
+class TestEmitBytes:
+    """The CSV text is what csv.writer writes, and --out holds exactly the
+    report's bytes, however long the file was before."""
+
+    @pytest.mark.parametrize("mode", list(_EVERY_MODE))
+    def test_every_mode_is_what_csv_writer_writes(self, capsys, monkeypatch, mode):
+        seen = []
+        monkeypatch.setattr(cli, "emit", lambda rows, *args: (seen.append(rows), emit(rows, *args)))
+        code, out, _ = run_cli(capsys, *_EVERY_MODE[mode])
+        assert code == 0 and len(seen) == 1 and seen[0]
+        assert out == csv_writer_text(seen[0])
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_a_shorter_report_leaves_no_old_bytes(self, capsys, tmp_path, fmt):
+        dest = tmp_path / "report"
+        long, short = (*_LONG, "--format", fmt), (*_SHORT, "--format", fmt)
+        assert main([*long, "--out", str(dest)]) == 0
+        long_size = dest.stat().st_size
+        assert main([*short, "--out", str(dest)]) == 0
+        code, out, _ = run_cli(capsys, *short)
+        assert code == 0 and dest.read_bytes() == out.encode()
+        assert len(out) < long_size
+
+    def test_absent_file_is_created(self, capsys, tmp_path):
+        dest = tmp_path / "new.csv"
+        assert main([*_SHORT, "--out", str(dest)]) == 0
+        code, out, _ = run_cli(capsys, *_SHORT)
+        assert code == 0 and dest.read_text() == out
+
+    def test_dev_null_out_exits_0(self, capsys):
+        code, out, err = run_cli(capsys, *_SHORT, "--out", "/dev/null")
+        assert (code, out, err) == (0, "", "")
+
+    def test_a_write_that_fails_leaves_no_old_bytes(self, capsys, tmp_path, monkeypatch):
+        # the write stops after 14 bytes of the short report: the file keeps
+        # those bytes and none of the long report it replaced
+        dest = tmp_path / "report.csv"
+        assert main([*_LONG, "--out", str(dest)]) == 0
+        code, want, _ = run_cli(capsys, *_SHORT)
+
+        def failing_open(path, mode):
+            fh = open(path, mode)
+            real_write = fh.write
+
+            def write(text):
+                real_write(text[:14])
+                fh.flush()
+                raise OSError(28, "No space left on device")
+
+            fh.write = write
+            return fh
+
+        monkeypatch.setattr(cli, "open", failing_open, raising=False)
+        code, out, err = run_cli(capsys, *_SHORT, "--out", str(dest))
+        monkeypatch.undo()
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: cannot write --out {dest}: ")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert dest.read_bytes() == want.encode()[:14]
+
+
 class TestBoundsMode:
     def test_square_far_out_takes_its_window_modulus(self, capsys):
         # T2 on square takes its closed-form modulus on verify's window,

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dunkl_appell import ConfigurationError, lookup
@@ -61,13 +61,17 @@ def test_analytic_second_modulus_dominates_grid_estimate(name, s):
     st.floats(min_value=1e-3, max_value=50.0),
 )
 @settings(max_examples=200)
+@example(50.0, 49.99999999999999, 50.0)
 def test_square_window_modulus_is_the_sup_on_the_window(u, v, b):
     # |u^2 - v^2| over u, v in [0, b] with |u - v| <= d, attained at (b - d, b);
-    # b*b - (b - d)**2 cancels, so it is exact only to a few ulps of b*b
+    # b*b - (b - d)**2 cancels, so it is exact only to a few ulps of b*b.
+    # u*u and v*v each round by up to half an ulp of b*b: at d of one ulp
+    # that rounding is larger than w(d, b) itself (9.09e-13 against 7.11e-13
+    # at the example), so the first bound allows it.
     w = lookup("square").window_modulus
     u, v = min(u, b), min(v, b)
     d = abs(u - v)
-    assert abs(u * u - v * v) <= w(d, b) * (1.0 + 1e-12)
+    assert abs(u * u - v * v) <= w(d, b) * (1.0 + 1e-12) + 2.0 * math.ulp(b * b)
     assert w(d, b) == pytest.approx(b * b - (b - d) ** 2, abs=1e-14 * b * b)
     assert w(2.0 * b, b) == b * b
 
